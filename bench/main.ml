@@ -7,14 +7,17 @@
      dune exec bench/main.exe -- table6 --quick
      dune exec bench/main.exe -- fig2 --jobs 4
      dune exec bench/main.exe -- fig2 --cache-dir .glitch-cache
-     dune exec bench/main.exe -- scaling      -- jobs ladder, BENCH_6.json
+     dune exec bench/main.exe -- scaling      -- jobs ladder
 
    --jobs N fans the campaign sweeps out over N domains (default: the
    machine's recommended domain count clamped to the work available;
    results are bit-identical at any N). --cache-dir DIR serves fig2's
    sweeps through the persistent result cache (a warm cache executes
    zero sweep cases). Sweep experiments also emit a machine-readable
-   "PERF ..." line for the bench trajectory.
+   "PERF ..." line, and every run writes all of its PERF records, in
+   order, to one BENCH.json (a JSON list of Stats.Perf.to_json objects,
+   told apart by their "label"). An unknown experiment name prints the
+   usage on stderr and exits 2.
 
    Expected paper values are printed next to measured ones; see
    EXPERIMENTS.md for the discussion of each comparison. *)
@@ -26,66 +29,35 @@ let section title =
 
 let paper_note fmt = Fmt.pr ("  [paper] " ^^ fmt ^^ "@.")
 
-let pool_jobs = function Some p -> Runtime.Pool.jobs p | None -> 1
-
-(* Every PERF record emitted during the run, newest last; dumped as a
-   machine-readable BENCH_<n>.json at exit for the bench trajectory. *)
+(* Every PERF record emitted during the run, newest first; written to
+   BENCH.json at exit. *)
 let perf_log : Stats.Perf.t list ref = ref []
 
 let emit_perf perf =
-  perf_log := !perf_log @ [ perf ];
+  perf_log := perf :: !perf_log;
   Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf)
 
-let write_json path records =
-  match records with
-  | [] -> ()
-  | records ->
-    let oc = open_out path in
-    output_string oc "[\n";
-    List.iteri
-      (fun i r ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc ("  " ^ Stats.Perf.to_json r))
-      records;
-    output_string oc "\n]\n";
-    close_out oc;
-    Fmt.pr "@.Wrote %s (%d record%s)@." path (List.length records)
-      (if List.length records = 1 then "" else "s")
+let write_bench_json () =
+  let records = List.rev_map Stats.Perf.to_json !perf_log in
+  let oc = open_out "BENCH.json" in
+  output_string oc (Json.to_string (Json.List records));
+  output_char oc '\n';
+  close_out oc;
+  Fmt.pr "@.Wrote BENCH.json (%d record%s)@." (List.length records)
+    (if List.length records = 1 then "" else "s")
 
-let write_perf_json path = write_json path !perf_log
-
-(* Fold the pool's parallel-region accounting (queue wait, worker
-   utilization) into a PERF record, then clear it so the next record
-   starts from zero. *)
-let with_pool_perf ?pool perf =
-  match pool with
-  | None -> perf
-  | Some p ->
-    let jobs = Runtime.Pool.jobs p in
-    let s = Runtime.Pool.stats p in
-    Runtime.Pool.reset_stats p;
-    Stats.Perf.with_pool_stats
-      ~wait_s:(Runtime.Pool.stats_wait ~jobs s)
-      ~utilization:(Runtime.Pool.stats_utilization ~jobs s)
-      perf
-
-(* Fold a hardware sweep's cost into a PERF record: the attempt count
-   becomes the item count, and the booted-vs-replayed cycle counters
-   record how much emulation the snapshot-replay kernel avoided. *)
-let perf_of_sweep (p : Stats.Perf.t) (s : Hw.Attack.sweep) =
-  Stats.Perf.with_cycles ~booted:s.emulated_cycles ~replayed:s.replayed_cycles
-    { p with Stats.Perf.items = s.attempts; executed = s.attempts }
+(* A fresh pool for the duration of [f]; jobs = 1 stays on the
+   sequential path. *)
+let with_jobs jobs f =
+  if jobs = 1 then f None else Runtime.Pool.with_pool ~jobs (fun p -> f (Some p))
 
 (* --- Figure 2: glitching effects in emulation ----------------------------- *)
 
 let fig2 ?pool ?cache () =
   section "Figure 2 - bit-flip effects on ARM Thumb conditional branches";
   let cases = Glitch_emu.Testcase.all_conditional_branches in
-  let executed = ref 0 and memoized = ref 0 in
-  let tally_stats (r : Glitch_emu.Campaign.result) =
-    executed := !executed + r.stats.executed;
-    memoized := !memoized + r.stats.memoized
-  in
+  let results = ref [] in
+  let tally rs = results := List.rev_append rs !results in
   (* With --cache-dir every sweep is served through the audit service:
      intact cache entries come back with zero executed cases. *)
   let svc = Option.map (fun cache -> Service.create ?pool ~cache ()) cache in
@@ -109,19 +81,15 @@ let fig2 ?pool ?cache () =
   let run name config =
     Fmt.pr "@.--- %s ---@." name;
     let results = run_all config cases in
-    List.iter tally_stats results;
+    tally results;
     print_string (Glitch_emu.Report.outcome_table results);
     Fmt.pr "@.Success rate by number of flipped bits:@.";
     print_string (Glitch_emu.Report.success_by_weight_table results);
     Fmt.pr "%s@." (Glitch_emu.Report.summary_line results);
     Glitch_emu.Report.mean_success_rate results
   in
-  (* 4 models x 14 branches + 2 models x 3 non-branch cases, 2^16 masks
-     each — the per-sweep item count behind the PERF line *)
-  let sweeps = (4 * List.length cases) + (2 * List.length Glitch_emu.Testcase.non_branch_cases) in
-  let (), perf =
-    Stats.Perf.time ~label:"fig2" ~jobs:(pool_jobs pool) ~items:(sweeps * 65536)
-      (fun () ->
+  let (), elapsed_s =
+    Stats.Perf.time (fun () ->
         let and_rate =
           run "(a) AND model (1 -> 0 flips)"
             (Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.And)
@@ -151,7 +119,7 @@ let fig2 ?pool ?cache () =
                  let r =
                    run_case (Glitch_emu.Campaign.default_config flip) case
                  in
-                 tally_stats r;
+                 tally [ r ];
                  Glitch_emu.Campaign.category_percent r
                    Glitch_emu.Campaign.Success
                in
@@ -159,12 +127,13 @@ let fig2 ?pool ?cache () =
                  Fmt.str "%.1f" (rate Glitch_emu.Fault_model.Or) ])
              Glitch_emu.Testcase.non_branch_cases))
   in
-  emit_perf
-    (with_pool_perf ?pool
-       (Stats.Perf.with_memo ~executed:!executed ~memoized:!memoized perf));
+  emit_perf (Glitch_emu.Campaign.perf ~label:"fig2" ?pool !results elapsed_s);
   if Option.is_some svc then
     Fmt.pr "cache: %d hit, %d warm, %d miss (%d case(s) executed)@." !hits
-      !warms !misses !executed;
+      !warms !misses
+      (List.fold_left
+         (fun n (r : Glitch_emu.Campaign.result) -> n + r.stats.executed)
+         0 !results);
   paper_note "branches skipped >60%% when flipping to 0, <30%% when flipping to 1;";
   paper_note "making 0x0000 invalid left the success rate 'effectively unchanged'."
 
@@ -244,8 +213,8 @@ let instruction_listing guard =
 let table1 ?pool () =
   section "Table I - successful single glitches per clock cycle";
   let sweep = ref Hw.Attack.sweep_zero in
-  let (), perf =
-    Stats.Perf.time ~label:"table1" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
+  let (), elapsed_s =
+    Stats.Perf.time (fun () ->
   List.iter
     (fun guard ->
       let t = Hw.Attack.run_table1 ?pool guard in
@@ -281,7 +250,7 @@ let table1 ?pool () =
         (Hashtbl.length values_seen))
     Hw.Attack.all_guards)
   in
-  emit_perf (with_pool_perf ?pool (perf_of_sweep perf !sweep));
+  emit_perf (Hw.Attack.sweep_perf ~label:"table1" ?pool !sweep elapsed_s);
   paper_note "totals 0.705%% / 0.347%% / 0.449%%; while(!a) ~2x while(a);";
   paper_note "comparator residues included SP (0x20003FE8) and GPIO mixes."
 
@@ -289,8 +258,8 @@ let table1 ?pool () =
 
 let table2 ?pool () =
   section "Table II - partial vs full multi-glitch (two back-to-back loops)";
-  let rows, perf =
-    Stats.Perf.time ~label:"table2" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
+  let rows, elapsed_s =
+    Stats.Perf.time (fun () ->
         List.map
           (fun guard ->
             let t = Hw.Attack.run_table2 ?pool guard in
@@ -322,7 +291,7 @@ let table2 ?pool () =
         Stats.Rate.pp_count_pct (f, t.attempts2)
         (if f = 0 then Float.infinity else float_of_int p /. float_of_int f))
     rows;
-  emit_perf (with_pool_perf ?pool (perf_of_sweep perf sweep));
+  emit_perf (Hw.Attack.sweep_perf ~label:"table2" ?pool sweep elapsed_s);
   paper_note "partial 1.330%% / 0.420%% / 0.413%%, full 0.494%% / 0.068%% / 0.258%%;";
   paper_note "multi-glitch 6x / 3x / 1.6x harder than a single glitch."
 
@@ -330,8 +299,8 @@ let table2 ?pool () =
 
 let table3 ?pool () =
   section "Table III - long glitches (10-20 contiguous cycles)";
-  let results, perf =
-    Stats.Perf.time ~label:"table3" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
+  let results, elapsed_s =
+    Stats.Perf.time (fun () ->
         List.map
           (fun guard -> (guard, Hw.Attack.run_table3 ?pool guard))
           Hw.Attack.all_guards)
@@ -358,48 +327,45 @@ let table3 ?pool () =
       (fun acc (_, (t : Hw.Attack.table3)) -> Hw.Attack.sweep_add acc t.sweep3)
       Hw.Attack.sweep_zero results
   in
-  emit_perf (with_pool_perf ?pool (perf_of_sweep perf sweep));
+  emit_perf (Hw.Attack.sweep_perf ~label:"table3" ?pool sweep elapsed_s);
   paper_note "totals 0.101%% / 0.730%% / 0.0992%%: long glitches help while(a)";
   paper_note "most (aborted loads read zero) and barely help the others."
 
 (* --- tables: sweep-kernel timings for the bench trajectory ------------------- *)
 
 (* Times the three hardware-table sweeps for one guard, sequentially and
-   (when --jobs N > 1) in parallel, and writes the PERF records to
-   BENCH_3.json. The booted/replayed cycle counters quantify how much
+   (when --jobs N > 1) in parallel, as the tables-t{1,2,3}-{seq,parN}
+   records. The booted/replayed cycle counters quantify how much
    emulation the snapshot-replay kernel avoids; the parallel leg is
    checked bit-identical to the sequential one. *)
 let tables ?pool () =
-  section "tables - Table I-III sweep kernel (writes BENCH_3.json)";
+  section "tables - Table I-III sweep kernel";
   let guard = Hw.Attack.While_not_a in
-  let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
-  let leg name jobs pool =
-    let t1, p1 =
-      Stats.Perf.time ~label:("tables-t1-" ^ name) ~jobs ~items:0 (fun () ->
-          Hw.Attack.run_table1 ?pool guard)
+  let leg name pool =
+    let timed n run sweep =
+      let t, elapsed_s = Stats.Perf.time run in
+      emit_perf
+        (Hw.Attack.sweep_perf
+           ~label:(Fmt.str "tables-t%d-%s" n name)
+           ?pool (sweep t) elapsed_s);
+      t
     in
-    emit (with_pool_perf ?pool (perf_of_sweep p1 t1.Hw.Attack.sweep1));
-    let t2, p2 =
-      Stats.Perf.time ~label:("tables-t2-" ^ name) ~jobs ~items:0 (fun () ->
-          Hw.Attack.run_table2 ?pool guard)
+    let t1 =
+      timed 1 (fun () -> Hw.Attack.run_table1 ?pool guard) (fun t -> t.Hw.Attack.sweep1)
     in
-    emit (with_pool_perf ?pool (perf_of_sweep p2 t2.Hw.Attack.sweep2));
-    let t3, p3 =
-      Stats.Perf.time ~label:("tables-t3-" ^ name) ~jobs ~items:0 (fun () ->
-          Hw.Attack.run_table3 ?pool guard)
+    let t2 =
+      timed 2 (fun () -> Hw.Attack.run_table2 ?pool guard) (fun t -> t.Hw.Attack.sweep2)
     in
-    emit (with_pool_perf ?pool (perf_of_sweep p3 t3.Hw.Attack.sweep3));
+    let t3 =
+      timed 3 (fun () -> Hw.Attack.run_table3 ?pool guard) (fun t -> t.Hw.Attack.sweep3)
+    in
     (t1, t2, t3)
   in
-  let s1, s2, s3 = leg "seq" 1 None in
+  let s1, s2, s3 = leg "seq" None in
   (match pool with
   | Some p when Runtime.Pool.jobs p > 1 ->
     let jobs = Runtime.Pool.jobs p in
-    let q1, q2, q3 = leg (Fmt.str "par%d" jobs) jobs pool in
+    let q1, q2, q3 = leg (Fmt.str "par%d" jobs) pool in
     let same =
       s1.Hw.Attack.per_cycle = q1.Hw.Attack.per_cycle
       && s2.Hw.Attack.partial = q2.Hw.Attack.partial
@@ -409,8 +375,7 @@ let tables ?pool () =
     if same then
       Fmt.pr "@.parallel (%d jobs) == sequential: tables bit-identical@." jobs
     else Fmt.pr "@.WARNING: parallel tables diverge from the sequential run@."
-  | Some _ | None -> ());
-  write_json "BENCH_3.json" !records
+  | Some _ | None -> ())
 
 (* --- scaling: the fig2 sweep kernel across a jobs ladder ---------------------- *)
 
@@ -438,44 +403,21 @@ let fig2_workload ?pool () =
           Glitch_emu.Testcase.non_branch_cases)
       [ Glitch_emu.Fault_model.And; Glitch_emu.Fault_model.Or ]
 
-let fig2_workload_sweeps =
-  (4 * List.length Glitch_emu.Testcase.all_conditional_branches)
-  + (2 * List.length Glitch_emu.Testcase.non_branch_cases)
-
 (* Runs the fig2 workload at --jobs 1, 2, 4 and 8 (a fresh pool per
    leg), checks every leg's tables bit-identical to the sequential one,
-   and writes all four PERF rows to BENCH_6.json. With the shared memo
+   and records all four legs as "fig2" rows. With the shared memo
    store the executed counter must NOT grow with the job count — that
    counter parity, not wall-clock on a core-starved CI container, is
    the evidence that the old duplicated-execution inversion is gone. *)
 let scaling () =
-  section "scaling - fig2 sweep kernel at --jobs 1,2,4,8 (writes BENCH_6.json)";
-  let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
+  section "scaling - fig2 sweep kernel at --jobs 1,2,4,8";
   let leg jobs =
-    let with_p pool =
-      Option.iter Runtime.Pool.reset_stats pool;
-      let results, perf =
-        Stats.Perf.time ~label:"fig2" ~jobs
-          ~items:(fig2_workload_sweeps * 65536) (fun () ->
-            fig2_workload ?pool ())
-      in
-      let executed, memoized =
-        List.fold_left
-          (fun (e, m) (r : Glitch_emu.Campaign.result) ->
-            (e + r.stats.executed, m + r.stats.memoized))
-          (0, 0) results
-      in
-      emit
-        (with_pool_perf ?pool
-           (Stats.Perf.with_memo ~executed ~memoized perf));
-      results
-    in
-    if jobs = 1 then with_p None
-    else Runtime.Pool.with_pool ~jobs (fun p -> with_p (Some p))
+    with_jobs jobs (fun pool ->
+        let results, elapsed_s =
+          Stats.Perf.time (fun () -> fig2_workload ?pool ())
+        in
+        emit_perf (Glitch_emu.Campaign.perf ~label:"fig2" ?pool results elapsed_s);
+        results)
   in
   let baseline = leg 1 in
   let identical =
@@ -490,8 +432,7 @@ let scaling () =
   in
   if identical then
     Fmt.pr "@.tables bit-identical across --jobs 1, 2, 4, 8@."
-  else Fmt.pr "@.WARNING: tables diverge across job counts@.";
-  write_json "BENCH_6.json" !records
+  else Fmt.pr "@.WARNING: tables diverge across job counts@."
 
 (* --- exhaust: trace-wide campaign across a jobs ladder ------------------------- *)
 
@@ -500,38 +441,22 @@ let scaling () =
    per-function verdict tables are checked bit-identical to the
    sequential one — the pruning all flows through one shared state map,
    so the only schedule-dependent number is the pruned/executed split
-   (two workers racing a cold state both execute it). The PERF rows,
-   with the pruned counters, land in BENCH_7.json. *)
+   (two workers racing a cold state both execute it). The PERF rows
+   carry the pruned counters. *)
 let exhaust_bench () =
-  section
-    "exhaust - trace-wide fault campaign at --jobs 1,2,4,8 (writes BENCH_7.json)";
+  section "exhaust - trace-wide fault campaign at --jobs 1,2,4,8";
   let compiled =
     Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
   in
   let spec = Exhaust.Campaign.spec_of_image ~name:"guard_loop" compiled.image in
   let config = Exhaust.Campaign.default_config () in
-  let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
   let leg jobs =
-    let with_p pool =
-      let result, perf =
-        Stats.Perf.time ~label:"exhaust" ~jobs ~items:0 (fun () ->
-            Exhaust.Campaign.run ?pool spec config)
-      in
-      let perf =
-        { (with_pool_perf ?pool perf) with
-          Stats.Perf.items = result.Exhaust.Campaign.points }
-        |> Stats.Perf.with_pruned ~executed:result.Exhaust.Campaign.executed
-             ~pruned:result.Exhaust.Campaign.pruned
-      in
-      emit perf;
-      result
-    in
-    if jobs = 1 then with_p None
-    else Runtime.Pool.with_pool ~jobs (fun p -> with_p (Some p))
+    with_jobs jobs (fun pool ->
+        let result, elapsed_s =
+          Stats.Perf.time (fun () -> Exhaust.Campaign.run ?pool spec config)
+        in
+        emit_perf (Exhaust.Campaign.perf ~label:"exhaust" ?pool result elapsed_s);
+        result)
   in
   let base = leg 1 in
   Fmt.pr
@@ -552,8 +477,7 @@ let exhaust_bench () =
   in
   if identical then
     Fmt.pr "@.verdict tables bit-identical across --jobs 1, 2, 4, 8@."
-  else Fmt.pr "@.WARNING: verdict tables diverge across job counts@.";
-  write_json "BENCH_7.json" !records
+  else Fmt.pr "@.WARNING: verdict tables diverge across job counts@."
 
 (* --- absint: static pre-pruner + fault-flow prover ----------------------------- *)
 
@@ -564,15 +488,9 @@ let exhaust_bench () =
    fig2 conditional-branch workload the issue names, the fault-flow
    prover's wall time on the defended and undefended builds, and the
    reachability-weighted agreement concordance next to the unweighted
-   one. PERF rows land in BENCH_9.json. *)
+   one. *)
 let absint_bench () =
-  section
-    "absint - static pre-pruner + fault-flow prover (writes BENCH_9.json)";
-  let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
+  section "absint - static pre-pruner + fault-flow prover";
   (* static pre-pruner on the guard-loop exhaust workload *)
   let compiled =
     Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
@@ -585,21 +503,12 @@ let absint_bench () =
       static_prune = true }
   in
   let leg label jobs config =
-    let run pool =
-      let result, perf =
-        Stats.Perf.time ~label ~jobs ~items:0 (fun () ->
-            Exhaust.Campaign.run ?pool spec config)
-      in
-      emit
-        ({ (with_pool_perf ?pool perf) with
-           Stats.Perf.items = result.Exhaust.Campaign.points }
-        |> Stats.Perf.with_pruned ~executed:result.Exhaust.Campaign.executed
-             ~pruned:result.Exhaust.Campaign.pruned
-             ~static_pruned:result.Exhaust.Campaign.static_pruned);
-      result
-    in
-    if jobs = 1 then run None
-    else Runtime.Pool.with_pool ~jobs (fun p -> run (Some p))
+    with_jobs jobs (fun pool ->
+        let result, elapsed_s =
+          Stats.Perf.time (fun () -> Exhaust.Campaign.run ?pool spec config)
+        in
+        emit_perf (Exhaust.Campaign.perf ~label ?pool result elapsed_s);
+        result)
   in
   let plain =
     leg "absint-off" 1 { config with Exhaust.Campaign.static_prune = false }
@@ -627,15 +536,10 @@ let absint_bench () =
       Exhaust.Campaign.max_trace = 64;
       static_prune = true }
   in
-  let fig2, perf =
-    Stats.Perf.time ~label:"absint-fig2" ~jobs:1 ~items:0 (fun () ->
-        Exhaust.Campaign.run fig2_spec fig2_config)
+  let fig2, elapsed_s =
+    Stats.Perf.time (fun () -> Exhaust.Campaign.run fig2_spec fig2_config)
   in
-  emit
-    ({ perf with Stats.Perf.items = fig2.Exhaust.Campaign.points }
-    |> Stats.Perf.with_pruned ~executed:fig2.Exhaust.Campaign.executed
-         ~pruned:fig2.Exhaust.Campaign.pruned
-         ~static_pruned:fig2.Exhaust.Campaign.static_pruned);
+  emit_perf (Exhaust.Campaign.perf ~label:"absint-fig2" fig2 elapsed_s);
   if fig2.Exhaust.Campaign.static_pruned > 0 then
     Fmt.pr "@.fig2 workload floor holds: static_pruned = %d > 0@."
       fig2.Exhaust.Campaign.static_pruned
@@ -643,13 +547,14 @@ let absint_bench () =
   (* fault-flow prover wall time, both builds *)
   let prove label defenses =
     let compiled = Resistor.Driver.compile defenses Resistor.Firmware.guard_loop in
-    let report, perf =
-      Stats.Perf.time ~label ~jobs:1 ~items:0 (fun () ->
+    let report, elapsed_s =
+      Stats.Perf.time (fun () ->
           Absint.Prove.run ~config:compiled.Resistor.Driver.config
             ~reports:compiled.Resistor.Driver.reports
             ~modul:compiled.Resistor.Driver.modul compiled.Resistor.Driver.image)
     in
-    emit { perf with Stats.Perf.items = report.Absint.Prove.scenarios };
+    emit_perf
+      (Stats.Perf.make ~label ~items:report.Absint.Prove.scenarios [] elapsed_s);
     Fmt.pr
       "%s: %d/%d guards reached, %d proven, %d escaping, %d unproven@." label
       report.Absint.Prove.guards_reached report.Absint.Prove.guards_total
@@ -684,8 +589,7 @@ let absint_bench () =
     (100. *. agreement.Exhaust.Agreement.concordance_unweighted);
   if agreement.Exhaust.Agreement.concordance > 0.5 then
     Fmt.pr "agreement floor holds: weighted concordance > 50%%@."
-  else Fmt.pr "WARNING: weighted concordance did not beat 50%%@.";
-  write_json "BENCH_9.json" !records
+  else Fmt.pr "WARNING: weighted concordance did not beat 50%%@."
 
 (* --- Section V-B: locating optimal parameters --------------------------------- *)
 
@@ -776,8 +680,8 @@ let table6 ?pool ~quick () =
       ("All\\Delay", Resistor.Config.all_but_delay ~sensitive:[ "a" ] ());
       ("None (reference)", Resistor.Config.none) ]
   in
-  let (), perf =
-    Stats.Perf.time ~label:"table6" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
+  let (), elapsed_s =
+    Stats.Perf.time (fun () ->
   List.iter
     (fun scenario ->
       Fmt.pr "@.--- %s ---@." (Resistor.Evaluate.scenario_name scenario);
@@ -805,8 +709,7 @@ let table6 ?pool ~quick () =
     scenarios)
   in
   emit_perf
-    (with_pool_perf ?pool
-       { perf with Stats.Perf.items = !total_attempts; executed = !total_attempts });
+    (Stats.Perf.make ~label:"table6" ?pool ~items:!total_attempts [] elapsed_s);
   paper_note "while(!a): single 0.00928%%/0.00371%% success, 98-100%% detected;";
   paper_note "long 0.263%%/0.267%% success with 79.2%%/71.2%% detection;";
   paper_note "if(a==SUCCESS): best attack 0.00557%% (All) / 0.0449%% (All\\Delay)."
@@ -877,11 +780,10 @@ let ablation ?pool ~quick () =
    signature, Domains = SCRAMBLE-CFI-style keyed clusters) measured the
    same way as the paper's rows: Table IV/V overhead on boot_tick, then
    the worst-case guard swept with 1/2-bit corruption next to the CFCSS
-   and None baselines. One PERF record per efficacy row lands in
-   BENCH_8.json; [items] counts sweep attempts. *)
+   and None baselines. One PERF record per efficacy row
+   (defenses-<slug>); [items] counts sweep attempts. *)
 let defenses ?pool ~quick () =
-  section "defenses - CFI backend overhead + efficacy (writes BENCH_8.json)";
-  let records = ref [] in
+  section "defenses - CFI backend overhead + efficacy";
   let base = Resistor.Overhead.measure Resistor.Config.none ~label:"None" in
   let pct v b =
     Fmt.str "%.2f%%" (100. *. float_of_int (v - b) /. float_of_int b)
@@ -922,23 +824,17 @@ let defenses ?pool ~quick () =
       [ "Defense"; "Single succ"; "Single det"; "Windowed succ"; "Windowed det" ]
     (List.map
        (fun (label, slug, image) ->
-         let (single, windowed), perf =
-           Stats.Perf.time
-             ~label:("defenses-" ^ slug)
-             ~jobs:(pool_jobs pool) ~items:0
-             (fun () ->
+         let (single, windowed), elapsed_s =
+           Stats.Perf.time (fun () ->
                ( Resistor.Evaluate.run_image ?pool ~sweep_step image
                    Resistor.Evaluate.Single,
                  Resistor.Evaluate.run_image ?pool ~sweep_step image
                    Resistor.Evaluate.Windowed ))
          in
-         let attempts = single.attempts + windowed.attempts in
-         let perf =
-           with_pool_perf ?pool
-             { perf with Stats.Perf.items = attempts; executed = attempts }
-         in
-         records := !records @ [ perf ];
-         Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf);
+         emit_perf
+           (Stats.Perf.make ~label:("defenses-" ^ slug) ?pool
+              ~items:(single.attempts + windowed.attempts)
+              [] elapsed_s);
          [ label;
            Fmt.str "%d (%a)" single.successes Stats.Rate.pp_pct
              (Resistor.Evaluate.success_rate single);
@@ -953,8 +849,7 @@ let defenses ?pool ~quick () =
   Fmt.pr "  but neither re-checks the DIRECTION of a legal branch - the@.";
   Fmt.pr "  Table VII residue the complemented duplication checks cover.@.";
   Fmt.pr "- Stacked on All\\Delay they close that gap at roughly the CFCSS@.";
-  Fmt.pr "  dilation cost.@.";
-  write_json "BENCH_8.json" !records
+  Fmt.pr "  dilation cost.@."
 
 (* --- Table VII: qualitative comparison -------------------------------------------- *)
 
@@ -966,26 +861,21 @@ let table7 () =
 (* --- analysis: static glitch-surface analyzer timings -------------------------- *)
 
 (* Times CFG recovery + the 1/2-bit static surface sweep + the defense
-   audit over the firmware suite, undefended and fully defended, and
-   writes the PERF records to BENCH_4.json. [items] counts the
+   audit over the firmware suite, undefended and fully defended, as the
+   analysis-<firmware>-<defenses> records. [items] counts the
    perturbations classified (136 per reachable instruction). *)
 let analysis () =
-  section "analysis - static glitch surface and defense audit (writes BENCH_4.json)";
-  let records = ref [] in
+  section "analysis - static glitch surface and defense audit";
   let lint name config source =
-    let report, perf =
-      Stats.Perf.time ~label:("analysis-" ^ name) ~jobs:1 ~items:0 (fun () ->
+    let report, elapsed_s =
+      Stats.Perf.time (fun () ->
           Analysis.Lint.run
             (Analysis.Lint.of_compiled (Resistor.Driver.compile config source)))
     in
     let surface = report.Analysis.Lint.surface in
-    let perf =
-      { perf with
-        Stats.Perf.items = surface.Analysis.Surface.total_flips;
-        executed = surface.Analysis.Surface.total_flips }
-    in
-    records := !records @ [ perf ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf);
+    emit_perf
+      (Stats.Perf.make ~label:("analysis-" ^ name)
+         ~items:surface.Analysis.Surface.total_flips [] elapsed_s);
     Fmt.pr "  %s: %d error(s), %d warning(s), %d instruction(s), %.1f%% control@."
       name
       (Analysis.Lint.count Analysis.Lint.Error report)
@@ -1008,38 +898,36 @@ let analysis () =
   Fmt.pr "@.undefended guard-loop errors: %d (expected > 0); defended: %d \
           (expected 0)@."
     (List.length (Analysis.Lint.errors undef))
-    (List.length (Analysis.Lint.errors def));
-  write_json "BENCH_4.json" !records
+    (List.length (Analysis.Lint.errors def))
 
 (* --- fuzz: randomized differential testing throughput ------------------------- *)
 
 (* One bounded fixed-seed batch per property family; [items] counts the
-   generated programs, so the PERF rate reads as programs/second. The
-   per-family checked/skipped/pass tallies land in BENCH_5.json next to
-   the timings. *)
+   generated programs, so the PERF rate reads as programs/second, and
+   [executed] counts the programs actually checked (the rest were
+   skipped). *)
 let fuzz ~quick () =
-  section "fuzz - randomized differential defense testing (writes BENCH_5.json)";
+  section "fuzz - randomized differential defense testing";
   let count = if quick then 10 else 60 in
   let seed = 42 in
-  let records = ref [] in
   List.iter
     (fun family ->
       let name = Gen.Fuzz.family_name family in
-      let summary, perf =
-        Stats.Perf.time ~label:("fuzz-" ^ name) ~jobs:1 ~items:count (fun () ->
+      let summary, elapsed_s =
+        Stats.Perf.time (fun () ->
             Gen.Fuzz.run ~families:[ family ] ~count ~seed ())
       in
       let run = List.hd summary.Gen.Fuzz.runs in
-      let perf = { perf with Stats.Perf.executed = run.Gen.Fuzz.checked } in
-      records := !records @ [ perf ];
-      Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf);
+      emit_perf
+        (Stats.Perf.make ~label:("fuzz-" ^ name) ~items:count
+           [ ("executed", Stats.Perf.Count run.Gen.Fuzz.checked) ]
+           elapsed_s);
       Fmt.pr "  %-14s %d generated, %d checked, %d skipped: %s@." name count
         run.Gen.Fuzz.checked run.Gen.Fuzz.skipped
         (match run.Gen.Fuzz.failure with
         | None -> "pass"
         | Some f -> "FAIL: " ^ f.Gen.Fuzz.message))
-    Gen.Fuzz.all_families;
-  write_json "BENCH_5.json" !records
+    Gen.Fuzz.all_families
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------------ *)
 
@@ -1117,9 +1005,9 @@ let micro () =
 (* --- driver ---------------------------------------------------------------------------- *)
 
 let usage () =
-  print_endline
+  prerr_endline
     "usage: main.exe \
-     [all|fig2|table1|table2|table3|tables|scaling|exhaust|tuner|table4|table5|table6|table7|ablation|defenses|analysis|fuzz|micro] \
+     [all|fig2|fig2x|table1|table2|table3|tables|scaling|exhaust|absint|tuner|table4|table5|table6|table7|ablation|defenses|analysis|fuzz|micro] \
      [--quick] [--jobs N] [--cache-dir DIR]"
 
 (* Pull "--jobs N" out of the raw argument list. *)
@@ -1150,52 +1038,43 @@ let rec extract_cache_dir = function
     let d, args = extract_cache_dir rest in
     (d, a :: args)
 
+let experiments ~quick ?cache pool =
+  [ ("fig2", fig2 ?pool ?cache); ("fig2x", fig2x ?pool);
+    ("table1", table1 ?pool);
+    ("table2", table2 ?pool); ("table3", table3 ?pool);
+    ("tables", tables ?pool); ("scaling", scaling);
+    ("exhaust", exhaust_bench); ("absint", absint_bench); ("tuner", tuner);
+    ("table4", table45); ("table5", table45);
+    ("table6", table6 ?pool ~quick); ("table7", table7);
+    ("ablation", ablation ?pool ~quick);
+    ("defenses", defenses ?pool ~quick); ("analysis", analysis);
+    ("fuzz", fuzz ~quick); ("micro", micro) ]
+
+(* what a bare run (or "all") regenerates *)
+let all =
+  [ "fig2"; "fig2x"; "table1"; "table2"; "table3"; "tuner"; "table4"; "table6";
+    "table7"; "ablation"; "defenses"; "analysis"; "fuzz"; "micro" ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
   let jobs, args = extract_jobs args in
   let cache_dir, args = extract_cache_dir args in
+  let names =
+    match List.filter (fun a -> a <> "--quick" && a <> "--") args with
+    | [] | [ "all" ] -> all
+    | names -> names
+  in
+  if not (List.for_all (fun n -> List.mem_assoc n (experiments ~quick None)) names)
+  then begin
+    usage ();
+    exit 2
+  end;
   let cache = Option.map (fun dir -> Cache.open_dir dir) cache_dir in
   let jobs = Option.value jobs ~default:(Runtime.Pool.default_jobs ()) in
-  let args = List.filter (fun a -> a <> "--quick" && a <> "--") args in
   (* jobs = 1 keeps every experiment on the original sequential path *)
   let pool = if jobs > 1 then Some (Runtime.Pool.create ~jobs ()) else None in
-  let experiments =
-    [ ("fig2", fig2 ?pool ?cache); ("fig2x", fig2x ?pool);
-      ("table1", table1 ?pool);
-      ("table2", table2 ?pool); ("table3", table3 ?pool);
-      ("tables", tables ?pool); ("scaling", scaling);
-      ("exhaust", exhaust_bench); ("absint", absint_bench); ("tuner", tuner);
-      ("table4", table45); ("table5", table45);
-      ("table6", table6 ?pool ~quick); ("table7", table7);
-      ("ablation", ablation ?pool ~quick);
-      ("defenses", defenses ?pool ~quick); ("analysis", analysis);
-      ("fuzz", fuzz ~quick); ("micro", micro) ]
-  in
-  let run_all () =
-    fig2 ?pool ?cache ();
-    fig2x ?pool ();
-    table1 ?pool ();
-    table2 ?pool ();
-    table3 ?pool ();
-    tuner ();
-    table45 ();
-    table6 ?pool ~quick ();
-    table7 ();
-    ablation ?pool ~quick ();
-    defenses ?pool ~quick ();
-    analysis ();
-    fuzz ~quick ();
-    micro ()
-  in
-  (match args with
-  | [] | [ "all" ] -> run_all ()
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None -> usage ())
-      names);
-  write_perf_json "BENCH_2.json";
+  let experiments = experiments ~quick ?cache pool in
+  List.iter (fun name -> (List.assoc name experiments) ()) names;
+  write_bench_json ();
   Option.iter Runtime.Pool.shutdown pool

@@ -130,19 +130,6 @@ let with_jobs jobs f =
   if jobs > 1 then Runtime.Pool.with_pool ~jobs (fun pool -> f (Some pool))
   else f None
 
-(* Fold the pool's queue-wait/utilization accounting into a PERF
-   record, so pool overhead shows up in the machine lines instead of
-   having to be inferred from scaling curves. *)
-let with_pool_perf ~jobs pool perf =
-  match pool with
-  | None -> perf
-  | Some pool ->
-    let st = Runtime.Pool.stats pool in
-    Stats.Perf.with_pool_stats
-      ~wait_s:(Runtime.Pool.stats_wait ~jobs st)
-      ~utilization:(Runtime.Pool.stats_utilization ~jobs st)
-      perf
-
 (* --- asm ------------------------------------------------------------------- *)
 
 let asm_cmd =
@@ -387,14 +374,14 @@ let attack_cmd =
     let compiled = Resistor.Driver.compile config source in
     match
       with_jobs jobs (fun pool ->
-          let o, perf =
-            Stats.Perf.time ~label:"attack" ~jobs ~items:0 (fun () ->
+          let o, elapsed_s =
+            Stats.Perf.time (fun () ->
                 Resistor.Evaluate.run_image ?pool ~sweep_step:step
                   compiled.image attack)
           in
-          let perf = with_pool_perf ~jobs pool perf in
-          (let n = o.Resistor.Evaluate.attempts in
-           ({ perf with Stats.Perf.items = n; executed = n }, o)))
+          ( Stats.Perf.make ~label:"attack" ?pool
+              ~items:o.Resistor.Evaluate.attempts [] elapsed_s,
+            o ))
     with
     | perf, o ->
       Fmt.pr "%s vs %s: %d attempts, %d successes (%a), %d detections@."
@@ -443,21 +430,15 @@ let table_cmd =
       & info [ "guard" ] ~docv:"GUARD" ~doc:"not_a, a, or ne.")
   in
   let run n guard jobs =
-    let perf_line label jobs pool (s : Hw.Attack.sweep) perf =
-      let perf =
-        Stats.Perf.with_cycles ~booted:s.emulated_cycles
-          ~replayed:s.replayed_cycles
-          { perf with Stats.Perf.items = s.attempts; executed = s.attempts }
-      in
-      let perf = with_pool_perf ~jobs pool perf in
-      Fmt.pr "%s@." (Stats.Perf.machine_line { perf with Stats.Perf.label; jobs })
+    let perf_line label pool s elapsed_s =
+      Fmt.pr "%s@."
+        (Stats.Perf.machine_line (Hw.Attack.sweep_perf ~label ?pool s elapsed_s))
     in
     with_jobs jobs (fun pool ->
         match n with
         | 1 ->
-          let t, perf =
-            Stats.Perf.time ~label:"table1" ~jobs ~items:0 (fun () ->
-                Hw.Attack.run_table1 ?pool guard)
+          let t, elapsed_s =
+            Stats.Perf.time (fun () -> Hw.Attack.run_table1 ?pool guard)
           in
           Fmt.pr "Table I, %s (%d attempts per cycle):@."
             (Hw.Attack.guard_name guard) t.attempts_per_cycle;
@@ -470,11 +451,10 @@ let table_cmd =
               in
               Fmt.pr "  cycle %d: %4d successes  %s@." cycle c.successes values)
             t.per_cycle;
-          perf_line "table1" jobs pool t.sweep1 perf
+          perf_line "table1" pool t.sweep1 elapsed_s
         | 2 ->
-          let t, perf =
-            Stats.Perf.time ~label:"table2" ~jobs ~items:0 (fun () ->
-                Hw.Attack.run_table2 ?pool guard)
+          let t, elapsed_s =
+            Stats.Perf.time (fun () -> Hw.Attack.run_table2 ?pool guard)
           in
           Fmt.pr "Table II, %s (%d attempts):@." (Hw.Attack.guard_name guard)
             t.attempts2;
@@ -482,18 +462,17 @@ let table_cmd =
             (fun cycle p ->
               Fmt.pr "  cycle %d: partial %4d  full %4d@." cycle p t.full.(cycle))
             t.partial;
-          perf_line "table2" jobs pool t.sweep2 perf
+          perf_line "table2" pool t.sweep2 elapsed_s
         | _ ->
-          let t, perf =
-            Stats.Perf.time ~label:"table3" ~jobs ~items:0 (fun () ->
-                Hw.Attack.run_table3 ?pool guard)
+          let t, elapsed_s =
+            Stats.Perf.time (fun () -> Hw.Attack.run_table3 ?pool guard)
           in
           Fmt.pr "Table III, %s (%d attempts per window):@."
             (Hw.Attack.guard_name guard) t.attempts_per_window;
           List.iter
             (fun (last, s) -> Fmt.pr "  cycles 0-%d: %4d successes@." last s)
             t.windows;
-          perf_line "table3" jobs pool t.sweep3 perf);
+          perf_line "table3" pool t.sweep3 elapsed_s);
     0
   in
   Cmd.v
@@ -637,12 +616,13 @@ let lint_cmd =
                report.Analysis.Lint.surface result)
       in
       (match (json, agreement) with
-      | true, None -> print_endline (Analysis.Lint.to_json report)
+      | true, None -> print_endline (Json.to_string (Analysis.Lint.to_json report))
       | true, Some a ->
-        Printf.printf {|{"lint":%s,"agreement":%s}|}
-          (Analysis.Lint.to_json report)
-          (Exhaust.Agreement.to_json a);
-        print_newline ()
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [ ("lint", Analysis.Lint.to_json report);
+                  ("agreement", Exhaust.Agreement.to_json a) ]))
       | false, None -> Fmt.pr "%a@." Analysis.Lint.pp report
       | false, Some a ->
         Fmt.pr "%a@.%a" Analysis.Lint.pp report Exhaust.Agreement.pp a);
@@ -693,7 +673,7 @@ let prove_cmd =
         Absint.Prove.run ~config:compiled.Resistor.Driver.config
           ~reports:compiled.reports ~modul:compiled.modul compiled.image
       in
-      if json then print_endline (Absint.Prove.to_json report)
+      if json then print_endline (Json.to_string (Absint.Prove.to_json report))
       else Fmt.pr "%a" Absint.Prove.pp report;
       if Absint.Prove.errors report <> [] then exit_findings else 0
     | exception Minic.Parser.Error e ->
@@ -772,18 +752,11 @@ let run_exhaust ?static ?settle ~label compiled mode max_trace cycles jobs
   let config = exhaust_config ?static ?settle mode max_trace cycles in
   with_jobs jobs (fun pool ->
       let cache = Option.map Cache.open_dir cache_dir in
-      let (result, hit), perf =
-        Stats.Perf.time ~label:"exhaust" ~jobs ~items:0 (fun () ->
+      let (result, hit), elapsed_s =
+        Stats.Perf.time (fun () ->
             Exhaust.Campaign.run_cached ?pool ?cache spec config)
       in
-      let perf =
-        { (with_pool_perf ~jobs pool perf) with
-          Stats.Perf.items = result.Exhaust.Campaign.points }
-        |> Stats.Perf.with_pruned ~executed:result.Exhaust.Campaign.executed
-             ~pruned:result.Exhaust.Campaign.pruned
-             ~static_pruned:result.Exhaust.Campaign.static_pruned
-      in
-      (result, hit, perf))
+      (result, hit, Exhaust.Campaign.perf ~label:"exhaust" ?pool result elapsed_s))
 
 let pp_exhaust_result ppf (r : Exhaust.Campaign.result) =
   Fmt.pf ppf "%s, %s mode: %d trace cycles (%s), settle %d@." r.spec_name
@@ -876,7 +849,7 @@ let exhaust_cmd =
         run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
           mode max_trace cycles jobs cache_dir
       in
-      if json then print_endline (Exhaust.Campaign.to_json result)
+      if json then print_endline (Json.to_string (Exhaust.Campaign.to_json result))
       else begin
         Fmt.pr "%a" pp_exhaust_result result;
         if cache_dir <> None then

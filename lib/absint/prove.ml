@@ -351,41 +351,16 @@ let refine_lint (lint : Analysis.Lint.report) (r : report) =
   in
   sort_diags (refined @ r.diags)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"guards\":%d,\"reached\":%d,\"scenarios\":%d,\"proven\":%d,\
-        \"escapes\":%d,\"unproven\":%d,\"reach_complete\":%b,\"diags\":["
-       r.guards_total r.guards_reached r.scenarios r.proven r.escapes
-       r.unproven r.reach_complete);
-  List.iteri
-    (fun i (d : Analysis.Lint.diag) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"rule\":\"%s\",\"severity\":\"%s\",\"func\":\"%s\",\
-            \"addr\":\"0x%08x\",\"message\":\"%s\"}"
-           (json_escape d.rule)
-           (Analysis.Lint.severity_name d.severity)
-           (json_escape d.func) d.addr (json_escape d.message)))
-    r.diags;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("guards", Json.Int r.guards_total);
+      ("reached", Json.Int r.guards_reached);
+      ("scenarios", Json.Int r.scenarios);
+      ("proven", Json.Int r.proven);
+      ("escapes", Json.Int r.escapes);
+      ("unproven", Json.Int r.unproven);
+      ("reach_complete", Json.Bool r.reach_complete);
+      ("diags", Json.List (List.map Analysis.Lint.diag_to_json r.diags)) ]
 
 let pp ppf r =
   List.iter (fun d -> Fmt.pf ppf "%a@." Analysis.Lint.pp_diag d) r.diags;

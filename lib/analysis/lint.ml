@@ -718,39 +718,21 @@ let count sev r =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let diag_to_json d =
+  Json.Obj
+    [ ("rule", Json.String d.rule);
+      ("severity", Json.String (severity_name d.severity));
+      ("func", Json.String d.func);
+      ("addr", Json.String (Printf.sprintf "0x%08x" d.addr));
+      ("message", Json.String d.message) ]
 
 let to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"image_score\":%.4f,\"diags\":["
-       (count Error r) (count Warning r) (count Info r)
-       r.surface.image_score);
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"rule\":\"%s\",\"severity\":\"%s\",\"func\":\"%s\",\"addr\":\"0x%08x\",\"message\":\"%s\"}"
-           (json_escape d.rule)
-           (severity_name d.severity)
-           (json_escape d.func) d.addr (json_escape d.message)))
-    r.diags;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ("errors", Json.Int (count Error r));
+      ("warnings", Json.Int (count Warning r));
+      ("infos", Json.Int (count Info r));
+      ("image_score", Json.Float r.surface.image_score);
+      ("diags", Json.List (List.map diag_to_json r.diags)) ]
 
 let pp_diag ppf d =
   Fmt.pf ppf "%-7s %-18s %-14s 0x%08x  %s"

@@ -69,7 +69,13 @@ val errors : report -> diag list
 val warnings : report -> diag list
 val count : severity -> report -> int
 
-val to_json : report -> string
+val diag_to_json : diag -> Json.t
+(** [{"rule","severity","func","addr","message"}], [addr] as a
+    [0x%08x] string. *)
+
+val to_json : report -> Json.t
+(** Finding counts, the image score and every diag, in report order. *)
+
 val pp_diag : diag Fmt.t
 val pp : report Fmt.t
 

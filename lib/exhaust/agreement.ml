@@ -184,15 +184,20 @@ let pp ppf t =
 
 let to_json t =
   let row_json row =
-    Printf.sprintf
-      {|{"fname":"%s","static_control":%.6f,"static_fault":%.6f,"static_control_reached":%.6f,"reached_insns":%d,"dyn_effect":%.6f,"dyn_fault":%.6f,"points":%d}|}
-      (String.escaped row.fname) row.static_control row.static_fault
-      row.static_control_reached row.reached_insns row.dyn_effect row.dyn_fault
-      row.points
+    Json.Obj
+      [ ("fname", Json.String row.fname);
+        ("static_control", Json.Float row.static_control);
+        ("static_fault", Json.Float row.static_fault);
+        ("static_control_reached", Json.Float row.static_control_reached);
+        ("reached_insns", Json.Int row.reached_insns);
+        ("dyn_effect", Json.Float row.dyn_effect);
+        ("dyn_fault", Json.Float row.dyn_fault);
+        ("points", Json.Int row.points) ]
   in
-  Printf.sprintf
-    {|{"rows":[%s],"weighted":%b,"concordance":%.6f,"concordance_unweighted":%.6f,"disagreements":[%s]}|}
-    (String.concat "," (List.map row_json t.rows))
-    t.weighted t.concordance t.concordance_unweighted
-    (String.concat ","
-       (List.map (fun d -> "\"" ^ String.escaped d ^ "\"") t.disagreements))
+  Json.Obj
+    [ ("rows", Json.List (List.map row_json t.rows));
+      ("weighted", Json.Bool t.weighted);
+      ("concordance", Json.Float t.concordance);
+      ("concordance_unweighted", Json.Float t.concordance_unweighted);
+      ( "disagreements",
+        Json.List (List.map (fun d -> Json.String d) t.disagreements) ) ]

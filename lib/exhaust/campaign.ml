@@ -337,25 +337,42 @@ let baseline spec config =
   (tr.steps, tr.baseline_stop)
 
 let to_json r =
-  let ints a =
-    "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
-  in
+  let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)) in
   let row_json row =
-    Printf.sprintf {|{"fname":"%s","faddr":%d,"counts":%s}|}
-      (String.escaped row.fname) row.faddr (ints row.counts)
+    Json.Obj
+      [ ("fname", Json.String row.fname);
+        ("faddr", Json.Int row.faddr);
+        ("counts", ints row.counts) ]
   in
-  Printf.sprintf
-    {|{"spec":"%s","mode":"%s","trace_steps":%d,"baseline_stop":%s,"settle":%d,"cycle_lo":%d,"cycle_hi":%d,"points":%d,"faulted":%d,"pruned":%d,"executed":%d,"static_pruned":%d,"states":%d,"prune_rate":%.6f,"verdict_names":[%s],"totals":%s,"rows":[%s]}|}
-    (String.escaped r.spec_name) (mode_name r.mode) r.trace_steps
-    (match r.baseline_stop with
-    | None -> "null"
-    | Some s -> Printf.sprintf "%S" (Fmt.str "%a" Exec.pp_stop s))
-    r.settle r.cycle_lo r.cycle_hi r.points r.faulted r.pruned r.executed
-    r.static_pruned r.states (prune_rate r)
-    (String.concat ","
-       (List.map (fun v -> "\"" ^ verdict_name v ^ "\"") verdicts))
-    (ints r.totals)
-    (String.concat "," (List.map row_json r.rows))
+  Json.Obj
+    [ ("spec", Json.String r.spec_name);
+      ("mode", Json.String (mode_name r.mode));
+      ("trace_steps", Json.Int r.trace_steps);
+      ( "baseline_stop",
+        match r.baseline_stop with
+        | None -> Json.Null
+        | Some s -> Json.String (Fmt.str "%a" Exec.pp_stop s) );
+      ("settle", Json.Int r.settle);
+      ("cycle_lo", Json.Int r.cycle_lo);
+      ("cycle_hi", Json.Int r.cycle_hi);
+      ("points", Json.Int r.points);
+      ("faulted", Json.Int r.faulted);
+      ("pruned", Json.Int r.pruned);
+      ("executed", Json.Int r.executed);
+      ("static_pruned", Json.Int r.static_pruned);
+      ("states", Json.Int r.states);
+      ("prune_rate", Json.Float (prune_rate r));
+      ( "verdict_names",
+        Json.List (List.map (fun v -> Json.String (verdict_name v)) verdicts) );
+      ("totals", ints r.totals);
+      ("rows", Json.List (List.map row_json r.rows)) ]
+
+let perf ~label ?pool r elapsed_s =
+  Stats.Perf.make ~label ?pool ~items:r.points
+    (Stats.Perf.split ~rate:"prune_rate" ("executed", r.executed)
+       ("pruned", r.pruned)
+    @ [ ("static_pruned", Stats.Perf.Count r.static_pruned) ])
+    elapsed_s
 
 (* --- the injector ------------------------------------------------------- *)
 

@@ -127,7 +127,14 @@ val baseline :
     how it stopped ([None]: still running at [max_trace]). Tests use it
     to locate the cycle at which a given flash word is fetched. *)
 
-val to_json : result -> string
+val to_json : result -> Json.t
+(** The whole result as one object, tables included. *)
+
+val perf :
+  label:string -> ?pool:Runtime.Pool.t -> result -> float -> Stats.Perf.t
+(** The PERF record of a run that took [elapsed_s] on [pool]: [points]
+    as items, then [executed], [pruned], [prune_rate] and
+    [static_pruned]. *)
 
 val run : ?pool:Runtime.Pool.t -> spec -> config -> result
 (** Run the campaign. [rows], [totals], [points], [faulted],

@@ -278,17 +278,24 @@ let run_case_in ?store pool config (case : Testcase.t) =
   { case; config; by_weight = t.by_weight; totals = t.totals;
     stats = { executed = !executed; memoized = !memoized } }
 
-let run_case ?pool ?(jobs = 1) ?store config case =
+let run_case ?pool ?store config case =
   match pool with
   | Some pool when Runtime.Pool.jobs pool > 1 -> run_case_in ?store pool config case
-  | Some _ -> run_case_seq ?store config case
-  | None ->
-    if jobs <= 1 then run_case_seq ?store config case
-    else
-      Runtime.Pool.with_pool ~jobs (fun pool -> run_case_in ?store pool config case)
+  | Some _ | None -> run_case_seq ?store config case
 
-let run_all ?pool ?jobs config cases =
-  List.map (run_case ?pool ?jobs config) cases
+let run_all ?pool config cases = List.map (run_case ?pool config) cases
+
+let perf ~label ?pool results elapsed_s =
+  let executed, memoized =
+    List.fold_left
+      (fun (e, m) r -> (e + r.stats.executed, m + r.stats.memoized))
+      (0, 0) results
+  in
+  Stats.Perf.make ~label ?pool
+    ~items:(List.length results lsl width)
+    (Stats.Perf.split ~rate:"hit_rate" ("executed", executed)
+       ("memoized", memoized))
+    elapsed_s
 
 type sweep = {
   categories : category array;

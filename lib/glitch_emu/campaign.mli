@@ -87,25 +87,30 @@ val make_store : unit -> Runtime.Store.t
     both. *)
 
 val run_case :
-  ?pool:Runtime.Pool.t -> ?jobs:int -> ?store:Runtime.Store.t ->
+  ?pool:Runtime.Pool.t -> ?store:Runtime.Store.t ->
   config -> Testcase.t -> result
 (** Run all [2^16] masks against the case's target instruction.
 
-    With [pool] (or [jobs > 1], which spins up a transient pool) the
-    mask space is split into contiguous chunks drained by worker
-    domains, each against a private rig whose memory map and CPU are
+    With a multi-domain [pool] the mask space is split into contiguous
+    chunks drained by worker domains, each against a private rig whose memory map and CPU are
     reused across masks, all sharing one lock-free word-outcome store
     ({!Runtime.Store}). Per-domain counts are merged with plain
     integer addition — commutative — so [by_weight] and [totals] are
-    bit-identical to the sequential sweep for every domain count. The
-    default ([jobs = 1], no pool) takes the single-domain code path.
+    bit-identical to the sequential sweep for every domain count.
+    Without a pool the sweep takes the single-domain code path.
 
     [store] supplies a warm store from a previous run of the {e same}
     [(config, case)] pair (see {!make_store}); words already present
     are served without emulation, so a fully warm store yields
     [stats.executed = 0]. *)
 
-val run_all : ?pool:Runtime.Pool.t -> ?jobs:int -> config -> Testcase.t list -> result list
+val run_all : ?pool:Runtime.Pool.t -> config -> Testcase.t list -> result list
+
+val perf :
+  label:string -> ?pool:Runtime.Pool.t -> result list -> float -> Stats.Perf.t
+(** The PERF record of sweeps that took [elapsed_s] on [pool]: [2^16]
+    items per result, then the summed memo split [executed],
+    [memoized] and [hit_rate]. *)
 
 type sweep = {
   categories : category array;

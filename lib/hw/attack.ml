@@ -283,6 +283,12 @@ let sweep_add a b =
     replayed_cycles = a.replayed_cycles + b.replayed_cycles;
     boots = a.boots + b.boots }
 
+let sweep_perf ~label ?pool s elapsed_s =
+  Stats.Perf.make ~label ?pool ~items:s.attempts
+    (Stats.Perf.split ~rate:"replay_rate" ("booted_cycles", s.emulated_cycles)
+       ("replayed_cycles", s.replayed_cycles))
+    elapsed_s
+
 let full_parameter_sweep ?config rig ~make_schedule ~classify =
   let attempts = ref 0 and emulated = ref 0 and replayed = ref 0 in
   for width = -49 to 49 do

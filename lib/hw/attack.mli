@@ -101,6 +101,12 @@ type sweep = {
 val sweep_zero : sweep
 val sweep_add : sweep -> sweep -> sweep
 
+val sweep_perf :
+  label:string -> ?pool:Runtime.Pool.t -> sweep -> float -> Stats.Perf.t
+(** The PERF record of a sweep that took [elapsed_s] on [pool]:
+    [attempts] as items, then [booted_cycles] (emulated),
+    [replayed_cycles] and [replay_rate]. *)
+
 (** One Table I cell: successes at a given cycle with the post-mortem
     comparator histogram. *)
 type cycle_stats = { successes : int; values : (int * int) list }

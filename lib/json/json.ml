@@ -1,8 +1,8 @@
-(* A minimal JSON codec for the audit service: the dependency set has
-   no JSON library, and the protocol only needs objects, arrays,
-   strings, booleans, null and numbers. The parser is a plain
-   recursive descent over the input string; errors carry the byte
-   offset. *)
+(* A minimal JSON codec: the dependency set has no JSON library, and
+   every machine-readable report (bench records, lint/prove/exhaust
+   --json output, the serve line protocol) only needs objects, arrays,
+   strings, booleans, null and numbers. The parser is a plain recursive
+   descent over the input string; errors carry the byte offset. *)
 
 type t =
   | Null
@@ -33,9 +33,16 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+(* The shortest of 15-17 significant digits that reads back as the same
+   double, so printing is exact and a parsed report re-prints
+   byte-identically. JSON has no literal for NaN or the infinities; they
+   print as null. *)
 let float_literal f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let exact p = float_of_string (Printf.sprintf "%.*g" p f) = f in
+    Printf.sprintf "%.*g" (if exact 15 then 15 else if exact 16 then 16 else 17) f
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

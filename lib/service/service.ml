@@ -1,9 +1,5 @@
 open Glitch_emu
 
-(* Re-exported so protocol clients (and tests) can parse request and
-   response lines with the same codec the server uses. *)
-module Json = Json
-
 (* Bump whenever the sweep semantics change (taxonomy, rig geometry,
    classification rules): cache entries written by a different code
    version must never be served. The version participates in every
@@ -210,9 +206,10 @@ let handle_request t json =
   match parse_request json with
   | Error (id, msg) -> error_response id msg
   | Ok req ->
-    let t0 = Unix.gettimeofday () in
-    let r, status = run_case t req.req_config req.req_case in
-    response req r status (Unix.gettimeofday () -. t0)
+    let (r, status), elapsed_s =
+      Stats.Perf.time (fun () -> run_case t req.req_config req.req_case)
+    in
+    response req r status elapsed_s
 
 let handle_line t line =
   let response =

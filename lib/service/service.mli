@@ -12,9 +12,6 @@
     - {b miss} — a real sweep runs (on the pool if one was given) and
       the result is persisted for next time. *)
 
-module Json = Json
-(** The line protocol's JSON codec, re-exported for clients and tests. *)
-
 val code_version : string
 (** Participates in every cache key; bump on any change to sweep
     semantics so old entries stop being addressable. *)

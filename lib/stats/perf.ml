@@ -1,115 +1,75 @@
+type value = Count of int | Ratio of float | Seconds of float
+
 type t = {
   label : string;
   jobs : int;
   items : int;
   elapsed_s : float;
-  executed : int;
-  memoized : int;
-  pruned : int;
-  static_pruned : int;
-  booted_cycles : int;
-  replayed_cycles : int;
-  wait_s : float;
-  utilization : float;
+  counters : (string * value) list;
 }
 
-let time ~label ~jobs ~items f =
-  let t0 = Unix.gettimeofday () in
+let time f =
+  let t0 = Monotonic_clock.now () in
   let v = f () in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  ( v,
+  (v, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
+
+let split ~rate (a, x) (b, y) =
+  let r = if x + y = 0 then 0. else float_of_int y /. float_of_int (x + y) in
+  [ (a, Count x); (b, Count y); (rate, Ratio r) ]
+
+let make ~label ?pool ~items counters elapsed_s =
+  match pool with
+  | None -> { label; jobs = 1; items; elapsed_s; counters }
+  | Some p ->
+    let jobs = Runtime.Pool.jobs p in
+    let s = Runtime.Pool.stats p in
+    Runtime.Pool.reset_stats p;
     { label;
       jobs;
       items;
       elapsed_s;
-      executed = items;
-      memoized = 0;
-      pruned = 0;
-      static_pruned = 0;
-      booted_cycles = 0;
-      replayed_cycles = 0;
-      wait_s = 0.;
-      utilization = 1. } )
-
-let with_memo ~executed ~memoized t = { t with executed; memoized }
-
-let with_pruned ?(static_pruned = 0) ~executed ~pruned t =
-  { t with executed; pruned; static_pruned }
-
-let with_cycles ~booted ~replayed t =
-  { t with booted_cycles = booted; replayed_cycles = replayed }
-
-let with_pool_stats ~wait_s ~utilization t = { t with wait_s; utilization }
+      counters =
+        counters
+        @ [ ("wait_s", Seconds (Runtime.Pool.stats_wait ~jobs s));
+            ("utilization", Ratio (Runtime.Pool.stats_utilization ~jobs s)) ] }
 
 let throughput t =
   if t.elapsed_s <= 0. then 0. else float_of_int t.items /. t.elapsed_s
 
-let hit_rate t =
-  let total = t.executed + t.memoized in
-  if total = 0 then 0. else float_of_int t.memoized /. float_of_int total
-
-let replay_rate t =
-  let total = t.booted_cycles + t.replayed_cycles in
-  if total = 0 then 0. else float_of_int t.replayed_cycles /. float_of_int total
-
-let prune_rate t =
-  let total = t.executed + t.pruned in
-  if total = 0 then 0. else float_of_int t.pruned /. float_of_int total
+let value_string = function
+  | Count n -> string_of_int n
+  | Ratio r -> Printf.sprintf "%.4f" r
+  | Seconds s -> Printf.sprintf "%.3f" s
 
 let machine_line t =
-  let base =
-    Printf.sprintf
-      "PERF experiment=%s jobs=%d items=%d seconds=%.3f rate=%.1f executed=%d \
-       memoized=%d hit_rate=%.4f"
-      t.label t.jobs t.items t.elapsed_s (throughput t) t.executed t.memoized
-      (hit_rate t)
-  in
-  let base =
-    if t.pruned = 0 then base
-    else
-      Printf.sprintf "%s pruned=%d prune_rate=%.4f" base t.pruned (prune_rate t)
-  in
-  let base =
-    if t.static_pruned = 0 then base
-    else Printf.sprintf "%s static_pruned=%d" base t.static_pruned
-  in
-  let base =
-    if t.booted_cycles = 0 && t.replayed_cycles = 0 then base
-    else
-      Printf.sprintf "%s booted_cycles=%d replayed_cycles=%d replay_rate=%.4f"
-        base t.booted_cycles t.replayed_cycles (replay_rate t)
-  in
-  if t.wait_s = 0. && t.utilization = 1. then base
-  else
-    Printf.sprintf "%s wait_s=%.3f utilization=%.4f" base t.wait_s
-      t.utilization
+  String.concat " "
+    (Printf.sprintf "PERF experiment=%s jobs=%d items=%d seconds=%.3f rate=%.1f"
+       t.label t.jobs t.items t.elapsed_s (throughput t)
+    :: List.map (fun (k, v) -> k ^ "=" ^ value_string v) t.counters)
 
 let to_json t =
-  Printf.sprintf
-    {|{"label":"%s","jobs":%d,"items":%d,"seconds":%.6f,"rate":%.1f,"executed":%d,"memoized":%d,"hit_rate":%.6f,"pruned":%d,"prune_rate":%.6f,"static_pruned":%d,"booted_cycles":%d,"replayed_cycles":%d,"replay_rate":%.6f,"wait_s":%.6f,"utilization":%.6f}|}
-    (String.escaped t.label)
-    t.jobs t.items t.elapsed_s (throughput t) t.executed t.memoized
-    (hit_rate t) t.pruned (prune_rate t) t.static_pruned t.booted_cycles
-    t.replayed_cycles (replay_rate t) t.wait_s t.utilization
+  Json.Obj
+    ([ ("label", Json.String t.label);
+       ("jobs", Json.Int t.jobs);
+       ("items", Json.Int t.items);
+       ("seconds", Json.Float t.elapsed_s);
+       ("rate", Json.Float (throughput t)) ]
+    @ List.map
+        (fun (k, v) ->
+          ( k,
+            match v with
+            | Count n -> Json.Int n
+            | Ratio f | Seconds f -> Json.Float f ))
+        t.counters)
+
+let pp_value ppf = function
+  | Count n -> Fmt.int ppf n
+  | Ratio r -> Fmt.pf ppf "%.1f%%" (100. *. r)
+  | Seconds s -> Fmt.pf ppf "%.2fs" s
 
 let pp ppf t =
   Fmt.pf ppf "%s: %d items in %.2fs (%.0f items/s, %d job%s" t.label t.items
     t.elapsed_s (throughput t) t.jobs
     (if t.jobs = 1 then "" else "s");
-  if t.memoized > 0 then
-    Fmt.pf ppf ", %d executed / %d memoized = %.1f%% memo hits" t.executed
-      t.memoized
-      (100. *. hit_rate t);
-  if t.pruned > 0 then
-    Fmt.pf ppf ", %d executed / %d pruned = %.1f%% pruned" t.executed t.pruned
-      (100. *. prune_rate t);
-  if t.static_pruned > 0 then
-    Fmt.pf ppf ", %d statically proven" t.static_pruned;
-  if t.booted_cycles > 0 || t.replayed_cycles > 0 then
-    Fmt.pf ppf ", %d cycles emulated / %d replayed = %.1f%% replay"
-      t.booted_cycles t.replayed_cycles
-      (100. *. replay_rate t);
-  if t.wait_s > 0. || t.utilization < 1. then
-    Fmt.pf ppf ", %.2fs wait, %.0f%% utilization" t.wait_s
-      (100. *. t.utilization);
+  List.iter (fun (k, v) -> Fmt.pf ppf ", %s %a" k pp_value v) t.counters;
   Fmt.pf ppf ")"

@@ -284,6 +284,7 @@ let prove defenses =
 let test_prove_undefended_escapes () =
   let r = prove Resistor.Config.none in
   Alcotest.(check bool) "at least one escaping guard" true (r.escapes >= 1);
+  Json_check.roundtrip "prove report" (Absint.Prove.to_json r);
   let errs = Absint.Prove.errors r in
   Alcotest.(check bool) "escapes surface as errors" true (errs <> []);
   List.iter

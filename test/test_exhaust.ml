@@ -353,6 +353,7 @@ let test_guard_loop_prune_floor_and_parity () =
   Alcotest.(check int) "counters partition the points"
     seq.Exhaust.Campaign.points
     (seq.faulted + seq.pruned + seq.executed);
+  Json_check.roundtrip "exhaust result" (Exhaust.Campaign.to_json seq);
   let par =
     Runtime.Pool.with_pool ~jobs:4 (fun pool ->
         Exhaust.Campaign.run ~pool spec config)
@@ -386,6 +387,7 @@ let test_agreement_reachability_weighting () =
   let unweighted = Exhaust.Agreement.of_result surface result in
   let weighted = Exhaust.Agreement.of_result ~baseline surface result in
   Alcotest.(check bool) "report is marked weighted" true weighted.weighted;
+  Json_check.roundtrip "agreement report" (Exhaust.Agreement.to_json weighted);
   Alcotest.(check bool) "enough functions for ranking to mean something" true
     (List.length weighted.rows >= 4);
   Alcotest.(check (float 1e-9)) "unweighted concordance preserved in both"

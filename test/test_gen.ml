@@ -353,6 +353,46 @@ let test_exit_codes () =
       Alcotest.(check int) name expected (exec args))
     checks
 
+(* --json output must stay JSON whatever the input file is called: a
+   quote and a non-ASCII letter in the name once came out as OCaml
+   escapes ("g\195\164rd\"loop.c") that JSON parsers reject. *)
+let test_json_escapes_file_names () =
+  let src =
+    Filename.concat
+      (Filename.concat (Filename.concat build_root "examples") "firmware")
+      "guard_loop.c"
+  in
+  let name = "g\xc3\xa4rd\"loop.c" in
+  let dir = Filename.temp_file "glitchctl_json" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let file = Filename.concat dir name in
+  let ic = open_in_bin src in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin file in
+  output_string oc text;
+  close_out oc;
+  let json_of args =
+    let out = Filename.concat dir "out.json" in
+    ignore
+      (Sys.command
+         (Filename.quote_command glitchctl args ~stdout:out
+            ~stderr:Filename.null));
+    let ic = open_in_bin out in
+    let s = String.trim (really_input_string ic (in_channel_length ic)) in
+    close_in ic;
+    match Json.of_string s with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: not JSON (%s): %s" (List.hd args) e s
+  in
+  let exhaust = json_of [ "exhaust"; file; "--max-trace"; "64"; "--json" ] in
+  Alcotest.(check (option string)) "exhaust spec name recovered" (Some name)
+    (Option.bind (Json.member "spec" exhaust) Json.string_value);
+  let lint = json_of [ "lint"; file; "--json" ] in
+  Alcotest.(check bool) "lint errors field" true
+    (Option.bind (Json.member "errors" lint) Json.int_value <> None)
+
 let () =
   Alcotest.run "gen"
     [ ( "corpus",
@@ -380,4 +420,6 @@ let () =
             test_capacity_limit_skips;
           Alcotest.test_case "skip-rate budget" `Quick test_skip_rate_budget ] );
       ( "cli",
-        [ Alcotest.test_case "exit-code matrix" `Quick test_exit_codes ] ) ]
+        [ Alcotest.test_case "exit-code matrix" `Quick test_exit_codes;
+          Alcotest.test_case "json escapes file names" `Quick
+            test_json_escapes_file_names ] ) ]

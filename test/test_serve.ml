@@ -3,8 +3,6 @@
    temperature contract — a warm or hit response must come back with
    zero sweep cases executed. *)
 
-module Json = Service.Json
-
 let counter = ref 0
 
 let fresh_cache () =
