@@ -46,11 +46,6 @@ let write_bench_json () =
   Fmt.pr "@.Wrote BENCH.json (%d record%s)@." (List.length records)
     (if List.length records = 1 then "" else "s")
 
-(* A fresh pool for the duration of [f]; jobs = 1 stays on the
-   sequential path. *)
-let with_jobs jobs f =
-  if jobs = 1 then f None else Runtime.Pool.with_pool ~jobs (fun p -> f (Some p))
-
 (* --- Figure 2: glitching effects in emulation ----------------------------- *)
 
 let fig2 ?pool ?cache () =
@@ -412,11 +407,11 @@ let fig2_workload ?pool () =
 let scaling () =
   section "scaling - fig2 sweep kernel at --jobs 1,2,4,8";
   let leg jobs =
-    with_jobs jobs (fun pool ->
+    Runtime.Pool.with_pool ~jobs (fun pool ->
         let results, elapsed_s =
-          Stats.Perf.time (fun () -> fig2_workload ?pool ())
+          Stats.Perf.time (fun () -> fig2_workload ~pool ())
         in
-        emit_perf (Glitch_emu.Campaign.perf ~label:"fig2" ?pool results elapsed_s);
+        emit_perf (Glitch_emu.Campaign.perf ~label:"fig2" ~pool results elapsed_s);
         results)
   in
   let baseline = leg 1 in
@@ -451,11 +446,11 @@ let exhaust_bench () =
   let spec = Exhaust.Campaign.spec_of_image ~name:"guard_loop" compiled.image in
   let config = Exhaust.Campaign.default_config () in
   let leg jobs =
-    with_jobs jobs (fun pool ->
+    Runtime.Pool.with_pool ~jobs (fun pool ->
         let result, elapsed_s =
-          Stats.Perf.time (fun () -> Exhaust.Campaign.run ?pool spec config)
+          Stats.Perf.time (fun () -> Exhaust.Campaign.run ~pool spec config)
         in
-        emit_perf (Exhaust.Campaign.perf ~label:"exhaust" ?pool result elapsed_s);
+        emit_perf (Exhaust.Campaign.perf ~label:"exhaust" ~pool result elapsed_s);
         result)
   in
   let base = leg 1 in
@@ -503,11 +498,11 @@ let absint_bench () =
       static_prune = true }
   in
   let leg label jobs config =
-    with_jobs jobs (fun pool ->
+    Runtime.Pool.with_pool ~jobs (fun pool ->
         let result, elapsed_s =
-          Stats.Perf.time (fun () -> Exhaust.Campaign.run ?pool spec config)
+          Stats.Perf.time (fun () -> Exhaust.Campaign.run ~pool spec config)
         in
-        emit_perf (Exhaust.Campaign.perf ~label ?pool result elapsed_s);
+        emit_perf (Exhaust.Campaign.perf ~label ~pool result elapsed_s);
         result)
   in
   let plain =
@@ -1038,7 +1033,7 @@ let rec extract_cache_dir = function
     let d, args = extract_cache_dir rest in
     (d, a :: args)
 
-let experiments ~quick ?cache pool =
+let experiments ~quick ?cache ?pool () =
   [ ("fig2", fig2 ?pool ?cache); ("fig2x", fig2x ?pool);
     ("table1", table1 ?pool);
     ("table2", table2 ?pool); ("table3", table3 ?pool);
@@ -1065,16 +1060,14 @@ let () =
     | [] | [ "all" ] -> all
     | names -> names
   in
-  if not (List.for_all (fun n -> List.mem_assoc n (experiments ~quick None)) names)
+  if not (List.for_all (fun n -> List.mem_assoc n (experiments ~quick ())) names)
   then begin
     usage ();
     exit 2
   end;
   let cache = Option.map (fun dir -> Cache.open_dir dir) cache_dir in
   let jobs = Option.value jobs ~default:(Runtime.Pool.default_jobs ()) in
-  (* jobs = 1 keeps every experiment on the original sequential path *)
-  let pool = if jobs > 1 then Some (Runtime.Pool.create ~jobs ()) else None in
-  let experiments = experiments ~quick ?cache pool in
-  List.iter (fun name -> (List.assoc name experiments) ()) names;
-  write_bench_json ();
-  Option.iter Runtime.Pool.shutdown pool
+  Runtime.Pool.with_pool ~jobs (fun pool ->
+      let experiments = experiments ~quick ?cache ~pool () in
+      List.iter (fun name -> (List.assoc name experiments) ()) names);
+  write_bench_json ()

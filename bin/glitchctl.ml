@@ -111,8 +111,8 @@ let jobs_arg ?chunks () =
         ~doc:
           "Worker domains for campaign sweeps (default: the recommended \
            domain count, clamped to the command's work-item count). \
-           Results are bit-identical at any job count; 1 takes the \
-           sequential code path.")
+           Results are bit-identical at any job count; 1 runs one \
+           worker in the calling domain.")
 
 let cache_dir_arg =
   Arg.(
@@ -124,11 +124,6 @@ let cache_dir_arg =
            (snippet, fault model, parameters, code version) key is \
            already cached are served without executing anything; \
            corrupted entries are treated as misses.")
-
-(* jobs = 1 must not spawn domains: it is the original sequential path *)
-let with_jobs jobs f =
-  if jobs > 1 then Runtime.Pool.with_pool ~jobs (fun pool -> f (Some pool))
-  else f None
 
 (* --- asm ------------------------------------------------------------------- *)
 
@@ -235,9 +230,9 @@ let emulate_cmd =
       | Some cond ->
         let case = Glitch_emu.Testcase.conditional_branch cond in
         let result, status =
-          with_jobs jobs (fun pool ->
+          Runtime.Pool.with_pool ~jobs (fun pool ->
               let cache = Option.map Cache.open_dir cache_dir in
-              let svc = Service.create ?pool ?cache () in
+              let svc = Service.create ~pool ?cache () in
               Service.run_case svc
                 (Glitch_emu.Campaign.default_config model)
                 case)
@@ -373,13 +368,13 @@ let attack_cmd =
        a trigger, the attack-marker global, and the detection counter *)
     let compiled = Resistor.Driver.compile config source in
     match
-      with_jobs jobs (fun pool ->
+      Runtime.Pool.with_pool ~jobs (fun pool ->
           let o, elapsed_s =
             Stats.Perf.time (fun () ->
-                Resistor.Evaluate.run_image ?pool ~sweep_step:step
+                Resistor.Evaluate.run_image ~pool ~sweep_step:step
                   compiled.image attack)
           in
-          ( Stats.Perf.make ~label:"attack" ?pool
+          ( Stats.Perf.make ~label:"attack" ~pool
               ~items:o.Resistor.Evaluate.attempts [] elapsed_s,
             o ))
     with
@@ -432,13 +427,13 @@ let table_cmd =
   let run n guard jobs =
     let perf_line label pool s elapsed_s =
       Fmt.pr "%s@."
-        (Stats.Perf.machine_line (Hw.Attack.sweep_perf ~label ?pool s elapsed_s))
+        (Stats.Perf.machine_line (Hw.Attack.sweep_perf ~label ~pool s elapsed_s))
     in
-    with_jobs jobs (fun pool ->
+    Runtime.Pool.with_pool ~jobs (fun pool ->
         match n with
         | 1 ->
           let t, elapsed_s =
-            Stats.Perf.time (fun () -> Hw.Attack.run_table1 ?pool guard)
+            Stats.Perf.time (fun () -> Hw.Attack.run_table1 ~pool guard)
           in
           Fmt.pr "Table I, %s (%d attempts per cycle):@."
             (Hw.Attack.guard_name guard) t.attempts_per_cycle;
@@ -454,7 +449,7 @@ let table_cmd =
           perf_line "table1" pool t.sweep1 elapsed_s
         | 2 ->
           let t, elapsed_s =
-            Stats.Perf.time (fun () -> Hw.Attack.run_table2 ?pool guard)
+            Stats.Perf.time (fun () -> Hw.Attack.run_table2 ~pool guard)
           in
           Fmt.pr "Table II, %s (%d attempts):@." (Hw.Attack.guard_name guard)
             t.attempts2;
@@ -465,7 +460,7 @@ let table_cmd =
           perf_line "table2" pool t.sweep2 elapsed_s
         | _ ->
           let t, elapsed_s =
-            Stats.Perf.time (fun () -> Hw.Attack.run_table3 ?pool guard)
+            Stats.Perf.time (fun () -> Hw.Attack.run_table3 ~pool guard)
           in
           Fmt.pr "Table III, %s (%d attempts per window):@."
             (Hw.Attack.guard_name guard) t.attempts_per_window;
@@ -608,7 +603,8 @@ let lint_cmd =
           in
           let config = Exhaust.Campaign.default_config () in
           let result =
-            with_jobs jobs (fun pool -> Exhaust.Campaign.run ?pool spec config)
+            Runtime.Pool.with_pool ~jobs (fun pool ->
+                Exhaust.Campaign.run ~pool spec config)
           in
           let baseline, _stop = Exhaust.Campaign.baseline spec config in
           Some
@@ -750,13 +746,13 @@ let run_exhaust ?static ?settle ~label compiled mode max_trace cycles jobs
     cache_dir =
   let spec = Exhaust.Campaign.spec_of_image ~name:label compiled.Resistor.Driver.image in
   let config = exhaust_config ?static ?settle mode max_trace cycles in
-  with_jobs jobs (fun pool ->
+  Runtime.Pool.with_pool ~jobs (fun pool ->
       let cache = Option.map Cache.open_dir cache_dir in
       let (result, hit), elapsed_s =
         Stats.Perf.time (fun () ->
-            Exhaust.Campaign.run_cached ?pool ?cache spec config)
+            Exhaust.Campaign.run_cached ~pool ?cache spec config)
       in
-      (result, hit, Exhaust.Campaign.perf ~label:"exhaust" ?pool result elapsed_s))
+      (result, hit, Exhaust.Campaign.perf ~label:"exhaust" ~pool result elapsed_s))
 
 let pp_exhaust_result ppf (r : Exhaust.Campaign.result) =
   Fmt.pf ppf "%s, %s mode: %d trace cycles (%s), settle %d@." r.spec_name
@@ -1061,8 +1057,8 @@ let fuzz_cmd =
 let serve_cmd =
   let run jobs cache_dir =
     let cache = Option.map Cache.open_dir cache_dir in
-    with_jobs jobs (fun pool ->
-        let svc = Service.create ?pool ?cache () in
+    Runtime.Pool.with_pool ~jobs (fun pool ->
+        let svc = Service.create ~pool ?cache () in
         let rec loop () =
           match input_line stdin with
           | exception End_of_file -> 0

@@ -545,7 +545,7 @@ let run_cycle sh tally rig scratch k =
 (* Drain a contiguous cycle chunk with a private rig: replay the
    pristine baseline to the chunk start, then alternate inject-and-scan
    with one pristine step. *)
-let run_chunk sh tally (lo, hi) =
+let run_chunk sh tally lo hi =
   let rig = make_rig sh.spec in
   let mem = State.mem rig and cpu = State.cpu rig in
   let scratch = Array.make 16 0 in
@@ -612,28 +612,13 @@ let run ?pool spec config =
            Some (Bytes.make ((cycle_hi - cycle_lo) * npoints) '\255')
          else None) }
   in
+  (* a lone worker drains the whole window as one chunk: one rig, one
+     pass over the baseline *)
   let tally = make_tally sh in
-  (match pool with
-  | Some pool when Runtime.Pool.jobs pool > 1 && cycle_hi > cycle_lo ->
-    let q =
-      Runtime.Chunk.queue ~lo:cycle_lo ~hi:cycle_hi
-        ~jobs:(Runtime.Pool.jobs pool) ()
-    in
-    let parts =
-      Runtime.Pool.map_workers pool (fun _wid ->
-          let t = make_tally sh in
-          let rec drain () =
-            match Runtime.Chunk.take q with
-            | None -> ()
-            | Some chunk ->
-              run_chunk sh t chunk;
-              drain ()
-          in
-          drain ();
-          t)
-    in
-    List.iter (merge_tally tally) parts
-  | _ -> if cycle_hi > cycle_lo then run_chunk sh tally (cycle_lo, cycle_hi));
+  List.iter (merge_tally tally)
+    (Runtime.Pool.drain ?pool ~lo:cycle_lo ~hi:cycle_hi
+       ~init:(fun () -> make_tally sh)
+       (run_chunk sh));
   let rows =
     List.filteri
       (fun i _ -> Array.exists (fun n -> n > 0) tally.by_func.(i))

@@ -32,8 +32,3 @@ let of_weight ~width ~weight =
   let acc = ref [] in
   iter_of_weight ~width ~weight (fun m -> acc := m :: !acc);
   List.rev !acc
-
-let iter_all ~width f =
-  for weight = 0 to width do
-    iter_of_weight ~width ~weight (fun mask -> f ~weight ~mask)
-  done

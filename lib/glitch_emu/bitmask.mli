@@ -12,6 +12,3 @@ val iter_of_weight : width:int -> weight:int -> (int -> unit) -> unit
     increasing numeric order. *)
 
 val of_weight : width:int -> weight:int -> int list
-
-val iter_all : width:int -> (weight:int -> mask:int -> unit) -> unit
-(** Visit all [2^width] masks, announcing each mask's weight. *)

@@ -194,9 +194,7 @@ type memo = {
 
 let make_store () = Runtime.Store.create ~slots:0x10000
 
-let make_memo ?store () =
-  let store = match store with Some s -> s | None -> make_store () in
-  { store; executed = 0; memoized = 0 }
+let make_memo store = { store; executed = 0; memoized = 0 }
 
 let classify_word config rig memo ~word =
   let c = Runtime.Store.get memo.store word in
@@ -227,61 +225,36 @@ let merge_into dst (src : tally) =
     dst.by_weight;
   Array.iteri (fun i n -> dst.totals.(i) <- dst.totals.(i) + n) src.totals
 
-(* The single-domain path: one rig, one memo, masks in weight order. *)
-let run_case_seq ?store config (case : Testcase.t) =
-  let rig = make_rig case in
-  let memo = make_memo ?store () in
-  let t = make_tally () in
-  Bitmask.iter_all ~width (fun ~weight:_ ~mask -> record config rig memo t ~mask);
-  { case; config; by_weight = t.by_weight; totals = t.totals;
-    stats = { executed = memo.executed; memoized = memo.memoized } }
-
-(* The parallel path: the 2^16 mask space is cut into contiguous
-   slices; each worker domain drains slices into a private rig and
-   tally but a SHARED word-outcome store, and per-worker tallies are
-   summed. Classification depends only on (config, case, mask), so the
-   merged counts equal the sequential ones exactly whatever the races
-   on the store resolve to; the executed/memoized split, by contrast,
-   is schedule-dependent (a word raced by two workers on a cold slot
-   counts as two executions), so only executed + memoized and the
-   tables themselves are deterministic. *)
-let run_case_in ?store pool config (case : Testcase.t) =
-  let q =
-    Runtime.Chunk.queue ~lo:0 ~hi:(1 lsl width) ~jobs:(Runtime.Pool.jobs pool) ()
-  in
+(* The 2^16 mask space is cut into contiguous slices; each worker
+   drains slices into a private rig and tally but a SHARED word-outcome
+   store, and per-worker tallies are summed. Classification depends
+   only on (config, case, mask), so the merged counts are the same
+   whatever the races on the store resolve to; the executed/memoized
+   split, by contrast, is schedule-dependent with several workers (a
+   word raced by two workers on a cold slot counts as two executions),
+   so only executed + memoized and the tables themselves are
+   deterministic. A lone worker sweeps all masks with one rig, and
+   executes each distinct word exactly once. *)
+let run_case ?pool ?store config (case : Testcase.t) =
   let store = match store with Some s -> s | None -> make_store () in
   let parts =
-    Runtime.Pool.map_workers pool (fun _wid ->
-        let rig = make_rig case in
-        let memo = make_memo ~store () in
-        let t = make_tally () in
-        let rec drain () =
-          match Runtime.Chunk.take q with
-          | None -> ()
-          | Some (lo, hi) ->
-            for mask = lo to hi - 1 do
-              record config rig memo t ~mask
-            done;
-            drain ()
-        in
-        drain ();
-        (t, memo.executed, memo.memoized))
+    Runtime.Pool.drain ?pool ~lo:0 ~hi:(1 lsl width)
+      ~init:(fun () -> (make_rig case, make_memo store, make_tally ()))
+      (fun (rig, memo, t) lo hi ->
+        for mask = lo to hi - 1 do
+          record config rig memo t ~mask
+        done)
   in
   let t = make_tally () in
   let executed = ref 0 and memoized = ref 0 in
   List.iter
-    (fun (part, e, m) ->
+    (fun (_, memo, part) ->
       merge_into t part;
-      executed := !executed + e;
-      memoized := !memoized + m)
+      executed := !executed + memo.executed;
+      memoized := !memoized + memo.memoized)
     parts;
   { case; config; by_weight = t.by_weight; totals = t.totals;
     stats = { executed = !executed; memoized = !memoized } }
-
-let run_case ?pool ?store config case =
-  match pool with
-  | Some pool when Runtime.Pool.jobs pool > 1 -> run_case_in ?store pool config case
-  | Some _ | None -> run_case_seq ?store config case
 
 let run_all ?pool config cases = List.map (run_case ?pool config) cases
 
@@ -304,20 +277,20 @@ type sweep = {
 }
 
 let sweep config (case : Testcase.t) =
-  let rig = make_rig case in
-  let memo = make_memo () in
-  let categories =
-    Array.init (1 lsl width) (fun mask ->
-        let word = Fault_model.apply config.flip ~mask rig.target in
-        category_of_index (classify_word config rig memo ~word))
+  let store = make_store () in
+  let r = run_case ~store config case in
+  let by_word =
+    Array.init (1 lsl width) (fun word ->
+        match Runtime.Store.get store word with
+        | -1 -> None
+        | c -> Some (category_of_index c))
   in
-  { categories;
-    by_word =
-      Array.init (1 lsl width) (fun word ->
-          match Runtime.Store.get memo.store word with
-          | -1 -> None
-          | c -> Some (category_of_index c));
-    sweep_stats = { executed = memo.executed; memoized = memo.memoized } }
+  let target = Testcase.target_word case in
+  { categories =
+      Array.init (1 lsl width) (fun mask ->
+          Option.get by_word.(Fault_model.apply config.flip ~mask target));
+    by_word;
+    sweep_stats = r.stats }
 
 let categories_by_mask config case = (sweep config case).categories
 

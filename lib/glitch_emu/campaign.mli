@@ -91,13 +91,14 @@ val run_case :
   config -> Testcase.t -> result
 (** Run all [2^16] masks against the case's target instruction.
 
-    With a multi-domain [pool] the mask space is split into contiguous
-    chunks drained by worker domains, each against a private rig whose memory map and CPU are
-    reused across masks, all sharing one lock-free word-outcome store
-    ({!Runtime.Store}). Per-domain counts are merged with plain
-    integer addition — commutative — so [by_weight] and [totals] are
-    bit-identical to the sequential sweep for every domain count.
-    Without a pool the sweep takes the single-domain code path.
+    The mask space is drained through {!Runtime.Pool.drain}: each
+    worker sweeps the chunks it claims against a private rig whose
+    memory map and CPU are reused across masks, all workers sharing one
+    lock-free word-outcome store ({!Runtime.Store}). Per-worker counts
+    are merged with plain integer addition — commutative — so
+    [by_weight] and [totals] are bit-identical for every job count.
+    Without a pool (or with a one-job pool) a single worker in the
+    caller sweeps every mask.
 
     [store] supplies a warm store from a previous run of the {e same}
     [(config, case)] pair (see {!make_store}); words already present
@@ -123,9 +124,9 @@ type sweep = {
 }
 
 val sweep : config -> Testcase.t -> sweep
-(** The raw memoized sweep behind {!run_case}, computed with a single
-    reused rig, with the per-word memo exposed so tests can check it
-    against {!categories_by_mask} and {!run_one}. *)
+(** {!run_case} on a fresh store with no pool, read back per mask and
+    per word, so tests can check the memo against
+    {!categories_by_mask} and {!run_one}. *)
 
 val categories_by_mask : config -> Testcase.t -> category array
 (** [(sweep config case).categories]. *)

@@ -317,22 +317,22 @@ type table1 = {
   sweep1 : sweep;
 }
 
-(* Every attempt rewinds the board to the same trigger snapshot, so a
-   cycle's statistics depend only on (program, cycle, fault config) —
-   never on which board object ran it or in what order. The parallel
-   paths exploit this: the boot happens ONCE, each work item gets a
-   private board sharing the boot's snapshot/baseline (see [boot]),
-   and per-item results are reassembled by index, bit-identical to
-   the sequential sweep. *)
-let map_cycles ?pool ~boot f =
-  match pool with
-  | Some pool when Runtime.Pool.jobs pool > 1 ->
-    Runtime.Pool.map_array pool
-      (fun cycle -> f (rig_of_boot boot) cycle)
-      (Array.init loop_cycles Fun.id)
-  | Some _ | None ->
-    let rig = rig_of_boot boot in
-    Array.init loop_cycles (f rig)
+(* Every attempt rewinds the board to the same trigger snapshot, so an
+   item's statistics depend only on (program, item, fault config) —
+   never on which board object ran it or in what order. The boot
+   happens ONCE; each worker gets one private board sharing the boot's
+   snapshot/baseline (see [boot]), claims items one at a time, and the
+   per-item results are reassembled by index, bit-identical at every
+   job count. *)
+let map_items ?pool ~boot f items =
+  let results = Array.make (Array.length items) None in
+  ignore
+    (Runtime.Pool.drain ?pool ~size:1 ~lo:0 ~hi:(Array.length items)
+       ~init:(fun () -> rig_of_boot boot)
+       (fun rig i _ -> results.(i) <- Some (f rig items.(i))));
+  Array.map Option.get results
+
+let cycles = Array.init loop_cycles Fun.id
 
 let run_table1 ?pool ?config guard =
   let cmp_reg = comparator guard in
@@ -358,7 +358,7 @@ let run_table1 ?pool ?config guard =
       sweep )
   in
   let boot = boot_once (single_loop_program guard) in
-  let cells = map_cycles ?pool ~boot run_cycle in
+  let cells = map_items ?pool ~boot run_cycle cycles in
   let sweep = Array.fold_left (fun acc (_, s) -> sweep_add acc s) sweep_zero cells in
   let sweep = { sweep with boots = 1 } in
   { guard;
@@ -392,7 +392,7 @@ let run_table2 ?pool ?config guard =
     (!partial, !full, sweep)
   in
   let boot = boot_once ~max_cycles:500 (double_loop_program guard) in
-  let cells = map_cycles ?pool ~boot run_cycle in
+  let cells = map_items ?pool ~boot run_cycle cycles in
   let sweep =
     Array.fold_left (fun acc (_, _, s) -> sweep_add acc s) sweep_zero cells
   in
@@ -427,16 +427,7 @@ let run_table3 ?pool ?config guard =
   in
   let boot = boot_once ~max_cycles:800 (long_glitch_program guard) in
   let windows = [| 10; 11; 12; 13; 14; 15; 16; 17; 18; 19; 20 |] in
-  let rows =
-    match pool with
-    | Some pool when Runtime.Pool.jobs pool > 1 ->
-      Runtime.Pool.map_array pool
-        (fun last_cycle -> run_window (rig_of_boot boot) last_cycle)
-        windows
-    | Some _ | None ->
-      let rig = rig_of_boot boot in
-      Array.map (run_window rig) windows
-  in
+  let rows = map_items ?pool ~boot run_window windows in
   let sweep =
     Array.fold_left (fun acc (_, _, s) -> sweep_add acc s) sweep_zero rows
   in

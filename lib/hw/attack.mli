@@ -120,11 +120,12 @@ type table1 = {
 
 val run_table1 :
   ?pool:Runtime.Pool.t -> ?config:Susceptibility.config -> guard -> table1
-(** With [pool], the 8 per-cycle sweeps run on worker domains, each
-    against a private board backed by the one shared {!boot}; every
-    attempt restores the same trigger snapshot, so the table is
-    bit-identical to the sequential run. Likewise for {!run_table2}
-    and {!run_table3}. *)
+(** The 8 per-cycle sweeps are claimed one at a time by the workers of
+    [pool] (one worker in the caller without a pool), each worker
+    attacking one private board backed by the one shared {!boot};
+    every attempt restores the same trigger snapshot, so the table is
+    bit-identical at every job count. Likewise for {!run_table2} and
+    {!run_table3}. *)
 
 type table2 = {
   guard2 : guard;

@@ -186,7 +186,11 @@ let parse_number c =
     | Some f -> Float f
     | None -> fail start (Printf.sprintf "bad number %S" s))
 
-let rec parse_value c =
+let max_depth = 512
+
+(* [depth] counts the arrays and objects open around the value, so
+   hostile input cannot drive the recursion arbitrarily deep. *)
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c.pos "unexpected end of input"
@@ -194,6 +198,8 @@ let rec parse_value c =
   | Some 't' -> literal c "true" (Bool true)
   | Some 'f' -> literal c "false" (Bool false)
   | Some '"' -> String (parse_string c)
+  | Some ('[' | '{') when depth >= max_depth ->
+    fail c.pos (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '[' ->
     advance c;
     skip_ws c;
@@ -203,7 +209,7 @@ let rec parse_value c =
     end
     else
       let rec items acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -228,7 +234,7 @@ let rec parse_value c =
         let k = parse_string c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         (k, v)
       in
       let rec fields acc =
@@ -249,7 +255,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { src = s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos <> String.length s then

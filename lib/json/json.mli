@@ -19,9 +19,12 @@ val to_string : t -> string
     (so UTF-8 stays UTF-8); a non-finite [Float] prints as [null].
     [of_string] of the output re-prints byte-identically. *)
 
+val max_depth : int
+(** Arrays and objects nest at most this deep (512) in parsed input. *)
+
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value; anything but trailing whitespace
-    after it is an error. *)
+    after it is an error, and so is nesting deeper than {!max_depth}. *)
 
 val member : string -> t -> t option
 (** Field of an [Obj]; [None] on missing field or non-object. *)

@@ -17,6 +17,13 @@ let attack_name = function
 
 type outcome = { attempts : int; successes : int; detections : int }
 
+let no_outcome = { attempts = 0; successes = 0; detections = 0 }
+
+let add_outcome a b =
+  { attempts = a.attempts + b.attempts;
+    successes = a.successes + b.successes;
+    detections = a.detections + b.detections }
+
 let success_rate o =
   Stats.Rate.pct ~num:o.successes ~den:o.attempts
 
@@ -66,7 +73,7 @@ let run_row ?fault_config ~sweep_step (board, snap, max_cycles) (ext_offset, rep
       incr detections;
     offset := !offset + sweep_step
   done;
-  (!attempts, !successes, !detections)
+  { attempts = !attempts; successes = !successes; detections = !detections }
 
 let rows_of attack ~sweep_step =
   List.concat_map
@@ -78,44 +85,17 @@ let rows_of attack ~sweep_step =
       widths (-49) [])
     (windows attack)
 
+(* Rows are claimed one at a time, each worker attacking its own
+   booted board, and the per-worker outcomes are summed — an
+   order-independent reduction, so the counts are the same at every job
+   count. *)
 let run_image ?pool ?fault_config ?(sweep_step = 1) image attack =
-  let rows = rows_of attack ~sweep_step in
-  let parts =
-    match pool with
-    | Some pool when Runtime.Pool.jobs pool > 1 ->
-      (* per-worker board: rows are claimed from a shared queue and the
-         (attempts, successes, detections) triples summed — an
-         order-independent reduction, so counts match the sequential
-         sweep exactly *)
-      let items = Array.of_list rows in
-      let q =
-        Runtime.Chunk.queue ~size:1 ~lo:0 ~hi:(Array.length items)
-          ~jobs:(Runtime.Pool.jobs pool) ()
-      in
-      Runtime.Pool.map_workers pool (fun _wid ->
-          let rig = boot_board image in
-          let acc = ref (0, 0, 0) in
-          let rec drain () =
-            match Runtime.Chunk.take q with
-            | None -> ()
-            | Some (i, _) ->
-              let a, s, d = run_row ?fault_config ~sweep_step rig items.(i) in
-              let a0, s0, d0 = !acc in
-              acc := (a0 + a, s0 + s, d0 + d);
-              drain ()
-          in
-          drain ();
-          !acc)
-    | Some _ | None ->
-      let rig = boot_board image in
-      List.map (run_row ?fault_config ~sweep_step rig) rows
-  in
-  let attempts, successes, detections =
-    List.fold_left
-      (fun (a0, s0, d0) (a, s, d) -> (a0 + a, s0 + s, d0 + d))
-      (0, 0, 0) parts
-  in
-  { attempts; successes; detections }
+  let rows = Array.of_list (rows_of attack ~sweep_step) in
+  Runtime.Pool.drain ?pool ~size:1 ~lo:0 ~hi:(Array.length rows)
+    ~init:(fun () -> (boot_board image, ref no_outcome))
+    (fun (rig, acc) i _ ->
+      acc := add_outcome !acc (run_row ?fault_config ~sweep_step rig rows.(i)))
+  |> List.fold_left (fun o (_, acc) -> add_outcome o !acc) no_outcome
 
 let run ?pool ?fault_config ?sweep_step (config : Config.t) scenario attack =
   let compiled = Driver.compile config (scenario_source scenario) in

@@ -49,10 +49,11 @@ val run :
     9,801-point sweep; benches may use 1, quick tests a larger step —
     attempt counts scale accordingly).
 
-    With [pool], sweep rows (one width at one attack window) are drained
-    by worker domains, each attacking its own booted-and-snapshotted
-    board; every attempt rewinds to the snapshot, so the summed counts
-    are bit-identical to the sequential sweep. *)
+    Sweep rows (one width at one attack window) are claimed one at a
+    time by the workers of [pool] (one worker in the caller without a
+    pool), each attacking its own booted-and-snapshotted board; every
+    attempt rewinds to the snapshot, so the summed counts are
+    bit-identical at every job count. *)
 
 val run_image :
   ?pool:Runtime.Pool.t ->

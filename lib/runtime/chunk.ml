@@ -1,19 +1,3 @@
-let split ~lo ~hi ~pieces =
-  let total = hi - lo in
-  if total <= 0 || pieces <= 0 then []
-  else begin
-    let pieces = min pieces total in
-    let base = total / pieces and extra = total mod pieces in
-    (* the first [extra] slices carry one more element *)
-    let rec go start i acc =
-      if i = pieces then List.rev acc
-      else
-        let len = base + if i < extra then 1 else 0 in
-        go (start + len) (i + 1) ((start, start + len) :: acc)
-    in
-    go lo 0 []
-  end
-
 (* Several slices per worker so a domain that drew cheap work steals the
    remainder of a slow one's share; large enough that the atomic claim
    is noise against the per-element cost. *)
@@ -21,7 +5,7 @@ let slices_per_job = 8
 
 let default_size ~lo ~hi ~jobs =
   let total = max 0 (hi - lo) in
-  let pieces = max 1 (jobs * slices_per_job) in
+  let pieces = if jobs <= 1 then 1 else jobs * slices_per_job in
   max 1 ((total + pieces - 1) / pieces)
 
 type queue = { lo : int; hi : int; size : int; next : int Atomic.t }

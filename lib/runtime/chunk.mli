@@ -6,14 +6,11 @@
     exactly, so any per-slice tally merged with a commutative reduction
     is independent of which domain processed which slice. *)
 
-val split : lo:int -> hi:int -> pieces:int -> (int * int) list
-(** [split ~lo ~hi ~pieces] cuts [\[lo, hi)] into at most [pieces]
-    non-empty contiguous [(lo, hi)] slices, in increasing order. Sizes
-    differ by at most one. Empty ranges yield the empty list. *)
-
 val default_size : lo:int -> hi:int -> jobs:int -> int
 (** Slice size giving each worker several slices to pull (for load
-    balance) while keeping per-slice overhead negligible. *)
+    balance) while keeping per-slice overhead negligible. A lone worker
+    has nothing to balance, so [jobs = 1] gets the whole range as one
+    slice. *)
 
 type queue
 (** A lock-free queue of contiguous slices over an integer range.

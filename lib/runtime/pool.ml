@@ -19,6 +19,10 @@ type t = {
 
 type stats = { regions : int; wall_s : float; busy_s : float }
 
+(* Seconds on the monotonic clock: region timings must not jump with
+   wall-clock adjustments. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* cgroup v2 cpu.max: "QUOTA PERIOD" in microseconds, or "max PERIOD"
    for unlimited. The effective core count is ceil(quota / period). *)
 let parse_cpu_max line =
@@ -96,10 +100,10 @@ let worker_loop t wid =
     | Some j ->
       Mutex.unlock t.mutex;
       last_generation := j.generation;
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       (try j.f wid
        with e -> record_failure t e (Printexc.get_raw_backtrace ()));
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = now () -. t0 in
       Mutex.lock t.mutex;
       t.stat_busy <- t.stat_busy +. dt;
       t.running <- t.running - 1;
@@ -133,56 +137,43 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
+(* One path for every job count: with [jobs = 1] no worker is woken and
+   the caller runs the whole region. *)
 let run t f =
-  if t.jobs = 1 then begin
-    if t.in_region then invalid_arg "Pool.run: nested parallel region";
-    t.in_region <- true;
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = Unix.gettimeofday () -. t0 in
-        t.stat_regions <- t.stat_regions + 1;
-        t.stat_wall <- t.stat_wall +. dt;
-        t.stat_busy <- t.stat_busy +. dt;
-        t.in_region <- false)
-      (fun () -> f 0)
-  end
-  else begin
-    Mutex.lock t.mutex;
-    if t.stopping then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run: pool is shut down"
-    end;
-    if t.in_region then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run: nested parallel region"
-    end;
-    t.in_region <- true;
-    t.failure <- None;
-    t.generation <- t.generation + 1;
-    t.job <- Some { f; generation = t.generation };
-    t.running <- t.jobs - 1;
-    let t0 = Unix.gettimeofday () in
-    Condition.broadcast t.work_ready;
+  Mutex.lock t.mutex;
+  if t.stopping then begin
     Mutex.unlock t.mutex;
-    (try f 0 with e -> record_failure t e (Printexc.get_raw_backtrace ()));
-    let caller_busy = Unix.gettimeofday () -. t0 in
-    Mutex.lock t.mutex;
-    while t.running > 0 do
-      Condition.wait t.work_done t.mutex
-    done;
-    t.stat_regions <- t.stat_regions + 1;
-    t.stat_wall <- t.stat_wall +. (Unix.gettimeofday () -. t0);
-    t.stat_busy <- t.stat_busy +. caller_busy;
-    t.job <- None;
-    t.in_region <- false;
-    let failure = t.failure in
-    t.failure <- None;
+    invalid_arg "Pool.run: pool is shut down"
+  end;
+  if t.in_region then begin
     Mutex.unlock t.mutex;
-    match failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
+    invalid_arg "Pool.run: nested parallel region"
+  end;
+  t.in_region <- true;
+  t.failure <- None;
+  t.generation <- t.generation + 1;
+  t.job <- Some { f; generation = t.generation };
+  t.running <- t.jobs - 1;
+  let t0 = now () in
+  Condition.broadcast t.work_ready;
+  Mutex.unlock t.mutex;
+  (try f 0 with e -> record_failure t e (Printexc.get_raw_backtrace ()));
+  let caller_busy = now () -. t0 in
+  Mutex.lock t.mutex;
+  while t.running > 0 do
+    Condition.wait t.work_done t.mutex
+  done;
+  t.stat_regions <- t.stat_regions + 1;
+  t.stat_wall <- t.stat_wall +. (now () -. t0);
+  t.stat_busy <- t.stat_busy +. caller_busy;
+  t.job <- None;
+  t.in_region <- false;
+  let failure = t.failure in
+  t.failure <- None;
+  Mutex.unlock t.mutex;
+  match failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let map_workers t f =
   let results = Array.make t.jobs None in
@@ -192,25 +183,21 @@ let map_workers t f =
        | Some r -> r
        | None -> assert false (* every worker id runs exactly once *))
 
-let map_array t f input =
-  let n = Array.length input in
-  if t.jobs = 1 || n <= 1 then Array.map f input
-  else begin
-    let results = Array.make n None in
-    let q = Chunk.queue ~size:1 ~lo:0 ~hi:n ~jobs:t.jobs () in
-    run t (fun _wid ->
-        let rec drain () =
-          match Chunk.take q with
-          | None -> ()
-          | Some (lo, _) ->
-            results.(lo) <- Some (f input.(lo));
-            drain ()
-        in
-        drain ());
-    Array.map
-      (function Some r -> r | None -> assert false (* queue covers 0..n-1 *))
-      results
-  end
+let drain ?pool ?size ~lo ~hi ~init f =
+  let jobs = match pool with Some t -> t.jobs | None -> 1 in
+  let q = Chunk.queue ?size ~lo ~hi ~jobs () in
+  let worker _wid =
+    let acc = init () in
+    let rec loop () =
+      match Chunk.take q with
+      | None -> acc
+      | Some (a, b) ->
+        f acc a b;
+        loop ()
+    in
+    loop ()
+  in
+  match pool with Some t -> map_workers t worker | None -> [ worker 0 ]
 
 let stats t =
   Mutex.lock t.mutex;

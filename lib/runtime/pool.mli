@@ -2,14 +2,15 @@
 
     The pool owns [jobs - 1] domains that sleep between parallel
     regions; the calling domain participates as worker 0, so [jobs]
-    workers execute every region. Campaigns combine a pool with a
-    {!Chunk.queue}: each worker drains slices into a private
-    accumulator, and the per-worker accumulators are merged with a
-    commutative reduction — making results independent of the domain
-    count and of scheduling.
+    workers execute every region. Every campaign fans out through
+    {!drain}: each worker folds the slices it claims from a
+    {!Chunk.queue} into a private accumulator, and the per-worker
+    accumulators are merged with a commutative reduction — making
+    results independent of the domain count and of scheduling.
 
-    A [jobs = 1] pool spawns no domains and runs everything in the
-    caller, so the sequential code path is untouched. *)
+    There is one code path for every job count: a [jobs = 1] pool (or
+    no pool at all) is one worker, run in the caller, spawning no
+    domain. *)
 
 type t
 
@@ -53,10 +54,17 @@ val map_workers : t -> (int -> 'a) -> 'a list
 (** Like {!run} but collects each worker's result, ordered by worker
     id. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]: items are claimed one at a time from a shared
-    queue, so uneven item costs balance across workers. Result slots
-    match input order. *)
+val drain :
+  ?pool:t -> ?size:int -> lo:int -> hi:int -> init:(unit -> 'acc) ->
+  ('acc -> int -> int -> unit) -> 'acc list
+(** [drain ?pool ?size ~lo ~hi ~init f] cuts [\[lo, hi)] into slices
+    of [size] (default {!Chunk.default_size}) and lets every worker of
+    [pool] claim slices until none is left: each worker builds one
+    accumulator with [init ()] and folds every slice [(a, b)] it
+    claims into it with [f acc a b]. The accumulators come back in
+    worker order, one per worker, including workers that claimed
+    nothing. Without [pool] one worker drains the whole range in the
+    caller — with the default size, as a single slice. *)
 
 type stats = { regions : int; wall_s : float; busy_s : float }
 (** Accumulated parallel-region accounting: [regions] completed,

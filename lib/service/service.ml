@@ -139,6 +139,10 @@ let model_of_string s =
   | "xor" -> Some Glitch_emu.Fault_model.Xor
   | _ -> None
 
+(* Sweep cost grows linearly with the per-run step budget, so one
+   request must not be able to ask for an unbounded one. *)
+let max_steps_limit = 100_000
+
 type request = {
   req_id : Json.t;
   req_case : Testcase.t;
@@ -167,12 +171,17 @@ let parse_request json =
           | Some z -> { config with Campaign.zero_is_invalid = z }
           | None -> config
         in
-        let config =
-          match Option.bind (Json.member "max_steps" json) Json.int_value with
-          | Some n when n > 0 -> { config with Campaign.max_steps = n }
-          | Some _ | None -> config
-        in
-        Ok { req_id = id; req_case = case; req_config = config }))
+        match Option.bind (Json.member "max_steps" json) Json.int_value with
+        | Some n when n > max_steps_limit ->
+          Error
+            (id, Printf.sprintf "max_steps %d exceeds the limit %d" n max_steps_limit)
+        | max_steps ->
+          let config =
+            match max_steps with
+            | Some n when n > 0 -> { config with Campaign.max_steps = n }
+            | Some _ | None -> config
+          in
+          Ok { req_id = id; req_case = case; req_config = config }))
 
 let error_response id msg =
   Json.Obj [ ("id", id); ("ok", Json.Bool false); ("error", Json.String msg) ]

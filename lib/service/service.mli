@@ -43,7 +43,8 @@ type t
 val create : ?pool:Runtime.Pool.t -> ?cache:Cache.t -> unit -> t
 (** A service sharing [pool] and [cache] across all subsequent
     requests. Omitting [cache] disables persistence (statuses are then
-    only ever [Warm] or [Miss]); omitting [pool] sweeps sequentially. *)
+    only ever [Warm] or [Miss]); omitting [pool] sweeps in the calling
+    domain. *)
 
 val run_case :
   t ->
@@ -52,6 +53,11 @@ val run_case :
   Glitch_emu.Campaign.result * status
 (** Serve one audit, from the cache when possible. Miss results are
     persisted before returning. *)
+
+val max_steps_limit : int
+(** The largest per-run step budget a request may ask for (100,000;
+    the default is 200). Sweep cost grows linearly with it, so a
+    larger ["max_steps"] is answered with [{"ok": false}]. *)
 
 val handle_line : t -> string -> string
 (** One line of the JSON protocol: parse a request object

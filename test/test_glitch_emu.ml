@@ -26,9 +26,11 @@ let enumeration_matches_choose () =
 
 let enumeration_distinct_and_complete () =
   let seen = Hashtbl.create 65536 in
-  Bitmask.iter_all ~width:16 (fun ~weight:_ ~mask ->
-      Alcotest.(check bool) "distinct" false (Hashtbl.mem seen mask);
-      Hashtbl.add seen mask ());
+  for weight = 0 to 16 do
+    Bitmask.iter_of_weight ~width:16 ~weight (fun mask ->
+        Alcotest.(check bool) "distinct" false (Hashtbl.mem seen mask);
+        Hashtbl.add seen mask ())
+  done;
   Alcotest.(check int) "covers 2^16" 65536 (Hashtbl.length seen)
 
 let prop_weight_enumeration =
@@ -331,6 +333,23 @@ let parallel_matches_sequential () =
                 (Campaign.run_case ~pool:pool4 config case))
             workloads))
 
+let one_job_pool_matches_no_pool () =
+  (* No pool and a one-job pool are the same single worker in the
+     caller: equal tables and, with nothing to race, the same
+     executed/memoized split — each distinct word executed once. *)
+  let config = Campaign.default_config Fault_model.And in
+  let plain = Campaign.run_case config beq_case in
+  Runtime.Pool.with_pool ~jobs:1 (fun pool ->
+      let one = Campaign.run_case ~pool config beq_case in
+      check_same_result "jobs=1 pool" plain one;
+      Alcotest.(check int) "same executed" plain.stats.Campaign.executed
+        one.stats.Campaign.executed;
+      Alcotest.(check int) "same memoized" plain.stats.Campaign.memoized
+        one.stats.Campaign.memoized);
+  Alcotest.(check int) "each distinct word executed once"
+    (1 lsl Bitmask.popcount (Testcase.target_word beq_case))
+    plain.stats.Campaign.executed
+
 (* --- campaign properties -------------------------------------------------- *)
 
 (* The differential harness: [Campaign.run_one] is the original
@@ -567,7 +586,9 @@ let () =
          Alcotest.test_case "non-branch totals" `Slow golden_non_branch_totals ]);
       ("parallel",
        [ Alcotest.test_case "sequential = parallel" `Slow
-           parallel_matches_sequential ]);
+           parallel_matches_sequential;
+         Alcotest.test_case "one-job pool = no pool" `Quick
+           one_job_pool_matches_no_pool ]);
       ("memo",
        [ Alcotest.test_case "stats account for every mask" `Slow
            sweep_stats_account_for_every_mask;

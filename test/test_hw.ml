@@ -500,6 +500,22 @@ let table3_golden_rows () =
   Alcotest.(check int) "0-10" 13 (List.assoc 10 t.windows);
   Alcotest.(check int) "0-20" 34 (List.assoc 20 t.windows)
 
+(* Tables I-III drain their items through the same pool path at every
+   job count; a three-worker pool must reproduce the caller-only run. *)
+let tables_jobs_parity () =
+  let guard = Attack.While_not_a in
+  let t1 = Attack.run_table1 guard
+  and t2 = Attack.run_table2 guard
+  and t3 = Attack.run_table3 guard in
+  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
+      let p1 = Attack.run_table1 ~pool guard in
+      Alcotest.(check bool) "table 1 per_cycle" true (t1.per_cycle = p1.per_cycle);
+      let p2 = Attack.run_table2 ~pool guard in
+      Alcotest.(check (array int)) "table 2 partial" t2.partial p2.partial;
+      Alcotest.(check (array int)) "table 2 full" t2.full p2.full;
+      let p3 = Attack.run_table3 ~pool guard in
+      Alcotest.(check (list (pair int int))) "table 3 windows" t3.windows p3.windows)
+
 let tuner_finds_reliable_params () =
   let r = Tuner.search While_not_a in
   (match r.found with
@@ -564,4 +580,6 @@ let () =
          Alcotest.test_case "table 2 golden totals" `Slow table2_golden_totals;
          Alcotest.test_case "table 3 golden rows" `Slow table3_golden_rows;
          Alcotest.test_case "table 2" `Slow table2_partial_exceeds_full;
-         Alcotest.test_case "tuner" `Slow tuner_finds_reliable_params ]) ]
+         Alcotest.test_case "tuner" `Slow tuner_finds_reliable_params ]);
+      ("parity",
+       [ Alcotest.test_case "tables I-III at jobs 1 and 3" `Slow tables_jobs_parity ]) ]

@@ -585,6 +585,19 @@ let long_attacks_detected () =
     (Printf.sprintf "detections occur (%d)" o.detections)
     true (o.detections > 0)
 
+let evaluate_jobs_parity () =
+  (* rows drain through the same pool path at every job count *)
+  let run ?pool () =
+    Evaluate.run ?pool ~sweep_step:7 Config.none Evaluate.Worst_case
+      Evaluate.Single
+  in
+  let plain = run () in
+  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
+      let par = run ~pool () in
+      Alcotest.(check (list int)) "attempts, successes, detections"
+        [ plain.attempts; plain.successes; plain.detections ]
+        [ par.attempts; par.successes; par.detections ])
+
 let () =
   Alcotest.run "resistor"
     [ ("config", [ Alcotest.test_case "names" `Quick config_names ]);
@@ -636,4 +649,5 @@ let () =
       ("evaluation",
        [ Alcotest.test_case "defended beats undefended" `Slow
            defended_beats_undefended;
-         Alcotest.test_case "long attacks detected" `Slow long_attacks_detected ]) ]
+         Alcotest.test_case "long attacks detected" `Slow long_attacks_detected;
+         Alcotest.test_case "jobs 1 = jobs 3" `Slow evaluate_jobs_parity ]) ]

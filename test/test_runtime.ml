@@ -1,60 +1,55 @@
 (* Tests for the work-distribution runtime: contiguous chunk queues and
-   the persistent domain pool that the parallel campaigns are built
-   on. *)
+   the persistent domain pool that every campaign drains its index
+   space through. *)
 
-(* --- chunk splitting ------------------------------------------------------ *)
+(* --- chunk sizing ---------------------------------------------------------- *)
 
-let split_covers_range () =
+(* Every slice of a queue, claimed by one caller, in claim order. *)
+let slices_of q =
+  let rec go acc =
+    match Runtime.Chunk.take q with None -> List.rev acc | Some s -> go (s :: acc)
+  in
+  go []
+
+(* Slices are non-empty, in order, and tile [lo, hi) exactly. *)
+let tiles ~lo ~hi slices =
+  List.fold_left
+    (fun expect (a, b) ->
+      match expect with Some e when a = e && b > a -> Some b | _ -> None)
+    (Some lo) slices
+  = Some hi
+
+let default_size_tiles_ranges () =
   List.iter
-    (fun (lo, hi, pieces) ->
-      let name = Printf.sprintf "[%d,%d)/%d" lo hi pieces in
-      let slices = Runtime.Chunk.split ~lo ~hi ~pieces in
-      (* slices are non-empty, in order, and tile the range exactly *)
-      let stop =
-        List.fold_left
-          (fun expect (a, b) ->
-            Alcotest.(check int) (name ^ " contiguous") expect a;
-            Alcotest.(check bool) (name ^ " non-empty") true (b > a);
-            b)
-          lo slices
-      in
-      Alcotest.(check int) (name ^ " reaches hi") hi stop;
+    (fun (lo, hi, jobs) ->
+      let name = Printf.sprintf "[%d,%d)/%d" lo hi jobs in
+      let slices = slices_of (Runtime.Chunk.queue ~lo ~hi ~jobs ()) in
+      Alcotest.(check bool) (name ^ " tiles") true (tiles ~lo ~hi slices);
+      (* a lone worker gets the whole range; a pool several slices each *)
+      let expect_max = if jobs = 1 then 1 else 8 * jobs in
       Alcotest.(check bool)
-        (name ^ " at most pieces")
+        (name ^ " slice count")
         true
-        (List.length slices <= pieces);
-      (* balanced: sizes differ by at most one *)
-      let sizes = List.map (fun (a, b) -> b - a) slices in
-      List.iter
-        (fun s ->
-          List.iter
-            (fun s' ->
-              Alcotest.(check bool) (name ^ " balanced") true (abs (s - s') <= 1))
-            sizes)
-        sizes)
-    [ (0, 65536, 4); (0, 10, 3); (0, 10, 4); (5, 6, 4); (7, 100, 1);
-      (3, 20, 17); (0, 5, 8) ]
+        (List.length slices <= expect_max))
+    [ (0, 65536, 1); (0, 65536, 4); (0, 10, 3); (5, 6, 4); (7, 100, 1);
+      (3, 20, 17); (0, 5, 8) ];
+  Alcotest.(check int) "jobs 1 is one slice" 65536
+    (Runtime.Chunk.default_size ~lo:0 ~hi:65536 ~jobs:1)
 
-let split_empty_range () =
+let queue_of_empty_range () =
   Alcotest.(check (list (pair int int)))
     "empty range" []
-    (Runtime.Chunk.split ~lo:5 ~hi:5 ~pieces:4)
+    (slices_of (Runtime.Chunk.queue ~lo:5 ~hi:5 ~jobs:4 ()));
+  Alcotest.(check (list (pair int int)))
+    "reversed range" []
+    (slices_of (Runtime.Chunk.queue ~lo:9 ~hi:5 ~jobs:1 ()))
 
-let prop_split_tiles_range =
-  QCheck.Test.make ~name:"split tiles the range exactly" ~count:200
+let prop_queue_tiles_range =
+  QCheck.Test.make ~name:"queue tiles the range exactly" ~count:200
     QCheck.(triple (int_range 0 100) (int_range 0 1000) (int_range 1 64))
-    (fun (lo, len, pieces) ->
+    (fun (lo, len, jobs) ->
       let hi = lo + len in
-      let slices = Runtime.Chunk.split ~lo ~hi ~pieces in
-      let contiguous =
-        List.fold_left
-          (fun expect (a, b) ->
-            match expect with
-            | Some e when a = e && b > a -> Some b
-            | _ -> None)
-          (Some lo) slices
-      in
-      contiguous = Some hi && List.length slices <= pieces)
+      tiles ~lo ~hi (slices_of (Runtime.Chunk.queue ~lo ~hi ~jobs ())))
 
 (* --- chunk queue ---------------------------------------------------------- *)
 
@@ -134,16 +129,30 @@ let map_workers_ordered () =
       Alcotest.(check (list int)) "ids in order" [ 0; 1; 2; 3 ]
         (Runtime.Pool.map_workers pool (fun wid -> wid)))
 
-let map_array_matches_sequential () =
-  let input = Array.init 1000 (fun i -> i) in
-  let f x = (x * x) + 1 in
-  let expect = Array.map f input in
-  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (array int)) "jobs=3" expect
-        (Runtime.Pool.map_array pool f input));
+(* Each worker's accumulator records the slices it claimed; together
+   they must cover the range once, with one accumulator per worker. *)
+let drain_folds_every_index_once () =
+  let lo = 3 and hi = 1000 in
+  let drained name ?pool ?size ~workers () =
+    let parts =
+      Runtime.Pool.drain ?pool ?size ~lo ~hi ~init:(fun () -> ref [])
+        (fun acc a b -> acc := (a, b) :: !acc)
+    in
+    Alcotest.(check int) (name ^ " one accumulator per worker") workers
+      (List.length parts);
+    let slices = List.concat_map (fun acc -> !acc) parts |> List.sort compare in
+    Alcotest.(check bool) (name ^ " tiles the range") true (tiles ~lo ~hi slices);
+    slices
+  in
+  Alcotest.(check (list (pair int int))) "no pool: one slice" [ (lo, hi) ]
+    (drained "no pool" ~workers:1 ());
   Runtime.Pool.with_pool ~jobs:1 (fun pool ->
-      Alcotest.(check (array int)) "jobs=1" expect
-        (Runtime.Pool.map_array pool f input))
+      Alcotest.(check (list (pair int int))) "jobs=1: one slice" [ (lo, hi) ]
+        (drained "jobs=1" ~pool ~workers:1 ()));
+  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
+      ignore (drained "jobs=3" ~pool ~workers:3 ());
+      Alcotest.(check int) "size 1: one slice per index" (hi - lo)
+        (List.length (drained "jobs=3 size 1" ~pool ~size:1 ~workers:3 ())))
 
 let pool_survives_reuse () =
   Runtime.Pool.with_pool ~jobs:2 (fun pool ->
@@ -318,11 +327,12 @@ let pool_stats_busy_tracks_work () =
         (s.Runtime.Pool.busy_s <= (2. *. s.Runtime.Pool.wall_s) +. 1e-6))
 
 let () =
-  let props = List.map Qseed.to_alcotest [ prop_split_tiles_range ] in
+  let props = List.map Qseed.to_alcotest [ prop_queue_tiles_range ] in
   Alcotest.run "runtime"
     [ ("chunk",
-       [ Alcotest.test_case "split covers ranges" `Quick split_covers_range;
-         Alcotest.test_case "split of empty range" `Quick split_empty_range;
+       [ Alcotest.test_case "default size tiles ranges" `Quick
+           default_size_tiles_ranges;
+         Alcotest.test_case "queue of empty range" `Quick queue_of_empty_range;
          Alcotest.test_case "queue drains exactly once" `Quick
            queue_drains_exactly_once;
          Alcotest.test_case "queue rejects bad size" `Quick
@@ -333,8 +343,8 @@ let () =
          Alcotest.test_case "run reaches every worker" `Quick
            run_reaches_every_worker;
          Alcotest.test_case "map_workers ordered" `Quick map_workers_ordered;
-         Alcotest.test_case "map_array matches Array.map" `Quick
-           map_array_matches_sequential;
+         Alcotest.test_case "drain folds every index once" `Quick
+           drain_folds_every_index_once;
          Alcotest.test_case "pool reusable across regions" `Quick
            pool_survives_reuse;
          Alcotest.test_case "worker exception propagates" `Quick

@@ -41,7 +41,10 @@ let json_parses_foreign_input () =
       | Error e -> Alcotest.failf "%S rejected: %s" input e)
     [ ("  { \"a\" : [ 1 , 2 ] }  ", {|{"a":[1,2]}|});
       ({|"Aé"|}, {|"A|} ^ "\xc3\xa9" ^ {|"|});
-      ("-0", "0"); ("1e2", "100.0"); ("true", "true") ]
+      ("-0", "0"); ("1e2", "100.0"); ("true", "true");
+      (* nesting exactly at the depth bound still parses *)
+      (let deepest = String.make Json.max_depth '[' ^ String.make Json.max_depth ']' in
+       (deepest, deepest)) ]
 
 let json_rejects_malformed () =
   List.iter
@@ -51,7 +54,11 @@ let json_rejects_malformed () =
         Alcotest.failf "%S parsed as %s" input (Json.to_string v)
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "\"unterminated"; "nul"; "1 2";
-      "{\"a\":1,}"; "[1] trailing"; "\"bad \\x escape\"" ]
+      "{\"a\":1,}"; "[1] trailing"; "\"bad \\x escape\"";
+      (* one level past the depth bound, and a hostile 3,000,000-deep
+         line that must be refused without recursing through it *)
+      String.make (Json.max_depth + 1) '[' ^ String.make (Json.max_depth + 1) ']';
+      String.make 3_000_000 '['; String.make 100_000 '{' ]
 
 let json_accessors () =
   let v = Json.Obj [ ("s", Json.String "x"); ("n", Json.Int 7);
@@ -219,7 +226,12 @@ let errors_answer_instead_of_crashing () =
       ({|{"id": 9, "case": "no-such-case"}|}, Json.Int 9);
       ({|{"id": 10, "case": 3}|}, Json.Int 10);
       ({|{"id": 11, "case": "beq", "model": "nand"}|}, Json.Int 11);
-      ({|[1,2,3]|}, Json.Null) ]
+      ({|[1,2,3]|}, Json.Null);
+      (String.make 1_000_000 '[', Json.Null);
+      ( Printf.sprintf {|{"id": 12, "case": "beq", "model": "xor", "max_steps": %d}|}
+          (Service.max_steps_limit + 1),
+        Json.Int 12 );
+      ({|{"id": 13, "case": "beq", "max_steps": 1000000000000}|}, Json.Int 13) ]
 
 let find_case_is_case_insensitive () =
   Alcotest.(check bool) "beq" true (Service.find_case "beq" <> None);
