@@ -68,14 +68,9 @@ let fig2 ?pool ?cache () =
       | Service.Miss -> incr misses);
       r
   in
-  let run_all config cases =
-    match svc with
-    | None -> Glitch_emu.Campaign.run_all ?pool config cases
-    | Some _ -> List.map (run_case config) cases
-  in
   let run name config =
     Fmt.pr "@.--- %s ---@." name;
-    let results = run_all config cases in
+    let results = List.map (run_case config) cases in
     tally results;
     print_string (Glitch_emu.Report.outcome_table results);
     Fmt.pr "@.Success rate by number of flipped bits:@.";
@@ -146,8 +141,8 @@ let fig2x ?pool () =
   Fmt.pr "whole population C(32,k) fits the budget, which is enumerated).@.@.";
   let thumb_rates flip =
     let results =
-      Glitch_emu.Campaign.run_all ?pool
-        (Glitch_emu.Campaign.default_config flip)
+      List.map
+        (Glitch_emu.Campaign.run_case ?pool (Glitch_emu.Campaign.default_config flip))
         Glitch_emu.Testcase.all_conditional_branches
     in
     (Glitch_emu.Report.mean_success_rate results,
@@ -388,7 +383,7 @@ let fig2_workload ?pool () =
       Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.Xor ]
   in
   List.concat_map
-    (fun config -> Glitch_emu.Campaign.run_all ?pool config cases)
+    (fun config -> List.map (Glitch_emu.Campaign.run_case ?pool config) cases)
     branch_configs
   @ List.concat_map
       (fun flip ->

@@ -803,13 +803,25 @@ let pp_exhaust_result ppf (r : Exhaust.Campaign.result) =
     Fmt.pf ppf "static pre-pruner: %d points proven without emulation@."
       r.static_pruned
 
+(* An integer option bounded below: a smaller value is a usage error
+   (exit 2) before any work starts. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let exhaust_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let max_trace =
     Arg.(
-      value & opt int 2048
+      value & opt (int_at_least 1) 2048
       & info [ "max-trace" ] ~docv:"N"
-          ~doc:"Baseline window: cycles traced (and injected into) from reset.")
+          ~doc:
+            "Baseline window: cycles traced (and injected into) from reset; \
+             at least 1.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON on stdout.")
@@ -828,11 +840,11 @@ let exhaust_cmd =
   let settle =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 0)) None
       & info [ "settle" ] ~docv:"N"
           ~doc:
-            "Continuation budget after the injected step (default: \
-             auto-derived from the baseline). A budget below the trace \
+            "Continuation budget after the injected step, at least 0 \
+             (default: auto-derived from the baseline). A budget below the trace \
              window is what lets the static pre-pruner cover \
              non-terminating baselines.")
   in

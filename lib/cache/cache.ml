@@ -1,9 +1,11 @@
 (* A persistent content-addressed result cache.
 
-   Entries are files named by the hex digest of their key under a
-   two-character fan-out directory (aa/aabbcc...), in the format
+   A key is the hex digest of one JSON value: the code version and a
+   description of every input that determines the result. Entries are
+   files named by their key under a two-character fan-out directory
+   (aa/aabbcc...), in the format
 
-     glitch-cache <format_version>
+     glitch-cache 1
      <payload bytes, verbatim>
      DIGEST <md5 hex of the payload>
 
@@ -18,9 +20,6 @@
    see complete entries. *)
 
 type t = { dir : string }
-
-let format_version = 1
-let magic = "glitch-cache"
 
 let mkdir_p dir =
   let rec make d =
@@ -37,8 +36,14 @@ let open_dir dir =
 
 let dir t = t.dir
 
-let key ~parts =
-  Digest.to_hex (Digest.string (String.concat "\x00" parts))
+let code_version = Code_version.v
+
+(* Json.to_string is injective but for non-finite floats (printed as
+   null), which no key carries: distinct inputs never share a key. *)
+let key inputs =
+  Digest.to_hex
+    (Digest.string
+       (Json.to_string (Json.List [ Json.String code_version; inputs ])))
 
 let is_hex_key k =
   String.length k = 32
@@ -54,50 +59,21 @@ let read_file p =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let header = Printf.sprintf "%s %d\n" magic format_version
-let digest_prefix = "DIGEST "
+let header = "glitch-cache 1\n"
+let trailer payload = "\nDIGEST " ^ Digest.to_hex (Digest.string payload) ^ "\n"
+let entry payload = header ^ payload ^ trailer payload
 
-(* Split "header \n payload \n DIGEST hex\n" back into the payload,
-   verifying both ends. The payload's own trailing newline (if any) is
-   part of the payload: we search for the last "\nDIGEST " boundary. *)
+(* The trailer has a fixed length, so the payload is whatever lies
+   between the header and the last [trailer_len] bytes; the entry is
+   intact iff re-encoding that payload reproduces it byte for byte. *)
+let trailer_len = String.length (trailer "")
+
 let parse_entry raw =
-  let hlen = String.length header in
-  if String.length raw < hlen || String.sub raw 0 hlen <> header then None
+  let len = String.length raw - String.length header - trailer_len in
+  if len < 0 then None
   else
-    let body = String.sub raw hlen (String.length raw - hlen) in
-    match String.rindex_opt body '\n' with
-    | None -> None
-    | Some _ ->
-      (* the digest line is the final line of the file *)
-      let body_len = String.length body in
-      let last_line_start =
-        match String.rindex_from_opt body (body_len - 2) '\n' with
-        | Some i when body_len >= 2 -> i + 1
-        | _ -> 0
-      in
-      if body_len = 0 || body.[body_len - 1] <> '\n' then None
-      else
-        let last_line =
-          String.sub body last_line_start (body_len - last_line_start - 1)
-        in
-        let plen = String.length digest_prefix in
-        if
-          String.length last_line <= plen
-          || String.sub last_line 0 plen <> digest_prefix
-        then None
-        else
-          let stored = String.sub last_line plen (String.length last_line - plen) in
-          let payload =
-            (* drop the '\n' that separates payload from the digest line *)
-            if last_line_start = 0 then None
-            else Some (String.sub body 0 (last_line_start - 1))
-          in
-          match payload with
-          | None -> None
-          | Some payload ->
-            if String.equal stored (Digest.to_hex (Digest.string payload)) then
-              Some payload
-            else None
+    let payload = String.sub raw (String.length header) len in
+    if String.equal raw (entry payload) then Some payload else None
 
 let load t ~key =
   (* validate the key outside the catch-all: a malformed key is caller
@@ -115,12 +91,7 @@ let store t ~key payload =
   in
   let oc = open_out_bin tmp in
   (try
-     output_string oc header;
-     output_string oc payload;
-     output_char oc '\n';
-     output_string oc digest_prefix;
-     output_string oc (Digest.to_hex (Digest.string payload));
-     output_char oc '\n';
+     output_string oc (entry payload);
      close_out oc;
      Sys.rename tmp final
    with e ->
@@ -128,4 +99,14 @@ let store t ~key payload =
      (try Sys.remove tmp with _ -> ());
      raise e)
 
-let mem t ~key = load t ~key <> None
+let memo t ~key ~of_json ~to_json run =
+  let decoded c =
+    Option.bind (load c ~key) (fun payload ->
+        Option.bind (Result.to_option (Json.of_string payload)) of_json)
+  in
+  match Option.bind t decoded with
+  | Some r -> (r, true)
+  | None ->
+    let r = run () in
+    Option.iter (fun c -> store c ~key (Json.to_string (to_json r))) t;
+    (r, false)

@@ -560,6 +560,9 @@ let run_chunk sh tally lo hi =
   done
 
 let run ?pool spec config =
+  if config.max_trace < 1 then invalid_arg "Exhaust.Campaign.run: max_trace < 1";
+  if Option.fold ~none:false ~some:(fun s -> s < 0) config.settle_steps then
+    invalid_arg "Exhaust.Campaign.run: settle_steps < 0";
   let rig, tr = run_baseline spec config in
   let nsteps = Array.length tr.steps in
   let cycle_lo, cycle_hi =
@@ -647,188 +650,102 @@ let run ?pool spec config =
 
 (* --- persistence -------------------------------------------------------- *)
 
-let code_version = "exhaust-v2"
+(* [Some] of every element's image, or [None] if [f] rejects any. *)
+let all f l =
+  let images = List.filter_map f l in
+  if List.compare_lengths images l = 0 then Some images else None
 
-let config_key_parts config =
-  [ String.concat ","
-      (List.map Glitch_emu.Fault_model.name config.models);
-    String.concat "," (List.map string_of_int config.weights);
-    mode_name config.mode;
-    string_of_bool config.zero_is_invalid;
-    string_of_int config.max_trace;
-    (match config.settle_steps with None -> "auto" | Some s -> string_of_int s);
-    (match config.cycles with
-    | None -> "full"
-    | Some (lo, hi) -> Printf.sprintf "%d-%d" lo hi);
-    string_of_bool config.static_prune ]
-
-let cacheable config = config.classify = None && not config.keep_points
-
-let cache_key spec config =
-  Cache.key
-    ~parts:
-      (code_version :: spec.name :: Bytes.to_string spec.code
-      :: string_of_int spec.entry :: string_of_int spec.stack_top
-      :: (match spec.detect_addr with
-         | None -> "nodet"
-         | Some a -> string_of_int a)
-      :: String.concat ";"
-           (List.map
-              (fun (a, v) -> Printf.sprintf "%x:%x" a v)
-              spec.data_init)
-      :: String.concat ";"
-           (List.map (fun (s, a) -> Printf.sprintf "%s:%x" s a) spec.symbols)
-      :: config_key_parts config)
-
-let stop_code = function
-  | None -> "running"
-  | Some (Exec.Breakpoint i) -> Printf.sprintf "bkpt:%d" i
-  | Some (Exec.Swi_trap i) -> Printf.sprintf "swi:%d" i
-  | Some (Exec.Bad_read a) -> Printf.sprintf "badread:%d" a
-  | Some (Exec.Bad_write a) -> Printf.sprintf "badwrite:%d" a
-  | Some (Exec.Bad_fetch a) -> Printf.sprintf "badfetch:%d" a
-  | Some (Exec.Invalid_instruction w) -> Printf.sprintf "invalid:%d" w
-  | Some Exec.Step_limit -> "steplimit"
-
-let stop_of_code s =
-  match String.split_on_char ':' s with
-  | [ "running" ] -> Some None
-  | [ "steplimit" ] -> Some (Some Exec.Step_limit)
-  | [ tag; n ] -> (
-    match (tag, int_of_string_opt n) with
-    | _, None -> None
-    | "bkpt", Some i -> Some (Some (Exec.Breakpoint i))
-    | "swi", Some i -> Some (Some (Exec.Swi_trap i))
-    | "badread", Some a -> Some (Some (Exec.Bad_read a))
-    | "badwrite", Some a -> Some (Some (Exec.Bad_write a))
-    | "badfetch", Some a -> Some (Some (Exec.Bad_fetch a))
-    | "invalid", Some w -> Some (Some (Exec.Invalid_instruction w))
-    | _ -> None)
+(* The inverse of [to_json] on an intact report. It re-validates what a
+   digest-valid payload from a buggy producer could still get wrong:
+   counts are non-negative and [nverdicts] wide, faulted + pruned +
+   executed + static_pruned = points, the rows sum to points, and
+   re-encoding with the totals re-derived from the rows reproduces the
+   payload exactly (so wrong totals, or a missing, extra or reordered
+   field, are rejected). *)
+let of_json j =
+  let field name = Json.member name j in
+  let count = function Json.Int n when n >= 0 -> Some n | _ -> None in
+  let row rj =
+    match Json.(member "fname" rj, member "faddr" rj, member "counts" rj) with
+    | Some (Json.String fname), Some (Json.Int faddr), Some (Json.List l)
+      when List.length l = nverdicts ->
+      Option.map (fun c -> { fname; faddr; counts = Array.of_list c }) (all count l)
+    | _ -> None
+  in
+  let baseline_stop =
+    match field "baseline_stop" with
+    | Some Json.Null -> Some None
+    | Some (Json.String s) -> Option.map Option.some (Exec.stop_of_string s)
+    | _ -> None
+  in
+  match
+    ( field "spec",
+      List.find_opt
+        (fun m -> field "mode" = Some (Json.String (mode_name m)))
+        [ Transient; Persistent ],
+      baseline_stop,
+      (match field "rows" with Some (Json.List l) -> all row l | _ -> None),
+      List.map
+        (fun name -> Option.bind (field name) count)
+        [ "trace_steps"; "settle"; "cycle_lo"; "cycle_hi"; "points"; "faulted";
+          "pruned"; "executed"; "static_pruned"; "states" ] )
+  with
+  | ( Some (Json.String spec_name), Some mode, Some baseline_stop, Some rows,
+      [ Some trace_steps; Some settle; Some cycle_lo; Some cycle_hi; Some points;
+        Some faulted; Some pruned; Some executed; Some static_pruned;
+        Some states ] ) ->
+    let totals = Array.make nverdicts 0 in
+    List.iter
+      (fun row -> Array.iteri (fun i n -> totals.(i) <- totals.(i) + n) row.counts)
+      rows;
+    let r =
+      { spec_name; mode; trace_steps; baseline_stop; settle; cycle_lo;
+        cycle_hi; points; faulted; pruned; executed; static_pruned; states;
+        rows; totals; verdicts = None }
+    in
+    if
+      faulted + pruned + executed + static_pruned = points
+      && Array.fold_left ( + ) 0 totals = points
+      && to_json r = j
+    then Some { r with pruned = pruned + executed; executed = 0 }
+    else None
   | _ -> None
 
-let counts_line counts =
-  String.concat "," (List.map string_of_int (Array.to_list counts))
+(* Every input of [run] that can change a cacheable result. The record
+   patterns are exhaustive, so a new spec or config field does not
+   compile until it is described here or explicitly ignored. *)
+let cache_inputs
+    ({ name; code; flash_base; flash_size; rams; data_init; entry; stack_top;
+       symbols; detect_addr } :
+      spec)
+    ({ models; weights; mode; zero_is_invalid; max_trace; settle_steps; cycles;
+       classify = _; prune; static_prune; keep_points = _ } :
+      config) =
+  let int n = Json.Int n and str s = Json.String s and bool b = Json.Bool b in
+  let list f l = Json.List (List.map f l) in
+  let pair f g (a, b) = Json.List [ f a; g b ] in
+  let opt f = Option.fold ~none:Json.Null ~some:f in
+  Json.List
+    [ str "exhaust"; str name; str (Bytes.to_string code); int flash_base;
+      int flash_size; list (pair int int) rams; list (pair int int) data_init;
+      int entry; int stack_top; list (pair str int) symbols;
+      opt int detect_addr;
+      list (fun m -> str (Glitch_emu.Fault_model.name m)) models;
+      list int weights; str (mode_name mode); bool zero_is_invalid;
+      int max_trace; opt int settle_steps; opt (pair int int) cycles;
+      bool prune; bool static_prune ]
 
-let counts_of_line line =
-  let parts = String.split_on_char ',' line in
-  if List.length parts <> nverdicts then None
-  else
-    let arr = Array.make nverdicts 0 in
-    let ok = ref true in
-    List.iteri
-      (fun i p ->
-        match int_of_string_opt p with
-        | Some v when v >= 0 -> arr.(i) <- v
-        | Some _ | None -> ok := false)
-      parts;
-    if !ok then Some arr else None
-
-let encode_result r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "exhaust2 %s %d %d %d %d %d %d %d %d %d %s\n"
-       (mode_name r.mode) r.trace_steps r.settle r.cycle_lo r.cycle_hi
-       r.points r.faulted r.pruned r.executed r.static_pruned
-       (stop_code r.baseline_stop));
-  Buffer.add_string b (Printf.sprintf "states %d\n" r.states);
-  Buffer.add_string b (Printf.sprintf "totals %s\n" (counts_line r.totals));
-  List.iter
-    (fun row ->
-      Buffer.add_string b
-        (Printf.sprintf "func %s %d %s\n" row.fname row.faddr
-           (counts_line row.counts)))
-    r.rows;
-  Buffer.contents b
-
-(* Decode and re-validate a cached payload: malformed or inconsistent
-   data (counter identity, totals = sum of rows) is a miss, never an
-   exception — same contract as the service codec. *)
-let decode_result (spec : spec) (config : config) payload =
-  let ( let* ) = Option.bind in
-  match String.split_on_char '\n' payload with
-  | header :: states_line :: totals_line :: rest -> (
-    match String.split_on_char ' ' header with
-    | [ "exhaust2"; mode; steps; settle; lo; hi; points; faulted; pruned;
-        executed; static_pruned; stop ] -> (
-      let num = int_of_string_opt in
-      let* steps = num steps in
-      let* settle = num settle in
-      let* lo = num lo in
-      let* hi = num hi in
-      let* points = num points in
-      let* faulted = num faulted in
-      let* pruned = num pruned in
-      let* executed = num executed in
-      let* static_pruned = num static_pruned in
-      let* baseline_stop = stop_of_code stop in
-      let* () =
-        if mode = mode_name config.mode then Some () else None
-      in
-      let* () =
-        if faulted + pruned + executed + static_pruned = points then Some ()
-        else None
-      in
-      let* states =
-        match String.split_on_char ' ' states_line with
-        | [ "states"; n ] -> num n
-        | _ -> None
-      in
-      let* totals =
-        match String.split_on_char ' ' totals_line with
-        | [ "totals"; line ] -> counts_of_line line
-        | _ -> None
-      in
-      let* rows =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            if line = "" then Some acc
-            else
-              match String.split_on_char ' ' line with
-              | [ "func"; fname; faddr; counts ] ->
-                let* faddr = num faddr in
-                let* counts = counts_of_line counts in
-                Some ({ fname; faddr; counts } :: acc)
-              | _ -> None)
-          (Some []) rest
-      in
-      let rows = List.rev rows in
-      let sum = Array.make nverdicts 0 in
-      List.iter
-        (fun row -> Array.iteri (fun i n -> sum.(i) <- sum.(i) + n) row.counts)
-        rows;
-      let* () = if sum = totals then Some () else None in
-      let* () =
-        if Array.fold_left ( + ) 0 totals = points then Some () else None
-      in
-      Some
-        { spec_name = spec.name;
-          mode = config.mode;
-          trace_steps = steps;
-          baseline_stop;
-          settle;
-          cycle_lo = lo;
-          cycle_hi = hi;
-          points;
-          faulted;
-          pruned = pruned + executed;  (* a cached result re-executes nothing *)
-          executed = 0;
-          static_pruned;
-          states;
-          rows;
-          totals;
-          verdicts = None })
-    | _ -> None)
-  | _ -> None
-
+(* A custom classifier cannot be described by a key, and retained
+   per-point verdicts are not part of the report: neither is cached. *)
 let run_cached ?pool ?cache spec config =
-  match cache with
-  | Some cache when cacheable config -> (
-    let key = cache_key spec config in
-    match Option.bind (Cache.load cache ~key) (decode_result spec config) with
-    | Some r -> (r, true)
-    | None ->
-      let r = run ?pool spec config in
-      Cache.store cache ~key (encode_result r);
-      (r, false))
-  | _ -> (run ?pool spec config, false)
+  let cache =
+    if config.classify = None && not config.keep_points then cache else None
+  in
+  Cache.memo cache
+    ~key:(Cache.key (cache_inputs spec config))
+    ~of_json:(fun j ->
+      match of_json j with
+      | Some r when r.mode = config.mode -> Some r
+      | Some _ | None -> None)
+    ~to_json
+    (fun () -> run ?pool spec config)

@@ -130,6 +130,12 @@ val baseline :
 val to_json : result -> Json.t
 (** The whole result as one object, tables included. *)
 
+val of_json : Json.t -> result option
+(** The inverse of {!to_json}; [None] on anything but an intact,
+    self-consistent report (see [of_json] in campaign.ml for the
+    checks). A decoded result re-executes nothing: [executed = 0],
+    [pruned] absorbs the split, and [verdicts = None]. *)
+
 val perf :
   label:string -> ?pool:Runtime.Pool.t -> result -> float -> Stats.Perf.t
 (** The PERF record of a run that took [elapsed_s] on [pool]: [points]
@@ -137,7 +143,8 @@ val perf :
     [static_pruned]. *)
 
 val run : ?pool:Runtime.Pool.t -> spec -> config -> result
-(** Run the campaign. [rows], [totals], [points], [faulted],
+(** Run the campaign. [Invalid_argument] if [max_trace < 1] or
+    [settle_steps] is negative. [rows], [totals], [points], [faulted],
     [static_pruned], [states] and (with [keep_points]) [verdicts] are
     bit-identical at any job count; only the [pruned]/[executed] split
     is schedule-dependent (two workers racing a cold state both
@@ -145,19 +152,9 @@ val run : ?pool:Runtime.Pool.t -> spec -> config -> result
 
 (** {2 Persistence} *)
 
-val code_version : string
-val cacheable : config -> bool
-(** Results with a custom classifier or retained points are not
-    cacheable. *)
-
-val cache_key : spec -> config -> string
-val encode_result : result -> string
-
-val decode_result : spec -> config -> string -> result option
-(** Re-validated decode (counter identity, totals = sum of rows); any
-    inconsistency is [None]. Decoded results report [executed = 0]. *)
-
 val run_cached :
   ?pool:Runtime.Pool.t -> ?cache:Cache.t -> spec -> config -> result * bool
-(** [run] through the persistent cache; the flag is [true] on a cache
-    hit. *)
+(** [run] through {!Cache.memo}, keyed by the whole [spec] and
+    [config], storing the {!to_json} report; the flag is [true] on a
+    hit. Results with a custom classifier or retained points are never
+    cached. *)

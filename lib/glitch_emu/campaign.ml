@@ -256,8 +256,6 @@ let run_case ?pool ?store config (case : Testcase.t) =
   { case; config; by_weight = t.by_weight; totals = t.totals;
     stats = { executed = !executed; memoized = !memoized } }
 
-let run_all ?pool config cases = List.map (run_case ?pool config) cases
-
 let perf ~label ?pool results elapsed_s =
   let executed, memoized =
     List.fold_left
@@ -307,3 +305,45 @@ let category_percent (result : result) cat =
   let num = result.totals.(category_index cat) in
   let den = Array.fold_left ( + ) 0 result.totals in
   Stats.Rate.pct ~num ~den
+
+let to_json (r : result) =
+  let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)) in
+  Json.Obj
+    [ ( "totals",
+        Json.Obj
+          (List.map
+             (fun cat -> (category_name cat, Json.Int r.totals.(category_index cat)))
+             categories) );
+      ("by_weight", Json.List (Array.to_list (Array.map ints r.by_weight))) ]
+
+(* The inverse of [to_json], re-validating the sweep invariants: the
+   by-weight rows hold non-negative counts that sum to 2^16, and
+   re-encoding with the totals re-derived from the rows of weight 1..16
+   reproduces the payload exactly (so wrong totals, or a missing, extra
+   or reordered field, are rejected). *)
+let of_json config case j =
+  (* -1 marks anything that is not a count *)
+  let count = function Json.Int n when n >= 0 -> n | _ -> -1 in
+  let by_weight =
+    match Json.member "by_weight" j with
+    | Some (Json.List rows) ->
+      Array.of_list
+        (List.map
+           (function Json.List l -> Array.of_list (List.map count l) | _ -> [||])
+           rows)
+    | _ -> [||]
+  in
+  if
+    Array.length by_weight <> width + 1
+    || Array.exists (fun row -> Array.length row <> ncat || Array.mem (-1) row) by_weight
+  then None
+  else
+    let column i = Array.fold_left (fun n row -> n + row.(i)) 0 by_weight in
+    let r =
+      { case; config; by_weight;
+        totals = Array.init ncat (fun i -> column i - by_weight.(0).(i));
+        stats = { executed = 0; memoized = 1 lsl width } }
+    in
+    if Array.fold_left ( + ) 0 (Array.init ncat column) = 1 lsl width && to_json r = j
+    then Some r
+    else None

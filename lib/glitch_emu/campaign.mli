@@ -105,7 +105,14 @@ val run_case :
     are served without emulation, so a fully warm store yields
     [stats.executed = 0]. *)
 
-val run_all : ?pool:Runtime.Pool.t -> config -> Testcase.t list -> result list
+val to_json : result -> Json.t
+(** The result's tables: [{"totals": {category name: count, ...},
+    "by_weight": [[count, ...], ...]}] (rows for weights 0..16). *)
+
+val of_json : config -> Testcase.t -> Json.t -> result option
+(** The inverse of {!to_json} for a sweep of [config] over the case;
+    [None] on anything but an intact, self-consistent report. Decoded
+    results carry [stats = { executed = 0; memoized = 65536 }]. *)
 
 val perf :
   label:string -> ?pool:Runtime.Pool.t -> result list -> float -> Stats.Perf.t

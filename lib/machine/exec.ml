@@ -16,6 +16,22 @@ let pp_stop ppf = function
   | Invalid_instruction w -> Fmt.pf ppf "invalid instruction 0x%04x" w
   | Step_limit -> Fmt.string ppf "step limit exhausted"
 
+(* Only the exact printed form parses back. *)
+let stop_of_string s =
+  let scan fmt k = Scanf.sscanf_opt s fmt k in
+  match
+    List.find_map Fun.id
+      [ scan "breakpoint #%d%!" (fun n -> Breakpoint n);
+        scan "swi #%d%!" (fun n -> Swi_trap n);
+        scan "bad read at 0x%x%!" (fun a -> Bad_read a);
+        scan "bad write at 0x%x%!" (fun a -> Bad_write a);
+        scan "bad fetch at 0x%x%!" (fun a -> Bad_fetch a);
+        scan "invalid instruction 0x%x%!" (fun w -> Invalid_instruction w);
+        (if s = "step limit exhausted" then Some Step_limit else None) ]
+  with
+  | Some stop when String.equal (Fmt.str "%a" pp_stop stop) s -> Some stop
+  | Some _ | None -> None
+
 let stop_equal (a : stop) (b : stop) = a = b
 
 type step_result = Running | Stopped of stop

@@ -16,6 +16,11 @@ type stop =
   | Step_limit  (** [run] exhausted its step budget *)
 
 val pp_stop : stop Fmt.t
+
+val stop_of_string : string -> stop option
+(** The inverse of {!pp_stop}: [Some stop] exactly when the string is
+    [pp_stop]'s rendering of [stop]. *)
+
 val stop_equal : stop -> stop -> bool
 
 type step_result = Running | Stopped of stop

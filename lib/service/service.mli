@@ -1,37 +1,21 @@
 (** The batch audit service behind [glitchctl serve]: one shared
     domain pool, one set of in-session shared memo stores, and one
     persistent result cache, amortized across many audit requests.
+    This module holds only the warm stores and the line protocol;
+    persistence is {!Cache.memo}, with {!Glitch_emu.Campaign.to_json}
+    as the entry.
 
     Three temperature levels for a request:
     - {b hit} — the persistent cache holds an intact entry for the
-      exact (case image, fault model, config, code version) key; the
-      result is decoded with {e zero} sweep cases executed.
+      exact key (case image, target, fault model, every config field,
+      {!Cache.code_version}); the result is decoded and re-validated
+      ({!Glitch_emu.Campaign.of_json}) with {e zero} sweep cases
+      executed.
     - {b warm} — no cache entry, but this session already swept the
       same key, so the shared {!Runtime.Store} serves every word and
       again nothing is executed.
     - {b miss} — a real sweep runs (on the pool if one was given) and
       the result is persisted for next time. *)
-
-val code_version : string
-(** Participates in every cache key; bump on any change to sweep
-    semantics so old entries stop being addressable. *)
-
-val cache_key : Glitch_emu.Campaign.config -> Glitch_emu.Testcase.t -> string
-(** The persistent-cache key: assembled case image bytes x target
-    index x fault model x config x {!code_version}. *)
-
-val encode_result : Glitch_emu.Campaign.result -> string
-(** Serialize a result's tables for {!Cache.store}. *)
-
-val decode_result :
-  Glitch_emu.Campaign.config ->
-  Glitch_emu.Testcase.t ->
-  string ->
-  Glitch_emu.Campaign.result option
-(** Decode and re-validate (counts sum to [2^16], totals re-derivable
-    from the by-weight rows); any inconsistency is [None], i.e. a
-    cache miss. Decoded results carry
-    [stats = { executed = 0; memoized = 65536 }]. *)
 
 type status = Hit | Warm | Miss
 

@@ -32,16 +32,49 @@ let write_file p s =
 
 (* --- keys ----------------------------------------------------------------- *)
 
+(* A key over a list of strings, the shape most inputs reduce to. *)
+let key parts = Cache.key (Json.List (List.map (fun s -> Json.String s) parts))
+
 let key_shape_and_boundaries () =
-  let k = Cache.key ~parts:[ "a"; "b" ] in
+  let k = key [ "a"; "b" ] in
   Alcotest.(check int) "32 hex chars" 32 (String.length k);
   Alcotest.(check bool) "hex alphabet" true
     (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) k);
-  Alcotest.(check string) "deterministic" k (Cache.key ~parts:[ "a"; "b" ]);
+  Alcotest.(check string) "deterministic" k (key [ "a"; "b" ]);
   Alcotest.(check bool) "part boundaries matter" true
-    (Cache.key ~parts:[ "ab"; "c" ] <> Cache.key ~parts:[ "a"; "bc" ]);
+    (key [ "ab"; "c" ] <> key [ "a"; "bc" ]);
+  (* raw code bytes contain NULs, so no separator byte can delimit parts *)
+  Alcotest.(check bool) "NUL inside parts" true
+    (key [ "a\x00b"; "c" ] <> key [ "a"; "b\x00c" ]);
   Alcotest.(check bool) "content matters" true
-    (Cache.key ~parts:[ "a" ] <> Cache.key ~parts:[ "b" ])
+    (key [ "a" ] <> key [ "b" ])
+
+(* The code version is a build-time digest of these libraries' sources
+   (lib/cache/dune); recompute it from the same files, which the tests
+   depend on. Pinning it to the sources means any edit to them — a
+   changed classifier constant, say — changes every key. *)
+let code_version_pins_sources () =
+  let build_root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let dir d = Filename.concat (Filename.concat build_root "lib") d in
+  let sources d =
+    Sys.readdir (dir d) |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+    |> List.map (Filename.concat (dir d))
+  in
+  let files =
+    List.concat_map sources
+      [ "thumb"; "machine"; "glitch_emu"; "runtime"; "absint"; "exhaust"; "json" ]
+    @ List.map (Filename.concat (dir "cache")) [ "cache.ml"; "cache.mli" ]
+  in
+  Alcotest.(check bool) "every library contributes" true
+    (List.length files > 40);
+  let digests =
+    List.sort compare (List.map (fun f -> Digest.to_hex (Digest.file f)) files)
+  in
+  Alcotest.(check string) "digest of the sources"
+    (Digest.to_hex (Digest.string (String.concat "" digests)))
+    Cache.code_version
 
 let bad_keys_rejected () =
   let c = Cache.open_dir (fresh_dir ()) in
@@ -60,14 +93,12 @@ let roundtrip_payloads () =
   let c = Cache.open_dir (fresh_dir ()) in
   List.iteri
     (fun i payload ->
-      let key = Cache.key ~parts:[ "roundtrip"; string_of_int i ] in
+      let key = key [ "roundtrip"; string_of_int i ] in
       Alcotest.(check (option string))
         "miss before store" None (Cache.load c ~key);
-      Alcotest.(check bool) "mem before store" false (Cache.mem c ~key);
       Cache.store c ~key payload;
       Alcotest.(check (option string))
-        "hit after store" (Some payload) (Cache.load c ~key);
-      Alcotest.(check bool) "mem after store" true (Cache.mem c ~key))
+        "hit after store" (Some payload) (Cache.load c ~key))
     [ "";
       "hello";
       "1 2 3 4 5 ";
@@ -80,7 +111,7 @@ let roundtrip_payloads () =
 
 let overwrite_replaces_payload () =
   let c = Cache.open_dir (fresh_dir ()) in
-  let key = Cache.key ~parts:[ "overwrite" ] in
+  let key = key [ "overwrite" ] in
   Cache.store c ~key "first";
   Cache.store c ~key "second";
   Alcotest.(check (option string)) "last store wins" (Some "second")
@@ -88,7 +119,7 @@ let overwrite_replaces_payload () =
 
 let cache_survives_reopen () =
   let dir = fresh_dir () in
-  let key = Cache.key ~parts:[ "persist" ] in
+  let key = key [ "persist" ] in
   Cache.store (Cache.open_dir dir) ~key "persisted payload";
   Alcotest.(check (option string))
     "visible from a fresh handle" (Some "persisted payload")
@@ -98,7 +129,7 @@ let cache_survives_reopen () =
 
 let truncation_is_a_miss () =
   let c = Cache.open_dir (fresh_dir ()) in
-  let key = Cache.key ~parts:[ "truncate" ] in
+  let key = key [ "truncate" ] in
   Cache.store c ~key "0 1 2 3 4 5 6 7 8 9";
   let p = entry_path c key in
   let intact = read_file p in
@@ -109,11 +140,11 @@ let truncation_is_a_miss () =
       None (Cache.load c ~key)
   done;
   write_file p intact;
-  Alcotest.(check bool) "intact file still hits" true (Cache.mem c ~key)
+  Alcotest.(check bool) "intact file still hits" true (Cache.load c ~key <> None)
 
 let bit_flips_are_misses () =
   let c = Cache.open_dir (fresh_dir ()) in
-  let key = Cache.key ~parts:[ "bitflip" ] in
+  let key = key [ "bitflip" ] in
   Cache.store c ~key "42 17 65536 totals";
   let p = entry_path c key in
   let intact = read_file p in
@@ -129,11 +160,11 @@ let bit_flips_are_misses () =
         None (Cache.load c ~key))
     intact;
   write_file p intact;
-  Alcotest.(check bool) "intact file still hits" true (Cache.mem c ~key)
+  Alcotest.(check bool) "intact file still hits" true (Cache.load c ~key <> None)
 
 let garbage_files_are_misses () =
   let c = Cache.open_dir (fresh_dir ()) in
-  let key = Cache.key ~parts:[ "garbage" ] in
+  let key = key [ "garbage" ] in
   Cache.store c ~key "payload";
   let p = entry_path c key in
   List.iter
@@ -150,7 +181,7 @@ let garbage_files_are_misses () =
 let entry_is_a_directory () =
   (* Even a directory squatting on the entry path must read as a miss. *)
   let c = Cache.open_dir (fresh_dir ()) in
-  let key = Cache.key ~parts:[ "dir-squat" ] in
+  let key = key [ "dir-squat" ] in
   let p = entry_path c key in
   let rec mkdir_p d =
     if not (Sys.file_exists d) then begin
@@ -166,7 +197,9 @@ let () =
     [ ("keys",
        [ Alcotest.test_case "shape and boundaries" `Quick
            key_shape_and_boundaries;
-         Alcotest.test_case "bad keys rejected" `Quick bad_keys_rejected ]);
+         Alcotest.test_case "bad keys rejected" `Quick bad_keys_rejected;
+         Alcotest.test_case "code version pins the sources" `Quick
+           code_version_pins_sources ]);
       ("roundtrip",
        [ Alcotest.test_case "payload round trips" `Quick roundtrip_payloads;
          Alcotest.test_case "overwrite replaces" `Quick

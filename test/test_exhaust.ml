@@ -413,6 +413,11 @@ let test_agreement_reachability_weighting () =
 
 (* --- persistence round-trip ----------------------------------------------- *)
 
+let fresh_cache () =
+  let dir = Filename.temp_file "exhaust_cache" "" in
+  Sys.remove dir;
+  Cache.open_dir dir
+
 let test_result_cache_roundtrip () =
   let case = Glitch_emu.Testcase.conditional_branch Thumb.Instr.EQ in
   let spec = Exhaust.Campaign.spec_of_case case in
@@ -421,24 +426,33 @@ let test_result_cache_roundtrip () =
       Exhaust.Campaign.max_trace = 64 }
   in
   let r = Exhaust.Campaign.run spec config in
-  (match Exhaust.Campaign.decode_result spec config
-           (Exhaust.Campaign.encode_result r)
-   with
+  let good = Exhaust.Campaign.to_json r in
+  (match Exhaust.Campaign.of_json good with
   | None -> Alcotest.fail "decode rejected its own encoding"
   | Some d ->
     Alcotest.(check bool) "rows survive the round trip" true
       (d.Exhaust.Campaign.rows = r.Exhaust.Campaign.rows);
     Alcotest.(check bool) "totals survive the round trip" true
       (d.totals = r.totals);
+    Alcotest.(check bool) "baseline stop survives the round trip" true
+      (d.baseline_stop = r.baseline_stop && r.baseline_stop <> None);
     Alcotest.(check int) "decoded results report executed = 0" 0 d.executed;
     Alcotest.(check int) "decoded pruned absorbs the split"
       (r.pruned + r.executed) d.pruned);
   (* corrupted payloads are a miss, not a crash *)
-  Alcotest.(check bool) "truncated payload rejected" true
-    (Exhaust.Campaign.decode_result spec config "exhaust1 garbage" = None);
-  let dir = Filename.temp_file "exhaust_cache" "" in
-  Sys.remove dir;
-  let cache = Cache.open_dir dir in
+  let open Json_check in
+  let first_row f = edit "rows" (edit_first (edit "counts" (edit_first f))) in
+  rejected_as_miss ~of_json:Exhaust.Campaign.of_json
+    ~to_json:Exhaust.Campaign.to_json ~run:(fun () -> r) good
+    [ ("negative count", first_row (fun _ -> Json.Int (-1)) good);
+      ("totals not the sum of rows", first_row bump good);
+      ("counter identity broken", edit "faulted" bump good);
+      ("short table", edit "totals" (function
+          | Json.List (_ :: l) -> Json.List l
+          | j -> j) good);
+      ("unknown baseline stop", edit "baseline_stop" (fun _ -> Json.String "halted") good);
+      ("unknown mode", edit "mode" (fun _ -> Json.String "sideways") good) ];
+  let cache = fresh_cache () in
   let cold, hit_cold = Exhaust.Campaign.run_cached ~cache spec config in
   let warm, hit_warm = Exhaust.Campaign.run_cached ~cache spec config in
   Alcotest.(check bool) "first run is a miss" false hit_cold;
@@ -446,6 +460,30 @@ let test_result_cache_roundtrip () =
   Alcotest.(check bool) "warm rows identical" true
     (cold.Exhaust.Campaign.rows = warm.Exhaust.Campaign.rows);
   Alcotest.(check int) "warm run executed nothing" 0 warm.executed
+
+(* The key describes the whole spec: specs that differ only in their
+   memory map can get different verdicts (an access past 0x400 faults
+   in one and not the other), so each must miss where the original
+   hits. *)
+let test_cache_key_covers_memory_map () =
+  let case = Glitch_emu.Testcase.conditional_branch Thumb.Instr.NE in
+  let spec = Exhaust.Campaign.spec_of_case case in
+  let config =
+    { (Exhaust.Campaign.default_config ()) with
+      Exhaust.Campaign.max_trace = 32 }
+  in
+  let cache = fresh_cache () in
+  let hit spec = snd (Exhaust.Campaign.run_cached ~cache spec config) in
+  ignore (hit spec);
+  Alcotest.(check bool) "original hits" true (hit spec);
+  List.iter
+    (fun (name, spec') ->
+      Alcotest.(check bool) (name ^ " misses") false (hit spec'))
+    [ ( "extra RAM",
+        { spec with
+          Exhaust.Campaign.rams = (0x20000400, 0x400) :: spec.Exhaust.Campaign.rams } );
+      ("larger flash", { spec with Exhaust.Campaign.flash_size = 0x800 });
+      ("moved flash", { spec with Exhaust.Campaign.flash_base = 0x08000400 }) ]
 
 let () =
   Alcotest.run "exhaust"
@@ -482,4 +520,6 @@ let () =
             test_fig2_differential_jobs4 ] );
       ( "persistence",
         [ Alcotest.test_case "encode/decode and cache round-trip" `Quick
-            test_result_cache_roundtrip ] ) ]
+            test_result_cache_roundtrip;
+          Alcotest.test_case "cache key covers the memory map" `Quick
+            test_cache_key_covers_memory_map ] ) ]

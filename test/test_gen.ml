@@ -393,6 +393,60 @@ let test_json_escapes_file_names () =
   Alcotest.(check bool) "lint errors field" true
     (Option.bind (Json.member "errors" lint) Json.int_value <> None)
 
+(* Exit status of glitchctl on [args], or [None] if it is still running
+   after [seconds] (it is then killed). *)
+let exec_within seconds args =
+  let null = Unix.openfile Filename.null [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process glitchctl
+      (Array.of_list (glitchctl :: args))
+      null null null
+  in
+  Unix.close null;
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, Unix.WEXITED code -> Some code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> Some (-1)
+  in
+  wait ()
+
+(* A negative settle budget once counted down from -1 forever, and a
+   non-positive trace window ran and exited 0: both are usage errors,
+   in the CLI (exit 2, promptly) and in the library. *)
+let test_exhaust_rejects_bad_budgets () =
+  let src =
+    Filename.concat
+      (Filename.concat (Filename.concat build_root "examples") "firmware")
+      "guard_loop.c"
+  in
+  List.iter
+    (fun args ->
+      Alcotest.(check (option int))
+        (String.concat " " args) (Some 2)
+        (exec_within 20.
+           ([ "exhaust"; src; "--max-trace"; "16"; "--jobs"; "1" ] @ args)))
+    [ [ "--settle=-1" ]; [ "--max-trace=-5" ]; [ "--max-trace=0" ] ];
+  let spec =
+    Exhaust.Campaign.spec_of_case
+      (Glitch_emu.Testcase.conditional_branch Thumb.Instr.EQ)
+  in
+  let base = Exhaust.Campaign.default_config () in
+  List.iter
+    (fun (name, config) ->
+      match Exhaust.Campaign.run spec config with
+      | _ -> Alcotest.failf "run accepted %s" name
+      | exception Invalid_argument _ -> ())
+    [ ("settle -1", { base with Exhaust.Campaign.settle_steps = Some (-1) });
+      ("max_trace 0", { base with Exhaust.Campaign.max_trace = 0 }) ]
+
 let () =
   Alcotest.run "gen"
     [ ( "corpus",
@@ -422,4 +476,6 @@ let () =
       ( "cli",
         [ Alcotest.test_case "exit-code matrix" `Quick test_exit_codes;
           Alcotest.test_case "json escapes file names" `Quick
-            test_json_escapes_file_names ] ) ]
+            test_json_escapes_file_names;
+          Alcotest.test_case "exhaust rejects bad budgets" `Quick
+            test_exhaust_rejects_bad_budgets ] ) ]

@@ -80,7 +80,9 @@ let config = Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.And
 
 let payload_roundtrip () =
   let r = Glitch_emu.Campaign.run_case config beq in
-  match Service.decode_result config beq (Service.encode_result r) with
+  let j = Glitch_emu.Campaign.to_json r in
+  Json_check.roundtrip "fig2 result" j;
+  match Glitch_emu.Campaign.of_json config beq j with
   | None -> Alcotest.fail "intact payload rejected"
   | Some r' ->
     Alcotest.(check bool) "by_weight preserved" true
@@ -93,24 +95,25 @@ let payload_roundtrip () =
 
 let payload_revalidation_rejects () =
   let r = Glitch_emu.Campaign.run_case config beq in
-  let good = Service.encode_result r in
-  let nums = String.split_on_char ' ' good |> List.filter (fun s -> s <> "") in
-  let rejoin l = String.concat " " l in
-  let bump_first l =
-    match l with
-    | x :: rest -> string_of_int (int_of_string x + 1) :: rest
-    | [] -> []
-  in
-  List.iter
-    (fun (name, payload) ->
-      Alcotest.(check bool) name true
-        (Service.decode_result config beq payload = None))
-    [ ("empty", ""); ("garbage", "not numbers at all");
-      ("truncated", rejoin (List.filteri (fun i _ -> i < 50) nums));
-      ("extra field", rejoin (nums @ [ "0" ]));
-      ("negative count", rejoin ("-1" :: List.tl nums));
-      (* breaks counts-sum-to-2^16 and the totals re-derivation *)
-      ("inconsistent counts", rejoin (bump_first nums)) ]
+  let good = Glitch_emu.Campaign.to_json r in
+  let open Json_check in
+  rejected_as_miss
+    ~of_json:(Glitch_emu.Campaign.of_json config beq)
+    ~to_json:Glitch_emu.Campaign.to_json
+    ~run:(fun () -> r)
+    good
+    [ ( "negative count",
+        edit "by_weight" (edit_first (edit_first (fun _ -> Json.Int (-1)))) good );
+      (* the weight-0 row: breaks counts-sum-to-2^16 *)
+      ("inconsistent counts", edit "by_weight" (edit_first (edit_first bump)) good);
+      ( "totals not re-derivable",
+        edit "totals" (function
+          | Json.Obj ((k, v) :: rest) -> Json.Obj ((k, bump v) :: rest)
+          | j -> j)
+          good );
+      ("missing row", edit "by_weight" (function
+          | Json.List (_ :: rows) -> Json.List rows
+          | j -> j) good) ]
 
 (* --- service temperature --------------------------------------------------- *)
 
