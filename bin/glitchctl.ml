@@ -17,7 +17,9 @@
      glitchctl exhaust fw.c --jobs 4 --cache-dir .cache
                                      trace-wide exhaustive fault campaign
      glitchctl serve --cache-dir .cache --jobs 4
-                                     JSON-lines batch audit service *)
+                                     JSON-lines batch audit service
+     glitchctl bench fig2 --jobs 4   regenerate the paper's tables and
+                                     figures (see bench.ml) *)
 
 open Cmdliner
 
@@ -36,6 +38,28 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Reads [file], runs the front end [parse] on its text and hands the
+   result to [k]. Every front-end rejection (bad assembly, a Mini-C
+   parse or type error, a construct codegen or layout cannot lower) is
+   invalid input: "file: message" on stderr and exit 2. Any other
+   front-end exception is an internal failure (exit 1). Exceptions
+   raised by [k] are not caught here. *)
+let with_source file parse k =
+  let reject pp e =
+    Fmt.epr "%s: %a@." file pp e;
+    exit_input
+  in
+  match parse (read_file file) with
+  | parsed -> k parsed
+  | exception Thumb.Asm.Parse_error e -> reject Thumb.Asm.pp_error e
+  | exception Minic.Parser.Error e -> reject Minic.Parser.pp_error e
+  | exception Minic.Sema.Error e -> reject Minic.Sema.pp_error e
+  | exception Lower.Codegen.Error e -> reject Lower.Codegen.pp_error e
+  | exception Lower.Layout.Error e -> reject Lower.Layout.pp_error e
+  | exception e ->
+    Fmt.epr "%s: internal error: %s@." file (Printexc.to_string e);
+    exit_internal
 
 (* --- shared argument parsers -------------------------------------------- *)
 
@@ -98,6 +122,25 @@ let config_arg =
 
 let with_sensitive config sensitive = { config with Resistor.Config.sensitive }
 
+(* An integer option within [lo, hi]: a value outside is a usage error
+   (exit 2) before any work starts. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | Some _ | None ->
+      Error
+        (`Msg
+          (if hi = max_int then
+             Printf.sprintf "expected an integer >= %d, got %S" lo s
+           else Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+(* OCaml 5.1 runs at most 128 domains at once, the calling domain
+   included, and a pool of N jobs is the caller plus N - 1 domains. *)
+let max_jobs = 128
+
 (* [chunks] clamps the default to the command's parallel work-item
    count: a table sweep has only 8-11 items, so domains beyond that
    would just spin. Note the recommended domain count reflects the
@@ -106,13 +149,15 @@ let with_sensitive config sensitive = { config with Resistor.Config.sensitive }
 let jobs_arg ?chunks () =
   Arg.(
     value
-    & opt int (Runtime.Pool.default_jobs ?chunks ())
+    & opt (int_in ~hi:max_jobs 1) (Runtime.Pool.default_jobs ?chunks ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for campaign sweeps (default: the recommended \
-           domain count, clamped to the command's work-item count). \
-           Results are bit-identical at any job count; 1 runs one \
-           worker in the calling domain.")
+          (Printf.sprintf
+             "Worker domains for campaign sweeps, from 1 to %d (default: \
+              the recommended domain count, clamped to the command's \
+              work-item count). Results are bit-identical at any job \
+              count; 1 runs one worker in the calling domain."
+             max_jobs))
 
 let cache_dir_arg =
   Arg.(
@@ -130,17 +175,13 @@ let cache_dir_arg =
 let asm_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    match Thumb.Asm.assemble (read_file file) with
-    | instrs ->
-      List.iteri
-        (fun i ins ->
-          Fmt.pr "%4d:  %04x  %a@." (2 * i) (Thumb.Encode.instr ins)
-            Thumb.Instr.pp ins)
-        instrs;
-      0
-    | exception Thumb.Asm.Parse_error e ->
-      Fmt.epr "%s: %a@." file Thumb.Asm.pp_error e;
-      exit_input
+    with_source file Thumb.Asm.assemble @@ fun instrs ->
+    List.iteri
+      (fun i ins ->
+        Fmt.pr "%4d:  %04x  %a@." (2 * i) (Thumb.Encode.instr ins)
+          Thumb.Instr.pp ins)
+      instrs;
+    0
   in
   Cmd.v (Cmd.info "asm" ~doc:"Assemble a Thumb-16 source file and list it.")
     Term.(const run $ file)
@@ -175,14 +216,10 @@ let run_cmd =
     Arg.(value & opt int 100_000 & info [ "max-steps" ] ~docv:"N")
   in
   let run file steps =
-    match Machine.Loader.load_asm (read_file file) with
-    | t ->
-      let stop = Machine.Exec.run ~max_steps:steps t.mem t.cpu in
-      Fmt.pr "stopped: %a@.%a@." Machine.Exec.pp_stop stop Machine.Cpu.pp t.cpu;
-      0
-    | exception Thumb.Asm.Parse_error e ->
-      Fmt.epr "%s: %a@." file Thumb.Asm.pp_error e;
-      exit_input
+    with_source file Machine.Loader.load_asm @@ fun t ->
+    let stop = Machine.Exec.run ~max_steps:steps t.mem t.cpu in
+    Fmt.pr "stopped: %a@.%a@." Machine.Exec.pp_stop stop Machine.Cpu.pp t.cpu;
+    0
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and execute a program on the bare machine.")
@@ -217,6 +254,14 @@ let emulate_cmd =
       & info [ "isa" ] ~docv:"ISA" ~doc:"thumb (exhaustive) or riscv (sampled).")
   in
   let run branch model isa jobs cache_dir =
+    let print_categories percent =
+      List.iter
+        (fun cat ->
+          Fmt.pr "  %-20s %6.2f%%@."
+            (Glitch_emu.Campaign.category_name cat)
+            (percent cat))
+        Glitch_emu.Campaign.categories
+    in
     match isa with
     | `Thumb -> (
       match
@@ -239,12 +284,7 @@ let emulate_cmd =
         in
         Fmt.pr "%s under %s over all 65,536 masks:@." case.name
           (Glitch_emu.Fault_model.name model);
-        List.iter
-          (fun cat ->
-            Fmt.pr "  %-20s %6.2f%%@."
-              (Glitch_emu.Campaign.category_name cat)
-              (Glitch_emu.Campaign.category_percent result cat))
-          Glitch_emu.Campaign.categories;
+        print_categories (Glitch_emu.Campaign.category_percent result);
         if cache_dir <> None then
           Fmt.pr "cache: %s (%d executed, %d memoized)@."
             (Service.status_name status)
@@ -266,12 +306,7 @@ let emulate_cmd =
         in
         Fmt.pr "%s under %s (sampled masks):@." case.name
           (Glitch_emu.Fault_model.name model);
-        List.iter
-          (fun cat ->
-            Fmt.pr "  %-20s %6.2f%%@."
-              (Glitch_emu.Campaign.category_name cat)
-              (Riscv.Campaign.category_percent result cat))
-          Glitch_emu.Campaign.categories;
+        print_categories (Riscv.Campaign.category_percent result);
         0)
   in
   Cmd.v
@@ -289,51 +324,35 @@ let compile_cmd =
   let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Disassemble the image.") in
   let run file config sensitive dump =
     let config = with_sensitive config sensitive in
-    match Resistor.Driver.compile config (read_file file) with
-    | compiled ->
-      Fmt.pr "defenses: %s@." (Resistor.Config.name config);
+    with_source file (Resistor.Driver.compile config) @@ fun compiled ->
+    Fmt.pr "defenses: %s@." (Resistor.Config.name config);
+    List.iter
+      (fun (section, bytes) -> Fmt.pr "  %-6s %6d bytes@." section bytes)
+      (Lower.Layout.size_report compiled.image);
+    (match compiled.reports.enum_report with
+    | Some r ->
       List.iter
-        (fun (section, bytes) -> Fmt.pr "  %-6s %6d bytes@." section bytes)
-        (Lower.Layout.size_report compiled.image);
-      (match compiled.reports.enum_report with
-      | Some r ->
-        List.iter
-          (fun (name, values) ->
-            Fmt.pr "  enum %s diversified (%d members)@." name
-              (List.length values))
-          r.rewritten
-      | None -> ());
-      (match compiled.reports.returns_report with
-      | Some r ->
-        Fmt.pr "  return codes: %d of %d considered functions diversified@."
-          (List.length r.instrumented) r.considered
-      | None -> ());
-      (match compiled.reports.branches_report with
-      | Some r -> Fmt.pr "  %d conditional branches duplicated@." r.branches_instrumented
-      | None -> ());
-      (match compiled.reports.loops_report with
-      | Some r -> Fmt.pr "  %d loop guards duplicated@." r.loops_instrumented
-      | None -> ());
-      (match compiled.reports.delay_report with
-      | Some r -> Fmt.pr "  %d random-delay sites@." r.sites
-      | None -> ());
-      if dump then print_string (Lower.Objdump.to_string compiled.image);
-      0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
-    | exception Lower.Codegen.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Codegen.pp_error e;
-      exit_input
-    | exception e ->
-      Fmt.epr "compile failed: %s@." (Printexc.to_string e);
-      exit_internal
+        (fun (name, values) ->
+          Fmt.pr "  enum %s diversified (%d members)@." name
+            (List.length values))
+        r.rewritten
+    | None -> ());
+    (match compiled.reports.returns_report with
+    | Some r ->
+      Fmt.pr "  return codes: %d of %d considered functions diversified@."
+        (List.length r.instrumented) r.considered
+    | None -> ());
+    (match compiled.reports.branches_report with
+    | Some r -> Fmt.pr "  %d conditional branches duplicated@." r.branches_instrumented
+    | None -> ());
+    (match compiled.reports.loops_report with
+    | Some r -> Fmt.pr "  %d loop guards duplicated@." r.loops_instrumented
+    | None -> ());
+    (match compiled.reports.delay_report with
+    | Some r -> Fmt.pr "  %d random-delay sites@." r.sites
+    | None -> ());
+    if dump then print_string (Lower.Objdump.to_string compiled.image);
+    0
   in
   Cmd.v
     (Cmd.info "compile"
@@ -360,13 +379,17 @@ let attack_cmd =
       & opt attack_conv Resistor.Evaluate.Single
       & info [ "attack" ] ~docv:"A")
   in
-  let step = Arg.(value & opt int 1 & info [ "step" ] ~docv:"N") in
+  let step =
+    Arg.(
+      value & opt (int_in 1) 1
+      & info [ "step" ] ~docv:"N"
+          ~doc:"Sweep every $(docv)th width and offset; at least 1.")
+  in
   let run file config sensitive attack step jobs =
     let config = with_sensitive config sensitive in
-    let source = read_file file in
     (* reuse the Table VI machinery on arbitrary firmware: it only needs
        a trigger, the attack-marker global, and the detection counter *)
-    let compiled = Resistor.Driver.compile config source in
+    with_source file (Resistor.Driver.compile config) @@ fun compiled ->
     match
       Runtime.Pool.with_pool ~jobs (fun pool ->
           let o, elapsed_s =
@@ -387,12 +410,6 @@ let attack_cmd =
         o.detections;
       Fmt.pr "%s@." (Stats.Perf.machine_line perf);
       0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
     | exception Invalid_argument _ ->
       Fmt.epr "firmware never raised the trigger (call __trigger_high())@.";
       exit_input
@@ -407,17 +424,7 @@ let attack_cmd =
 (* --- table ------------------------------------------------------------------------ *)
 
 let table_cmd =
-  let n =
-    let n_conv =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 && n <= 3 -> Ok n
-            | Some _ | None -> Error (`Msg "expected a table number: 1, 2 or 3")),
-          Fmt.int )
-    in
-    Arg.(required & pos 0 (some n_conv) None & info [] ~docv:"N")
-  in
+  let n = Arg.(required & pos 0 (some (int_in ~hi:3 1)) None & info [] ~docv:"N") in
   let guard =
     Arg.(
       value
@@ -425,56 +432,16 @@ let table_cmd =
       & info [ "guard" ] ~docv:"GUARD" ~doc:"not_a, a, or ne.")
   in
   let run n guard jobs =
-    let perf_line label pool s elapsed_s =
-      Fmt.pr "%s@."
-        (Stats.Perf.machine_line (Hw.Attack.sweep_perf ~label ~pool s elapsed_s))
-    in
-    Runtime.Pool.with_pool ~jobs (fun pool ->
-        match n with
-        | 1 ->
-          let t, elapsed_s =
-            Stats.Perf.time (fun () -> Hw.Attack.run_table1 ~pool guard)
-          in
-          Fmt.pr "Table I, %s (%d attempts per cycle):@."
-            (Hw.Attack.guard_name guard) t.attempts_per_cycle;
-          Array.iteri
-            (fun cycle (c : Hw.Attack.cycle_stats) ->
-              let values =
-                c.values
-                |> List.map (fun (v, k) -> Fmt.str "0x%X x%d" v k)
-                |> String.concat "  "
-              in
-              Fmt.pr "  cycle %d: %4d successes  %s@." cycle c.successes values)
-            t.per_cycle;
-          perf_line "table1" pool t.sweep1 elapsed_s
-        | 2 ->
-          let t, elapsed_s =
-            Stats.Perf.time (fun () -> Hw.Attack.run_table2 ~pool guard)
-          in
-          Fmt.pr "Table II, %s (%d attempts):@." (Hw.Attack.guard_name guard)
-            t.attempts2;
-          Array.iteri
-            (fun cycle p ->
-              Fmt.pr "  cycle %d: partial %4d  full %4d@." cycle p t.full.(cycle))
-            t.partial;
-          perf_line "table2" pool t.sweep2 elapsed_s
-        | _ ->
-          let t, elapsed_s =
-            Stats.Perf.time (fun () -> Hw.Attack.run_table3 ~pool guard)
-          in
-          Fmt.pr "Table III, %s (%d attempts per window):@."
-            (Hw.Attack.guard_name guard) t.attempts_per_window;
-          List.iter
-            (fun (last, s) -> Fmt.pr "  cycles 0-%d: %4d successes@." last s)
-            t.windows;
-          perf_line "table3" pool t.sweep3 elapsed_s);
+    let table = List.nth Bench.[ table1; table2; table3 ] (n - 1) in
+    Runtime.Pool.with_pool ~jobs (fun pool -> table ~pool [ guard ] ());
     0
   in
   Cmd.v
     (Cmd.info "table"
        ~doc:
-         "Run one of the paper's hardware sweeps (Table I, II or III) via the \
-          snapshot-replay kernel and print per-cycle counts plus a PERF line.")
+         "Run one of the paper's hardware sweeps (Table I, II or III) for one \
+          guard via the snapshot-replay kernel and print it as \
+          $(b,glitchctl bench) does, PERF line included.")
     Term.(const run $ n $ guard $ jobs_arg ~chunks:8 ())
 
 (* --- tune ------------------------------------------------------------------------- *)
@@ -482,14 +449,7 @@ let table_cmd =
 let tune_cmd =
   let guard = Arg.(value & pos 0 guard_conv Hw.Attack.While_not_a & info [] ~docv:"GUARD") in
   let run guard =
-    let r = Hw.Tuner.search guard in
-    (match r.found with
-    | Some (w, o, c) ->
-      Fmt.pr "found width=%d offset=%d cycle=%d (%d attempts, ~%.0f simulated minutes)@."
-        w o c r.attempts (r.seconds /. 60.)
-    | None -> Fmt.pr "no fully reliable parameters found (%d attempts)@." r.attempts);
-    Fmt.pr "%d cycles emulated, %d served by snapshot replay@." r.emulated_cycles
-      r.replayed_cycles;
+    Bench.tuner [ guard ] ();
     0
   in
   Cmd.v
@@ -554,11 +514,10 @@ let lint_cmd =
         Resistor.Sigcfi.disable_checks := false;
         Resistor.Domains.disable_checks := false)
     @@ fun () ->
-    let target () =
+    let target source =
       if Filename.check_suffix file ".s" then
-        Analysis.Lint.of_instrs (Thumb.Asm.assemble (read_file file))
+        Analysis.Lint.of_instrs (Thumb.Asm.assemble source)
       else if cfcss then begin
-        let source = read_file file in
         let m, reports =
           Resistor.Driver.compile_modul Resistor.Config.none source
         in
@@ -577,64 +536,50 @@ let lint_cmd =
       end
       else
         Analysis.Lint.of_compiled
-          (Resistor.Driver.compile (with_sensitive config sensitive)
-             (read_file file))
+          (Resistor.Driver.compile (with_sensitive config sensitive) source)
     in
-    match target () with
-    | target ->
-      let report = Analysis.Lint.run target in
-      let report =
-        if not absint then report
-        else
-          let prove =
-            Absint.Prove.run ?config:target.Analysis.Lint.config
-              ?reports:target.Analysis.Lint.reports
-              ?modul:target.Analysis.Lint.modul target.Analysis.Lint.image
-          in
-          { report with
-            Analysis.Lint.diags = Absint.Prove.refine_lint report prove }
-      in
-      let agreement =
-        if not exhaust then None
-        else
-          let spec =
-            Exhaust.Campaign.spec_of_image ~name:(Filename.basename file)
-              target.Analysis.Lint.image
-          in
-          let config = Exhaust.Campaign.default_config () in
-          let result =
-            Runtime.Pool.with_pool ~jobs (fun pool ->
-                Exhaust.Campaign.run ~pool spec config)
-          in
-          let baseline, _stop = Exhaust.Campaign.baseline spec config in
-          Some
-            (Exhaust.Agreement.of_result ~baseline
-               report.Analysis.Lint.surface result)
-      in
-      (match (json, agreement) with
-      | true, None -> print_endline (Json.to_string (Analysis.Lint.to_json report))
-      | true, Some a ->
-        print_endline
-          (Json.to_string
-             (Json.Obj
-                [ ("lint", Analysis.Lint.to_json report);
-                  ("agreement", Exhaust.Agreement.to_json a) ]))
-      | false, None -> Fmt.pr "%a@." Analysis.Lint.pp report
-      | false, Some a ->
-        Fmt.pr "%a@.%a" Analysis.Lint.pp report Exhaust.Agreement.pp a);
-      if Analysis.Lint.errors report <> [] then exit_findings else 0
-    | exception Thumb.Asm.Parse_error e ->
-      Fmt.epr "%s: %a@." file Thumb.Asm.pp_error e;
-      exit_input
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
+    with_source file target @@ fun target ->
+    let report = Analysis.Lint.run target in
+    let report =
+      if not absint then report
+      else
+        let prove =
+          Absint.Prove.run ?config:target.Analysis.Lint.config
+            ?reports:target.Analysis.Lint.reports
+            ?modul:target.Analysis.Lint.modul target.Analysis.Lint.image
+        in
+        { report with
+          Analysis.Lint.diags = Absint.Prove.refine_lint report prove }
+    in
+    let agreement =
+      if not exhaust then None
+      else
+        let spec =
+          Exhaust.Campaign.spec_of_image ~name:(Filename.basename file)
+            target.Analysis.Lint.image
+        in
+        let config = Exhaust.Campaign.default_config () in
+        let result =
+          Runtime.Pool.with_pool ~jobs (fun pool ->
+              Exhaust.Campaign.run ~pool spec config)
+        in
+        let baseline, _stop = Exhaust.Campaign.baseline spec config in
+        Some
+          (Exhaust.Agreement.of_result ~baseline
+             report.Analysis.Lint.surface result)
+    in
+    (match (json, agreement) with
+    | true, None -> print_endline (Json.to_string (Analysis.Lint.to_json report))
+    | true, Some a ->
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              [ ("lint", Analysis.Lint.to_json report);
+                ("agreement", Exhaust.Agreement.to_json a) ]))
+    | false, None -> Fmt.pr "%a@." Analysis.Lint.pp report
+    | false, Some a ->
+      Fmt.pr "%a@.%a" Analysis.Lint.pp report Exhaust.Agreement.pp a);
+    if Analysis.Lint.errors report <> [] then exit_findings else 0
   in
   Cmd.v
     (Cmd.info "lint"
@@ -661,29 +606,15 @@ let prove_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
   in
   let run file config sensitive json =
-    match
-      Resistor.Driver.compile (with_sensitive config sensitive) (read_file file)
-    with
-    | compiled ->
-      let report =
-        Absint.Prove.run ~config:compiled.Resistor.Driver.config
-          ~reports:compiled.reports ~modul:compiled.modul compiled.image
-      in
-      if json then print_endline (Json.to_string (Absint.Prove.to_json report))
-      else Fmt.pr "%a" Absint.Prove.pp report;
-      if Absint.Prove.errors report <> [] then exit_findings else 0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
-    | exception Lower.Codegen.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Codegen.pp_error e;
-      exit_input
+    with_source file (Resistor.Driver.compile (with_sensitive config sensitive))
+    @@ fun compiled ->
+    let report =
+      Absint.Prove.run ~config:compiled.Resistor.Driver.config
+        ~reports:compiled.reports ~modul:compiled.modul compiled.image
+    in
+    if json then print_endline (Json.to_string (Absint.Prove.to_json report))
+    else Fmt.pr "%a" Absint.Prove.pp report;
+    if Absint.Prove.errors report <> [] then exit_findings else 0
   in
   Cmd.v
     (Cmd.info "prove"
@@ -803,21 +734,11 @@ let pp_exhaust_result ppf (r : Exhaust.Campaign.result) =
     Fmt.pf ppf "static pre-pruner: %d points proven without emulation@."
       r.static_pruned
 
-(* An integer option bounded below: a smaller value is a usage error
-   (exit 2) before any work starts. *)
-let int_at_least lo =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 let exhaust_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let max_trace =
     Arg.(
-      value & opt (int_at_least 1) 2048
+      value & opt (int_in 1) 2048
       & info [ "max-trace" ] ~docv:"N"
           ~doc:
             "Baseline window: cycles traced (and injected into) from reset; \
@@ -840,7 +761,7 @@ let exhaust_cmd =
   let settle =
     Arg.(
       value
-      & opt (some (int_at_least 0)) None
+      & opt (some (int_in 0)) None
       & info [ "settle" ] ~docv:"N"
           ~doc:
             "Continuation budget after the injected step, at least 0 \
@@ -851,32 +772,19 @@ let exhaust_cmd =
   let run file config sensitive mode max_trace cycles json static settle jobs
       cache_dir =
     let config = with_sensitive config sensitive in
-    match Resistor.Driver.compile config (read_file file) with
-    | compiled ->
-      let result, hit, perf =
-        run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
-          mode max_trace cycles jobs cache_dir
-      in
-      if json then print_endline (Json.to_string (Exhaust.Campaign.to_json result))
-      else begin
-        Fmt.pr "%a" pp_exhaust_result result;
-        if cache_dir <> None then
-          Fmt.pr "cache: %s@." (if hit then "hit" else "miss");
-        Fmt.pr "%s@." (Stats.Perf.machine_line perf)
-      end;
-      0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
-    | exception Lower.Codegen.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Codegen.pp_error e;
-      exit_input
+    with_source file (Resistor.Driver.compile config) @@ fun compiled ->
+    let result, hit, perf =
+      run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
+        mode max_trace cycles jobs cache_dir
+    in
+    if json then print_endline (Json.to_string (Exhaust.Campaign.to_json result))
+    else begin
+      Fmt.pr "%a" pp_exhaust_result result;
+      if cache_dir <> None then
+        Fmt.pr "cache: %s@." (if hit then "hit" else "miss");
+      Fmt.pr "%s@." (Stats.Perf.machine_line perf)
+    end;
+    0
   in
   Cmd.v
     (Cmd.info "exhaust"
@@ -1064,6 +972,41 @@ let fuzz_cmd =
       const run $ count $ seed $ corpus $ properties $ sabotage
       $ sabotage_absint $ replay $ max_skip_rate)
 
+(* --- bench ----------------------------------------------------------------------- *)
+
+let bench_cmd =
+  let experiments =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) ("all" :: Bench.names))) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            (Printf.sprintf
+               "Experiments to run, in order; $(b,all), the default, runs %s."
+               (String.concat ", " Bench.all)))
+  in
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:
+            "Coarser sweeps for table6, ablation and defenses (every 4th \
+             parameter point) and 10 programs per family for fuzz.")
+  in
+  let run names quick jobs cache_dir =
+    Bench.run ~quick ?cache:(Option.map Cache.open_dir cache_dir) ~jobs names;
+    0
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's tables and figures (and the extensions) on \
+          the simulated substrate. Every run writes its PERF records to \
+          $(i,BENCH.json); results are bit-identical at any $(b,--jobs), \
+          and $(b,--cache-dir) serves fig2's sweeps from the persistent \
+          result cache.")
+    Term.(const run $ experiments $ quick $ jobs_arg () $ cache_dir_arg)
+
 (* --- serve ----------------------------------------------------------------------- *)
 
 let serve_cmd =
@@ -1107,7 +1050,7 @@ let () =
     Cmd.group info
       [ asm_cmd; disasm_cmd; run_cmd; emulate_cmd; compile_cmd; attack_cmd;
         table_cmd; tune_cmd; lint_cmd; prove_cmd; exhaust_cmd; fuzz_cmd;
-        serve_cmd ]
+        serve_cmd; bench_cmd ]
   in
   exit
     (match Cmd.eval_value group with

@@ -90,6 +90,7 @@ let rows_of attack ~sweep_step =
    order-independent reduction, so the counts are the same at every job
    count. *)
 let run_image ?pool ?fault_config ?(sweep_step = 1) image attack =
+  if sweep_step < 1 then invalid_arg "Evaluate.run_image: sweep_step < 1";
   let rows = Array.of_list (rows_of attack ~sweep_step) in
   Runtime.Pool.drain ?pool ~size:1 ~lo:0 ~hi:(Array.length rows)
     ~init:(fun () -> (boot_board image, ref no_outcome))

@@ -64,4 +64,5 @@ val run_image :
   outcome
 (** Attack an already-linked image (used by the per-defense ablation and
     the CFCSS baseline comparison). The firmware must raise the trigger
-    and write the attack marker, like {!Firmware.guard_loop}. *)
+    and write the attack marker, like {!Firmware.guard_loop}.
+    @raise Invalid_argument if [sweep_step < 1]. *)

@@ -286,6 +286,11 @@ let write_tmp suffix contents =
   close_out oc;
   path
 
+let guard_loop_src =
+  Filename.concat
+    (Filename.concat (Filename.concat build_root "examples") "firmware")
+    "guard_loop.c"
+
 let exec args =
   Sys.command
     (Filename.quote_command glitchctl args ~stdout:Filename.null
@@ -306,12 +311,25 @@ let test_exit_codes () =
          marker marker)
   in
   let bad = write_tmp ".c" "int main( {\n" in
+  (* parses, but codegen passes at most four arguments in registers *)
+  let args5 =
+    write_tmp ".c"
+      "int f(int a, int b, int c, int d, int e) { return a + e; }\n\
+       int main() { return f(1, 2, 3, 4, 5); }\n"
+  in
   let bad_property =
     write_tmp ".c" "// property: bogus\nint main() { return 0; }\n"
   in
   let checks =
     [ ("compile ok", [ "compile"; good ], 0);
       ("compile parse error", [ "compile"; bad ], 2);
+      (* every subcommand that reads a source shares one error path *)
+      ("attack parse error", [ "attack"; bad ], 2);
+      ("attack codegen error", [ "attack"; args5 ], 2);
+      ("lint codegen error", [ "lint"; args5 ], 2);
+      (* --jobs is bounded on both sides for every subcommand *)
+      ("emulate jobs 0", [ "emulate"; "beq"; "--jobs"; "0" ], 2);
+      ("emulate jobs 1000", [ "emulate"; "beq"; "--jobs"; "1000" ], 2);
       ("lint clean", [ "lint"; good ], 0);
       ( "lint unguarded loop",
         [ "lint"; guarded; "--defenses=none" ],
@@ -357,17 +375,12 @@ let test_exit_codes () =
    quote and a non-ASCII letter in the name once came out as OCaml
    escapes ("g\195\164rd\"loop.c") that JSON parsers reject. *)
 let test_json_escapes_file_names () =
-  let src =
-    Filename.concat
-      (Filename.concat (Filename.concat build_root "examples") "firmware")
-      "guard_loop.c"
-  in
   let name = "g\xc3\xa4rd\"loop.c" in
   let dir = Filename.temp_file "glitchctl_json" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let file = Filename.concat dir name in
-  let ic = open_in_bin src in
+  let ic = open_in_bin guard_loop_src in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let oc = open_out_bin file in
@@ -422,17 +435,12 @@ let exec_within seconds args =
    non-positive trace window ran and exited 0: both are usage errors,
    in the CLI (exit 2, promptly) and in the library. *)
 let test_exhaust_rejects_bad_budgets () =
-  let src =
-    Filename.concat
-      (Filename.concat (Filename.concat build_root "examples") "firmware")
-      "guard_loop.c"
-  in
   List.iter
     (fun args ->
       Alcotest.(check (option int))
         (String.concat " " args) (Some 2)
         (exec_within 20.
-           ([ "exhaust"; src; "--max-trace"; "16"; "--jobs"; "1" ] @ args)))
+           ([ "exhaust"; guard_loop_src; "--max-trace"; "16"; "--jobs"; "1" ] @ args)))
     [ [ "--settle=-1" ]; [ "--max-trace=-5" ]; [ "--max-trace=0" ] ];
   let spec =
     Exhaust.Campaign.spec_of_case
@@ -446,6 +454,69 @@ let test_exhaust_rejects_bad_budgets () =
       | exception Invalid_argument _ -> ())
     [ ("settle -1", { base with Exhaust.Campaign.settle_steps = Some (-1) });
       ("max_trace 0", { base with Exhaust.Campaign.max_trace = 0 }) ]
+
+(* A zero sweep step never advanced the width loop: attack ran with
+   memory growing until killed. It is a usage error in the CLI and an
+   [Invalid_argument] in the library. *)
+let test_attack_rejects_zero_step () =
+  Alcotest.(check (option int)) "attack --step 0" (Some 2)
+    (exec_within 20.
+       [ "attack"; guard_loop_src; "--step"; "0"; "--jobs"; "1" ]);
+  let image =
+    (Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop)
+      .image
+  in
+  match
+    Resistor.Evaluate.run_image ~sweep_step:0 image Resistor.Evaluate.Single
+  with
+  | _ -> Alcotest.fail "run_image accepted sweep_step 0"
+  | exception Invalid_argument _ -> ()
+
+(* OCaml 5.1 runs at most 128 domains, the calling one included: a
+   128-job pool is the largest that starts, and a larger --jobs is a
+   usage error rather than an uncaught "failed to allocate domain". *)
+let test_jobs_bound () =
+  Alcotest.(check (option int)) "serve --jobs 128" (Some 0)
+    (exec_within 20. [ "serve"; "--jobs"; "128" ]);
+  Alcotest.(check (option int)) "serve --jobs 129" (Some 2)
+    (exec_within 20. [ "serve"; "--jobs"; "129" ])
+
+(* [glitchctl bench] runs the named experiments and writes BENCH.json
+   in the working directory; an unknown experiment or a bad --jobs is
+   a usage error that runs nothing. *)
+let test_bench_subcommand () =
+  let dir = Filename.temp_file "glitchctl_bench" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
+  let bench args =
+    Sys.command
+      (Printf.sprintf "cd %s && %s" (Filename.quote dir)
+         (Filename.quote_command glitchctl ("bench" :: args) ~stdout:out
+            ~stderr:err))
+  in
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check int) "bench table7" 0 (bench [ "table7"; "--jobs"; "1" ]);
+  Alcotest.(check bool) "table printed" true
+    (contains (read out) "Table VII - software-based defense comparison");
+  Alcotest.(check string) "no PERF records" "[]"
+    (String.trim (read (Filename.concat dir "BENCH.json")));
+  Alcotest.(check int) "bench bogus" 2 (bench [ "bogus" ]);
+  Alcotest.(check string) "nothing run" "" (read out);
+  Alcotest.(check bool) "bogus named" true (contains (read err) "'bogus'");
+  Alcotest.(check int) "bench --jobs 0" 2 (bench [ "table7"; "--jobs"; "0" ])
 
 let () =
   Alcotest.run "gen"
@@ -478,4 +549,9 @@ let () =
           Alcotest.test_case "json escapes file names" `Quick
             test_json_escapes_file_names;
           Alcotest.test_case "exhaust rejects bad budgets" `Quick
-            test_exhaust_rejects_bad_budgets ] ) ]
+            test_exhaust_rejects_bad_budgets;
+          Alcotest.test_case "attack rejects step 0" `Quick
+            test_attack_rejects_zero_step;
+          Alcotest.test_case "jobs bound is the domain limit" `Quick
+            test_jobs_bound;
+          Alcotest.test_case "bench subcommand" `Quick test_bench_subcommand ] ) ]
