@@ -170,6 +170,19 @@ let cache_dir_arg =
            already cached are served without executing anything; \
            corrupted entries are treated as misses.")
 
+let mutant_arg =
+  let mutants = List.map (fun m -> (Mutant.name m, m)) Mutant.all in
+  Arg.(
+    value
+    & opt (some (enum mutants)) None
+    & info [ "mutant" ] ~docv:"NAME"
+        ~doc:
+          (Printf.sprintf
+             "Negative control: run with one seeded defect armed, %s. \
+              The check that guards it must then fail (exit 3); a clean \
+              result means that check is vacuous."
+             (Arg.doc_alts_enum mutants)))
+
 (* --- asm ------------------------------------------------------------------- *)
 
 let asm_cmd =
@@ -482,16 +495,6 @@ let lint_cmd =
              and report per-function agreement between the static surface \
              scores and the dynamic verdict tables.")
   in
-  let sabotage_cfi =
-    Arg.(
-      value & flag
-      & info [ "sabotage-cfi" ]
-          ~doc:
-            "Negative control: compile with the Sigcfi/Domains runtime \
-             checks stripped. A CFI-defended build must then draw \
-             Error-severity audit findings (exit 3); a clean report here \
-             means the audit itself is broken.")
-  in
   let absint =
     Arg.(
       value & flag
@@ -504,16 +507,8 @@ let lint_cmd =
              deterministic escape is upgraded to an error, and the \
              prover's findings are merged into the report.")
   in
-  let run file config sensitive json cfcss exhaust sabotage_cfi absint jobs =
-    if sabotage_cfi then begin
-      Resistor.Sigcfi.disable_checks := true;
-      Resistor.Domains.disable_checks := true
-    end;
-    Fun.protect
-      ~finally:(fun () ->
-        Resistor.Sigcfi.disable_checks := false;
-        Resistor.Domains.disable_checks := false)
-    @@ fun () ->
+  let run file config sensitive json cfcss exhaust mutant absint jobs =
+    Mutant.with_ mutant @@ fun () ->
     let target source =
       if Filename.check_suffix file ".s" then
         Analysis.Lint.of_instrs (Thumb.Asm.assemble source)
@@ -596,7 +591,7 @@ let lint_cmd =
          :: Cmd.Exit.defaults))
     Term.(
       const run $ file $ config_arg $ sensitive_arg $ json $ cfcss $ exhaust
-      $ sabotage_cfi $ absint $ jobs_arg ())
+      $ mutant_arg $ absint $ jobs_arg ())
 
 (* --- prove ------------------------------------------------------------------------ *)
 
@@ -830,30 +825,14 @@ let fuzz_cmd =
             "Comma-separated family subset: roundtrip, semantics, efficacy, \
              static-dynamic, absint.")
   in
-  let sabotage =
-    Arg.(
-      value & flag
-      & info [ "sabotage" ]
-          ~doc:
-            "Negative control: disable the complemented re-check in the \
-             Branches/Loops passes. The efficacy family must then fail.")
-  in
-  let sabotage_absint =
-    Arg.(
-      value & flag
-      & info [ "sabotage-absint" ]
-          ~doc:
-            "Negative control: break the abstract interpreter's fault-taint \
-             transfer function so it claims agreement without tracking \
-             flows. The absint family's soundness differential must then \
-             fail; a green run here means the differential is vacuous.")
-  in
   let replay =
     Arg.(
       value
       & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run one saved counterexample instead of fuzzing.")
+          ~doc:
+            "Re-run one saved counterexample instead of fuzzing, under the \
+             mutant its $(i,mutant:) header names.")
   in
   let max_skip_rate =
     Arg.(
@@ -865,9 +844,13 @@ let fuzz_cmd =
              generator drifting into a precondition desert would otherwise \
              \"pass\" while exercising nothing.")
   in
-  let run count seed corpus properties sabotage sabotage_absint replay
-      max_skip_rate =
+  let run count seed corpus properties mutant replay max_skip_rate =
     match replay with
+    | Some _ when mutant <> None ->
+      Fmt.epr
+        "--mutant conflicts with --replay: the entry's header names its \
+         mutant@.";
+      exit_input
     | Some path -> (
       match Gen.Corpus.load path with
       | Error m ->
@@ -917,12 +900,9 @@ let fuzz_cmd =
             Random.self_init ();
             Random.int 0x3FFFFFFF
         in
-        Fmt.pr "fuzz: seed %d, %d program(s) per family%s%s@." seed count
-          (if sabotage then " [sabotaged complement check]" else "")
-          (if sabotage_absint then " [sabotaged abstract interpreter]" else "");
+        Fmt.pr "fuzz: seed %d, %d program(s) per family@." seed count;
         let summary =
-          Gen.Fuzz.run ~dir:corpus ~families ~sabotage ~sabotage_absint ~count
-            ~seed ()
+          Gen.Fuzz.run ~dir:corpus ~families ?mutant ~count ~seed ()
         in
         List.iter
           (fun (r : Gen.Fuzz.family_run) ->
@@ -969,8 +949,8 @@ let fuzz_cmd =
               ~doc:"on a property failure or a skip-rate breach."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ count $ seed $ corpus $ properties $ sabotage
-      $ sabotage_absint $ replay $ max_skip_rate)
+      const run $ count $ seed $ corpus $ properties $ mutant_arg $ replay
+      $ max_skip_rate)
 
 (* --- bench ----------------------------------------------------------------------- *)
 

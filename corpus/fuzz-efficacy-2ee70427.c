@@ -3,7 +3,7 @@
 // seed: 42
 // defenses: enums,returns,integrity,branches,loops
 // sensitive: g5,guard13,attack_success
-// sabotage: no
+// mutant: none
 // message: Branches+Loops: addr 0x80000ba mask 0x4000: silent success — marker set with no detection
 
 unsigned g5 = 0;

@@ -31,12 +31,7 @@
      even if register taint persists (the built-in classifier compares
      no state in that case).
 
-   Anything else returns None and is executed dynamically. The
-   [unsound] ref deliberately breaks the transfer function (taint never
-   propagates) — the negative control that must trip the soundness
-   differential in CI. *)
-
-let unsound = ref false
+   Anything else returns None and is executed dynamically. *)
 
 type ctx = {
   effs : Effects.t array;  (** per-cycle decoded instruction effects *)
@@ -148,9 +143,7 @@ let prove ctx ~cycle ~base_key ~fault_key =
         else if j > hi then
           if ctx.terminating then None  (* final state still differs *)
           else Some ctx.no_effect_verdict
-        else if !unsound then
-          (* sabotaged transfer function: taint never propagates *)
-          flow (j + 1) 0 0
+        else if Mutant.is Absint_taint then flow (j + 1) 0 0
         else
           match flow_step ctx.effs.(j) regs flags with
           | None -> None

@@ -103,13 +103,16 @@ let key t =
     lor if t.cpu.Cpu.v then 1 else 0
   in
   Buffer.add_char b (Char.chr flags);
+  let drop = ref (Mutant.is State_key_byte) in
   for i = 0 to t.ntouched - 1 do
     let addr = t.touched.(i) in
     let cur = Memory.read_u8_exn t.mem addr in
-    if cur <> Hashtbl.find t.pristine addr then begin
-      add_u32 b addr;
-      Buffer.add_char b (Char.chr cur)
-    end
+    if cur <> Hashtbl.find t.pristine addr then
+      if !drop then drop := false
+      else begin
+        add_u32 b addr;
+        Buffer.add_char b (Char.chr cur)
+      end
   done;
   Buffer.contents b
 

@@ -2,15 +2,16 @@
 
    A corpus entry is a plain Mini-C file whose leading comment lines
    carry the metadata needed to re-run the exact failing check:
-   property family, generator seed, pass configuration and sabotage
-   flag. Because the metadata lives in [//] comments, the whole file
-   still parses as Mini-C — the stored source IS the replay input. *)
+   property family, generator seed, pass configuration and the seeded
+   mutant (if any) the failure was found under. Because the metadata
+   lives in [//] comments, the whole file still parses as Mini-C — the
+   stored source IS the replay input. *)
 
 type entry = {
   property : string;
   seed : int;
   config : Resistor.Config.t;
-  sabotage : bool;
+  mutant : Mutant.t option;
   message : string;
   source : string;
 }
@@ -44,7 +45,7 @@ let render (e : entry) =
       "// seed: " ^ string_of_int e.seed;
       "// defenses: " ^ config_to_string e.config;
       "// sensitive: " ^ String.concat "," e.config.sensitive;
-      "// sabotage: " ^ (if e.sabotage then "yes" else "no");
+      "// mutant: " ^ Option.fold ~none:"none" ~some:Mutant.name e.mutant;
       "// message: " ^ one_line e.message;
       "";
       e.source ]
@@ -90,15 +91,25 @@ let load path : (entry, string) result =
       | Some "" | None -> []
       | Some s -> String.split_on_char ',' s
     in
-    let seed =
-      match int_of_string_opt (get "seed" ~default:"0") with
-      | Some n -> n
-      | None -> 0
+    let seed = get "seed" ~default:"0" in
+    let mutant =
+      match (field lines "sabotage", get "mutant" ~default:"none") with
+      | Some _, _ ->
+        Error "obsolete \"sabotage:\" header; name the mutant with \"mutant:\""
+      | None, "none" -> Ok None
+      | None, name -> (
+        match List.find_opt (fun m -> Mutant.name m = name) Mutant.all with
+        | Some m -> Ok (Some m)
+        | None -> Error (Printf.sprintf "unknown mutant: %S" name))
     in
-    Ok
-      { property = get "property" ~default:"roundtrip";
-        seed;
-        config = config_of_string ~sensitive (get "defenses" ~default:"");
-        sabotage = get "sabotage" ~default:"no" = "yes";
-        message = get "message" ~default:"";
-        source = text }
+    match (int_of_string_opt seed, mutant) with
+    | None, _ -> Error (Printf.sprintf "malformed seed: %S" seed)
+    | _, Error m -> Error m
+    | Some seed, Ok mutant ->
+      Ok
+        { property = get "property" ~default:"roundtrip";
+          seed;
+          config = config_of_string ~sensitive (get "defenses" ~default:"");
+          mutant;
+          message = get "message" ~default:"";
+          source = text }

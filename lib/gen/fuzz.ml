@@ -520,7 +520,7 @@ type family_run = {
 type summary = {
   seed : int;
   count : int;
-  sabotage : bool;
+  mutant : Mutant.t option;
   runs : family_run list;
 }
 
@@ -543,7 +543,7 @@ let corpus_config family prog =
   | Efficacy | Static_dynamic ->
     Config.all_but_delay ~sensitive:(source_globals prog) ()
 
-let run_family ?dir ~sabotage ~count ~seed family =
+let run_family ?dir ~mutant ~count ~seed family =
   let checked = ref 0 and skipped = ref 0 in
   let prop case =
     match check family case with
@@ -569,7 +569,7 @@ let run_family ?dir ~sabotage ~count ~seed family =
             { Corpus.property = family_name family;
               seed;
               config = corpus_config family case.Ast_gen.prog;
-              sabotage;
+              mutant;
               message;
               source })
         dir
@@ -600,31 +600,17 @@ let run_family ?dir ~sabotage ~count ~seed family =
   in
   { family; checked = !checked; skipped = !skipped; failure }
 
-(* Run [count] generated programs through each selected family.
-   [sabotage] flips {!Resistor.Branches.disable_complement_check} for
-   the duration — the negative control: a deliberately broken defense
-   must make the efficacy family fail. [sabotage_absint] breaks the
-   abstract interpreter's taint transfer function the same way: the
-   absint family's soundness differential must then trip. *)
-let run ?dir ?(families = all_families) ?(sabotage = false)
-    ?(sabotage_absint = false) ~count ~seed () =
-  Resistor.Branches.disable_complement_check := sabotage;
-  Absint.Prune.unsound := sabotage_absint;
-  Fun.protect
-    ~finally:(fun () ->
-      Resistor.Branches.disable_complement_check := false;
-      Absint.Prune.unsound := false)
-    (fun () ->
-      let runs =
-        List.map
-          (fun f ->
-            run_family ?dir ~sabotage:(sabotage || sabotage_absint) ~count
-              ~seed f)
-          families
-      in
-      { seed; count; sabotage = sabotage || sabotage_absint; runs })
+(* Run [count] generated programs through each selected family, with
+   [mutant] armed for the duration — the negative control: a seeded
+   defect must make the family that guards it fail. Saved
+   counterexamples record the mutant so {!replay} re-arms it. *)
+let run ?dir ?(families = all_families) ?mutant ~count ~seed () =
+  Mutant.with_ mutant @@ fun () ->
+  let runs = List.map (run_family ?dir ~mutant ~count ~seed) families in
+  { seed; count; mutant; runs }
 
-(* Re-run the property of a saved counterexample deterministically. *)
+(* Re-run the property of a saved counterexample deterministically,
+   under the mutant its header names. *)
 let replay (entry : Corpus.entry) : (verdict, string) result =
   match family_of_string entry.property with
   | None -> Error (Printf.sprintf "unknown property %S" entry.property)
@@ -636,8 +622,4 @@ let replay (entry : Corpus.entry) : (verdict, string) result =
         if has_marker prog then Ast_gen.Guarded else Ast_gen.Terminating
       in
       let case = { Ast_gen.shape; prog } in
-      Resistor.Branches.disable_complement_check := entry.sabotage;
-      Fun.protect
-        ~finally:(fun () ->
-          Resistor.Branches.disable_complement_check := false)
-        (fun () -> Ok (check family case)))
+      Mutant.with_ entry.mutant (fun () -> Ok (check family case)))

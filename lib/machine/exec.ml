@@ -429,26 +429,17 @@ let execute mem cpu i =
   | r -> r
   | exception Stop_exn s -> Stopped s
 
-let fetch_and_execute mem cpu pc =
-  match Memory.read_u16_exn mem pc with
+let step mem cpu =
+  match Memory.read_u16_exn mem (Cpu.pc cpu) with
   | w -> execute mem cpu Decode.table.(w)
   | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
     Stopped (Bad_fetch a)
 
-let step ?fetch mem cpu =
-  let pc = Cpu.pc cpu in
-  match fetch with
-  | None -> fetch_and_execute mem cpu pc
-  | Some f -> (
-    match f pc with
-    | Some w -> execute mem cpu (Decode.of_word w)
-    | None -> fetch_and_execute mem cpu pc)
-
-let run ?fetch ?(max_steps = 10_000) mem cpu =
+let run ?(max_steps = 10_000) mem cpu =
   let rec go remaining =
     if remaining = 0 then Step_limit
     else
-      match step ?fetch mem cpu with
+      match step mem cpu with
       | Running -> go (remaining - 1)
       | Stopped s -> s
   in

@@ -31,13 +31,10 @@ val execute : Memory.t -> Cpu.t -> Thumb.Instr.t -> step_result
     PC. Used directly by the pipeline simulator to run corrupted
     instructions without writing them back to flash. *)
 
-val step : ?fetch:(int -> int option) -> Memory.t -> Cpu.t -> step_result
+val step : Memory.t -> Cpu.t -> step_result
 (** Fetch the halfword at [Cpu.pc], decode via the shared pre-decoded
-    [Thumb.Decode.table], {!execute}. [fetch] may override the memory
-    image for a given address (used for transient fetch-stage
-    corruption); returning [None] falls back to memory. *)
+    [Thumb.Decode.table], {!execute}. *)
 
-val run : ?fetch:(int -> int option) -> ?max_steps:int ->
-  Memory.t -> Cpu.t -> stop
+val run : ?max_steps:int -> Memory.t -> Cpu.t -> stop
 (** Step until the program stops, at most [max_steps] (default 10,000)
     instructions. *)

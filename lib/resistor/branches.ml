@@ -1,14 +1,5 @@
 type report = { branches_instrumented : int }
 
-(* Negative-control hook for the fuzzer: when set, the emitted check
-   block compares the complemented clones for *equality with
-   themselves* instead of re-evaluating the edge condition, i.e. the
-   verdict is a tautology and the defense never detects anything. Both
-   Branches and Loops route through [instrument_edge], so flipping this
-   breaks both passes at once; the efficacy property must then find a
-   silently-accepted corrupted guard. *)
-let disable_complement_check = ref false
-
 let mask32 = 0xFFFFFFFF
 
 (* Complementing both operands reverses order: x < y iff ~x > ~y (two's
@@ -60,7 +51,7 @@ let instrument_edge (f : Ir.func) fresh defs ~shadows ~(block : Ir.block) ~edge
     let c_rhs_i, c_rhs = complement rhs_clone.value in
     let verdict = Pass.temp fresh in
     let verdict_icmp =
-      if !disable_complement_check then
+      if Mutant.is Branches_complement then
         Ir.Icmp { dst = verdict; op = Ir.Eq; lhs = c_lhs; rhs = c_lhs }
       else
         Ir.Icmp
@@ -81,7 +72,7 @@ let instrument_edge (f : Ir.func) fresh defs ~shadows ~(block : Ir.block) ~edge
       |> ( @ ) lhs_clone.Pass.reused
     in
     let pair_instrs, pair_cond =
-      if !disable_complement_check then ([], Ir.Temp verdict)
+      if Mutant.is Branches_complement then ([], Ir.Temp verdict)
       else
         List.fold_left
           (fun (instrs, cond) t ->

@@ -9,14 +9,6 @@
 
 type report = { branches_instrumented : int }
 
-val disable_complement_check : bool ref
-(** Test-only sabotage switch (default [false]): emit a tautological
-    verdict instead of the complemented re-comparison, disabling
-    detection in every check block this pass (and the loop pass, which
-    shares {!instrument_edge}) emits. The fuzzer's efficacy property
-    uses it as a negative control — a deliberately broken defense must
-    be caught. Always reset it after use. *)
-
 val instrument_edge :
   Ir.func ->
   Pass.fresh ->

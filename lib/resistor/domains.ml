@@ -32,11 +32,6 @@ type report = {
 let domain_global = "__domains_D"
 let default_key = 0xC3
 
-(* Negative-control hook for the lint smoke: skip the entry/return
-   checks (bridges stay), so the domain audit must flag every
-   instrumented function. *)
-let disable_checks = ref false
-
 (* Distinct nonzero per-cluster keys: master * alpha^(d+1). *)
 let cluster_key ~key d = Reedsolomon.Gf256.mul key (Reedsolomon.Gf256.exp (d + 1))
 
@@ -121,7 +116,7 @@ let instrument_function ~key domains (f : Ir.func) =
             | _ -> [ i ])
           b.instrs)
     f.blocks;
-  if not !disable_checks then begin
+  if not (Mutant.is Domains_checks) then begin
     (* 2. return checks, split off the Ret like a sink *)
     List.iter
       (fun (b : Ir.block) ->

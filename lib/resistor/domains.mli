@@ -25,11 +25,6 @@ val bridge_fn : string
 
 val default_key : int
 
-val disable_checks : bool ref
-(** Negative control: when set, entry/return checks are not emitted
-    (bridges stay), so the lint domain audit must flag every
-    instrumented function. Reset it after use. *)
-
 val cluster_key : key:int -> int -> int
 (** Distinct nonzero GF(2^8) key of cluster [d]: [key * alpha^(d+1)]. *)
 

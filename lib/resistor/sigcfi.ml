@@ -36,10 +36,6 @@ type report = {
 let state_global = "__sigcfi_S"
 let default_key = 0x5A
 
-(* Negative-control hook for the lint smoke: skip the sink checks so
-   the signature-domination audit must flag every return. *)
-let disable_checks = ref false
-
 (* GF(2^8) multiply-by-alpha, poly 0x11D — branchless, so the runtime
    IR sequence below computes the same function the compile-time patch
    constants are derived with. *)
@@ -164,7 +160,7 @@ let instrument_function ~key (m : Ir.modul) (f : Ir.func) =
             b.instrs)
     f.blocks;
   (* 3. sink checks: every return is dominated by a signature check *)
-  if not !disable_checks then
+  if not (Mutant.is Sigcfi_checks) then
     List.iter
       (fun (b : Ir.block) ->
         match b.term with

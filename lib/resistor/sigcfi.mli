@@ -28,11 +28,6 @@ val step_fn : string
 
 val default_key : int
 
-val disable_checks : bool ref
-(** Negative control: when set, sink checks are not emitted, so the
-    lint signature-domination audit must flag every return. Reset it
-    after use. *)
-
 val step : int -> int
 (** GF(2^8) multiply-by-alpha (poly 0x11D); the compile-time twin of
     the branchless IR update sequence. *)

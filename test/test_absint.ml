@@ -250,7 +250,7 @@ let prop_static_sound_on_generated =
         && static.verdicts = oracle.verdicts
         && static.faulted = oracle.faulted)
 
-(* The negative control: with the transfer function sabotaged (taint
+(* The negative control: with the Absint_taint mutant armed (taint
    never propagates), the same differential must trip — otherwise the
    soundness gate is vacuous. *)
 let test_sabotage_trips () =
@@ -261,11 +261,8 @@ let test_sabotage_trips () =
       keep_points = true }
   in
   let honest = Exhaust.Campaign.run spec config in
-  Absint.Prune.unsound := true;
   let sabotaged =
-    Fun.protect
-      ~finally:(fun () -> Absint.Prune.unsound := false)
-      (fun () -> Exhaust.Campaign.run spec config)
+    Mutant.with_ (Some Absint_taint) (fun () -> Exhaust.Campaign.run spec config)
   in
   Alcotest.(check bool) "sabotage proves more points" true
     (sabotaged.Exhaust.Campaign.static_pruned

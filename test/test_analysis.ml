@@ -477,7 +477,8 @@ let lint_cfcss_witness () =
 
 (* The same witness shape for the post-paper CFI passes: a defended
    build audits clean (with the limitation cited), a sabotaged build —
-   checks suppressed via the negative-control hook — is flagged. *)
+   checks suppressed by the Sigcfi_checks/Domains_checks mutant — is
+   flagged. *)
 let cfi_errors (r : Lint.report) =
   List.filter
     (fun (d : Lint.diag) ->
@@ -496,10 +497,7 @@ let lint_sigcfi_audit () =
        (fun (d : Lint.diag) -> contains ~affix:"Table VII" d.message)
        (find_rule "sigcfi-sink" r));
   let sabotaged =
-    Fun.protect
-      ~finally:(fun () -> Resistor.Sigcfi.disable_checks := false)
-      (fun () ->
-        Resistor.Sigcfi.disable_checks := true;
+    Mutant.with_ (Some Sigcfi_checks) (fun () ->
         lint config Resistor.Firmware.guard_loop)
   in
   Alcotest.(check bool) "sabotaged build flagged" true
@@ -512,10 +510,7 @@ let lint_domains_audit () =
   Alcotest.(check bool) "clean audit leaves a witness" true
     (has_rule ~severity:Lint.Info "domains-check" r);
   let sabotaged =
-    Fun.protect
-      ~finally:(fun () -> Resistor.Domains.disable_checks := false)
-      (fun () ->
-        Resistor.Domains.disable_checks := true;
+    Mutant.with_ (Some Domains_checks) (fun () ->
         lint config Resistor.Firmware.guard_loop)
   in
   Alcotest.(check bool) "sabotaged build flagged" true

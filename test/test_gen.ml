@@ -11,7 +11,7 @@ let sample_entry =
     seed = 1234;
     config =
       Resistor.Config.all_but_delay ~sensitive:[ "g0"; marker ] ();
-    sabotage = true;
+    mutant = Some Mutant.Branches_complement;
     message = "addr 0x8000092 mask 0x0100: silent\nsuccess";
     source =
       Printf.sprintf
@@ -26,7 +26,8 @@ let test_corpus_roundtrip () =
   | Ok e ->
     Alcotest.(check string) "property" "efficacy" e.Gen.Corpus.property;
     Alcotest.(check int) "seed" 1234 e.seed;
-    Alcotest.(check bool) "sabotage" true e.sabotage;
+    Alcotest.(check (option string)) "mutant" (Some "branches-complement")
+      (Option.map Mutant.name e.mutant);
     Alcotest.(check bool) "branches" true e.config.Resistor.Config.branches;
     Alcotest.(check bool) "loops" true e.config.Resistor.Config.loops;
     Alcotest.(check bool) "delay off" false e.config.Resistor.Config.delay;
@@ -40,6 +41,32 @@ let test_corpus_roundtrip () =
     (match Minic.Parser.program e.source with
     | _ -> ()
     | exception _ -> Alcotest.fail "saved corpus file does not parse as Mini-C")
+
+(* A counterexample found under a mutant replays under that mutant: an
+   absint failure saved with Absint_taint must still fail when loaded
+   back, not pass by replaying the honest transfer function. *)
+let test_absint_mutant_replays () =
+  let dir = Filename.temp_file "corpus" "" in
+  Sys.remove dir;
+  let path =
+    Gen.Corpus.save ~dir
+      { Gen.Corpus.property = "absint";
+        seed = 42;
+        config = Resistor.Config.none;
+        mutant = Some Mutant.Absint_taint;
+        message = "static verdict totals diverge from the oracle";
+        source = Resistor.Firmware.guard_loop }
+  in
+  match Gen.Corpus.load path with
+  | Error m -> Alcotest.failf "load: %s" m
+  | Ok e -> (
+    Alcotest.(check (option string)) "mutant" (Some "absint-taint")
+      (Option.map Mutant.name e.Gen.Corpus.mutant);
+    match Gen.Fuzz.replay e with
+    | Ok (Gen.Fuzz.Fail _) -> ()
+    | Ok Gen.Fuzz.Pass -> Alcotest.fail "absint counterexample replayed clean"
+    | Ok (Gen.Fuzz.Skip m) -> Alcotest.failf "precondition lost: %s" m
+    | Error m -> Alcotest.failf "replay: %s" m)
 
 (* --- the committed sabotage counterexample ------------------------------- *)
 
@@ -63,7 +90,8 @@ let load_committed () =
 
 let test_sabotage_still_fails () =
   let e = load_committed () in
-  Alcotest.(check bool) "recorded as sabotaged" true e.Gen.Corpus.sabotage;
+  Alcotest.(check bool) "recorded under the complement mutant" true
+    (e.Gen.Corpus.mutant = Some Mutant.Branches_complement);
   match Gen.Fuzz.replay e with
   | Error m -> Alcotest.failf "replay: %s" m
   | Ok (Gen.Fuzz.Fail m) ->
@@ -82,7 +110,7 @@ let test_sabotage_still_fails () =
 
 let test_fixed_pass_defends () =
   let e = load_committed () in
-  match Gen.Fuzz.replay { e with Gen.Corpus.sabotage = false } with
+  match Gen.Fuzz.replay { e with Gen.Corpus.mutant = None } with
   | Error m -> Alcotest.failf "replay: %s" m
   | Ok Gen.Fuzz.Pass -> ()
   | Ok (Gen.Fuzz.Fail m) ->
@@ -107,8 +135,8 @@ let test_spilled_slot_clobber_defended () =
   match Gen.Corpus.load path with
   | Error m -> Alcotest.failf "%s: %s" path m
   | Ok e -> (
-    Alcotest.(check bool) "a real finding, not sabotage" false
-      e.Gen.Corpus.sabotage;
+    Alcotest.(check bool) "a real finding, not a mutant" true
+      (e.Gen.Corpus.mutant = None);
     match Gen.Fuzz.replay e with
     | Error m -> Alcotest.failf "replay: %s" m
     | Ok Gen.Fuzz.Pass -> ()
@@ -255,7 +283,7 @@ let test_skip_rate_budget () =
   let desert = run Gen.Fuzz.Semantics 100 80 in
   let empty = run Gen.Fuzz.Efficacy 0 0 in
   let summary =
-    { Gen.Fuzz.seed = 0; count = 100; sabotage = false;
+    { Gen.Fuzz.seed = 0; count = 100; mutant = None;
       runs = [ quiet; desert; empty ] }
   in
   Alcotest.(check (float 1e-9)) "2% skip" 0.02 (Gen.Fuzz.skip_rate quiet);
@@ -320,6 +348,11 @@ let test_exit_codes () =
   let bad_property =
     write_tmp ".c" "// property: bogus\nint main() { return 0; }\n"
   in
+  (* hostile headers on an otherwise passing roundtrip entry *)
+  let entry header =
+    write_tmp ".c"
+      ("// property: roundtrip\n" ^ header ^ "\nint main() { return 0; }\n")
+  in
   let checks =
     [ ("compile ok", [ "compile"; good ], 0);
       ("compile parse error", [ "compile"; bad ], 2);
@@ -344,7 +377,10 @@ let test_exit_codes () =
       ("lint cfi token", [ "lint"; good; "--defenses=cfi" ], 0);
       ("lint all-cfi token", [ "lint"; guarded; "--defenses=all-cfi" ], 0);
       ( "lint sabotaged cfi flagged",
-        [ "lint"; good; "--defenses=all-cfi"; "--sabotage-cfi" ],
+        [ "lint"; good; "--defenses=all-cfi"; "--mutant"; "sigcfi-checks" ],
+        3 );
+      ( "lint sabotaged domains flagged",
+        [ "lint"; good; "--defenses=all-cfi"; "--mutant"; "domains-checks" ],
         3 );
       ( "fuzz skip-rate breach",
         [ "fuzz"; "--count"; "5"; "--seed"; "11"; "--properties"; "roundtrip";
@@ -359,10 +395,24 @@ let test_exit_codes () =
         [ "fuzz"; "--properties"; "nonsense" ],
         2 );
       ("fuzz zero count", [ "fuzz"; "--count"; "0" ], 2);
+      ("fuzz unknown mutant", [ "fuzz"; "--mutant"; "bogus" ], 2);
+      ( "fuzz replay unknown mutant header",
+        [ "fuzz"; "--replay"; entry "// mutant: bogus" ],
+        2 );
+      ( "fuzz replay leftover sabotage header",
+        [ "fuzz"; "--replay"; entry "// sabotage: yes" ],
+        2 );
+      ( "fuzz replay malformed seed",
+        [ "fuzz"; "--replay"; entry "// seed: 12abc" ],
+        2 );
+      ( "fuzz replay with --mutant",
+        [ "fuzz"; "--replay"; committed_counterexample; "--mutant";
+          "absint-taint" ],
+        2 );
       ( "fuzz replay unknown property",
         [ "fuzz"; "--replay"; bad_property ],
         2 );
-      ( "fuzz replay sabotage counterexample",
+      ( "fuzz replay mutant counterexample",
         [ "fuzz"; "--replay"; committed_counterexample ],
         3 ) ]
   in
@@ -522,7 +572,9 @@ let () =
   Alcotest.run "gen"
     [ ( "corpus",
         [ Alcotest.test_case "save/load round trip" `Quick
-            test_corpus_roundtrip ] );
+            test_corpus_roundtrip;
+          Alcotest.test_case "absint mutant replays under its mutant" `Quick
+            test_absint_mutant_replays ] );
       ( "sabotage",
         [ Alcotest.test_case "counterexample still fails" `Quick
             test_sabotage_still_fails;

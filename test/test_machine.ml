@@ -278,17 +278,6 @@ let glitched_beq_exits_loop () =
   Alcotest.check stop_testable "exits" (Exec.Breakpoint 0) stop;
   Alcotest.(check int) "success marker" 0xAA (reg t.cpu 0)
 
-let fetch_override () =
-  (* Transient corruption via the fetch hook: memory is untouched. *)
-  let src = "movs r0, #1\nbkpt #0" in
-  let t = Loader.load_asm src in
-  let base = t.layout.flash_base in
-  let fetch addr = if addr = base then Some 0x2005 (* movs r0, #5 *) else None in
-  let stop = Exec.run ~fetch ~max_steps:10 t.mem t.cpu in
-  Alcotest.check stop_testable "halts" (Exec.Breakpoint 0) stop;
-  Alcotest.(check int) "override used" 5 (reg t.cpu 0);
-  Alcotest.(check int) "flash unmodified" 0x2001 (Loader.code_word t ~index:0)
-
 (* --- wider ALU semantics --------------------------------------------------- *)
 
 let carry_chain_adc () =
@@ -506,6 +495,5 @@ let () =
          Alcotest.test_case "invalid instruction" `Quick invalid_instruction_reported;
          Alcotest.test_case "step limit" `Quick step_limit_reported;
          Alcotest.test_case "paper loop spins" `Quick paper_while_not_a_loops_forever;
-         Alcotest.test_case "glitched beq exits" `Quick glitched_beq_exits_loop;
-         Alcotest.test_case "fetch override" `Quick fetch_override ]);
+         Alcotest.test_case "glitched beq exits" `Quick glitched_beq_exits_loop ]);
       ("properties", props) ]
