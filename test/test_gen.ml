@@ -68,12 +68,12 @@ let test_absint_mutant_replays () =
     | Ok (Gen.Fuzz.Skip m) -> Alcotest.failf "precondition lost: %s" m
     | Error m -> Alcotest.failf "replay: %s" m)
 
-(* --- the committed sabotage counterexample ------------------------------- *)
+(* --- the committed mutant counterexample --------------------------------- *)
 
 (* [corpus/] holds the shrunk program on which a deliberately broken
    Branches/Loops pass (complemented re-check disabled) lets a 1-bit
    guard flip set the attack marker without tripping the detector.
-   With the sabotage flag from its header the failure must reproduce;
+   Under the mutant its header names the failure must reproduce;
    with the pass restored the same program must be defended. *)
 (* Everything lives relative to _build/default/test, whatever the cwd. *)
 let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
