@@ -61,36 +61,36 @@ let create ~steps ~terminating ~settle ~end_verdict ~no_effect_ok
 let proved ctx = Atomic.get ctx.proved
 
 (* State keys are exact serializations (Exhaust.State): r0..r15 as 4
-   bytes LE each, one NZCV byte, then touched-and-dirty memory. Equal
+   bytes LE each, one NZCV byte, then live-and-dirty memory. Equal
    suffix <=> identical memory. *)
 let regs_bytes = 64
 let flag_index = 64
 let header = 65
 
-(* Diff two keys into a (reg mask, flag mask) taint seed; None when the
-   damage is not representable (PC or memory differs). *)
-let seed base fault =
-  if String.length base < header || String.length fault < header then None
-  else if
+(* Bytes [i, len) of [base] and [fault] agree. *)
+let rec tail_equal base fault len i =
+  i = len || (base.[i] = Bytes.get fault i && tail_equal base fault len (i + 1))
+
+(* Diff the baseline key against the post-fault key held in the first
+   [len] bytes of [fault] into a (reg mask, flag mask) taint seed; None
+   when the damage is not representable (PC or memory differs). *)
+let seed base fault len =
+  if String.length base < header || len < header then None
+  else if String.length base <> len || not (tail_equal base fault len header) then
     (* memory tails must be bit-identical *)
-    String.length base <> String.length fault
-    || not
-         (String.equal
-            (String.sub base header (String.length base - header))
-            (String.sub fault header (String.length fault - header)))
-  then None
+    None
   else begin
     let regs = ref 0 in
     for i = 0 to 15 do
       let off = 4 * i in
       if
-        base.[off] <> fault.[off]
-        || base.[off + 1] <> fault.[off + 1]
-        || base.[off + 2] <> fault.[off + 2]
-        || base.[off + 3] <> fault.[off + 3]
+        base.[off] <> Bytes.get fault off
+        || base.[off + 1] <> Bytes.get fault (off + 1)
+        || base.[off + 2] <> Bytes.get fault (off + 2)
+        || base.[off + 3] <> Bytes.get fault (off + 3)
       then regs := !regs lor (1 lsl i)
     done;
-    let flags = Char.code base.[flag_index] lxor Char.code fault.[flag_index] in
+    let flags = Char.code base.[flag_index] lxor Bytes.get_uint8 fault flag_index in
     if !regs land (1 lsl 15) <> 0 then None  (* control already diverged *)
     else Some (!regs land 0xFFFF, flags land 0xF)
   end
@@ -123,7 +123,9 @@ let flow_step (e : Effects.t) regs flags =
       if e.reads land regs <> 0 then None
       else Some (regs land lnot e.writes, flags land lnot e.flag_writes))
 
-let prove ctx ~cycle ~base_key ~fault_key =
+(* [fault_key] is the post-fault key, held in the first [fault_len]
+   bytes of the rig's key buffer. *)
+let prove ctx ~cycle ~base_key ~fault_key ~fault_len =
   let k = cycle in
   (* the settle budget must provably cover the continuation *)
   let covered =
@@ -132,7 +134,7 @@ let prove ctx ~cycle ~base_key ~fault_key =
   in
   if not covered then None
   else
-    match seed base_key fault_key with
+    match seed base_key fault_key fault_len with
     | None -> None
     | Some (regs0, flags0) ->
       let hi = if ctx.terminating then ctx.n - 1 else k + ctx.settle in

@@ -457,6 +457,7 @@ let run_cycle sh tally rig scratch k =
      (1), or static proof (2) — so the counters stay truthful. *)
   let word_memo : (int, int * int) Hashtbl.t = Hashtbl.create 128 in
   let memo_on = config.prune || config.static_prune in
+  let keyed = config.prune || sh.static_ctx <> None in
   let npoints = Array.length sh.points_per_cycle in
   let base_index =
     match sh.verdicts with Some _ -> (k - sh.cycle_lo) * npoints | None -> 0
@@ -492,11 +493,14 @@ let run_cycle sh tally rig scratch k =
             tally.faulted <- tally.faulted + 1;
             (classify_end sh.tr sh.spec.detect_addr config.classify rig s, 0)
           | Exec.Running -> (
+            (* one key per point, built in the rig's buffer: the prover
+               and the keymap read the same bytes *)
+            let len = if keyed then State.build_key rig else 0 in
             let static_v =
               match sh.static_ctx with
               | Some ctx ->
                 Absint.Prune.prove ctx ~cycle:k ~base_key:sh.tr.state_keys.(k)
-                  ~fault_key:(State.key rig)
+                  ~fault_key:(State.key_buffer rig) ~fault_len:len
               | None -> None
             in
             match static_v with
@@ -504,30 +508,27 @@ let run_cycle sh tally rig scratch k =
               tally.static_pruned <- tally.static_pruned + 1;
               (v, 2)
             | None ->
-              if config.prune then begin
-                let key = State.key rig in
-                match Runtime.Keymap.find sh.keymap key with
-                | Some v ->
-                  tally.pruned <- tally.pruned + 1;
-                  (v, 1)
-                | None ->
-                  let s =
-                    settle_run ~zero_is_invalid ~settle:sh.tr.settle mem cpu
-                  in
-                  let v =
-                    classify_end sh.tr sh.spec.detect_addr config.classify rig s
-                  in
-                  Runtime.Keymap.add sh.keymap key v;
-                  tally.executed <- tally.executed + 1;
-                  (v, 1)
+              let shared =
+                if config.prune then
+                  Runtime.Keymap.find_prefix sh.keymap (State.key_buffer rig) len
+                else -1
+              in
+              if shared >= 0 then begin
+                tally.pruned <- tally.pruned + 1;
+                (shared, 1)
               end
               else begin
-                let s =
-                  settle_run ~zero_is_invalid ~settle:sh.tr.settle mem cpu
+                (* copied out before the continuation runs: classifying
+                   its end may build another key in the same buffer *)
+                let key =
+                  if config.prune then Bytes.sub_string (State.key_buffer rig) 0 len
+                  else ""
                 in
+                let s = settle_run ~zero_is_invalid ~settle:sh.tr.settle mem cpu in
+                let v = classify_end sh.tr sh.spec.detect_addr config.classify rig s in
+                if config.prune then Runtime.Keymap.add sh.keymap key v;
                 tally.executed <- tally.executed + 1;
-                ( classify_end sh.tr sh.spec.detect_addr config.classify rig s,
-                  1 )
+                (v, 1)
               end)
         in
         State.undo_to rig m0;

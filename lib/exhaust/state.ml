@@ -2,126 +2,159 @@ open Machine
 
 (* Whole-machine state keys for the exhaustive injector.
 
-   A rig wraps one machine with a write journal. The journal's
-   pre-images tell us, for every address ever stored to since the rig
-   was sealed, what its pristine (post-load) byte was; the sorted set
-   of those addresses is the only memory that can differ from the
+   A rig wraps one machine with a write journal. The journal holds the
+   current history: every store since the rig was sealed that has not
+   been undone. The first entry for an address carries its pristine
+   (post-load) byte, so the addresses written on the current history
+   — the live set — are the only memory that can differ from the
    pristine image. A state key is therefore exact by construction:
 
      key = r0..r15 (raw, 4 bytes LE each)
          . NZCV flag byte
-         . for each ever-touched address, ascending:
+         . for each live address, ascending:
              addr (4 bytes LE) . current byte   — only when it differs
                                                    from pristine
 
    Two rigs over the same sealed image produce equal keys iff their
    machine states are equal: registers and flags are compared in full,
-   untouched memory equals the shared pristine image on both sides, and
-   a touched byte that has returned to its pristine value is excluded
-   on both sides regardless of which rig's journal happened to touch
+   memory outside either live set equals the shared pristine image on
+   both sides, and a live byte that has returned to its pristine value
+   is excluded on both sides regardless of which rig's history wrote
    it. Equal key <=> equal state — there is no lossy hashing here, so
    "hash collisions" cannot merge distinct states (the shared map also
-   stores full keys; see Runtime.Keymap). *)
+   stores full keys; see Runtime.Keymap).
+
+   The live set follows the journal. Absorbing new entries adds each
+   address's first write: it is inserted into the ascending [addrs]
+   (its pristine byte alongside in [pristine]) and pushed onto a stack
+   of (first-write journal index, addr). [undo_to m] pops every address
+   first written at an index >= m; after the undo those bytes are
+   pristine again. A key thus walks the baseline's writes plus the
+   current continuation's, not every byte any continuation ever wrote. *)
 
 type t = {
   mem : Memory.t;
   cpu : Cpu.t;
   journal : Memory.journal;
-  pristine : (int, int) Hashtbl.t;  (* ever-touched addr -> pristine byte *)
-  mutable touched : int array;  (* those addrs, ascending *)
-  mutable ntouched : int;
+  mutable addrs : int array;  (* live addresses, ascending *)
+  mutable pristine : int array;  (* their pristine bytes, parallel *)
+  mutable first_idx : int array;  (* stack: first-write journal index *)
+  mutable first_addr : int array;  (* stack: the address written there *)
+  mutable nlive : int;  (* live-set size = stack depth *)
   mutable scanned : int;  (* journal entries already absorbed *)
-  buf : Buffer.t;
+  mutable buf : Bytes.t;  (* the last key built *)
 }
 
 let seal ~mem ~cpu =
   let journal = Memory.journal_create () in
   Memory.attach_journal mem journal;
-  { mem; cpu; journal; pristine = Hashtbl.create 256;
-    touched = Array.make 64 0; ntouched = 0; scanned = 0;
-    buf = Buffer.create 256 }
+  { mem; cpu; journal;
+    addrs = Array.make 64 0; pristine = Array.make 64 0;
+    first_idx = Array.make 64 0; first_addr = Array.make 64 0;
+    nlive = 0; scanned = 0; buf = Bytes.create 256 }
 
 let mem t = t.mem
 let cpu t = t.cpu
 
-let insert_touched t addr =
-  (* binary search for the insertion point; the set is ascending *)
-  let lo = ref 0 and hi = ref t.ntouched in
+(* Position of [addr] in the live set, or where it would be inserted. *)
+let search t addr =
+  let lo = ref 0 and hi = ref t.nlive in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if t.touched.(mid) < addr then lo := mid + 1 else hi := mid
+    if t.addrs.(mid) < addr then lo := mid + 1 else hi := mid
   done;
-  let pos = !lo in
-  if t.ntouched = Array.length t.touched then begin
-    let bigger = Array.make (2 * t.ntouched) 0 in
-    Array.blit t.touched 0 bigger 0 t.ntouched;
-    t.touched <- bigger
-  end;
-  Array.blit t.touched pos t.touched (pos + 1) (t.ntouched - pos);
-  t.touched.(pos) <- addr;
-  t.ntouched <- t.ntouched + 1
+  !lo
 
-(* Absorb journal entries written since the last call: the FIRST entry
-   for an address carries its pristine byte (entries are appended in
-   write order and scanned oldest-first). *)
+let grow a n = Array.append a (Array.make n 0)
+
+let insert t pos addr old idx =
+  let n = t.nlive in
+  if n = Array.length t.addrs then begin
+    t.addrs <- grow t.addrs n;
+    t.pristine <- grow t.pristine n;
+    t.first_idx <- grow t.first_idx n;
+    t.first_addr <- grow t.first_addr n
+  end;
+  Array.blit t.addrs pos t.addrs (pos + 1) (n - pos);
+  Array.blit t.pristine pos t.pristine (pos + 1) (n - pos);
+  t.addrs.(pos) <- addr;
+  t.pristine.(pos) <- old;
+  t.first_idx.(n) <- idx;
+  t.first_addr.(n) <- addr;
+  t.nlive <- n + 1
+
+(* Absorb journal entries written since the last call: an address not
+   yet live is first written by this entry, whose pre-image is its
+   pristine byte (entries are scanned oldest-first). *)
 let absorb t =
   let n = Memory.journal_length t.journal in
   for i = t.scanned to n - 1 do
     let addr, old = Memory.journal_entry t.journal i in
-    if not (Hashtbl.mem t.pristine addr) then begin
-      Hashtbl.add t.pristine addr old;
-      insert_touched t addr
-    end
+    let pos = search t addr in
+    if pos = t.nlive || t.addrs.(pos) <> addr then insert t pos addr old i
   done;
   t.scanned <- n
 
 let mark t = Memory.journal_length t.journal
 
 let undo_to t m =
-  absorb t;  (* pristine bytes must be harvested before truncation *)
   Memory.undo_to t.mem t.journal m;
-  t.scanned <- m
+  (* entries at or past [m] are gone: their first writes leave the set *)
+  while t.nlive > 0 && t.first_idx.(t.nlive - 1) >= m do
+    let n = t.nlive - 1 in
+    let pos = search t t.first_addr.(n) in
+    Array.blit t.addrs (pos + 1) t.addrs pos (n - pos);
+    Array.blit t.pristine (pos + 1) t.pristine pos (n - pos);
+    t.nlive <- n
+  done;
+  t.scanned <- min t.scanned m
 
-let add_u32 b v =
-  Buffer.add_char b (Char.chr (v land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF))
+let reserve t len =
+  if len > Bytes.length t.buf then begin
+    let bigger = Bytes.create (max len (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 bigger 0 (Bytes.length t.buf);
+    t.buf <- bigger
+  end
 
-let key t =
+let flags_byte (cpu : Cpu.t) =
+  (if cpu.n then 8 else 0)
+  lor (if cpu.z then 4 else 0)
+  lor (if cpu.c then 2 else 0)
+  lor if cpu.v then 1 else 0
+
+let build_key t =
   absorb t;
+  reserve t (65 + (5 * t.nlive));
   let b = t.buf in
-  Buffer.clear b;
   let regs = t.cpu.Cpu.regs in
   for i = 0 to 15 do
-    add_u32 b regs.(i)
+    Bytes.set_int32_le b (4 * i) (Int32.of_int regs.(i))
   done;
-  let flags =
-    (if t.cpu.Cpu.n then 8 else 0)
-    lor (if t.cpu.Cpu.z then 4 else 0)
-    lor (if t.cpu.Cpu.c then 2 else 0)
-    lor if t.cpu.Cpu.v then 1 else 0
-  in
-  Buffer.add_char b (Char.chr flags);
+  Bytes.set_uint8 b 64 (flags_byte t.cpu);
+  let len = ref 65 in
   let drop = ref (Mutant.is State_key_byte) in
-  for i = 0 to t.ntouched - 1 do
-    let addr = t.touched.(i) in
+  for i = 0 to t.nlive - 1 do
+    let addr = t.addrs.(i) in
     let cur = Memory.read_u8_exn t.mem addr in
-    if cur <> Hashtbl.find t.pristine addr then
+    if cur <> t.pristine.(i) then
       if !drop then drop := false
       else begin
-        add_u32 b addr;
-        Buffer.add_char b (Char.chr cur)
+        Bytes.set_int32_le b !len (Int32.of_int addr);
+        Bytes.set_uint8 b (!len + 4) cur;
+        len := !len + 5
       end
   done;
-  Buffer.contents b
+  !len
+
+let key_buffer t = t.buf
+
+let key t =
+  let len = build_key t in
+  Bytes.sub_string t.buf 0 len
 
 let save_regs t dst =
   Array.blit t.cpu.Cpu.regs 0 dst 0 16;
-  (if t.cpu.Cpu.n then 8 else 0)
-  lor (if t.cpu.Cpu.z then 4 else 0)
-  lor (if t.cpu.Cpu.c then 2 else 0)
-  lor if t.cpu.Cpu.v then 1 else 0
+  flags_byte t.cpu
 
 let restore_regs t src flags =
   Array.blit src 0 t.cpu.Cpu.regs 0 16;
@@ -132,4 +165,4 @@ let restore_regs t src flags =
 
 let touched_bytes t =
   absorb t;
-  t.ntouched
+  t.nlive

@@ -25,7 +25,8 @@ type journal = { mutable packed : int array; mutable len : int }
    satisfies. Devices are never cached: their handlers must run on every
    access. With the cache warm, an aligned halfword or word access is a
    bounds check plus one [Bytes] primitive — no list walk, no per-byte
-   recursion, no allocation. *)
+   recursion, no allocation; a miss that lands in RAM repoints the
+   cache with one allocation-free walk of the region list. *)
 type t = {
   mutable regions : region list;
   mutable cache_lo : int;
@@ -92,20 +93,33 @@ let add_device t ~addr ~size ~read ~write =
   invalidate_cache t
 
 let find t addr =
-  let r =
-    List.find_opt
-      (fun r ->
-        let lo, hi = region_span r in
-        addr >= lo && addr < hi)
-      t.regions
-  in
-  (match r with
-  | Some (Ram { base; data }) ->
-    t.cache_lo <- base;
-    t.cache_hi <- base + Bytes.length data;
-    t.cache_data <- data
-  | Some (Device _) | None -> ());
-  r
+  List.find_opt
+    (fun r ->
+      let lo, hi = region_span r in
+      addr >= lo && addr < hi)
+    t.regions
+
+(* Point the cache at the RAM region holding [addr]; [false] when
+   [addr] is in a device or unmapped. A plain match over the region
+   list, so a cache miss on the unboxed paths allocates nothing. *)
+let rec refill t addr = function
+  | [] -> false
+  | Ram { base; data } :: rest ->
+    if addr >= base && addr < base + Bytes.length data then begin
+      t.cache_lo <- base;
+      t.cache_hi <- base + Bytes.length data;
+      t.cache_data <- data;
+      true
+    end
+    else refill t addr rest
+  | Device { base; size; _ } :: rest ->
+    if addr >= base && addr < base + size then false else refill t addr rest
+
+(* [addr, addr + n) inside the cached region, after at most one refill
+   on a miss. *)
+let[@inline] cached t addr n =
+  (addr >= t.cache_lo && addr + n <= t.cache_hi)
+  || (refill t addr t.regions && addr + n <= t.cache_hi)
 
 let is_mapped t addr = find t addr <> None
 
@@ -117,8 +131,9 @@ let clear t =
     t.regions
 
 (* Slow paths: region-list search, one byte at a time, so accesses that
-   straddle region boundaries or touch devices behave exactly like the
-   original per-byte protocol (including which address a fault names). *)
+   straddle region boundaries, touch devices or fault behave exactly
+   like the original per-byte protocol (including which address a
+   fault names). *)
 
 let byte_read t addr =
   match find t addr with
@@ -138,12 +153,8 @@ let byte_write t addr v =
 
 (* Undo-side byte store: must not itself be journaled. *)
 let poke_raw t addr v =
-  if addr >= t.cache_lo && addr < t.cache_hi then
-    Bytes.set_uint8 t.cache_data (addr - t.cache_lo) v
-  else
-    match find t addr with
-    | Some (Ram { base; data }) -> Bytes.set_uint8 data (addr - base) v
-    | Some (Device _) | None -> invalid_arg "Memory.undo_to: not RAM"
+  if cached t addr 1 then Bytes.set_uint8 t.cache_data (addr - t.cache_lo) v
+  else invalid_arg "Memory.undo_to: not RAM"
 
 let undo_to t j mark =
   if mark < 0 || mark > j.len then invalid_arg "Memory.undo_to";
@@ -154,15 +165,16 @@ let undo_to t j mark =
   done;
   j.len <- mark
 
-(* Unboxed accessors: check the cache, fall back to the slow path. *)
+(* Unboxed accessors: check the cache (refilling it on a miss), fall
+   back to the slow path. *)
 
 let read_u8_exn t addr =
-  if addr >= t.cache_lo && addr < t.cache_hi then
+  if cached t addr 1 then
     Bytes.get_uint8 t.cache_data (addr - t.cache_lo)
   else byte_read t addr
 
 let write_u8_exn t addr v =
-  if addr >= t.cache_lo && addr < t.cache_hi then begin
+  if cached t addr 1 then begin
     (match t.journal with
     | None -> ()
     | Some j ->
@@ -173,7 +185,7 @@ let write_u8_exn t addr v =
 
 let read_u16_exn t addr =
   if addr land 1 <> 0 then raise (Fault (Unaligned addr))
-  else if addr >= t.cache_lo && addr + 2 <= t.cache_hi then
+  else if cached t addr 2 then
     Bytes.get_uint16_le t.cache_data (addr - t.cache_lo)
   else begin
     let b0 = byte_read t addr in
@@ -183,7 +195,7 @@ let read_u16_exn t addr =
 
 let write_u16_exn t addr v =
   if addr land 1 <> 0 then raise (Fault (Unaligned addr))
-  else if addr >= t.cache_lo && addr + 2 <= t.cache_hi then begin
+  else if cached t addr 2 then begin
     (match t.journal with
     | None -> ()
     | Some j ->
@@ -199,7 +211,7 @@ let write_u16_exn t addr v =
 
 let read_u32_exn t addr =
   if addr land 3 <> 0 then raise (Fault (Unaligned addr))
-  else if addr >= t.cache_lo && addr + 4 <= t.cache_hi then
+  else if cached t addr 4 then
     Int32.to_int (Bytes.get_int32_le t.cache_data (addr - t.cache_lo))
     land 0xFFFFFFFF
   else begin
@@ -212,7 +224,7 @@ let read_u32_exn t addr =
 
 let write_u32_exn t addr v =
   if addr land 3 <> 0 then raise (Fault (Unaligned addr))
-  else if addr >= t.cache_lo && addr + 4 <= t.cache_hi then begin
+  else if cached t addr 4 then begin
     (match t.journal with
     | None -> ()
     | Some j ->

@@ -56,10 +56,11 @@ val write_u32 : t -> int -> int -> (unit, fault) result
 
     Same semantics as the [result] API (alignment checks, device
     dispatch, fault addresses), but faults are raised as {!Fault}
-    instead of boxed in [Error], and aligned accesses inside the
-    last-hit RAM region go through a single [Bytes] primitive. The
-    executor's fetch/execute loop uses these so a well-behaved guest
-    allocates nothing per step. *)
+    instead of boxed in [Error], and aligned accesses inside one RAM
+    region go through a single [Bytes] primitive (a miss on the
+    last-hit region repoints it without allocating). The executor's
+    fetch/execute loop uses these so a well-behaved guest allocates
+    nothing per step. *)
 
 val read_u8_exn : t -> int -> int
 val read_u16_exn : t -> int -> int

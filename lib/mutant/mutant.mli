@@ -18,9 +18,9 @@ type t =
       (** The static pre-pruner's transfer function drops all fault
           taint, so it "proves" continuations it never tracked. *)
   | State_key_byte
-      (** [Exhaust.State.key] omits the lowest-address touched byte that
-          differs from pristine, so states differing only there share
-          one key. *)
+      (** [Exhaust.State.build_key] omits the lowest-address live
+          byte that differs from pristine, so states differing only
+          there share one key. *)
 
 val all : t list
 (** Every mutant, in declaration order. *)

@@ -17,10 +17,14 @@ val create : ?slots:int -> unit -> t
     rejects an insert. @raise Invalid_argument on a non-positive
     count. *)
 
+val find_prefix : t -> Bytes.t -> int -> int
+(** [find_prefix t b len] is the value published for the key held in
+    the first [len] bytes of [b], or [-1] when there is none; it
+    allocates nothing. A racing reader may miss a key another domain
+    just added; callers must treat that as "compute it yourself". *)
+
 val find : t -> string -> int option
-(** The value published for a key. A racing reader may miss a key
-    another domain just added; callers must treat that as "compute it
-    yourself". *)
+(** {!find_prefix} on a whole string. *)
 
 val add : t -> string -> int -> unit
 (** Publish a non-negative value for a key. First writer wins; losers

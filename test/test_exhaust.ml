@@ -2,8 +2,9 @@
 
    - unit tests for the canonical state keys (exact serializations:
      stable across write/undo cycles, sensitive to every register, flag
-     and dirty byte) and for the shared key map (bucket collisions must
-     never merge distinct keys);
+     and dirty byte), a QCheck differential against a from-scratch key
+     over random writes, marks and undos, and tests for the shared key
+     map (bucket collisions must never merge distinct keys);
    - a QCheck property pinning the pruned campaign against the unpruned
      reference oracle on generated firmware — identical verdict tables,
      identical per-point verdicts;
@@ -128,6 +129,140 @@ let test_state_save_restore_regs () =
   Alcotest.(check string) "save/restore round-trips the key" k0
     (Exhaust.State.key rig)
 
+let test_state_live_set_follows_undo () =
+  let rig = seal_rig () in
+  let mem = Exhaust.State.mem rig in
+  Machine.Memory.write_u8_exn mem (sram + 4) 1;
+  Alcotest.(check int) "baseline write is live" 1 (Exhaust.State.touched_bytes rig);
+  let m = Exhaust.State.mark rig in
+  Machine.Memory.write_u16_exn mem (sram + 8) 0x0303;
+  Machine.Memory.write_u8_exn mem (sram + 4) 2;
+  Alcotest.(check int) "continuation writes are live" 3
+    (Exhaust.State.touched_bytes rig);
+  Exhaust.State.undo_to rig m;
+  Alcotest.(check int) "undo drops addresses first written after the mark" 1
+    (Exhaust.State.touched_bytes rig);
+  (* the same, for writes no key or count has looked at yet *)
+  Machine.Memory.write_u32_exn mem (sram + 12) 0x04040404;
+  Exhaust.State.undo_to rig m;
+  Alcotest.(check int) "unabsorbed writes never become live" 1
+    (Exhaust.State.touched_bytes rig)
+
+(* --- property: State.key == a full scan against a seal-time snapshot ------ *)
+
+(* Random u8/u16/u32 writes (some putting a byte's pristine value back),
+   register changes, marks and undos to any open mark. At each check,
+   and at the end, the rig's key must equal a reference key built from
+   scratch: registers and flags, then every mapped RAM byte that
+   differs from the snapshot taken at seal, ascending. Checks are
+   sparse so that writes and undos pile up between two key builds. Two
+   regions, so the walk also crosses the memory's one-region cache. *)
+type key_op =
+  | W8 of int * int
+  | W16 of int * int
+  | W32 of int * int
+  | Pristine of int
+  | Reg of int * int
+  | Mark
+  | Undo of int
+  | Check
+
+let key_regions = [ (sram, 0x20); (0x48000000, 0x8) ]
+
+(* slot [i] of the 40 addressable bytes *)
+let slot_addr i = if i < 0x20 then sram + i else 0x48000000 + (i - 0x20)
+
+let pp_key_op = function
+  | W8 (i, v) -> Printf.sprintf "w8 %#x %#x" (slot_addr i) v
+  | W16 (i, v) -> Printf.sprintf "w16 %#x %#x" (slot_addr i land lnot 1) v
+  | W32 (i, v) -> Printf.sprintf "w32 %#x %#x" (slot_addr i land lnot 3) v
+  | Pristine i -> Printf.sprintf "pristine %#x" (slot_addr i)
+  | Reg (r, v) -> Printf.sprintf "r%d := %#x" r v
+  | Mark -> "mark"
+  | Undo i -> Printf.sprintf "undo %d" i
+  | Check -> "check"
+
+let arb_key_ops =
+  let open QCheck.Gen in
+  let slot = int_bound 39 and byte = frequency [ (3, int_bound 255); (1, return 0) ] in
+  let word = map2 (fun a b -> a lor (b lsl 16)) (int_bound 0xFFFF) (int_bound 0xFFFF) in
+  let op =
+    frequency
+      [ (4, map2 (fun i v -> W8 (i, v)) slot byte);
+        (2, map2 (fun i v -> W16 (i, v)) slot (int_bound 0xFFFF));
+        (2, map2 (fun i v -> W32 (i, v)) slot word);
+        (2, map (fun i -> Pristine i) slot);
+        (1, map2 (fun r v -> Reg (r, v)) (int_bound 15) word);
+        (2, return Mark);
+        (2, map (fun i -> Undo i) (int_bound 7));
+        (2, return Check) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_key_op ops))
+    (list_size (int_range 1 60) op)
+
+let reference_key mem pristine (cpu : Machine.Cpu.t) =
+  let b = Buffer.create 128 in
+  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  Array.iter u32 cpu.regs;
+  Buffer.add_uint8 b
+    ((if cpu.n then 8 else 0) lor (if cpu.z then 4 else 0)
+    lor (if cpu.c then 2 else 0) lor if cpu.v then 1 else 0);
+  List.iter
+    (fun (base, size) ->
+      for addr = base to base + size - 1 do
+        let cur = Machine.Memory.read_u8_exn mem addr in
+        if cur <> Machine.Memory.read_u8_exn pristine addr then begin
+          u32 addr;
+          Buffer.add_uint8 b cur
+        end
+      done)
+    key_regions;
+  Buffer.contents b
+
+let prop_key_equals_full_scan =
+  QCheck.Test.make ~name:"State.key == full scan against the seal snapshot"
+    ~count:300 arb_key_ops (fun ops ->
+      let map () =
+        let mem = Machine.Memory.create () in
+        List.iter (fun (addr, size) -> Machine.Memory.map mem ~addr ~size) key_regions;
+        mem
+      in
+      let mem = map () in
+      List.iter
+        (fun (base, size) ->
+          for i = 0 to size - 1 do
+            Machine.Memory.write_u8_exn mem (base + i) ((base + (37 * i)) land 0xFF)
+          done)
+        key_regions;
+      let cpu = Machine.Cpu.create ~sp:(sram + 0x10) ~pc:sram () in
+      let rig = Exhaust.State.seal ~mem ~cpu in
+      let pristine = map () in
+      Machine.Memory.restore pristine (Machine.Memory.snapshot mem);
+      let marks = ref [] in
+      let check () = String.equal (Exhaust.State.key rig) (reference_key mem pristine cpu) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | W8 (i, v) -> Machine.Memory.write_u8_exn mem (slot_addr i) v
+          | W16 (i, v) -> Machine.Memory.write_u16_exn mem (slot_addr i land lnot 1) v
+          | W32 (i, v) -> Machine.Memory.write_u32_exn mem (slot_addr i land lnot 3) v
+          | Pristine i ->
+            let a = slot_addr i in
+            Machine.Memory.write_u8_exn mem a (Machine.Memory.read_u8_exn pristine a)
+          | Reg (r, v) -> cpu.regs.(r) <- v
+          | Mark -> marks := Exhaust.State.mark rig :: !marks
+          | Undo i -> (
+            match List.filteri (fun j _ -> j >= i mod max 1 (List.length !marks)) !marks with
+            | [] -> ()
+            | m :: older ->
+              Exhaust.State.undo_to rig m;
+              marks := older)
+          | Check -> ());
+          op <> Check || check ())
+        ops
+      && check ())
+
 (* --- Keymap: collisions must never merge --------------------------------- *)
 
 let test_keymap_collisions_kept_apart () =
@@ -141,6 +276,12 @@ let test_keymap_collisions_kept_apart () =
     (Runtime.Keymap.find m "state-b");
   Alcotest.(check (option int)) "absent key is a miss" None
     (Runtime.Keymap.find m "state-c");
+  (* probing a buffer prefix hashes and compares just those bytes *)
+  let buf = Bytes.of_string "state-b tail" in
+  Alcotest.(check int) "buffer prefix finds the string key" 5
+    (Runtime.Keymap.find_prefix m buf 7);
+  Alcotest.(check int) "a shorter prefix is a miss" (-1)
+    (Runtime.Keymap.find_prefix m buf 6);
   Alcotest.(check int) "both distinct keys counted" 2 (Runtime.Keymap.count m);
   (* re-publishing is a no-op, not a second entry *)
   Runtime.Keymap.add m "state-a" 3;
@@ -499,7 +640,10 @@ let () =
           Alcotest.test_case "key distinguishes dirty addresses" `Quick
             test_state_key_distinct_dirty_bytes;
           Alcotest.test_case "save/restore registers round-trips" `Quick
-            test_state_save_restore_regs ] );
+            test_state_save_restore_regs;
+          Alcotest.test_case "undo shrinks the live set" `Quick
+            test_state_live_set_follows_undo;
+          Qseed.to_alcotest prop_key_equals_full_scan ] );
       ( "keymap",
         [ Alcotest.test_case "bucket collisions never merge keys" `Quick
             test_keymap_collisions_kept_apart ] );

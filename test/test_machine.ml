@@ -115,6 +115,65 @@ let memory_cache_tracks_regions () =
   Alcotest.(check (list (pair int int))) "device write seen" [ (1, 0xAB) ]
     !written
 
+(* A cache miss refills the cache and retries the fast path only when
+   the whole access lies in one RAM region. Straddling, device and
+   unmapped accesses keep the per-byte protocol: the fault names the
+   first byte that is missing, alignment is checked first, and a write
+   that faults part-way leaves its earlier bytes written and
+   journaled. A refilled write journals exactly what the fast path
+   does: each byte's pre-image, in address order. *)
+let memory_fault_addresses () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~size:6;
+  Memory.map m ~addr:0x3000 ~size:16;
+  let j = Memory.journal_create () in
+  Memory.attach_journal m j;
+  let faults name expected f =
+    match f () with
+    | exception Memory.Fault got ->
+      Alcotest.(check string) name
+        (Fmt.str "%a" Memory.pp_fault expected)
+        (Fmt.str "%a" Memory.pp_fault got)
+    | () -> Alcotest.failf "%s: expected a fault" name
+  in
+  let read f addr () = ignore (f m addr) in
+  let write f addr () = f m addr 0xA1B2C3D4 in
+  faults "u32 read straddling the end" (Memory.Unmapped 0x1006)
+    (read Memory.read_u32_exn 0x1004);
+  faults "u16 read unmapped" (Memory.Unmapped 0x2000) (read Memory.read_u16_exn 0x2000);
+  faults "u32 read unmapped" (Memory.Unmapped 0x2000) (read Memory.read_u32_exn 0x2000);
+  faults "u16 write unmapped" (Memory.Unmapped 0x2000) (write Memory.write_u16_exn 0x2000);
+  faults "u32 write unmapped" (Memory.Unmapped 0x2000) (write Memory.write_u32_exn 0x2000);
+  faults "u16 read unaligned" (Memory.Unaligned 0x3001) (read Memory.read_u16_exn 0x3001);
+  faults "u32 write unaligned" (Memory.Unaligned 0x3002) (write Memory.write_u32_exn 0x3002);
+  faults "unaligned before unmapped" (Memory.Unaligned 0x2001)
+    (read Memory.read_u32_exn 0x2001);
+  Alcotest.(check int) "no journal entries before a store" 0 (Memory.journal_length j);
+  faults "u32 write straddling the end" (Memory.Unmapped 0x1006)
+    (write Memory.write_u32_exn 0x1004);
+  let entries () =
+    List.init (Memory.journal_length j) (Memory.journal_entry j)
+  in
+  Alcotest.(check (list (pair int int))) "partial write journaled"
+    [ (0x1004, 0); (0x1005, 0) ] (entries ());
+  Alcotest.(check int) "partial write landed" 0xC3D4 (Memory.read_u16_exn m 0x1004);
+  Memory.write_u32_exn m 0x3004 0x11223344;
+  ignore (Memory.read_u8_exn m 0x1000);
+  (* the cache now holds the first region: the next two stores refill *)
+  Memory.write_u32_exn m 0x3004 0x55667788;
+  ignore (Memory.read_u8_exn m 0x1000);
+  Memory.write_u16_exn m 0x3008 0xBEEF;
+  Alcotest.(check (list (pair int int))) "refilled writes journaled"
+    [ (0x1004, 0); (0x1005, 0);
+      (0x3004, 0); (0x3005, 0); (0x3006, 0); (0x3007, 0);
+      (0x3004, 0x44); (0x3005, 0x33); (0x3006, 0x22); (0x3007, 0x11);
+      (0x3008, 0); (0x3009, 0) ]
+    (entries ());
+  Alcotest.(check int) "refilled word" 0x55667788 (Memory.read_u32_exn m 0x3004);
+  Memory.undo_to m j 0;
+  Alcotest.(check int) "undo restores the word" 0 (Memory.read_u32_exn m 0x3004);
+  Alcotest.(check int) "undo restores the partial write" 0 (Memory.read_u16_exn m 0x1004)
+
 let memory_load_bytes_blit () =
   let m = Memory.create () in
   Memory.map m ~addr:0x1000 ~size:8;
@@ -468,6 +527,7 @@ let () =
          Alcotest.test_case "exn accessors" `Quick memory_exn_api;
          Alcotest.test_case "region straddling" `Quick memory_straddles_regions;
          Alcotest.test_case "cache tracks regions" `Quick memory_cache_tracks_regions;
+         Alcotest.test_case "fault addresses and refill" `Quick memory_fault_addresses;
          Alcotest.test_case "load_bytes blit" `Quick memory_load_bytes_blit ]);
       ("flags",
        [ Alcotest.test_case "add/sub carry-borrow" `Quick flags_add_sub;
