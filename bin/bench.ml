@@ -656,7 +656,7 @@ let table6 ?pool ~quick () =
     Fmt.pr "(quick mode: every 4th parameter point; counts scale by ~1/16)@.";
   let scenarios = Resistor.Evaluate.[ Worst_case; Best_case ] in
   let attacks = Resistor.Evaluate.[ Single; Long; Windowed ] in
-  let total_attempts = ref 0 in
+  let sweep = ref Hw.Attack.sweep_zero in
   let configs =
     [ ("All", Resistor.Config.all ~sensitive:[ "a" ] ());
       ("All\\Delay", Resistor.Config.all_but_delay ~sensitive:[ "a" ] ());
@@ -678,7 +678,7 @@ let table6 ?pool ~quick () =
                  let o =
                    Resistor.Evaluate.run ?pool ~sweep_step config scenario attack
                  in
-                 total_attempts := !total_attempts + o.attempts;
+                 sweep := Hw.Attack.sweep_add !sweep o.sweep;
                  [ Resistor.Evaluate.attack_name attack; label;
                    string_of_int o.attempts; string_of_int o.successes;
                    Fmt.str "%a" Stats.Rate.pp_pct
@@ -690,8 +690,7 @@ let table6 ?pool ~quick () =
            attacks))
     scenarios)
   in
-  emit_perf
-    (Stats.Perf.make ~label:"table6" ?pool ~items:!total_attempts [] elapsed_s);
+  emit_perf (Hw.Attack.sweep_perf ~label:"table6" ?pool !sweep elapsed_s);
   paper_note "while(!a): single 0.00928%%/0.00371%% success, 98-100%% detected;";
   paper_note "long 0.263%%/0.267%% success with 79.2%%/71.2%% detection;";
   paper_note "if(a==SUCCESS): best attack 0.00557%% (All) / 0.0449%% (All\\Delay)."

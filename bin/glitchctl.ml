@@ -410,9 +410,7 @@ let attack_cmd =
                 Resistor.Evaluate.run_image ~pool ~sweep_step:step
                   compiled.image attack)
           in
-          ( Stats.Perf.make ~label:"attack" ~pool
-              ~items:o.Resistor.Evaluate.attempts [] elapsed_s,
-            o ))
+          (Hw.Attack.sweep_perf ~label:"attack" ~pool o.sweep elapsed_s, o))
     with
     | perf, o ->
       Fmt.pr "%s vs %s: %d attempts, %d successes (%a), %d detections@."
@@ -423,7 +421,7 @@ let attack_cmd =
         o.detections;
       Fmt.pr "%s@." (Stats.Perf.machine_line perf);
       0
-    | exception Invalid_argument _ ->
+    | exception Hw.Attack.No_trigger ->
       Fmt.epr "firmware never raised the trigger (call __trigger_high())@.";
       exit_input
   in

@@ -194,78 +194,38 @@ let escaped board (obs : Glitcher.observation) =
 
 (* --- the sweep kernel ------------------------------------------------------- *)
 
-(* A booted target, ready for snapshot-replay attacks: the board has run
-   glitch-free to its first trigger edge (the deterministic "boot"), the
-   state at that edge is snapshotted, and the unglitched continuation is
-   recorded as a baseline. Every attempt then starts from the snapshot
-   instead of a power-on reset — sound because no glitch window can arm
-   before the first trigger edge exists — and ends via the baseline the
-   moment its schedule is provably dead. *)
-type rig = {
-  rig_board : Board.t;
-  rig_snap : Board.snapshot;
-  rig_baseline : Glitcher.baseline;
-  rig_max_cycles : int;
-  boot_cycles : int;
-}
-
-(* The boot, separated from the rig so it can be shared: the snapshot
-   and baseline are deep copies ([Memory.snapshot] copies every region,
-   [Cpu.copy] the registers) that are only ever read afterwards —
-   [Board.restore] and baseline validity checks blit/compare FROM them
-   — so handing the same boot to several worker domains is sound. Each
-   worker still needs a private [Board.t] (boards mutate on every
-   attempt), but materializing one is an assemble-and-load, not the
-   boot emulation plus up-to-[max_cycles] baseline recording that
-   booting per worker used to cost. *)
+(* The shareable product of booting: the board has run glitch-free to
+   its first trigger edge (the deterministic "boot"), the state at that
+   edge is snapshotted, and the unglitched continuation is recorded as
+   a baseline. Snapshot and baseline are deep copies ([Memory.snapshot]
+   copies every region, [Cpu.copy] the registers) that are only ever
+   read afterwards — [Board.restore] and baseline validity checks
+   blit/compare FROM them — so one boot may back rigs on several worker
+   domains at once. *)
 type boot = {
-  b_program : string;
+  b_program : Board.program;
   b_snap : Board.snapshot;
   b_baseline : Glitcher.baseline;
   b_max_cycles : int;
-  b_boot_cycles : int;
-  b_board : Board.t;  (* the board that booted; claimable by one rig *)
 }
 
-let boot_once ?(max_cycles = 300) program =
-  let board = Board.create (Board.Asm program) in
-  if not (Board.run_until_trigger board ~max_cycles) then
-    invalid_arg "Attack.boot_once: program never raises its trigger";
+exception No_trigger
+
+let boot ?(max_cycles = 300) ?after_trigger program =
+  let board = Board.create program in
+  if not (Board.run_until_trigger board ~max_cycles) then raise No_trigger;
   let snap = Board.snapshot board in
-  let boot_cycles = Board.cycles board in
-  let baseline = Glitcher.baseline ~max_cycles board ~from:snap in
+  let max_cycles =
+    match after_trigger with
+    | Some n -> Board.cycles board + n
+    | None -> max_cycles
+  in
   { b_program = program;
     b_snap = snap;
-    b_baseline = baseline;
-    b_max_cycles = max_cycles;
-    b_boot_cycles = boot_cycles;
-    b_board = board }
+    b_baseline = Glitcher.baseline ~max_cycles board ~from:snap;
+    b_max_cycles = max_cycles }
 
-(* A fresh board for the shared boot. Attempts restore the snapshot
-   before executing anything, so the board only has to have the same
-   memory map as the booted one — which [Board.create] on the same
-   program guarantees. *)
-let rig_of_boot boot =
-  { rig_board = Board.create (Board.Asm boot.b_program);
-    rig_snap = boot.b_snap;
-    rig_baseline = boot.b_baseline;
-    rig_max_cycles = boot.b_max_cycles;
-    boot_cycles = boot.b_boot_cycles }
-
-let boot_rig ?max_cycles program =
-  let boot = boot_once ?max_cycles program in
-  { rig_board = boot.b_board;
-    rig_snap = boot.b_snap;
-    rig_baseline = boot.b_baseline;
-    rig_max_cycles = boot.b_max_cycles;
-    boot_cycles = boot.b_boot_cycles }
-
-let boot_cycles rig = rig.boot_cycles
-let rig_board rig = rig.rig_board
-
-let attempt ?config ?nonce rig schedule =
-  Glitcher.run ?config ~max_cycles:rig.rig_max_cycles ?nonce
-    ~from:rig.rig_snap ~baseline:rig.rig_baseline rig.rig_board schedule
+let boot_once ?max_cycles source = boot ?max_cycles (Board.Asm source)
 
 type sweep = {
   attempts : int;
@@ -289,22 +249,59 @@ let sweep_perf ~label ?pool s elapsed_s =
        ("replayed_cycles", s.replayed_cycles))
     elapsed_s
 
+(* A worker's private board on a shared boot, plus what its attempts
+   have cost so far. Every attempt starts from the boot's snapshot
+   instead of a power-on reset — sound because no glitch window can arm
+   before the first trigger edge exists — and ends via the baseline the
+   moment its schedule is provably dead. *)
+type rig = { boot : boot; board : Board.t; mutable tally : sweep }
+
+(* Attempts restore the snapshot before executing anything, so the
+   board only has to have the booted one's memory map, which
+   [Board.create] on the same program guarantees: materializing a rig
+   is an assemble-and-load, not a boot. *)
+let rig_of_boot boot =
+  { boot; board = Board.create boot.b_program; tally = sweep_zero }
+
+let rig_board rig = rig.board
+let tally rig = rig.tally
+
+let attempt ?config ?nonce rig schedule =
+  let b = rig.boot in
+  let obs =
+    Glitcher.run ?config ~max_cycles:b.b_max_cycles ?nonce ~from:b.b_snap
+      ~baseline:b.b_baseline rig.board schedule
+  in
+  let t = rig.tally and replayed = obs.Glitcher.replayed_cycles in
+  rig.tally <-
+    { t with
+      attempts = t.attempts + 1;
+      emulated_cycles = t.emulated_cycles + obs.Glitcher.cycles - replayed;
+      replayed_cycles = t.replayed_cycles + replayed };
+  obs
+
+(* Every attempt rewinds to the same trigger snapshot, so an item's
+   result depends only on (boot, item, fault config) — never on which
+   rig ran it or in what order. Each worker claims items one at a time
+   on its own rig; results are reassembled by index and the rigs'
+   tallies summed, bit-identical at every job count. *)
+let map_items ?pool ~boot f items =
+  let results = Array.make (Array.length items) None in
+  let rigs =
+    Runtime.Pool.drain ?pool ~size:1 ~lo:0 ~hi:(Array.length items)
+      ~init:(fun () -> rig_of_boot boot)
+      (fun rig i _ -> results.(i) <- Some (f rig items.(i)))
+  in
+  ( Array.map Option.get results,
+    { (List.fold_left (fun s rig -> sweep_add s rig.tally) sweep_zero rigs) with
+      boots = 1 } )
+
 let full_parameter_sweep ?config rig ~make_schedule ~classify =
-  let attempts = ref 0 and emulated = ref 0 and replayed = ref 0 in
   for width = -49 to 49 do
     for offset = -49 to 49 do
-      incr attempts;
-      let schedule = make_schedule ~width ~offset in
-      let obs = attempt ?config rig schedule in
-      emulated := !emulated + (obs.Glitcher.cycles - obs.Glitcher.replayed_cycles);
-      replayed := !replayed + obs.Glitcher.replayed_cycles;
-      classify rig.rig_board obs
+      classify rig.board (attempt ?config rig (make_schedule ~width ~offset))
     done
-  done;
-  { attempts = !attempts;
-    emulated_cycles = !emulated;
-    replayed_cycles = !replayed;
-    boots = 0 }
+  done
 
 (* --- Table I ---------------------------------------------------------------- *)
 
@@ -317,21 +314,6 @@ type table1 = {
   sweep1 : sweep;
 }
 
-(* Every attempt rewinds the board to the same trigger snapshot, so an
-   item's statistics depend only on (program, item, fault config) —
-   never on which board object ran it or in what order. The boot
-   happens ONCE; each worker gets one private board sharing the boot's
-   snapshot/baseline (see [boot]), claims items one at a time, and the
-   per-item results are reassembled by index, bit-identical at every
-   job count. *)
-let map_items ?pool ~boot f items =
-  let results = Array.make (Array.length items) None in
-  ignore
-    (Runtime.Pool.drain ?pool ~size:1 ~lo:0 ~hi:(Array.length items)
-       ~init:(fun () -> rig_of_boot boot)
-       (fun rig i _ -> results.(i) <- Some (f rig items.(i))));
-  Array.map Option.get results
-
 let cycles = Array.init loop_cycles Fun.id
 
 let run_table1 ?pool ?config guard =
@@ -339,30 +321,25 @@ let run_table1 ?pool ?config guard =
   let run_cycle rig cycle =
     let successes = ref 0 in
     let values : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let sweep =
-      full_parameter_sweep ?config rig
-        ~make_schedule:(fun ~width ~offset ->
-          [ Glitcher.single ~width ~offset ~ext_offset:cycle ])
-        ~classify:(fun board obs ->
-          if escaped board obs then begin
-            incr successes;
-            let v = Board.reg board cmp_reg in
-            Hashtbl.replace values v
-              (1 + Option.value ~default:0 (Hashtbl.find_opt values v))
-          end)
-    in
-    ( { successes = !successes;
-        values =
-          Hashtbl.fold (fun v c acc -> (v, c) :: acc) values []
-          |> List.sort (fun (_, c1) (_, c2) -> compare c2 c1) },
-      sweep )
+    full_parameter_sweep ?config rig
+      ~make_schedule:(fun ~width ~offset ->
+        [ Glitcher.single ~width ~offset ~ext_offset:cycle ])
+      ~classify:(fun board obs ->
+        if escaped board obs then begin
+          incr successes;
+          let v = Board.reg board cmp_reg in
+          Hashtbl.replace values v
+            (1 + Option.value ~default:0 (Hashtbl.find_opt values v))
+        end);
+    { successes = !successes;
+      values =
+        Hashtbl.fold (fun v c acc -> (v, c) :: acc) values []
+        |> List.sort (fun (_, c1) (_, c2) -> compare c2 c1) }
   in
   let boot = boot_once (single_loop_program guard) in
-  let cells = map_items ?pool ~boot run_cycle cycles in
-  let sweep = Array.fold_left (fun acc (_, s) -> sweep_add acc s) sweep_zero cells in
-  let sweep = { sweep with boots = 1 } in
+  let per_cycle, sweep = map_items ?pool ~boot run_cycle cycles in
   { guard;
-    per_cycle = Array.map fst cells;
+    per_cycle;
     attempts_per_cycle = sweep.attempts / loop_cycles;
     sweep1 = sweep }
 
@@ -379,27 +356,21 @@ type table2 = {
 let run_table2 ?pool ?config guard =
   let run_cycle rig cycle =
     let partial = ref 0 and full = ref 0 in
-    let sweep =
-      full_parameter_sweep ?config rig
-        ~make_schedule:(fun ~width ~offset ->
-          [ Glitcher.single ~width ~offset ~ext_offset:cycle;
-            { (Glitcher.single ~width ~offset ~ext_offset:cycle) with
-              trigger_index = 1 } ])
-        ~classify:(fun board obs ->
-          if escaped board obs then incr full
-          else if Board.reg board 4 = 1 then incr partial)
-    in
-    (!partial, !full, sweep)
+    full_parameter_sweep ?config rig
+      ~make_schedule:(fun ~width ~offset ->
+        [ Glitcher.single ~width ~offset ~ext_offset:cycle;
+          { (Glitcher.single ~width ~offset ~ext_offset:cycle) with
+            trigger_index = 1 } ])
+      ~classify:(fun board obs ->
+        if escaped board obs then incr full
+        else if Board.reg board 4 = 1 then incr partial);
+    (!partial, !full)
   in
   let boot = boot_once ~max_cycles:500 (double_loop_program guard) in
-  let cells = map_items ?pool ~boot run_cycle cycles in
-  let sweep =
-    Array.fold_left (fun acc (_, _, s) -> sweep_add acc s) sweep_zero cells
-  in
-  let sweep = { sweep with boots = 1 } in
+  let cells, sweep = map_items ?pool ~boot run_cycle cycles in
   { guard2 = guard;
-    partial = Array.map (fun (p, _, _) -> p) cells;
-    full = Array.map (fun (_, f, _) -> f) cells;
+    partial = Array.map fst cells;
+    full = Array.map snd cells;
     attempts2 = sweep.attempts;
     sweep2 = sweep }
 
@@ -415,24 +386,18 @@ type table3 = {
 let run_table3 ?pool ?config guard =
   let run_window rig last_cycle =
     let successes = ref 0 in
-    let sweep =
-      full_parameter_sweep ?config rig
-        ~make_schedule:(fun ~width ~offset ->
-          [ Glitcher.with_repeat
-              (Glitcher.single ~width ~offset ~ext_offset:0)
-              (last_cycle + 1) ])
-        ~classify:(fun board obs -> if escaped board obs then incr successes)
-    in
-    (last_cycle, !successes, sweep)
+    full_parameter_sweep ?config rig
+      ~make_schedule:(fun ~width ~offset ->
+        [ Glitcher.with_repeat
+            (Glitcher.single ~width ~offset ~ext_offset:0)
+            (last_cycle + 1) ])
+      ~classify:(fun board obs -> if escaped board obs then incr successes);
+    (last_cycle, !successes)
   in
   let boot = boot_once ~max_cycles:800 (long_glitch_program guard) in
   let windows = [| 10; 11; 12; 13; 14; 15; 16; 17; 18; 19; 20 |] in
-  let rows = map_items ?pool ~boot run_window windows in
-  let sweep =
-    Array.fold_left (fun acc (_, _, s) -> sweep_add acc s) sweep_zero rows
-  in
-  let sweep = { sweep with boots = 1 } in
+  let rows, sweep = map_items ?pool ~boot run_window windows in
   { guard3 = guard;
-    windows = Array.to_list rows |> List.map (fun (w, s, _) -> (w, s));
+    windows = Array.to_list rows;
     attempts_per_window = sweep.attempts / Array.length windows;
     sweep3 = sweep }

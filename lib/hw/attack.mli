@@ -1,8 +1,8 @@
 (** Experiment drivers for the real-world glitching study (Section V):
     the three branch guards of Table I, the back-to-back multi-glitch
-    loops of Table II, and the long-glitch sweep of Table III, plus the
-    generic full-parameter sweep the defended-firmware evaluation
-    (Table VI) reuses.
+    loops of Table II, and the long-glitch sweep of Table III, on the
+    board-attack kernel the defended-firmware evaluation (Table VI) and
+    the parameter tuner share.
 
     Each attempt rewinds the board to a snapshot taken at the firmware's
     first trigger edge, arms the glitch, and classifies the run. The
@@ -40,35 +40,39 @@ val comparator : guard -> int
 val loop_cycles : int
 (** 8 — each guard iteration's cycle count, bounding [ext_offset]. *)
 
-type rig
-(** A booted target: a board run glitch-free to its first trigger edge,
-    the snapshot taken there, and the recorded unglitched continuation
-    ({!Glitcher.baseline}). All sweep attempts start from the snapshot
-    instead of a power-on reset. *)
-
-val boot_rig : ?max_cycles:int -> string -> rig
-(** Assemble the program, boot it to its trigger edge, snapshot, and
-    record the baseline. [max_cycles] (default 300) is the per-attempt
-    cycle budget every subsequent sweep on this rig runs under.
-    [Invalid_argument] if the program never raises the trigger.
-    Equivalent to [rig_of_boot (boot_once program)] but reuses the
-    booted board. *)
-
 type boot
-(** The shareable product of booting: trigger snapshot, unglitched
-    baseline, and boot metadata. Snapshot and baseline are deep copies
+(** The shareable product of booting a program: the board run
+    glitch-free to its first trigger edge, the snapshot taken there,
+    the recorded unglitched continuation ({!Glitcher.baseline}), and
+    the per-attempt cycle budget. Snapshot and baseline are deep copies
     that are only read afterwards, so one [boot] may back rigs on many
-    worker domains concurrently — the boot emulation and baseline
-    recording happen once per table instead of once per worker. *)
+    worker domains concurrently: the boot emulation and baseline
+    recording happen once per sweep, not once per worker. *)
+
+exception No_trigger
+(** Raised by {!boot} when the program never raises its trigger within
+    the boot budget. *)
+
+val boot : ?max_cycles:int -> ?after_trigger:int -> Board.program -> boot
+(** Load the program, run it to its first trigger edge within
+    [max_cycles] (default 300), snapshot, and record the baseline.
+    Attempts on this boot run until board cycle [max_cycles], or until
+    [after_trigger] cycles past the trigger edge when given (firmware
+    whose boot length depends on its defenses). *)
 
 val boot_once : ?max_cycles:int -> string -> boot
-(** Boot the program once, as {!boot_rig} does, keeping the shareable
-    parts. *)
+(** [boot ?max_cycles (Board.Asm source)]: the Tables I-III guard
+    programs, with [max_cycles] both the boot and the attempt budget. *)
+
+type rig
+(** One worker's private board on a shared {!boot}, with the running
+    cost of its attempts. Every attempt starts from the boot's trigger
+    snapshot instead of a power-on reset. *)
 
 val rig_of_boot : boot -> rig
-(** A rig on a {e fresh} private board (assemble + load only — no
-    emulation) backed by the shared snapshot/baseline. Sound because
-    every {!attempt} restores the snapshot before executing. *)
+(** A rig on a {e fresh} board (assemble + load only, no emulation).
+    Sound because every {!attempt} restores the snapshot before
+    executing. *)
 
 val attempt :
   ?config:Susceptibility.config ->
@@ -77,11 +81,7 @@ val attempt :
   Glitcher.params list ->
   Glitcher.observation
 (** One glitch attempt from the rig's trigger snapshot, with its
-    dead-schedule baseline armed. *)
-
-val boot_cycles : rig -> int
-(** Cycles the boot to the trigger edge consumed (emulated once,
-    replayed by every attempt). *)
+    dead-schedule baseline armed, counted in the rig's {!tally}. *)
 
 val rig_board : rig -> Board.t
 (** The rig's board, for post-mortem inspection after {!attempt}. *)
@@ -89,8 +89,7 @@ val rig_board : rig -> Board.t
 (** What a sweep cost: attempts issued, cycles actually emulated,
     cycles served by snapshot restore (boot replay + dead-schedule
     cutoff) that the reset-per-attempt workflow would have emulated,
-    and boots performed (1 per table since the boot is shared across
-    workers; it was once per worker before). *)
+    and boots performed. *)
 type sweep = {
   attempts : int;
   emulated_cycles : int;
@@ -100,6 +99,18 @@ type sweep = {
 
 val sweep_zero : sweep
 val sweep_add : sweep -> sweep -> sweep
+
+val tally : rig -> sweep
+(** The cost of every {!attempt} made on the rig so far ([boots] 0). *)
+
+val map_items :
+  ?pool:Runtime.Pool.t -> boot:boot -> (rig -> 'a -> 'b) -> 'a array ->
+  'b array * sweep
+(** [f rig item] for every item, claimed one at a time by the workers of
+    [pool] (one worker in the caller without a pool), each on its own
+    rig backed by [boot]. Results come back by index with the summed
+    tallies of all rigs ([boots] 1); both are bit-identical at every
+    job count because every attempt restores the same snapshot. *)
 
 val sweep_perf :
   label:string -> ?pool:Runtime.Pool.t -> sweep -> float -> Stats.Perf.t
@@ -120,12 +131,9 @@ type table1 = {
 
 val run_table1 :
   ?pool:Runtime.Pool.t -> ?config:Susceptibility.config -> guard -> table1
-(** The 8 per-cycle sweeps are claimed one at a time by the workers of
-    [pool] (one worker in the caller without a pool), each worker
-    attacking one private board backed by the one shared {!boot};
-    every attempt restores the same trigger snapshot, so the table is
-    bit-identical at every job count. Likewise for {!run_table2} and
-    {!run_table3}. *)
+(** The 8 per-cycle sweeps run through {!map_items} on one {!boot}, so
+    the table is bit-identical at every job count. Likewise for
+    {!run_table2} and {!run_table3}. *)
 
 type table2 = {
   guard2 : guard;
@@ -149,15 +157,6 @@ type table3 = {
 
 val run_table3 :
   ?pool:Runtime.Pool.t -> ?config:Susceptibility.config -> guard -> table3
-
-val full_parameter_sweep :
-  ?config:Susceptibility.config ->
-  rig ->
-  make_schedule:(width:int -> offset:int -> Glitcher.params list) ->
-  classify:(Board.t -> Glitcher.observation -> unit) ->
-  sweep
-(** Run one attempt per (width, offset) in [-49, 49]^2 from the rig's
-    trigger snapshot. [classify] sees the post-mortem board. *)
 
 val escaped : Board.t -> Glitcher.observation -> bool
 (** Did the run reach the escape marker ([r0 = 0xAA] at a breakpoint)? *)

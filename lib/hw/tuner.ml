@@ -10,17 +10,15 @@ type result = {
 let per_attempt_s = 0.095
 
 let search ?(config = Susceptibility.default) ?(coarse_step = 2) guard =
-  let rig = Attack.boot_rig (Attack.single_loop_program guard) in
-  let attempts = ref 0 and successes = ref 0 in
-  let emulated = ref 0 and replayed = ref 0 in
+  let rig =
+    Attack.rig_of_boot (Attack.boot_once (Attack.single_loop_program guard))
+  in
+  let successes = ref 0 in
   let try_once ~width ~offset ~ext_offset ~repeat ~nonce =
-    incr attempts;
     let schedule =
       [ Glitcher.with_repeat (Glitcher.single ~width ~offset ~ext_offset) repeat ]
     in
     let obs = Attack.attempt ~config ~nonce rig schedule in
-    emulated := !emulated + (obs.Glitcher.cycles - obs.Glitcher.replayed_cycles);
-    replayed := !replayed + obs.Glitcher.replayed_cycles;
     let ok = Attack.escaped (Attack.rig_board rig) obs in
     if ok then incr successes;
     ok
@@ -77,9 +75,10 @@ let search ?(config = Susceptibility.default) ?(coarse_step = 2) guard =
       (match !result with Some triple -> Some triple | None -> refine rest)
   in
   let found = refine (List.rev !candidates) in
+  let cost = Attack.tally rig in
   { found;
-    attempts = !attempts;
+    attempts = cost.attempts;
     successes = !successes;
-    seconds = float_of_int !attempts *. per_attempt_s;
-    emulated_cycles = !emulated;
-    replayed_cycles = !replayed }
+    seconds = float_of_int cost.attempts *. per_attempt_s;
+    emulated_cycles = cost.emulated_cycles;
+    replayed_cycles = cost.replayed_cycles }

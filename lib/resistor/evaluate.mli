@@ -1,8 +1,8 @@
 (** Table VI: attack the defended firmware on the simulated board.
 
     For each scenario the firmware is compiled with a defense
-    configuration, booted once to its trigger, snapshotted, and then
-    attacked across the full glitch-parameter plane:
+    configuration, booted once to its trigger on the {!Hw.Attack}
+    kernel, and then attacked across the full glitch-parameter plane:
 
     - {e single}: one glitched cycle, [ext_offset] 0..10
       (11 x 9,801 = 107,811 attempts);
@@ -31,6 +31,7 @@ type outcome = {
   attempts : int;
   successes : int;
   detections : int;
+  sweep : Hw.Attack.sweep;  (** what the sweep cost on the board kernel *)
 }
 
 val success_rate : outcome -> float
@@ -51,9 +52,13 @@ val run :
 
     Sweep rows (one width at one attack window) are claimed one at a
     time by the workers of [pool] (one worker in the caller without a
-    pool), each attacking its own booted-and-snapshotted board; every
-    attempt rewinds to the snapshot, so the summed counts are
-    bit-identical at every job count. *)
+    pool) through {!Hw.Attack.map_items}: one boot, one private board
+    per worker, every attempt rewound to the trigger snapshot and cut
+    short once its schedule is dead, so the summed counts are
+    bit-identical at every job count. Attempts may run 4,000 cycles
+    past the trigger edge.
+    @raise Hw.Attack.No_trigger if the firmware never raises its
+    trigger within 2,000,000 cycles. *)
 
 val run_image :
   ?pool:Runtime.Pool.t ->
@@ -65,4 +70,5 @@ val run_image :
 (** Attack an already-linked image (used by the per-defense ablation and
     the CFCSS baseline comparison). The firmware must raise the trigger
     and write the attack marker, like {!Firmware.guard_loop}.
-    @raise Invalid_argument if [sweep_step < 1]. *)
+    @raise Invalid_argument if [sweep_step < 1].
+    @raise Hw.Attack.No_trigger as {!run}. *)

@@ -522,6 +522,22 @@ let test_attack_rejects_zero_step () =
   | _ -> Alcotest.fail "run_image accepted sweep_step 0"
   | exception Invalid_argument _ -> ()
 
+(* A firmware that halts without calling __trigger_high() cannot be
+   attacked: attack reports it in one line on stderr and exits 2. *)
+let test_attack_no_trigger () =
+  let firmware = write_tmp ".c" "int main() { return 0; }\n" in
+  let err = Filename.temp_file "glitchctl_attack" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command glitchctl
+         [ "attack"; firmware; "--jobs"; "1" ]
+         ~stdout:Filename.null ~stderr:err)
+  in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check int) "stderr lines" 1
+    (List.length (String.split_on_char '\n' (String.trim stderr)))
+
 (* OCaml 5.1 runs at most 128 domains, the calling one included: a
    128-job pool is the largest that starts, and a larger --jobs is a
    usage error rather than an uncaught "failed to allocate domain". *)
@@ -606,4 +622,6 @@ let () =
             test_attack_rejects_zero_step;
           Alcotest.test_case "jobs bound is the domain limit" `Quick
             test_jobs_bound;
-          Alcotest.test_case "bench subcommand" `Quick test_bench_subcommand ] ) ]
+          Alcotest.test_case "bench subcommand" `Quick test_bench_subcommand;
+          Alcotest.test_case "attack without a trigger" `Quick
+            test_attack_no_trigger ] ) ]

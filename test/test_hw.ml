@@ -289,10 +289,12 @@ let prop_replay_equiv_reset =
       && r_reset = r_base)
 
 (* The sweep kernel end-to-end: a strided (width, offset) sub-plane of
-   the Table I sweep, reset-per-attempt vs the boot_rig replay path,
+   the Table I sweep, reset-per-attempt vs the kernel's replay path,
    must classify every attempt identically. *)
 let sweep_replay_differential () =
-  let rig = Attack.boot_rig (Attack.single_loop_program While_not_a) in
+  let rig =
+    Attack.rig_of_boot (Attack.boot_once (Attack.single_loop_program While_not_a))
+  in
   let fresh = Board.create (Board.Asm (Attack.single_loop_program While_not_a)) in
   let width = ref (-49) in
   while !width <= 49 do
@@ -314,6 +316,72 @@ let sweep_replay_differential () =
     done;
     width := !width + 7
   done
+
+(* The dead-schedule cutoff on linked firmware. On the all-but-delay
+   guard-loop image, with Table VI's budgets, the kernel's attempt
+   (baseline armed), a replay from the trigger snapshot without a
+   baseline, and a power-on reset must agree on the observation and on
+   the post-mortem attack-marker and detection globals, for a strided
+   sample of single, long and windowed schedules. *)
+let image_cutoff_differential () =
+  let image =
+    (Resistor.Driver.compile
+       (Resistor.Config.all_but_delay ~sensitive:[ "a" ] ())
+       Resistor.Firmware.guard_loop)
+      .image
+  in
+  let rig =
+    Attack.rig_of_boot
+      (Attack.boot ~max_cycles:2_000_000 ~after_trigger:4_000 (Board.Image image))
+  in
+  let board = Board.create (Board.Image image) in
+  ignore (Board.run_until_trigger ~max_cycles:2_000_000 board);
+  let snap = Board.snapshot board in
+  let boot_cycles = Board.cycles board in
+  let max_cycles = boot_cycles + 4_000 in
+  let cut = ref 0 and detected = ref 0 in
+  let post b (o : Glitcher.observation) =
+    ( (o.stop, o.cycles, o.fired, o.glitched_cycles),
+      Board.read_global b Resistor.Firmware.attack_marker_global,
+      Resistor.Detect.detections (Board.read_global b) )
+  in
+  let windows =
+    List.init 11 (fun c -> (c, 1))
+    @ List.init 10 (fun i -> (0, 10 * (i + 1)))
+    @ List.init 11 (fun s -> (s, 10))
+  in
+  List.iter
+    (fun (ext_offset, repeat) ->
+      let width = ref (-49) in
+      while !width <= 49 do
+        let offset = ref (-49) in
+        while !offset <= 49 do
+          let schedule =
+            [ Glitcher.with_repeat
+                (Glitcher.single ~width:!width ~offset:!offset ~ext_offset)
+                repeat ]
+          in
+          let o_kernel = Attack.attempt rig schedule in
+          let kernel = post (Attack.rig_board rig) o_kernel in
+          let snap_run =
+            post board (Glitcher.run ~max_cycles ~from:snap board schedule)
+          in
+          let reset_run = post board (Glitcher.run ~max_cycles board schedule) in
+          if kernel <> snap_run || kernel <> reset_run then
+            Alcotest.failf "diverged at ext=%d repeat=%d width=%d offset=%d"
+              ext_offset repeat !width !offset;
+          let _, _, detections = kernel in
+          if detections > 0 then incr detected;
+          (* past the boot replay: the baseline cut the attempt short *)
+          if o_kernel.replayed_cycles > boot_cycles then incr cut;
+          offset := !offset + 14
+        done;
+        width := !width + 14
+      done)
+    windows;
+  Alcotest.(check bool) "cutoff taken" true (!cut > 0);
+  Alcotest.(check bool) (Printf.sprintf "detections sampled (%d)" !detected)
+    true (!detected > 0)
 
 let tie_break_uses_absolute_cycles () =
   (* Two windows overlap the same instruction: window [b] (trigger 0,
@@ -573,7 +641,9 @@ let () =
          Alcotest.test_case "not-taken branch duration" `Quick
            overlap_uses_actual_duration;
          Alcotest.test_case "second trigger" `Quick second_trigger_schedules;
-         Alcotest.test_case "loop cycle accounting" `Quick loop_takes_eight_cycles ]);
+         Alcotest.test_case "loop cycle accounting" `Quick loop_takes_eight_cycles;
+         Alcotest.test_case "image cutoff differential" `Slow
+           image_cutoff_differential ]);
       ("paper-shapes",
        [ Alcotest.test_case "table 1" `Slow table1_shape;
          Alcotest.test_case "table 1 golden totals" `Slow table1_golden_totals;

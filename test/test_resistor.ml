@@ -585,6 +585,24 @@ let long_attacks_detected () =
     (Printf.sprintf "detections occur (%d)" o.detections)
     true (o.detections > 0)
 
+(* Table VI counts on a 1-in-7 sweep of the guard loop, frozen as
+   (attempts, successes, detections) per attack. The inequality tests
+   above would pass a drift in any of them. *)
+let evaluate_golden_counts () =
+  let counts config attack =
+    let o = Evaluate.run ~sweep_step:7 config Evaluate.Worst_case attack in
+    [ o.attempts; o.successes; o.detections ]
+  in
+  List.iter
+    (fun (name, config, expected) ->
+      Alcotest.(check (list (list int)))
+        (name ^ ": single, long, windowed") expected
+        (List.map (counts config) Evaluate.[ Single; Long; Windowed ]))
+    [ ( "none", Config.none,
+        [ [ 2475; 22; 0 ]; [ 2250; 64; 0 ]; [ 2475; 23; 0 ] ] );
+      ( "all-but-delay", Config.all_but_delay ~sensitive:[ "a" ] (),
+        [ [ 2475; 0; 17 ]; [ 2250; 0; 47 ]; [ 2475; 0; 30 ] ] ) ]
+
 let evaluate_jobs_parity () =
   (* rows drain through the same pool path at every job count *)
   let run ?pool () =
@@ -650,4 +668,5 @@ let () =
        [ Alcotest.test_case "defended beats undefended" `Slow
            defended_beats_undefended;
          Alcotest.test_case "long attacks detected" `Slow long_attacks_detected;
-         Alcotest.test_case "jobs 1 = jobs 3" `Slow evaluate_jobs_parity ]) ]
+         Alcotest.test_case "jobs 1 = jobs 3" `Slow evaluate_jobs_parity;
+         Alcotest.test_case "golden counts" `Slow evaluate_golden_counts ]) ]
