@@ -531,8 +531,7 @@ let absint_bench () =
     let compiled = Resistor.Driver.compile defenses Resistor.Firmware.guard_loop in
     let report, elapsed_s =
       Stats.Perf.time (fun () ->
-          Absint.Prove.run ~config:compiled.Resistor.Driver.config
-            ~reports:compiled.Resistor.Driver.reports
+          Absint.Prove.run ~reports:compiled.Resistor.Driver.reports
             ~modul:compiled.Resistor.Driver.modul compiled.Resistor.Driver.image)
     in
     emit_perf
@@ -597,13 +596,17 @@ let tuner guards () =
 
 (* --- Tables IV and V: overhead -------------------------------------------------- *)
 
-let table45 () =
+(* The "None" row and every row, compiled and booted once for whichever
+   of table4, table5 and defenses asks first. *)
+let overhead_rows =
+  lazy
+    (let rows = Resistor.Overhead.all_rows () in
+     (List.find (fun (r : Resistor.Overhead.row) -> r.label = "None") rows, rows))
+
+let table4 () =
   section "Table IV - boot-time overhead per defense (cycles)";
-  let rows = Resistor.Overhead.all_rows () in
-  let baseline =
-    (List.find (fun (r : Resistor.Overhead.row) -> r.label = "None") rows)
-      .boot_cycles
-  in
+  let base, rows = Lazy.force overhead_rows in
+  let baseline = base.boot_cycles in
   Stats.Table.print
     ~header:[ "Defense"; "Clock cycles"; "% increase"; "Constant"; "% adjusted" ]
     (List.map
@@ -624,11 +627,11 @@ let table45 () =
              (100. *. float_of_int (adj - baseline) /. float_of_int baseline) ])
        rows);
   paper_note "None 1,736 cycles; Branches +11.35%%; Delay +10,521%% (constant";
-  paper_note "177,849 cycles for the flash seed write, +277%% adjusted); others <1%%.";
+  paper_note "177,849 cycles for the flash seed write, +277%% adjusted); others <1%%."
+
+let table5 () =
   section "Table V - size overhead per defense (bytes)";
-  let base =
-    List.find (fun (r : Resistor.Overhead.row) -> r.label = "None") rows
-  in
+  let base, rows = Lazy.force overhead_rows in
   Stats.Table.print
     ~header:[ "Defense"; "text"; "text %"; "data"; "bss"; "total"; "total %" ]
     (List.map
@@ -697,6 +700,12 @@ let table6 ?pool ~quick () =
 
 (* --- Ablation: which defense stops what ------------------------------------------- *)
 
+(* An efficacy row's label: the configuration's name, except that the
+   CFCSS baseline keeps its Table VII caption. *)
+let efficacy_label (config : Resistor.Config.t) =
+  if List.mem Resistor.Config.Cfcss config.defenses then "CFCSS (baseline)"
+  else Resistor.Config.name config
+
 let efficacy_header first =
   [ first; "Single succ"; "Single det"; "Windowed succ"; "Windowed det" ]
 
@@ -718,24 +727,15 @@ let ablation ?pool ~quick () =
   let sweep_step = if quick then 4 else 2 in
   Fmt.pr "(every %dth parameter point; single + windowed-10 attacks)@." sweep_step;
   let sensitive = [ "a" ] in
-  let rows_cfg =
-    [ ("None", Resistor.Config.none);
-      ("Branches", Resistor.Config.only ~branches:true ());
-      ("Loops", Resistor.Config.only ~loops:true ());
-      ("Branches+Loops", Resistor.Config.only ~branches:true ~loops:true ());
-      ("Integrity", Resistor.Config.only ~integrity:true ~sensitive ());
-      ("Delay", Resistor.Config.only ~delay:true ());
-      ("All\\Delay", Resistor.Config.all_but_delay ~sensitive ());
-      ("All", Resistor.Config.all ~sensitive ()) ]
-  in
   let source = Resistor.Evaluate.scenario_source Resistor.Evaluate.Worst_case in
   let images =
     List.map
-      (fun (label, config) ->
-        (label, (Resistor.Driver.compile config source).image))
-      rows_cfg
-    @ [ (let image, (_ : Resistor.Cfcss.report) = Resistor.Cfcss.compile source in
-         ("CFCSS (baseline)", image)) ]
+      (fun config ->
+        (efficacy_label config, (Resistor.Driver.compile config source).image))
+      Resistor.Config.
+        [ none; make [ Branches ]; make [ Loops ]; make [ Branches; Loops ];
+          make ~sensitive [ Integrity ]; make [ Delay ];
+          all_but_delay ~sensitive (); all ~sensitive (); make [ Cfcss ] ]
   in
   Stats.Table.print ~header:(efficacy_header "Defenses")
     (List.map
@@ -764,7 +764,13 @@ let ablation ?pool ~quick () =
    (defenses-<slug>); [items] counts sweep attempts. *)
 let defenses ?pool ~quick () =
   section "defenses - CFI backend overhead + efficacy";
-  let base = Resistor.Overhead.measure Resistor.Config.none ~label:"None" in
+  let base, rows = Lazy.force overhead_rows in
+  let rows =
+    List.filter
+      (fun (r : Resistor.Overhead.row) ->
+        r == base || List.mem_assoc r.label Resistor.Overhead.cfi_configurations)
+      rows
+  in
   let pct v b =
     Fmt.str "%.2f%%" (100. *. float_of_int (v - b) /. float_of_int b)
   in
@@ -776,10 +782,7 @@ let defenses ?pool ~quick () =
            pct r.boot_cycles base.boot_cycles;
            string_of_int r.total_bytes;
            pct r.total_bytes base.total_bytes ])
-       (base
-       :: List.map
-            (fun (label, config) -> Resistor.Overhead.measure config ~label)
-            Resistor.Overhead.cfi_configurations));
+       rows);
   let sweep_step = if quick then 4 else 2 in
   Fmt.pr "@.(every %dth parameter point; single + windowed-10 attacks)@."
     sweep_step;
@@ -787,17 +790,11 @@ let defenses ?pool ~quick () =
   let source = Resistor.Evaluate.scenario_source Resistor.Evaluate.Worst_case in
   let compile config = (Resistor.Driver.compile config source).image in
   let images =
-    [ ("None", "none", compile Resistor.Config.none);
-      ("Sigcfi", "sigcfi", compile (Resistor.Config.only ~sigcfi:true ()));
-      ("Domains", "domains", compile (Resistor.Config.only ~domains:true ()));
-      ( "Sigcfi+Domains", "cfi",
-        compile (Resistor.Config.only ~sigcfi:true ~domains:true ()) );
-      ( "All\\Delay+Sigcfi+Domains", "all-cfi",
-        compile
-          { (Resistor.Config.all_but_delay ~sensitive ()) with
-            sigcfi = true; domains = true } );
-      ( "CFCSS (baseline)", "cfcss",
-        fst (Resistor.Cfcss.compile source) ) ]
+    List.map
+      (fun slug ->
+        let config = Resistor.Config.set ~sensitive slug in
+        (efficacy_label config, slug, compile config))
+      [ "none"; "sigcfi"; "domains"; "cfi"; "all-cfi"; "cfcss" ]
   in
   Stats.Table.print ~header:(efficacy_header "Defense")
     (List.map
@@ -980,7 +977,7 @@ let experiments ~quick ?cache ?pool () =
     ("tables", tables ?pool); ("scaling", scaling);
     ("exhaust", exhaust_bench); ("absint", absint_bench);
     ("tuner", tuner guards);
-    ("table4", table45); ("table5", table45);
+    ("table4", table4); ("table5", table5);
     ("table6", table6 ?pool ~quick); ("table7", table7);
     ("ablation", ablation ?pool ~quick);
     ("defenses", defenses ?pool ~quick); ("analysis", analysis);
@@ -990,8 +987,8 @@ let names = List.map fst (experiments ~quick:false ())
 
 (* what a bare run (or "all") regenerates *)
 let all =
-  [ "fig2"; "fig2x"; "table1"; "table2"; "table3"; "tuner"; "table4"; "table6";
-    "table7"; "ablation"; "defenses"; "analysis"; "fuzz"; "micro" ]
+  [ "fig2"; "fig2x"; "table1"; "table2"; "table3"; "tuner"; "table4"; "table5";
+    "table6"; "table7"; "ablation"; "defenses"; "analysis"; "fuzz"; "micro" ]
 
 (* Runs the named experiments in order ("all" expands to [all], and so
    does an empty list) on one pool, then writes BENCH.json. *)

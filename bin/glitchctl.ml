@@ -63,36 +63,6 @@ let with_source file parse k =
 
 (* --- shared argument parsers -------------------------------------------- *)
 
-let known_defense_sets =
-  [ "none"; "all"; "all-but-delay"; "branches"; "loops"; "integrity";
-    "returns"; "delay"; "sigcfi"; "domains"; "cfi"; "all-cfi" ]
-
-let defenses_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "none" -> Ok Resistor.Config.none
-    | "all" -> Ok (Resistor.Config.all ())
-    | "all-but-delay" | "all\\delay" -> Ok (Resistor.Config.all_but_delay ())
-    | "branches" -> Ok (Resistor.Config.only ~branches:true ())
-    | "loops" -> Ok (Resistor.Config.only ~loops:true ())
-    | "integrity" -> Ok (Resistor.Config.only ~integrity:true ())
-    | "returns" -> Ok (Resistor.Config.only ~returns:true ~enums:true ())
-    | "delay" -> Ok (Resistor.Config.only ~delay:true ())
-    | "sigcfi" -> Ok (Resistor.Config.only ~sigcfi:true ())
-    | "domains" -> Ok (Resistor.Config.only ~domains:true ())
-    | "cfi" -> Ok (Resistor.Config.only ~sigcfi:true ~domains:true ())
-    | "all-cfi" ->
-      Ok
-        { (Resistor.Config.all_but_delay ()) with
-          Resistor.Config.sigcfi = true; domains = true }
-    | other ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown defense set %S (known: %s)" other
-             (String.concat ", " known_defense_sets)))
-  in
-  Arg.conv (parse, fun ppf c -> Fmt.string ppf (Resistor.Config.name c))
-
 let guard_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -103,24 +73,44 @@ let guard_conv =
   in
   Arg.conv (parse, fun ppf g -> Fmt.string ppf (Hw.Attack.guard_name g))
 
-let sensitive_arg =
-  Arg.(
-    value
-    & opt (list string) []
-    & info [ "sensitive" ] ~docv:"GLOBALS"
-        ~doc:"Comma-separated globals for the data-integrity pass.")
-
+(* --defenses SET --sensitive GLOBALS, as one configuration. The set
+   names, what they mean and their --help text all come from
+   Config.sets. *)
 let config_arg =
-  Arg.(
-    value
-    & opt defenses_conv Resistor.Config.none
-    & info [ "defenses" ] ~docv:"SET"
-        ~doc:
-          "none, all, all-but-delay, branches, loops, integrity, returns, \
-           delay, sigcfi, domains, cfi (both CFI passes), all-cfi \
-           (all-but-delay plus both CFI passes).")
-
-let with_sensitive config sensitive = { config with Resistor.Config.sensitive }
+  let parse s =
+    let s = String.lowercase_ascii s in
+    if List.mem_assoc s Resistor.Config.sets then Ok (Resistor.Config.set s)
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown defense set %S (known: %s)" s
+             (String.concat ", " (List.map fst Resistor.Config.sets))))
+  in
+  let describe (set, defenses) =
+    Printf.sprintf "$(b,%s) (%s)" (Manpage.escape set)
+      (Manpage.escape (Resistor.Config.name (Resistor.Config.make defenses)))
+  in
+  let set =
+    Arg.(
+      value
+      & opt (conv (parse, Fmt.of_to_string Resistor.Config.name))
+          Resistor.Config.none
+      & info [ "defenses" ] ~docv:"SET"
+          ~doc:
+            ("The named defense set, one of "
+            ^ String.concat ", " (List.map describe Resistor.Config.sets)
+            ^ "."))
+  in
+  let sensitive =
+    Arg.(
+      value
+      & opt (list string) []
+      & info [ "sensitive" ] ~docv:"GLOBALS"
+          ~doc:"Comma-separated globals for the data-integrity pass.")
+  in
+  Term.(
+    const (fun config sensitive -> { config with Resistor.Config.sensitive })
+    $ set $ sensitive)
 
 (* An integer option within [lo, hi]: a value outside is a usage error
    (exit 2) before any work starts. *)
@@ -335,8 +325,7 @@ let emulate_cmd =
 let compile_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Disassemble the image.") in
-  let run file config sensitive dump =
-    let config = with_sensitive config sensitive in
+  let run file config dump =
     with_source file (Resistor.Driver.compile config) @@ fun compiled ->
     Fmt.pr "defenses: %s@." (Resistor.Config.name config);
     List.iter
@@ -370,7 +359,7 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:"Run the GlitchResistor pipeline on a Mini-C firmware.")
-    Term.(const run $ file $ config_arg $ sensitive_arg $ dump)
+    Term.(const run $ file $ config_arg $ dump)
 
 (* --- attack ---------------------------------------------------------------------- *)
 
@@ -398,8 +387,7 @@ let attack_cmd =
       & info [ "step" ] ~docv:"N"
           ~doc:"Sweep every $(docv)th width and offset; at least 1.")
   in
-  let run file config sensitive attack step jobs =
-    let config = with_sensitive config sensitive in
+  let run file config attack step jobs =
     (* reuse the Table VI machinery on arbitrary firmware: it only needs
        a trigger, the attack-marker global, and the detection counter *)
     with_source file (Resistor.Driver.compile config) @@ fun compiled ->
@@ -430,7 +418,7 @@ let attack_cmd =
        ~doc:
          "Sweep the glitch-parameter plane against a firmware (it must call \
           __trigger_high() and set attack_success = 170 on compromise).")
-    Term.(const run $ file $ config_arg $ sensitive_arg $ attack $ step $ jobs_arg ())
+    Term.(const run $ file $ config_arg $ attack $ step $ jobs_arg ())
 
 (* --- table ------------------------------------------------------------------------ *)
 
@@ -475,15 +463,6 @@ let lint_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
   in
-  let cfcss =
-    Arg.(
-      value & flag
-      & info [ "cfcss" ]
-          ~doc:
-            "Instrument with CFCSS signatures only (no GlitchResistor \
-             passes): the Table VII witness — the signature audit comes \
-             back clean while every guard stays direction-flippable.")
-  in
   let exhaust =
     Arg.(
       value & flag
@@ -505,31 +484,12 @@ let lint_cmd =
              deterministic escape is upgraded to an error, and the \
              prover's findings are merged into the report.")
   in
-  let run file config sensitive json cfcss exhaust mutant absint jobs =
+  let run file config json exhaust mutant absint jobs =
     Mutant.with_ mutant @@ fun () ->
     let target source =
       if Filename.check_suffix file ".s" then
         Analysis.Lint.of_instrs (Thumb.Asm.assemble source)
-      else if cfcss then begin
-        let m, reports =
-          Resistor.Driver.compile_modul Resistor.Config.none source
-        in
-        let report = Resistor.Cfcss.run Resistor.Config.Spin m in
-        let reports =
-          { reports with
-            Resistor.Driver.verify_warnings =
-              reports.Resistor.Driver.verify_warnings
-              @ Resistor.Pass.drain_warnings () }
-        in
-        { Analysis.Lint.image = Lower.Layout.link m;
-          modul = Some m;
-          config = Some Resistor.Config.none;
-          reports = Some reports;
-          cfcss = Some report }
-      end
-      else
-        Analysis.Lint.of_compiled
-          (Resistor.Driver.compile (with_sensitive config sensitive) source)
+      else Analysis.Lint.of_compiled (Resistor.Driver.compile config source)
     in
     with_source file target @@ fun target ->
     let report = Analysis.Lint.run target in
@@ -537,8 +497,7 @@ let lint_cmd =
       if not absint then report
       else
         let prove =
-          Absint.Prove.run ?config:target.Analysis.Lint.config
-            ?reports:target.Analysis.Lint.reports
+          Absint.Prove.run ?reports:target.Analysis.Lint.reports
             ?modul:target.Analysis.Lint.modul target.Analysis.Lint.image
         in
         { report with
@@ -588,7 +547,7 @@ let lint_cmd =
               ~doc:"on Error-severity lint findings."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ file $ config_arg $ sensitive_arg $ json $ cfcss $ exhaust
+      const run $ file $ config_arg $ json $ exhaust
       $ mutant_arg $ absint $ jobs_arg ())
 
 (* --- prove ------------------------------------------------------------------------ *)
@@ -598,12 +557,12 @@ let prove_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
   in
-  let run file config sensitive json =
-    with_source file (Resistor.Driver.compile (with_sensitive config sensitive))
+  let run file config json =
+    with_source file (Resistor.Driver.compile config)
     @@ fun compiled ->
     let report =
-      Absint.Prove.run ~config:compiled.Resistor.Driver.config
-        ~reports:compiled.reports ~modul:compiled.modul compiled.image
+      Absint.Prove.run ~reports:compiled.reports ~modul:compiled.modul
+        compiled.image
     in
     if json then print_endline (Json.to_string (Absint.Prove.to_json report))
     else Fmt.pr "%a" Absint.Prove.pp report;
@@ -623,7 +582,7 @@ let prove_cmd =
          :: Cmd.Exit.info exit_findings
               ~doc:"on a deterministic escape witness (Error severity)."
          :: Cmd.Exit.defaults))
-    Term.(const run $ file $ config_arg $ sensitive_arg $ json)
+    Term.(const run $ file $ config_arg $ json)
 
 (* --- exhaust ---------------------------------------------------------------------- *)
 
@@ -762,9 +721,8 @@ let exhaust_cmd =
              window is what lets the static pre-pruner cover \
              non-terminating baselines.")
   in
-  let run file config sensitive mode max_trace cycles json static settle jobs
+  let run file config mode max_trace cycles json static settle jobs
       cache_dir =
-    let config = with_sensitive config sensitive in
     with_source file (Resistor.Driver.compile config) @@ fun compiled ->
     let result, hit, perf =
       run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
@@ -789,7 +747,7 @@ let exhaust_cmd =
           through a shared state-hash map, so the per-function verdict \
           tables are bit-identical at any $(b,--jobs).")
     Term.(
-      const run $ file $ config_arg $ sensitive_arg $ exhaust_mode_arg
+      const run $ file $ config_arg $ exhaust_mode_arg
       $ max_trace $ cycles_arg $ json $ static $ settle $ jobs_arg ()
       $ cache_dir_arg)
 
@@ -1021,7 +979,7 @@ let () =
   let doc = "glitching attack and defense toolkit (Glitching Demystified, DSN'21)" in
   let info = Cmd.info "glitchctl" ~version:"1.0.0" ~doc in
   (* Argument-parse failures (e.g. an unknown defense set fed to
-     [defenses_conv]) are usage errors and must exit 2 like every other
+     [config_arg]) are usage errors and must exit 2 like every other
      invalid input — cmdliner's [eval'] hardwires them to 124, so map
      the eval result ourselves. *)
   let group =

@@ -243,9 +243,8 @@ let collision_diags (modul : Ir.modul option)
 
 (* --- entry point --------------------------------------------------------- *)
 
-let run ?config ?(reports : Resistor.Driver.reports option) ?modul
+let run ?(reports : Resistor.Driver.reports option) ?modul
     (image : Lower.Layout.image) =
-  ignore config;
   let cfg, ctx = Interp.create image in
   let reach_summary, reach =
     Interp.explore ctx ~sinks:false ~max_steps:reach_budget

@@ -30,9 +30,7 @@ type diag = {
 type target = {
   image : Lower.Layout.image;
   modul : Ir.modul option;
-  config : Resistor.Config.t option;
   reports : Resistor.Driver.reports option;
-  cfcss : Resistor.Cfcss.report option;
 }
 
 type report = {
@@ -42,14 +40,12 @@ type report = {
 }
 
 let of_image image =
-  { image; modul = None; config = None; reports = None; cfcss = None }
+  { image; modul = None; reports = None }
 
 let of_compiled (c : Resistor.Driver.compiled) =
   { image = c.image;
     modul = Some c.modul;
-    config = Some c.config;
-    reports = Some c.reports;
-    cfcss = None }
+    reports = Some c.reports }
 
 let of_instrs instrs =
   let words = Array.of_list (List.map Thumb.Encode.instr instrs) in
@@ -356,26 +352,26 @@ let run (t : target) =
     (Cfg.conditionals cfg);
 
   (* --- pass postconditions (configuration promises) ---------------- *)
-  (match (t.modul, t.config) with
-  | Some m, Some config ->
+  (match (t.modul, t.reports) with
+  | Some m, Some r ->
+    let branches_ran = r.branches_report <> None in
+    let loops_ran = r.loops_report <> None in
     List.iter
       (fun (f : Ir.func) ->
         let addr = fn_addr t.image f.fname in
         (match audit_func f with
-        | Unguarded { branches; _ } when config.branches && branches > 0 ->
+        | Unguarded { branches; _ } when branches_ran && branches > 0 ->
           diag "branch-duplication" Error f.fname addr
             "%d conditional branch(es) lack the complemented re-check \
              promised by the Branches pass"
             branches
-        | Unguarded { loops; _ } when config.loops && loops > 0 ->
+        | Unguarded { loops; _ } when loops_ran && loops > 0 ->
           diag "loop-false-edge" Error f.fname addr
             "%d loop header(s) can escape on an unchecked false edge \
              despite the Loops pass"
             loops
         | _ -> ());
-        if
-          config.branches && (not config.loops) && loop_header_count f > 0
-        then
+        if branches_ran && (not loops_ran) && loop_header_count f > 0 then
           diag "loop-false-edge" Warning f.fname addr
             "loop guards re-checked only on the taken edge (Branches \
              without Loops): a direction flip still escapes the loop")
@@ -491,8 +487,8 @@ let run (t : target) =
   | _ -> ());
 
   (* --- CFCSS signatures (and the Table VII witness) ----------------- *)
-  (match (t.modul, t.cfcss) with
-  | Some m, Some cr ->
+  (match (t.modul, t.reports) with
+  | Some m, Some { cfcss_report = Some cr; _ } ->
     let sig_global = Resistor.Cfcss.signature_global in
     if not (List.mem_assoc sig_global t.image.global_addrs) then
       diag "cfcss-signature" Error "<image>" 0

@@ -44,9 +44,7 @@ type diag = {
 type target = {
   image : Lower.Layout.image;
   modul : Ir.modul option;
-  config : Resistor.Config.t option;
   reports : Resistor.Driver.reports option;
-  cfcss : Resistor.Cfcss.report option;
 }
 
 type report = {

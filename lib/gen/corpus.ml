@@ -17,23 +17,19 @@ type entry = {
 }
 
 let config_to_string (c : Resistor.Config.t) =
-  let flags =
-    List.filter_map
-      (fun (on, name) -> if on then Some name else None)
-      [ (c.enums, "enums"); (c.returns, "returns"); (c.integrity, "integrity");
-        (c.branches, "branches"); (c.loops, "loops"); (c.delay, "delay");
-        (c.sigcfi, "sigcfi"); (c.domains, "domains") ]
-  in
-  String.concat "," flags
+  List.filter (fun d -> List.mem d c.defenses) Resistor.Config.all_defenses
+  |> List.map Resistor.Config.defense_to_string
+  |> String.concat ","
 
 let config_of_string ~sensitive s =
-  let has f =
-    s <> "" && List.mem f (String.split_on_char ',' s)
-  in
-  Resistor.Config.only ~enums:(has "enums") ~returns:(has "returns")
-    ~integrity:(has "integrity") ~branches:(has "branches")
-    ~loops:(has "loops") ~delay:(has "delay") ~sigcfi:(has "sigcfi")
-    ~domains:(has "domains") ~sensitive ()
+  let names = if s = "" then [] else String.split_on_char ',' s in
+  let known n = Resistor.Config.defense_of_string n <> None in
+  match List.find_opt (fun n -> not (known n)) names with
+  | Some bad -> Error (Printf.sprintf "unknown defense: %S" bad)
+  | None ->
+    Ok
+      (Resistor.Config.make ~sensitive
+         (List.filter_map Resistor.Config.defense_of_string names))
 
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | ch -> ch) s
@@ -102,14 +98,15 @@ let load path : (entry, string) result =
         | Some m -> Ok (Some m)
         | None -> Error (Printf.sprintf "unknown mutant: %S" name))
     in
-    match (int_of_string_opt seed, mutant) with
-    | None, _ -> Error (Printf.sprintf "malformed seed: %S" seed)
-    | _, Error m -> Error m
-    | Some seed, Ok mutant ->
+    let config = config_of_string ~sensitive (get "defenses" ~default:"") in
+    match (int_of_string_opt seed, mutant, config) with
+    | None, _, _ -> Error (Printf.sprintf "malformed seed: %S" seed)
+    | _, Error m, _ | _, _, Error m -> Error m
+    | Some seed, Ok mutant, Ok config ->
       Ok
         { property = get "property" ~default:"roundtrip";
           seed;
-          config = config_of_string ~sensitive (get "defenses" ~default:"");
+          config;
           mutant;
           message = get "message" ~default:"";
           source = text }

@@ -134,20 +134,10 @@ let check_roundtrip (case : Ast_gen.case) =
 (* family 2: semantics preservation across pass configurations         *)
 
 let semantics_configs prog =
-  let sens = source_globals prog in
-  [ Config.none;
-    Config.only ~enums:true ();
-    Config.only ~returns:true ();
-    Config.only ~branches:true ();
-    Config.only ~loops:true ();
-    Config.only ~integrity:true ~sensitive:sens ();
-    Config.only ~delay:true ();
-    Config.only ~sigcfi:true ();
-    Config.only ~domains:true ();
-    Config.all_but_delay ~sensitive:sens ();
-    Config.all ~sensitive:sens ();
-    { (Config.all_but_delay ~sensitive:sens ()) with sigcfi = true;
-      domains = true } ]
+  let sensitive = source_globals prog in
+  Config.none
+  :: List.map (fun d -> Config.make ~sensitive [ d ]) Config.all_defenses
+  @ List.map (Config.set ~sensitive) [ "all-but-delay"; "all"; "all-cfi" ]
 
 let check_semantics (case : Ast_gen.case) =
   guard_check @@ fun () ->
@@ -237,10 +227,9 @@ let check_semantics (case : Ast_gen.case) =
    the CFI passes alone leave legal-edge flips invisible (Table VII),
    so they ride on top of the redundancy passes, never alone. *)
 let defended_configs prog =
-  [ Config.only ~branches:true ~loops:true ();
-    Config.all_but_delay ~sensitive:(source_globals prog) ();
-    { (Config.all_but_delay ~sensitive:(source_globals prog) ()) with
-      sigcfi = true; domains = true } ]
+  let sensitive = source_globals prog in
+  Config.make [ Branches; Loops ]
+  :: List.map (Config.set ~sensitive) [ "all-but-delay"; "all-cfi" ]
 
 (* Boot-relative cycle budget plus the pristine-image sanity run. *)
 let sweep_setup cname (compiled : Resistor.Driver.compiled) =
@@ -438,7 +427,8 @@ let check_absint (case : Ast_gen.case) =
   if not (sema_ok case.prog) then skipf "source does not sema-check";
   let src = Ast_gen.source_of_case case in
   List.iter
-    (fun (label, config) ->
+    (fun config ->
+      let label = Config.name config in
       match compile_result config src with
       | Error m when capacity_message m -> skipf "%s: %s" label m
       | Error m -> failf "%s: compile failed: %s" label m
@@ -474,9 +464,7 @@ let check_absint (case : Ast_gen.case) =
         then
           failf "%s: prune counters do not partition the %d points" label
             static.Exhaust.Campaign.points)
-    [ ("None", Config.none);
-      ( "All\\Delay",
-        Config.all_but_delay ~sensitive:(source_globals case.prog) () ) ]
+    [ Config.none; Config.all_but_delay ~sensitive:(source_globals case.prog) () ]
 
 (* ------------------------------------------------------------------ *)
 (* orchestration                                                       *)

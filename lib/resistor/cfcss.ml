@@ -120,8 +120,3 @@ let run reaction (m : Ir.modul) =
     m.funcs;
   Pass.verify_or_fail "cfcss" m;
   { blocks_signed = blocks; checks_inserted = !checks }
-
-let compile source =
-  let m, _ = Driver.compile_modul Config.none source in
-  let report = run Config.Spin m in
-  (Lower.Layout.link m, report)

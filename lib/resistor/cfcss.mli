@@ -25,8 +25,6 @@ val signature_global : string
 
 val run : Config.reaction -> Ir.modul -> report
 (** Instrument every function; detections call the same
-    [__gr_detected] hook as GlitchResistor's own checks. *)
-
-val compile : string -> Lower.Layout.image * report
-(** Convenience: lower a Mini-C firmware with no GlitchResistor
-    defenses, apply CFCSS, link. *)
+    [__gr_detected] hook as GlitchResistor's own checks. The driver
+    runs it for {!Config.Cfcss}, after the paper passes and before the
+    post-paper CFI passes. *)

@@ -5,77 +5,75 @@ type delay_scope =
 
 type reaction = Spin | Halt | Record
 
+type defense =
+  | Enums | Returns | Integrity | Branches | Loops | Delay
+  | Sigcfi | Domains | Cfcss
+
 type t = {
-  enums : bool;
-  returns : bool;
-  integrity : bool;
-  branches : bool;
-  loops : bool;
-  delay : bool;
-  sigcfi : bool;
-  domains : bool;
+  defenses : defense list;
   delay_scope : delay_scope;
   sensitive : string list;
   reaction : reaction;
 }
 
-let none =
-  { enums = false;
-    returns = false;
-    integrity = false;
-    branches = false;
-    loops = false;
-    delay = false;
-    sigcfi = false;
-    domains = false;
+(* Delay first, so its generator and init code are protected by the
+   passes that follow; the CFI passes last, so their check blocks are
+   not re-instrumented by Branches/Loops; Sigcfi after Domains, so the
+   running signature also covers the domain-check blocks. *)
+let pipeline =
+  [ Enums; Delay; Returns; Branches; Loops; Integrity; Cfcss; Domains; Sigcfi ]
+
+let make ?(sensitive = []) defenses =
+  { defenses = List.filter (fun d -> List.mem d defenses) pipeline;
     delay_scope = Delay_everywhere;
-    sensitive = [];
+    sensitive;
     reaction = Spin }
 
-let all ?(sensitive = []) () =
-  { none with
-    enums = true;
-    returns = true;
-    integrity = true;
-    branches = true;
-    loops = true;
-    delay = true;
-    sensitive }
+let paper = [ Enums; Returns; Integrity; Branches; Loops; Delay ]
+let paper_but_delay = List.filter (( <> ) Delay) paper
+let none = make []
+let all ?sensitive () = make ?sensitive paper
+let all_but_delay ?sensitive () = make ?sensitive paper_but_delay
 
-let all_but_delay ?sensitive () = { (all ?sensitive ()) with delay = false }
+(* Report labels, in report order: the paper's passes, then the
+   post-paper ones. *)
+let labels =
+  [ (Enums, "Enums"); (Returns, "Returns"); (Integrity, "Integrity");
+    (Branches, "Branches"); (Loops, "Loops"); (Delay, "Delay");
+    (Sigcfi, "Sigcfi"); (Domains, "Domains"); (Cfcss, "Cfcss") ]
 
-let only ?(enums = false) ?(returns = false) ?(integrity = false)
-    ?(branches = false) ?(loops = false) ?(delay = false) ?(sigcfi = false)
-    ?(domains = false) ?(sensitive = []) () =
-  { none with
-    enums; returns; integrity; branches; loops; delay; sigcfi; domains;
-    sensitive }
+let all_defenses = List.map fst labels
+let label d = List.assoc d labels
+let defense_to_string d = String.lowercase_ascii (label d)
+
+let defense_of_string s =
+  List.find_opt (fun d -> defense_to_string d = s) all_defenses
+
+let sets =
+  [ ("none", []); ("all", paper); ("all-but-delay", paper_but_delay);
+    ("all\\delay", paper_but_delay); ("branches", [ Branches ]);
+    ("loops", [ Loops ]); ("integrity", [ Integrity ]);
+    ("returns", [ Returns; Enums ]); ("delay", [ Delay ]);
+    ("sigcfi", [ Sigcfi ]); ("domains", [ Domains ]);
+    ("cfi", [ Sigcfi; Domains ]);
+    ("all-cfi", paper_but_delay @ [ Sigcfi; Domains ]); ("cfcss", [ Cfcss ]) ]
+
+let set ?sensitive name =
+  match List.assoc_opt name sets with
+  | Some defenses -> make ?sensitive defenses
+  | None -> invalid_arg ("Config.set: unknown defense set " ^ name)
 
 (* The paper's eight named configurations keep their historical names;
-   the post-paper CFI passes show up as "+Sigcfi"/"+Domains" suffixes so
-   every existing report row and golden is untouched. *)
+   the post-paper passes show up as "+Sigcfi"/"+Domains"/"+Cfcss"
+   suffixes so every existing report row and golden is untouched. *)
 let name t =
-  let base =
-    match (t.enums, t.returns, t.integrity, t.branches, t.loops, t.delay) with
-    | false, false, false, false, false, false -> "None"
-    | true, true, true, true, true, true -> "All"
-    | true, true, true, true, true, false -> "All\\Delay"
-    | _ ->
-      let parts =
-        List.filter_map
-          (fun (on, label) -> if on then Some label else None)
-          [ (t.enums, "Enums"); (t.returns, "Returns");
-            (t.integrity, "Integrity"); (t.branches, "Branches");
-            (t.loops, "Loops"); (t.delay, "Delay") ]
-      in
-      String.concat "+" parts
+  let on ds = List.filter (fun d -> List.mem d t.defenses) ds in
+  let paper_part =
+    match on paper with
+    | ds when ds = paper -> [ "All" ]
+    | ds when ds = paper_but_delay -> [ "All\\Delay" ]
+    | ds -> List.map label ds
   in
-  let extras =
-    List.filter_map
-      (fun (on, label) -> if on then Some label else None)
-      [ (t.sigcfi, "Sigcfi"); (t.domains, "Domains") ]
-  in
-  match (base, extras) with
-  | base, [] -> base
-  | "None", extras -> String.concat "+" extras
-  | base, extras -> base ^ "+" ^ String.concat "+" extras
+  match paper_part @ List.map label (on [ Sigcfi; Domains; Cfcss ]) with
+  | [] -> "None"
+  | parts -> String.concat "+" parts

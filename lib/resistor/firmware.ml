@@ -1,4 +1,3 @@
-let sensitive_globals = [ "a"; "tick" ]
 let attack_marker_global = "attack_success"
 let attack_marker_value = 0xAA
 

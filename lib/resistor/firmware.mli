@@ -15,9 +15,6 @@ val boot_tick : string
 val guard_loop : string
 val if_success : string
 
-val sensitive_globals : string list
-(** ["a"; "tick"] — the variables the paper marks sensitive. *)
-
 val attack_marker_global : string
 (** ["attack_success"]; holds {!attack_marker_value} after a successful
     attack. *)

@@ -24,7 +24,6 @@ val cfi_configurations : (string * Config.t) list
 val configurations : (string * Config.t) list
 (** [paper_configurations @ cfi_configurations]. *)
 
-val measure : Config.t -> label:string -> row
 val all_rows : unit -> row list
 
 val flash_commit_cycles : int

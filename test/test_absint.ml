@@ -177,8 +177,7 @@ let test_guard_loop_static_floor () =
 let test_guard_loop_static_defended () =
   let spec =
     guard_loop_spec
-      (Resistor.Config.only ~branches:true ~loops:true ~integrity:true
-         ~sensitive:[ "a" ] ())
+      (Resistor.Config.make ~sensitive:[ "a" ] [ Branches; Loops; Integrity ])
   in
   let r = static_equals_oracle spec (guard_loop_config ()) "guard_loop/defended" in
   Alcotest.(check bool)
@@ -274,8 +273,7 @@ let test_sabotage_trips () =
 
 let prove defenses =
   let compiled = Resistor.Driver.compile defenses Resistor.Firmware.guard_loop in
-  Absint.Prove.run ~config:compiled.Resistor.Driver.config
-    ~reports:compiled.Resistor.Driver.reports
+  Absint.Prove.run ~reports:compiled.Resistor.Driver.reports
     ~modul:compiled.Resistor.Driver.modul compiled.Resistor.Driver.image
 
 let test_prove_undefended_escapes () =

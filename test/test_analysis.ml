@@ -55,7 +55,7 @@ let cfg_owner_and_literals () =
      and must be classified as data, not code *)
   let c =
     compile
-      (Resistor.Config.only ~enums:true ~returns:true ())
+      (Resistor.Config.make [ Enums; Returns ])
       Resistor.Firmware.if_success
   in
   let cfg = Cfg.of_image c.image in
@@ -428,7 +428,7 @@ let lint_example_firmwares () =
 let lint_enum_and_return_hamming () =
   let r =
     lint
-      (Resistor.Config.only ~enums:true ~returns:true ())
+      (Resistor.Config.make [ Enums; Returns ])
       Resistor.Firmware.if_success
   in
   Alcotest.(check bool) "enum rule ran" true (has_rule "enum-hamming" r);
@@ -443,25 +443,7 @@ let lint_enum_and_return_hamming () =
    audit, yet every guard remains direction-flippable along legal
    edges. *)
 let lint_cfcss_witness () =
-  let m, reports =
-    Resistor.Driver.compile_modul Resistor.Config.none
-      Resistor.Firmware.guard_loop
-  in
-  let report = Resistor.Cfcss.run Resistor.Config.Spin m in
-  let reports =
-    { reports with
-      Resistor.Driver.verify_warnings =
-        reports.Resistor.Driver.verify_warnings
-        @ Resistor.Pass.drain_warnings () }
-  in
-  let target =
-    { Lint.image = Lower.Layout.link m;
-      modul = Some m;
-      config = Some Resistor.Config.none;
-      reports = Some reports;
-      cfcss = Some report }
-  in
-  let r = Lint.run target in
+  let r = lint (Resistor.Config.make [ Cfcss ]) Resistor.Firmware.guard_loop in
   Alcotest.(check bool)
     "signature audit is clean" false
     (has_rule ~severity:Lint.Error "cfcss-signature" r);
@@ -473,7 +455,13 @@ let lint_cfcss_witness () =
        (find_rule "cfcss-signature" r));
   Alcotest.(check bool)
     "guards still flippable" true
-    (has_rule ~severity:Lint.Error "guard-flippable" r)
+    (has_rule ~severity:Lint.Error "guard-flippable" r);
+  (* each verifier finding once, tagged with the first pass that saw it
+     (CFCSS), not again by the final check *)
+  Alcotest.(check (list string))
+    "verify warnings"
+    [ "after pass cfcss: block dead.3 is unreachable from entry" ]
+    (List.map (fun (d : Lint.diag) -> d.message) (find_rule "verify-warning" r))
 
 (* The same witness shape for the post-paper CFI passes: a defended
    build audits clean (with the limitation cited), a sabotaged build —
@@ -487,7 +475,7 @@ let cfi_errors (r : Lint.report) =
   |> List.map (fun (d : Lint.diag) -> d.rule ^ ": " ^ d.message)
 
 let lint_sigcfi_audit () =
-  let config = Resistor.Config.only ~sigcfi:true () in
+  let config = Resistor.Config.make [ Sigcfi ] in
   let r = lint config Resistor.Firmware.guard_loop in
   (* sigcfi alone leaves branch directions unprotected (guard-flippable
      errors are expected residue); its own audit must be clean *)
@@ -504,7 +492,7 @@ let lint_sigcfi_audit () =
     (has_rule ~severity:Lint.Error "sigcfi-sink" sabotaged)
 
 let lint_domains_audit () =
-  let config = Resistor.Config.only ~domains:true () in
+  let config = Resistor.Config.make [ Domains ] in
   let r = lint config Resistor.Firmware.guard_loop in
   Alcotest.(check (list string)) "defended build clean" [] (cfi_errors r);
   Alcotest.(check bool) "clean audit leaves a witness" true
@@ -518,8 +506,7 @@ let lint_domains_audit () =
 
 let lint_stacked_cfi_clean () =
   let config =
-    { (Resistor.Config.all_but_delay ~sensitive:[ "a" ] ()) with
-      sigcfi = true; domains = true }
+    Resistor.Config.set ~sensitive:[ "a" ] "all-cfi"
   in
   let r = lint config Resistor.Firmware.guard_loop in
   Alcotest.(check (list string)) "stacked build clean" []
@@ -579,7 +566,7 @@ let hamming_helpers () =
   Alcotest.(check int) "singleton" max_int (Lint.min_pairwise [ 42 ]);
   let c =
     compile
-      (Resistor.Config.only ~enums:true ~returns:true ())
+      (Resistor.Config.make [ Enums; Returns ])
       Resistor.Firmware.if_success
   in
   (match c.reports.enum_report with

@@ -28,11 +28,9 @@ let test_corpus_roundtrip () =
     Alcotest.(check int) "seed" 1234 e.seed;
     Alcotest.(check (option string)) "mutant" (Some "branches-complement")
       (Option.map Mutant.name e.mutant);
-    Alcotest.(check bool) "branches" true e.config.Resistor.Config.branches;
-    Alcotest.(check bool) "loops" true e.config.Resistor.Config.loops;
-    Alcotest.(check bool) "delay off" false e.config.Resistor.Config.delay;
-    Alcotest.(check (list string))
-      "sensitive" [ "g0"; marker ] e.config.Resistor.Config.sensitive;
+    Alcotest.(check string) "defenses" "All\\Delay"
+      (Resistor.Config.name e.config);
+    Alcotest.(check bool) "same config" true (e.config = sample_entry.config);
     (* the message is flattened to one line so the header stays parseable *)
     Alcotest.(check bool) "message one line"
       false
@@ -68,6 +66,22 @@ let test_absint_mutant_replays () =
     | Ok (Gen.Fuzz.Skip m) -> Alcotest.failf "precondition lost: %s" m
     | Error m -> Alcotest.failf "replay: %s" m)
 
+(* A header naming a defense the registry does not know is an error,
+   not a config with that defense silently dropped. *)
+let test_unknown_defense_rejected () =
+  let path = Filename.temp_file "corpus" ".c" in
+  let oc = open_out path in
+  output_string oc
+    "// property: efficacy\n// defenses: branchs,loops\nint main() { return 0; }\n";
+  close_out oc;
+  let loaded = Gen.Corpus.load path in
+  Sys.remove path;
+  match loaded with
+  | Error m ->
+    Alcotest.(check string) "error" "unknown defense: \"branchs\"" m
+  | Ok e ->
+    Alcotest.failf "loaded as %s" (Resistor.Config.name e.Gen.Corpus.config)
+
 (* --- the committed mutant counterexample --------------------------------- *)
 
 (* [corpus/] holds the shrunk program on which a deliberately broken
@@ -87,6 +101,21 @@ let load_committed () =
   match Gen.Corpus.load committed_counterexample with
   | Ok e -> e
   | Error m -> Alcotest.failf "%s: %s" committed_counterexample m
+
+(* Both committed entries name enums,returns,integrity,branches,loops:
+   the paper's All\Delay over their sensitive globals. *)
+let test_committed_configs () =
+  List.iter
+    (fun (file, sensitive) ->
+      let path = Filename.concat (Filename.concat build_root "corpus") file in
+      match Gen.Corpus.load path with
+      | Error m -> Alcotest.failf "%s: %s" path m
+      | Ok e ->
+        Alcotest.(check bool) file true
+          (e.Gen.Corpus.config
+          = Resistor.Config.all_but_delay ~sensitive ()))
+    [ ("fuzz-efficacy-17f790fd.c", [ "attack_success" ]);
+      ("fuzz-efficacy-2ee70427.c", [ "g5"; "guard13"; "attack_success" ]) ]
 
 let test_sabotage_still_fails () =
   let e = load_committed () in
@@ -376,6 +405,9 @@ let test_exit_codes () =
       ("attack unknown defense", [ "attack"; good; "--defenses=bogus" ], 2);
       ("lint cfi token", [ "lint"; good; "--defenses=cfi" ], 0);
       ("lint all-cfi token", [ "lint"; guarded; "--defenses=all-cfi" ], 0);
+      (* CFCSS alone leaves the loop guard direction-flippable *)
+      ("lint cfcss token", [ "lint"; guarded; "--defenses=cfcss" ], 3);
+      ("lint --cfcss is gone", [ "lint"; good; "--cfcss" ], 2);
       ( "lint sabotaged cfi flagged",
         [ "lint"; good; "--defenses=all-cfi"; "--mutant"; "sigcfi-checks" ],
         3 );
@@ -582,7 +614,23 @@ let test_bench_subcommand () =
   Alcotest.(check int) "bench bogus" 2 (bench [ "bogus" ]);
   Alcotest.(check string) "nothing run" "" (read out);
   Alcotest.(check bool) "bogus named" true (contains (read err) "'bogus'");
-  Alcotest.(check int) "bench --jobs 0" 2 (bench [ "table7"; "--jobs"; "0" ])
+  Alcotest.(check int) "bench --jobs 0" 2 (bench [ "table7"; "--jobs"; "0" ]);
+  (* table4 and table5 each print their own table, once *)
+  let count s sub =
+    let n = String.length sub in
+    let rec go i acc =
+      if i + n > String.length s then acc
+      else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "bench table4 table5" 0
+    (bench [ "table4"; "table5"; "--jobs"; "1" ]);
+  Alcotest.(check (list int)) "Table IV, Table V headers" [ 1; 1 ]
+    [ count (read out) "Table IV - "; count (read out) "Table V - " ];
+  Alcotest.(check int) "bench table5" 0 (bench [ "table5"; "--jobs"; "1" ]);
+  Alcotest.(check (list int)) "Table V alone" [ 0; 1 ]
+    [ count (read out) "Table IV - "; count (read out) "Table V - " ]
 
 let () =
   Alcotest.run "gen"
@@ -590,7 +638,11 @@ let () =
         [ Alcotest.test_case "save/load round trip" `Quick
             test_corpus_roundtrip;
           Alcotest.test_case "absint mutant replays under its mutant" `Quick
-            test_absint_mutant_replays ] );
+            test_absint_mutant_replays;
+          Alcotest.test_case "unknown defense rejected" `Quick
+            test_unknown_defense_rejected;
+          Alcotest.test_case "committed entries' configs" `Quick
+            test_committed_configs ] );
       ( "sabotage",
         [ Alcotest.test_case "counterexample still fails" `Quick
             test_sabotage_still_fails;

@@ -78,10 +78,10 @@ let killers : Mutant.t -> (string * (unit -> bool)) list = function
        efficacy_counterexample_defended) ]
   | Sigcfi_checks ->
     [ ("sigcfi audit clean",
-       cfi_audit_clean (Resistor.Config.only ~sigcfi:true ()) "sigcfi-sink") ]
+       cfi_audit_clean (Resistor.Config.make [ Sigcfi ]) "sigcfi-sink") ]
   | Domains_checks ->
     [ ("domains audit clean",
-       cfi_audit_clean (Resistor.Config.only ~domains:true ()) "domains-check") ]
+       cfi_audit_clean (Resistor.Config.make [ Domains ]) "domains-check") ]
   | Absint_taint ->
     [ ("static pruning == oracle on the guard loop",
        pruned_matches_oracle ~static:true) ]
