@@ -597,6 +597,99 @@ let json_shape () =
     (contains ~affix:"\"rule\":\"guard-flippable\"" j);
   Alcotest.(check bool) "single line" false (String.contains j '\n')
 
+(* --- lint golden ------------------------------------------------------------- *)
+
+(* Everything lives relative to _build/default/test, whatever the cwd. *)
+let firmware_dir =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "examples/firmware"
+
+(* Each example firmware with the globals its defended builds protect. *)
+let golden_firmwares =
+  [ ("boot_tick.c", [ "tick" ]);
+    ("defense_pipeline.c", [ "door" ]);
+    ("guard_loop.c", [ "a" ]);
+    ("secure_boot.c", [ "expected"; "attack_success" ]) ]
+
+(* Digest of [Lint.to_json] for every example firmware under every
+   --defenses set name: rule names, severities, messages, addresses and
+   their order are all frozen. *)
+let lint_golden =
+  [ ("boot_tick.c none", "dd6183daa02f5d17a47a555023f7188a");
+    ("boot_tick.c all", "a56d96adfe7d2449d7a3aabde4c9ecf8");
+    ("boot_tick.c all-but-delay", "8e678f72e007d7d37ff9e12d4298d606");
+    ("boot_tick.c all\\delay", "8e678f72e007d7d37ff9e12d4298d606");
+    ("boot_tick.c branches", "c63d7f3c81ec59f8d8d560ccebd07b4b");
+    ("boot_tick.c loops", "31ad68fe11821b7ddfef8cf729eaf990");
+    ("boot_tick.c integrity", "e822d8e386e0373d52574230cc64e8cd");
+    ("boot_tick.c returns", "57ea69631085b09b62c73ee58b097e2c");
+    ("boot_tick.c delay", "9c35adde6b3fd97806daef5db205ded2");
+    ("boot_tick.c sigcfi", "6b1078593ea33b976311227e4c1603e1");
+    ("boot_tick.c domains", "0e55969ec4b5c0c4e5864b8c13b282eb");
+    ("boot_tick.c cfi", "cb05141d0671df131648eabb88285f2e");
+    ("boot_tick.c all-cfi", "9c7f9bce012f7399fd270b5db797d4e0");
+    ("boot_tick.c cfcss", "bab0a23b09091cd249bbcff2a552578b");
+    ("defense_pipeline.c none", "217adf0be8a99e42bdef6cb5c7d5d071");
+    ("defense_pipeline.c all", "47664584e15c94276d7d483c24f46e64");
+    ("defense_pipeline.c all-but-delay", "a4ae45a51d81f2bb474320cdd11a84aa");
+    ("defense_pipeline.c all\\delay", "a4ae45a51d81f2bb474320cdd11a84aa");
+    ("defense_pipeline.c branches", "31719a45248dd7ae55bb4ecbe70a806a");
+    ("defense_pipeline.c loops", "542e7e6f66ab60ca6daac582935fd88f");
+    ("defense_pipeline.c integrity", "87f80562dcc423e2d1f1d978420eb4d8");
+    ("defense_pipeline.c returns", "786b062437ec60b4d4899c3c293771da");
+    ("defense_pipeline.c delay", "7cf42422d7d8e33bf17ca076fb4d6a7e");
+    ("defense_pipeline.c sigcfi", "ac4b686a540756f2a0d15f15583b0f79");
+    ("defense_pipeline.c domains", "fb9810c0fe678e99bf0179e38fb6084b");
+    ("defense_pipeline.c cfi", "c58aa3d23a3f11e85dd088f2f649df8f");
+    ("defense_pipeline.c all-cfi", "672e3cd07af16e6d018a5d0601c3b37b");
+    ("defense_pipeline.c cfcss", "da09e3030cc49b1332c5a4638b44167a");
+    ("guard_loop.c none", "bc7679f9fdcbf5e0a33a605e625b30db");
+    ("guard_loop.c all", "176deb8cf1d79c270f6a097116a405e3");
+    ("guard_loop.c all-but-delay", "3e3133a27fba48dc7afeb0a8ac764401");
+    ("guard_loop.c all\\delay", "3e3133a27fba48dc7afeb0a8ac764401");
+    ("guard_loop.c branches", "f5e06f74167f8061146e1b4724560a26");
+    ("guard_loop.c loops", "a335bd2d8b5724df34c849878ede0054");
+    ("guard_loop.c integrity", "64166a615b64999ae1f1d816da903ee4");
+    ("guard_loop.c returns", "4077414573fc6863fe355834ee930b1e");
+    ("guard_loop.c delay", "886cc8e6ec86b7f9a3c1f060dfce9d64");
+    ("guard_loop.c sigcfi", "0f59e5245dc75d02b15aa4c1c147e6d2");
+    ("guard_loop.c domains", "0e809d476e0e453c8c1151476fdc9bf8");
+    ("guard_loop.c cfi", "c96b15f41a17eb3c207116bfa114ec2c");
+    ("guard_loop.c all-cfi", "b6057b29243a465d6c360ddc73953a44");
+    ("guard_loop.c cfcss", "918b95c931502896b0fd968b45319a4b");
+    ("secure_boot.c none", "cb36873ee4d24ad57f84bd664ee29b60");
+    ("secure_boot.c all", "04da82aa6092c78c9be5b3631d24fbba");
+    ("secure_boot.c all-but-delay", "c70bf57541fd45678ae2a053f737cdeb");
+    ("secure_boot.c all\\delay", "c70bf57541fd45678ae2a053f737cdeb");
+    ("secure_boot.c branches", "92116c1f16655aef56165a3d963a5db0");
+    ("secure_boot.c loops", "2668394e13692de37b5958049bfc0c2e");
+    ("secure_boot.c integrity", "41d37c5daa20b80af6b30b4f3cc4715b");
+    ("secure_boot.c returns", "d2fbd1fbd338694cc580a523e39ae2f1");
+    ("secure_boot.c delay", "59c8fa9924885edb85c87a4e121915cc");
+    ("secure_boot.c sigcfi", "febd1fd861bd0cd2b897e9c364e572ee");
+    ("secure_boot.c domains", "958ede0c1caeaaf256a920cacafb4bc4");
+    ("secure_boot.c cfi", "c6d49715679cf1ffeafe1a32c5f32339");
+    ("secure_boot.c all-cfi", "f18e3e87926cd6e4daf893baba071173");
+    ("secure_boot.c cfcss", "621fc6612ed59817051bd2c5c5c33d22") ]
+
+let lint_report_golden () =
+  let digests (file, sensitive) =
+    let source =
+      In_channel.with_open_bin (Filename.concat firmware_dir file)
+        In_channel.input_all
+    in
+    List.map
+      (fun (set, _) ->
+        let r = lint (Resistor.Config.set ~sensitive set) source in
+        ( file ^ " " ^ set,
+          Digest.to_hex (Digest.string (Json.to_string (Lint.to_json r))) ))
+      Resistor.Config.sets
+  in
+  Alcotest.(check (list (pair string string)))
+    "lint json digests" lint_golden
+    (List.concat_map digests golden_firmwares)
+
 let () =
   Alcotest.run "analysis"
     [ ( "cfg",
@@ -634,7 +727,8 @@ let () =
           Alcotest.test_case "domains audit + sabotage" `Quick
             lint_domains_audit;
           Alcotest.test_case "stacked cfi clean" `Quick lint_stacked_cfi_clean;
-          Alcotest.test_case "json shape" `Quick json_shape ] );
+          Alcotest.test_case "json shape" `Quick json_shape;
+          Alcotest.test_case "report golden" `Quick lint_report_golden ] );
       ( "audit",
         [ Alcotest.test_case "unguarded loop" `Quick audit_unguarded_loop;
           Alcotest.test_case "straight line" `Quick audit_straight_line;
