@@ -66,18 +66,11 @@ let of_instrs instrs =
 (* ------------------------------------------------------------------ *)
 (* IR structure: recognising the shapes the passes leave behind.      *)
 
+let is_detect_arm (b : Ir.block) = List.exists Resistor.Detect.is_call b.instrs
+
 let detector_labels (f : Ir.func) =
   List.filter_map
-    (fun (b : Ir.block) ->
-      if
-        List.exists
-          (function
-            | Ir.Call { callee; _ } ->
-              callee = Resistor.Detect.detected_fn
-            | _ -> false)
-          b.instrs
-      then Some b.label
-      else None)
+    (fun (b : Ir.block) -> if is_detect_arm b then Some b.label else None)
     f.blocks
 
 (* CFI edge-splitting (the Sigcfi glue) runs after the other passes and
@@ -88,10 +81,9 @@ let is_forwarder (b : Ir.block) =
   (match b.term with Ir.Br _ -> true | _ -> false)
   && List.for_all
        (function
-         | Ir.Call { callee; _ } ->
-           callee <> Resistor.Detect.detected_fn
-           && String.length callee >= 4
-           && String.sub callee 0 4 = "__gr"
+         | Ir.Call { callee; _ } as i ->
+           (not (Resistor.Detect.is_call i))
+           && Resistor.Pass.is_runtime_helper callee
          | _ -> false)
        b.instrs
 
@@ -121,84 +113,24 @@ type protection =
    topological definition: a loop is a non-trivial SCC, and a
    loop-exit guard is a conditional block inside a cycle with a
    successor outside its SCC.  That escaping edge is what the Loops
-   pass must route through a complemented re-check. *)
-let sccs (f : Ir.func) =
-  let blocks = Array.of_list f.blocks in
-  let n = Array.length blocks in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index b.label i) blocks;
-  let succs v =
-    List.filter_map
-      (fun l -> Hashtbl.find_opt index l)
-      (Ir.successors blocks.(v).Ir.term)
-  in
-  let comp = Array.make n (-1) in
-  let num = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let ncomp = ref 0 in
-  let rec strong v =
-    num.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if num.(w) < 0 then begin
-          strong w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if on_stack.(w) then low.(v) <- min low.(v) num.(w))
-      (succs v);
-    if low.(v) = num.(v) then begin
-      let rec pop () =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          comp.(w) <- !ncomp;
-          if w <> v then pop ()
-        | [] -> ()
-      in
-      pop ();
-      incr ncomp
-    end
-  in
-  for v = 0 to n - 1 do
-    if num.(v) < 0 then strong v
-  done;
-  (blocks, comp, succs)
-
-(* Loop-exit guards paired with their escaping successor labels. *)
+   pass must route through a complemented re-check.  Returns each
+   loop-exit guard paired with its escaping successor labels. *)
 let loop_exit_guards dets (f : Ir.func) =
-  let blocks, comp, succs = sccs f in
-  let n = Array.length blocks in
-  let size = Hashtbl.create 8 in
-  Array.iter
-    (fun c ->
-      Hashtbl.replace size c
-        (1 + Option.value ~default:0 (Hashtbl.find_opt size c)))
-    comp;
-  let in_cycle v =
-    Hashtbl.find size comp.(v) > 1 || List.mem v (succs v)
-  in
+  let { Ir.nodes = blocks; succs; comp; in_cycle; _ } = Ir.sccs f in
   let guards = ref [] in
-  for v = 0 to n - 1 do
-    let b = blocks.(v) in
-    match b.Ir.term with
-    | Ir.Cond_br _ when in_cycle v && not (is_check_block f dets b) ->
-      let exits =
-        List.filter_map
-          (fun w ->
-            if comp.(w) <> comp.(v) then Some blocks.(w).Ir.label else None)
-          (succs v)
-      in
-      if exits <> [] then guards := (b.Ir.label, exits) :: !guards
-    | _ -> ()
-  done;
+  Array.iteri
+    (fun v (b : Ir.block) ->
+      match b.term with
+      | Ir.Cond_br _ when in_cycle.(v) && not (is_check_block f dets b) ->
+        let exits =
+          List.filter_map
+            (fun w ->
+              if comp.(w) <> comp.(v) then Some blocks.(w).Ir.label else None)
+            succs.(v)
+        in
+        if exits <> [] then guards := (b.label, exits) :: !guards
+      | _ -> ())
+    blocks;
   List.rev !guards
 
 let audit_func (f : Ir.func) =
@@ -379,64 +311,80 @@ let run (t : target) =
   | _ -> ());
 
   (* --- diversified constants at the binary level ------------------- *)
+  (* Each constant must be linked into the image, and a set of two or
+     more must sit at pairwise Hamming distance >= 8. *)
+  let audit_distances rule func addr constants ~absent ~close ~spread =
+    let values = List.map snd constants in
+    let d = min_pairwise values in
+    List.iter
+      (fun (name, v) ->
+        if not (constant_in_image t.image v) then
+          diag rule Warning func addr "%s" (absent name v))
+      constants;
+    if List.length values > 1 && d < 8 then diag rule Error func addr "%s" (close d)
+    else diag rule Info func addr "%s" (spread (List.length values) d)
+  in
   (match t.reports with
   | Some { enum_report = Some er; _ } ->
     List.iter
       (fun (ename, members) ->
-        let values = List.map snd members in
-        let d = min_pairwise values in
-        let missing =
-          List.filter (fun (_, v) -> not (constant_in_image t.image v)) members
-        in
-        List.iter
-          (fun (mname, v) ->
-            diag "enum-hamming" Warning "<image>" 0
-              "enum %s member %s = 0x%08x not found in the image (dead \
-               code or re-encoded)"
-              ename mname v)
-          missing;
-        if d < 8 && List.length values > 1 then
-          diag "enum-hamming" Error "<image>" 0
-            "enum %s: min pairwise Hamming distance %d < 8" ename d
-        else
-          diag "enum-hamming" Info "<image>" 0
-            "enum %s: %d member(s), min pairwise Hamming distance %d"
-            ename (List.length values)
-            (if values = [] then 0 else d))
+        audit_distances "enum-hamming" "<image>" 0 members
+          ~absent:
+            (Fmt.str
+               "enum %s member %s = 0x%08x not found in the image (dead \
+                code or re-encoded)"
+               ename)
+          ~close:(Fmt.str "enum %s: min pairwise Hamming distance %d < 8" ename)
+          ~spread:(fun n d ->
+            Fmt.str "enum %s: %d member(s), min pairwise Hamming distance %d"
+              ename n
+              (if n = 0 then 0 else d)))
       er.rewritten
   | _ -> ());
   (match t.reports with
   | Some { returns_report = Some rr; _ } ->
     List.iter
       (fun (fname, pairs) ->
-        let news = List.map snd pairs in
-        let d = min_pairwise news in
-        let addr = fn_addr t.image fname in
-        List.iter
-          (fun (_, v) ->
-            if not (constant_in_image t.image v) then
-              diag "return-hamming" Warning fname addr
-                "diversified return code 0x%08x not found in the image" v)
-          pairs;
-        if List.length news > 1 && d < 8 then
-          diag "return-hamming" Error fname addr
-            "return codes at min pairwise Hamming distance %d < 8" d
-        else
-          diag "return-hamming" Info fname addr
-            "%d diversified return code(s)%s" (List.length news)
-            (if List.length news > 1 then Fmt.str ", min distance %d" d
-             else ""))
+        audit_distances "return-hamming" fname (fn_addr t.image fname) pairs
+          ~absent:(fun _ ->
+            Fmt.str "diversified return code 0x%08x not found in the image")
+          ~close:
+            (Fmt.str "return codes at min pairwise Hamming distance %d < 8")
+          ~spread:(fun n d ->
+            Fmt.str "%d diversified return code(s)%s" n
+              (if n > 1 then Fmt.str ", min distance %d" d else "")))
       rr.instrumented
   | _ -> ());
+
+  (* --- runtime support each defense needs -------------------------- *)
+  let in_image rule name what =
+    if not (List.mem_assoc name t.image.global_addrs) then
+      diag rule Error "<image>" 0 "%s missing from the image" what
+  in
+  let in_module (m : Ir.modul) rule name what =
+    if Ir.find_func m name = None then
+      diag rule Error "<module>" 0 "%s missing from the module" what
+  in
+  (* [b] loads [global] and compares something: a signature check *)
+  let loads_and_compares global (b : Ir.block) =
+    List.exists
+      (function Ir.Load { src = Ir.Global s; _ } -> s = global | _ -> false)
+      b.instrs
+    && List.exists (function Ir.Icmp _ -> true | _ -> false) b.instrs
+  in
 
   (* --- integrity shadows ------------------------------------------- *)
   (match (t.modul, t.reports) with
   | Some m, Some { integrity_report = Some ir; _ } ->
+    let access = function
+      | Ir.Store { dst = Ir.Global name; _ } -> Some (`Store, name)
+      | Ir.Load { src = Ir.Global name; _ } -> Some (`Load, name)
+      | _ -> None
+    in
     List.iter
       (fun (g, shadow) ->
-        if not (List.mem_assoc shadow t.image.global_addrs) then
-          diag "integrity-shadow" Error "<image>" 0
-            "shadow global %s for %s missing from the image" shadow g;
+        in_image "integrity-shadow" shadow
+          (Fmt.str "shadow global %s for %s" shadow g);
         List.iter
           (fun (f : Ir.func) ->
             let addr = fn_addr t.image f.fname in
@@ -444,41 +392,27 @@ let run (t : target) =
               (fun (b : Ir.block) ->
                 let rec check = function
                   | [] -> ()
-                  | Ir.Store { dst = Ir.Global name; _ } :: rest
-                    when name = g ->
-                    if
-                      not
-                        (List.exists
-                           (function
-                             | Ir.Store
-                                 { dst = Ir.Global s; _ } ->
-                               s = shadow
-                             | _ -> false)
-                           rest)
-                    then
-                      diag "integrity-shadow" Error f.fname addr
-                        "store to %s in block %s has no complement store \
-                         to %s"
-                        g b.label shadow;
+                  | i :: rest ->
+                    (match access i with
+                    | Some (kind, name)
+                      when name = g
+                           && not
+                                (List.exists
+                                   (fun j -> access j = Some (kind, shadow))
+                                   rest) -> (
+                      match kind with
+                      | `Store ->
+                        diag "integrity-shadow" Error f.fname addr
+                          "store to %s in block %s has no complement store \
+                           to %s"
+                          g b.label shadow
+                      | `Load ->
+                        diag "integrity-shadow" Error f.fname addr
+                          "load of %s in block %s is not cross-checked \
+                           against %s"
+                          g b.label shadow)
+                    | _ -> ());
                     check rest
-                  | Ir.Load { src = Ir.Global name; _ } :: rest
-                    when name = g ->
-                    if
-                      not
-                        (List.exists
-                           (function
-                             | Ir.Load { src = Ir.Global s; _ }
-                               ->
-                               s = shadow
-                             | _ -> false)
-                           rest)
-                    then
-                      diag "integrity-shadow" Error f.fname addr
-                        "load of %s in block %s is not cross-checked \
-                         against %s"
-                        g b.label shadow;
-                    check rest
-                  | _ :: rest -> check rest
                 in
                 check b.instrs)
               f.blocks)
@@ -490,58 +424,37 @@ let run (t : target) =
   (match (t.modul, t.reports) with
   | Some m, Some { cfcss_report = Some cr; _ } ->
     let sig_global = Resistor.Cfcss.signature_global in
-    if not (List.mem_assoc sig_global t.image.global_addrs) then
-      diag "cfcss-signature" Error "<image>" 0
-        "signature variable %s missing from the image" sig_global;
+    in_image "cfcss-signature" sig_global ("signature variable " ^ sig_global);
     let unchecked = ref 0 in
     List.iter
       (fun (f : Ir.func) ->
         let addr = fn_addr t.image f.fname in
-        let preds = Hashtbl.create 16 in
-        List.iter
-          (fun (b : Ir.block) ->
-            List.iter
-              (fun l ->
-                Hashtbl.replace preds l
-                  (b.label
-                  :: Option.value ~default:[] (Hashtbl.find_opt preds l)))
-              (Ir.successors b.term))
-          f.blocks;
+        let preds = Ir.predecessors f in
         let guards_entry (b : Ir.block) =
           List.exists
             (function
-              | Ir.Load { src = Ir.Global s; _ } ->
-                s = sig_global
+              | Ir.Load { src = Ir.Global s; _ } -> s = sig_global
               | Ir.Icmp { rhs = Ir.Const _; _ }
               | Ir.Icmp { lhs = Ir.Const _; _ } -> true
-              | Ir.Call { callee; _ } ->
-                callee = Resistor.Detect.detected_fn
-              | _ -> false)
+              | i -> Resistor.Detect.is_call i)
             b.instrs
         in
         List.iter
           (fun (b : Ir.block) ->
-            let signed =
-              match b.instrs with
-              | Ir.Store { dst = Ir.Global s; _ } :: _ ->
-                s = sig_global
-              | _ -> false
-            in
-            if signed then
-              match Hashtbl.find_opt preds b.label with
-              | None | Some [] -> ()
-              | Some ps ->
-                List.iter
-                  (fun p ->
-                    match Ir.find_block f p with
-                    | Some pb when not (guards_entry pb) ->
-                      incr unchecked;
-                      diag "cfcss-signature" Error f.fname addr
-                        "signed block %s entered from %s without a \
-                         signature check"
-                        b.label p
-                    | _ -> ())
-                  ps)
+            match b.instrs with
+            | Ir.Store { dst = Ir.Global s; _ } :: _ when s = sig_global ->
+              List.iter
+                (fun p ->
+                  match Ir.find_block f p with
+                  | Some pb when not (guards_entry pb) ->
+                    incr unchecked;
+                    diag "cfcss-signature" Error f.fname addr
+                      "signed block %s entered from %s without a signature \
+                       check"
+                      b.label p
+                  | _ -> ())
+                (preds b.label)
+            | _ -> ())
           f.blocks)
       m.funcs;
     if !unchecked = 0 then
@@ -556,19 +469,13 @@ let run (t : target) =
   (match (t.modul, t.reports) with
   | Some m, Some { sigcfi_report = Some sr; _ } ->
     let state = Resistor.Sigcfi.state_global in
-    if not (List.mem_assoc state t.image.global_addrs) then
-      diag "sigcfi-state" Error "<image>" 0
-        "state accumulator %s missing from the image" state;
-    if Ir.find_func m Resistor.Sigcfi.step_fn = None then
-      diag "sigcfi-state" Error "<module>" 0
-        "update helper %s missing from the module" Resistor.Sigcfi.step_fn;
-    let is_helper f =
-      String.length f >= 4 && String.sub f 0 4 = "__gr"
-    in
+    in_image "sigcfi-state" state ("state accumulator " ^ state);
+    in_module m "sigcfi-state" Resistor.Sigcfi.step_fn
+      ("update helper " ^ Resistor.Sigcfi.step_fn);
     let bad = ref 0 in
     List.iter
       (fun (f : Ir.func) ->
-        if not (is_helper f.fname) then begin
+        if not (Resistor.Pass.is_runtime_helper f.fname) then begin
           let addr = fn_addr t.image f.fname in
           (* the entry must re-seed the accumulator before anything else *)
           (match f.blocks with
@@ -584,41 +491,17 @@ let run (t : target) =
           (* every return must be dominated by a signature check: all its
              predecessors either load-and-compare the state or are the
              detector-calling bad arm of such a check *)
-          let preds = Hashtbl.create 16 in
-          List.iter
-            (fun (b : Ir.block) ->
-              List.iter
-                (fun l ->
-                  Hashtbl.replace preds l
-                    (b.label
-                    :: Option.value ~default:[] (Hashtbl.find_opt preds l)))
-                (Ir.successors b.term))
-            f.blocks;
-          let checks_state (b : Ir.block) =
-            List.exists
-              (function
-                | Ir.Load { src = Ir.Global s; _ } -> s = state
-                | _ -> false)
-              b.instrs
-            && List.exists (function Ir.Icmp _ -> true | _ -> false) b.instrs
-          in
-          let is_detect_arm (b : Ir.block) =
-            List.exists
-              (function
-                | Ir.Call { callee; _ } -> callee = Resistor.Detect.detected_fn
-                | _ -> false)
-              b.instrs
+          let preds = Ir.predecessors f in
+          let guarded p =
+            match Ir.find_block f p with
+            | Some pb -> loads_and_compares state pb || is_detect_arm pb
+            | None -> false
           in
           List.iter
             (fun (b : Ir.block) ->
               match b.term with
               | Ir.Ret _ ->
-                let ps = Option.value ~default:[] (Hashtbl.find_opt preds b.label) in
-                let guarded p =
-                  match Ir.find_block f p with
-                  | Some pb -> checks_state pb || is_detect_arm pb
-                  | None -> false
-                in
+                let ps = preds b.label in
                 if ps = [] || not (List.for_all guarded ps) then begin
                   incr bad;
                   diag "sigcfi-sink" Error f.fname addr
@@ -642,12 +525,9 @@ let run (t : target) =
   (match (t.modul, t.reports) with
   | Some m, Some { domains_report = Some dr; _ } ->
     let reg = Resistor.Domains.domain_global in
-    if not (List.mem_assoc reg t.image.global_addrs) then
-      diag "domains-check" Error "<image>" 0
-        "domain register %s missing from the image" reg;
-    if Ir.find_func m Resistor.Domains.bridge_fn = None then
-      diag "domains-check" Error "<module>" 0
-        "bridge helper %s missing from the module" Resistor.Domains.bridge_fn;
+    in_image "domains-check" reg ("domain register " ^ reg);
+    in_module m "domains-check" Resistor.Domains.bridge_fn
+      ("bridge helper " ^ Resistor.Domains.bridge_fn);
     let bad = ref 0 in
     List.iter
       (fun (fname, _cluster) ->
@@ -656,24 +536,13 @@ let run (t : target) =
           incr bad;
           diag "domains-check" Error fname 0
             "partitioned function disappeared from the module"
-        | Some f ->
-          let addr = fn_addr t.image fname in
-          let entry_checks =
-            match f.blocks with
-            | b :: _ ->
-              List.exists
-                (function
-                  | Ir.Load { src = Ir.Global s; _ } -> s = reg
-                  | _ -> false)
-                b.instrs
-              && List.exists (function Ir.Icmp _ -> true | _ -> false) b.instrs
-            | [] -> false
-          in
-          if not entry_checks then begin
+        | Some f -> (
+          match f.blocks with
+          | b :: _ when loads_and_compares reg b -> ()
+          | _ ->
             incr bad;
-            diag "domains-check" Error fname addr
-              "entry does not compare %s against the cluster key" reg
-          end)
+            diag "domains-check" Error fname (fn_addr t.image fname)
+              "entry does not compare %s against the cluster key" reg))
       dr.domains;
     if !bad = 0 then
       diag "domains-check" Info "<module>" 0

@@ -33,7 +33,6 @@ let new_block t label =
   t.cursor <- b;
   b
 
-let position_at t b = t.cursor <- b
 let current_block t = t.cursor
 
 let emit t i = t.cursor.Types.instrs <- t.cursor.Types.instrs @ [ i ]

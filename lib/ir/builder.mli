@@ -22,7 +22,6 @@ val new_block : t -> string -> Types.block
 (** Append a block with the given (already unique) label and move the
     cursor to it. The block initially ends in [Unreachable]. *)
 
-val position_at : t -> Types.block -> unit
 val current_block : t -> Types.block
 
 val load : ?volatile:bool -> t -> Types.var -> Types.value

@@ -91,10 +91,30 @@ val find_global : modul -> string -> global option
 
 val successors : terminator -> string list
 
-val iter_instrs : func -> (block -> instr -> unit) -> unit
+val predecessors : func -> string -> string list
+(** [predecessors f] builds the inverse of {!successors} once; applied
+    to a label it lists the label of every block with an edge to it,
+    once per edge, latest block first. Labels outside [f] may have
+    predecessors too; a label nothing branches to has none. *)
 
-val map_func_instrs : func -> (block -> instr -> instr list) -> unit
-(** Rewrite every instruction to a (possibly longer) sequence. *)
+type sccs = {
+  nodes : block array;  (** the function's blocks, in order *)
+  index : (string, int) Hashtbl.t;  (** label -> position in [nodes] *)
+  succs : int list array;
+      (** successor positions in {!successors} order, one per edge;
+          labels outside the function are dropped *)
+  comp : int array;
+      (** strongly-connected component of each block: equal numbers
+          iff the two nodes reach each other *)
+  in_cycle : bool array;
+      (** the block lies on a cycle: a component of two or more
+          blocks, or a self-loop *)
+}
+
+val sccs : func -> sccs
+(** Tarjan's strongly-connected components of the block graph. *)
+
+val iter_instrs : func -> (block -> instr -> unit) -> unit
 
 val max_temp : func -> int
 (** Largest temp index used; -1 if none. *)

@@ -162,14 +162,7 @@ let lint_func (f : Types.func) =
         (fun acc b -> Int_set.union acc (block_defs b))
         Int_set.empty reachable_blocks
     in
-    let preds = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Types.block) ->
-        List.iter
-          (fun l ->
-            Hashtbl.replace preds l (b.label :: Option.value ~default:[] (Hashtbl.find_opt preds l)))
-          (Types.successors b.term))
-      reachable_blocks;
+    let preds = Types.predecessors f in
     let out = Hashtbl.create 16 in
     List.iter
       (fun (b : Types.block) ->
@@ -179,9 +172,10 @@ let lint_func (f : Types.func) =
     let in_set (b : Types.block) =
       if b.label = entry.label then Int_set.empty
       else
-        match Hashtbl.find_opt preds b.label with
-        | None | Some [] -> Int_set.empty
-        | Some ps ->
+        match preds b.label with
+        | [] -> Int_set.empty
+        | ps ->
+          (* unreachable predecessors have no OUT and are skipped *)
           List.fold_left
             (fun acc p ->
               match Hashtbl.find_opt out p with

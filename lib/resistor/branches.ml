@@ -105,18 +105,12 @@ let instrument_edge (f : Ir.func) fresh defs ~shadows ~(block : Ir.block) ~edge
           Ir.Cond_br { cond = pair_cond; if_true = target; if_false = bad_label }
       }
     in
-    let bad_block =
-      { Ir.label = bad_label;
-        instrs = [ Ir.Call { dst = None; callee = Detect.detected_fn; args = [] } ];
-        term = Ir.Br target }
-    in
     (* redirect the instrumented edge through the check *)
     block.term <-
       (match edge with
       | `True -> Ir.Cond_br { cond; if_true = check_label; if_false }
       | `False -> Ir.Cond_br { cond; if_true; if_false = check_label });
-    ignore f;
-    [ check_block; bad_block ]
+    [ check_block; Detect.arm bad_label ~next:target ]
 
 let run reaction (m : Ir.modul) =
   Detect.ensure reaction m;

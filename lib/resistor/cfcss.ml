@@ -17,21 +17,9 @@ let signatures (m : Ir.modul) =
     m.funcs;
   table
 
-let predecessors (f : Ir.func) =
-  let preds = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun succ ->
-          Hashtbl.replace preds succ
-            (b.label :: Option.value ~default:[] (Hashtbl.find_opt preds succ)))
-        (Ir.successors b.term))
-    f.blocks;
-  preds
-
 let instrument_function sigs (f : Ir.func) =
   let fresh = Pass.fresh_for f in
-  let preds = predecessors f in
+  let preds = Ir.predecessors f in
   let sig_of label = Hashtbl.find sigs (f.fname, label) in
   let checks = ref 0 in
   let out = ref [] in
@@ -56,10 +44,7 @@ let instrument_function sigs (f : Ir.func) =
                | Ir.Load _ | Ir.Store _ | Ir.Binop _ | Ir.Icmp _ -> [ i ])
              b.instrs
       in
-      let pred_labels =
-        Option.value ~default:[] (Hashtbl.find_opt preds b.label)
-        |> List.sort_uniq compare
-      in
+      let pred_labels = List.sort_uniq compare (preds b.label) in
       if b.label = entry_label || pred_labels = [] then
         emit { Ir.label = b.label; instrs = body_instrs; term = b.term }
       else begin
@@ -92,11 +77,7 @@ let instrument_function sigs (f : Ir.func) =
             if rest <> [] then chain fail_to false rest
         in
         chain b.label true pred_labels;
-        emit
-          { Ir.label = bad_label;
-            instrs =
-              [ Ir.Call { dst = None; callee = Detect.detected_fn; args = [] } ];
-            term = Ir.Br body_label };
+        emit (Detect.arm bad_label ~next:body_label);
         emit { Ir.label = body_label; instrs = body_instrs; term = b.term }
       end)
     f.blocks;
@@ -105,11 +86,7 @@ let instrument_function sigs (f : Ir.func) =
 
 let run reaction (m : Ir.modul) =
   Detect.ensure reaction m;
-  if Ir.find_global m signature_global = None then
-    m.globals <-
-      m.globals
-      @ [ { Ir.gname = signature_global; init = 0; volatile = true;
-            sensitive = false } ];
+  Pass.ensure_global m signature_global ~init:0 ~volatile:true;
   let sigs = signatures m in
   let blocks = Hashtbl.length sigs in
   let checks = ref 0 in

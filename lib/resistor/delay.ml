@@ -50,15 +50,10 @@ let in_scope scope fname =
   | Config.Delay_opt_out names -> not (List.mem fname names)
 
 let run ~scope (m : Ir.modul) =
-  if Ir.find_global m seed_global = None then
-    m.globals <-
-      m.globals
-      @ [ { Ir.gname = seed_global; init = 0x20210524; volatile = true;
-            sensitive = false } ];
-  if not (List.mem "__flash_commit" m.externs) then
-    m.externs <- "__flash_commit" :: m.externs;
-  if Ir.find_func m delay_fn = None then m.funcs <- m.funcs @ [ build_delay_fn () ];
-  if Ir.find_func m init_fn = None then m.funcs <- m.funcs @ [ build_init_fn () ];
+  Pass.ensure_global m seed_global ~init:0x20210524 ~volatile:true;
+  Pass.ensure_extern m "__flash_commit";
+  Pass.ensure_func m delay_fn build_delay_fn;
+  Pass.ensure_func m init_fn build_init_fn;
   let runtime = [ delay_fn; init_fn; Detect.detected_fn ] in
   let sites = ref 0 in
   List.iter

@@ -37,34 +37,27 @@ let cluster_key ~key d = Reedsolomon.Gf256.mul key (Reedsolomon.Gf256.exp (d + 1
 
 let bridge_fn = "__gr_domains_xor"
 
-(* Runtime helpers ("__gr_" prefix) live outside the clusters: they are
-   never partitioned, bridged or checked. *)
-let is_runtime_helper fname =
-  String.length fname >= 4 && String.sub fname 0 4 = "__gr"
-
 (* Out-of-line [D := D xor b] so each bridge half is a single call with
    a compile-time constant instead of a 2-temp load/xor/store sequence
    (IR temps are single-assignment stack slots; frames are capped at
    255 slots in codegen). *)
-let ensure_bridge_fn (m : Ir.modul) =
-  if Ir.find_func m bridge_fn = None then begin
-    let bld =
-      Ir.Builder.create ~fname:bridge_fn ~params:[ "b" ] ~returns_value:false
-    in
-    let d = Ir.Builder.load ~volatile:true bld (Ir.Global domain_global) in
-    let b = Ir.Builder.load bld (Ir.Local "b") in
-    let next = Ir.Builder.binop bld Ir.Xor d b in
-    Ir.Builder.store ~volatile:true bld (Ir.Global domain_global) next;
-    Ir.Builder.ret bld None;
-    m.funcs <- m.funcs @ [ Ir.Builder.func bld ]
-  end
+let build_bridge_fn () =
+  let bld = Ir.Builder.create ~fname:bridge_fn ~params:[ "b" ] ~returns_value:false in
+  let d = Ir.Builder.load ~volatile:true bld (Ir.Global domain_global) in
+  let b = Ir.Builder.load bld (Ir.Local "b") in
+  let next = Ir.Builder.binop bld Ir.Xor d b in
+  Ir.Builder.store ~volatile:true bld (Ir.Global domain_global) next;
+  Ir.Builder.ret bld None;
+  Ir.Builder.func bld
 
-(* Deterministic keyed partition: [main] anchors cluster 0, everything
-   else lands by a key-mixed name hash. Cluster count scales with the
-   module so small firmware still exercises cross-domain edges. *)
+(* Deterministic keyed partition of everything but the runtime
+   helpers, which live outside the clusters: [main] anchors cluster 0,
+   everything else lands by a key-mixed name hash. Cluster count scales
+   with the module so small firmware still exercises cross-domain
+   edges. *)
 let partition ~key (m : Ir.modul) =
   let named =
-    List.filter (fun (f : Ir.func) -> not (is_runtime_helper f.fname)) m.funcs
+    List.filter (fun (f : Ir.func) -> not (Pass.is_runtime_helper f.fname)) m.funcs
   in
   let n = List.length named in
   let clusters = if n <= 1 then max n 1 else min 4 ((n + 1) / 2) in
@@ -84,17 +77,7 @@ let instrument_function ~key domains (f : Ir.func) =
   let own_key = cluster_key ~key own in
   let fresh = Pass.fresh_for f in
   let bridges = ref 0 and checks = ref 0 in
-  (* Split-off return blocks are spliced in right after the Ret block
-     they serve (appending at the end stretches branch spans and costs
-     codegen relaxation stubs on big functions). *)
-  let added : (string, Ir.block list) Hashtbl.t = Hashtbl.create 4 in
-  let original = List.map (fun (b : Ir.block) -> b.label) f.blocks in
-  let splice blocks =
-    List.concat_map
-      (fun (b : Ir.block) ->
-        b :: (match Hashtbl.find_opt added b.Ir.label with Some l -> l | None -> []))
-      blocks
-  in
+  let added = Hashtbl.create 4 in
   (* 1. XOR bridges around cross-domain calls *)
   List.iter
     (fun (b : Ir.block) ->
@@ -121,26 +104,13 @@ let instrument_function ~key domains (f : Ir.func) =
     List.iter
       (fun (b : Ir.block) ->
         match b.term with
-        | Ir.Ret _ when List.mem b.Ir.label original ->
+        | Ir.Ret _ ->
           incr checks;
-          let ret_label = Pass.label fresh "domains.ret" in
-          let bad_label = Pass.label fresh "domains.bad" in
-          let t = Pass.temp fresh and v = Pass.temp fresh in
-          Hashtbl.replace added b.Ir.label
-            [ { Ir.label = ret_label; instrs = []; term = b.term };
-              { Ir.label = bad_label;
-                instrs =
-                  [ Ir.Call { dst = None; callee = Detect.detected_fn; args = [] } ];
-                term = Ir.Br ret_label } ];
-          b.instrs <-
-            b.instrs
-            @ [ Ir.Load { dst = t; src = Ir.Global domain_global; volatile = true };
-                Ir.Icmp
-                  { dst = v; op = Ir.Eq; lhs = Ir.Temp t; rhs = Ir.Const own_key } ];
-          b.term <-
-            Ir.Cond_br { cond = Ir.Temp v; if_true = ret_label; if_false = bad_label }
+          Pass.attach added ~after:b.label
+            (Detect.check_ret fresh ~hint:"domains" domain_global own_key b)
         | _ -> ())
       f.blocks;
+    f.blocks <- Pass.splice added f.blocks;
     (* 3. entry check becomes the new first block *)
     match f.blocks with
     | [] -> ()
@@ -148,31 +118,20 @@ let instrument_function ~key domains (f : Ir.func) =
       incr checks;
       let check_label = Pass.label fresh "domains.entry" in
       let bad_label = Pass.label fresh "domains.bad" in
-      let t = Pass.temp fresh and v = Pass.temp fresh in
+      let instrs, ok = Detect.matches fresh domain_global own_key in
       let check =
         { Ir.label = check_label;
-          instrs =
-            [ Ir.Load { dst = t; src = Ir.Global domain_global; volatile = true };
-              Ir.Icmp
-                { dst = v; op = Ir.Eq; lhs = Ir.Temp t; rhs = Ir.Const own_key } ];
+          instrs;
           term =
             Ir.Cond_br
-              { cond = Ir.Temp v; if_true = entry.Ir.label; if_false = bad_label } }
+              { cond = ok; if_true = entry.Ir.label; if_false = bad_label } }
       in
-      let bad =
-        { Ir.label = bad_label;
-          instrs =
-            [ Ir.Call { dst = None; callee = Detect.detected_fn; args = [] } ];
-          term = Ir.Br entry.Ir.label }
-      in
-      f.blocks <- check :: bad :: splice f.blocks;
-      Hashtbl.reset added
+      f.blocks <- check :: Detect.arm bad_label ~next:entry.Ir.label :: f.blocks
   end;
-  f.blocks <- splice f.blocks;
   (!bridges, !checks)
 
 let run ?(key = default_key) reaction (m : Ir.modul) =
-  if key <= 0 || key > 0xFF then invalid_arg "Domains.run: key must be in 1..255";
+  Pass.check_key "Domains.run" key;
   Detect.ensure reaction m;
   let domains, clusters = partition ~key m in
   let init =
@@ -180,17 +139,12 @@ let run ?(key = default_key) reaction (m : Ir.modul) =
     | Some d -> cluster_key ~key d
     | None -> cluster_key ~key 0
   in
-  (match Ir.find_global m domain_global with
-  | Some _ -> ()
-  | None ->
-    m.globals <-
-      m.globals
-      @ [ { Ir.gname = domain_global; init; volatile = true; sensitive = false } ]);
-  ensure_bridge_fn m;
+  Pass.ensure_global m domain_global ~init ~volatile:true;
+  Pass.ensure_func m bridge_fn build_bridge_fn;
   let bridges = ref 0 and checks = ref 0 in
   List.iter
     (fun (f : Ir.func) ->
-      if not (is_runtime_helper f.fname) then begin
+      if not (Pass.is_runtime_helper f.fname) then begin
         let b, c = instrument_function ~key domains f in
         bridges := !bridges + b;
         checks := !checks + c

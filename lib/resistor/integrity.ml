@@ -31,10 +31,7 @@ let instrument_function protected (f : Ir.func) =
             term =
               Ir.Cond_br
                 { cond = check_cond; if_true = detect_label; if_false = cont_label } };
-        emit_block
-          { Ir.label = detect_label;
-            instrs = [ Ir.Call { dst = None; callee = Detect.detected_fn; args = [] } ];
-            term = Ir.Br cont_label };
+        emit_block (Detect.arm detect_label ~next:cont_label);
         label := cont_label;
         acc := []
       in
@@ -110,13 +107,8 @@ let run ~sensitive reaction (m : Ir.modul) =
   List.iter
     (fun g ->
       let orig = Option.get (Ir.find_global m g) in
-      if Ir.find_global m (shadow_name g) = None then
-        m.globals <-
-          m.globals
-          @ [ { Ir.gname = shadow_name g;
-                init = orig.init lxor mask32;
-                volatile = orig.volatile;
-                sensitive = false } ])
+      Pass.ensure_global m (shadow_name g) ~init:(orig.init lxor mask32)
+        ~volatile:orig.volatile)
     protected;
   let checks = ref 0 in
   List.iter

@@ -29,6 +29,33 @@ let label fresh hint =
   fresh.next_label <- n + 1;
   Printf.sprintf "gr.%s.%d" hint n
 
+(* Runtime helpers the passes add ("__gr_" prefix). *)
+let is_runtime_helper fname =
+  String.length fname >= 4 && String.sub fname 0 4 = "__gr"
+
+let ensure_global (m : Ir.modul) gname ~init ~volatile =
+  if Ir.find_global m gname = None then
+    m.globals <- m.globals @ [ { Ir.gname; init; volatile; sensitive = false } ]
+
+let ensure_func (m : Ir.modul) fname build =
+  if Ir.find_func m fname = None then m.funcs <- m.funcs @ [ build () ]
+
+let ensure_extern (m : Ir.modul) name =
+  if not (List.mem name m.externs) then m.externs <- name :: m.externs
+
+let check_key pass key =
+  if key <= 0 || key > 0xFF then invalid_arg (pass ^ ": key must be in 1..255")
+
+let attach added ~after blocks =
+  Hashtbl.replace added after
+    (Option.value ~default:[] (Hashtbl.find_opt added after) @ blocks)
+
+let splice added blocks =
+  List.concat_map
+    (fun (b : Ir.block) ->
+      b :: Option.value ~default:[] (Hashtbl.find_opt added b.Ir.label))
+    blocks
+
 let def_map (f : Ir.func) =
   let defs = Hashtbl.create 64 in
   Ir.iter_instrs f (fun _ i ->

@@ -9,6 +9,36 @@ val temp : fresh -> int
 val label : fresh -> string -> string
 (** Unique labels of the form ["gr.<hint>.<n>"]. *)
 
+val is_runtime_helper : string -> bool
+(** Names starting with ["__gr"]: the runtime support the passes add
+    (detector, delay, signature and domain helpers). *)
+
+val ensure_global :
+  Ir.modul -> string -> init:int -> volatile:bool -> unit
+(** Append a non-sensitive global unless one of that name exists. *)
+
+val ensure_func : Ir.modul -> string -> (unit -> Ir.func) -> unit
+(** [ensure_func m name build] appends [build ()] unless [m] already
+    has a function called [name]. *)
+
+val ensure_extern : Ir.modul -> string -> unit
+(** Declare a runtime-resolved callee unless already declared. *)
+
+val check_key : string -> int -> unit
+(** Raise [Invalid_argument "<pass>: key must be in 1..255"] for a
+    key that is not a nonzero byte. *)
+
+val attach :
+  (string, Ir.block list) Hashtbl.t -> after:string -> Ir.block list -> unit
+(** Queue blocks to follow the block labelled [after] (after any
+    already queued for it). *)
+
+val splice :
+  (string, Ir.block list) Hashtbl.t -> Ir.block list -> Ir.block list
+(** Put each queued block right after the block it was attached to.
+    Keeping new blocks next to the block they serve, rather than at the
+    end of the function, keeps branch spans short for codegen. *)
+
 val def_map : Ir.func -> (int, Ir.instr) Hashtbl.t
 (** Temp index -> defining instruction (temps are write-once). *)
 

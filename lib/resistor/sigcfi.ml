@@ -54,32 +54,25 @@ let signature ~key fname label =
 
 let step_fn = "__gr_sigcfi_step"
 
-(* Runtime helpers ("__gr_" prefix) are never instrumented, never
-   trigger a re-seed, and never count as user control flow. *)
-let is_runtime_helper fname =
-  String.length fname >= 4 && String.sub fname 0 4 = "__gr"
-
 (* Out-of-line state update [S := step(S) xor patch] so each edge-split
    glue block is a single call with a compile-time argument: IR temps
    are single-assignment and map 1:1 to stack slots in codegen, so
    inlining the 8-temp update on every CFG edge would blow the 255-slot
    frame budget on large defended images. *)
-let ensure_step_fn (m : Ir.modul) =
-  if Ir.find_func m step_fn = None then begin
-    let b = Ir.Builder.create ~fname:step_fn ~params:[ "p" ] ~returns_value:false in
-    let s = Ir.Builder.load ~volatile:true b (Ir.Global state_global) in
-    let shl = Ir.Builder.binop b Ir.Shl s (Ir.Const 1) in
-    let low = Ir.Builder.binop b Ir.And shl (Ir.Const 0xFF) in
-    let hi = Ir.Builder.binop b Ir.Lshr s (Ir.Const 7) in
-    let hibit = Ir.Builder.binop b Ir.And hi (Ir.Const 1) in
-    let red = Ir.Builder.binop b Ir.Mul hibit (Ir.Const 0x1D) in
-    let stepped = Ir.Builder.binop b Ir.Xor low red in
-    let p = Ir.Builder.load b (Ir.Local "p") in
-    let next = Ir.Builder.binop b Ir.Xor stepped p in
-    Ir.Builder.store ~volatile:true b (Ir.Global state_global) next;
-    Ir.Builder.ret b None;
-    m.funcs <- m.funcs @ [ Ir.Builder.func b ]
-  end
+let build_step_fn () =
+  let b = Ir.Builder.create ~fname:step_fn ~params:[ "p" ] ~returns_value:false in
+  let s = Ir.Builder.load ~volatile:true b (Ir.Global state_global) in
+  let shl = Ir.Builder.binop b Ir.Shl s (Ir.Const 1) in
+  let low = Ir.Builder.binop b Ir.And shl (Ir.Const 0xFF) in
+  let hi = Ir.Builder.binop b Ir.Lshr s (Ir.Const 7) in
+  let hibit = Ir.Builder.binop b Ir.And hi (Ir.Const 1) in
+  let red = Ir.Builder.binop b Ir.Mul hibit (Ir.Const 0x1D) in
+  let stepped = Ir.Builder.binop b Ir.Xor low red in
+  let p = Ir.Builder.load b (Ir.Local "p") in
+  let next = Ir.Builder.binop b Ir.Xor stepped p in
+  Ir.Builder.store ~volatile:true b (Ir.Global state_global) next;
+  Ir.Builder.ret b None;
+  Ir.Builder.func b
 
 let seed_instr s =
   Ir.Store { dst = Ir.Global state_global; src = Ir.Const s; volatile = true }
@@ -101,20 +94,14 @@ let instrument_function ~key (m : Ir.modul) (f : Ir.func) =
      edge, an appended tail puts every body→glue→body hop ~the whole
      function apart and drowns codegen's branch relaxation in
      trampoline stubs. *)
-  let added : (string, Ir.block list) Hashtbl.t = Hashtbl.create 16 in
-  let attach src blocks =
-    Hashtbl.replace added src
-      (match Hashtbl.find_opt added src with
-      | Some l -> l @ blocks
-      | None -> blocks)
-  in
+  let added = Hashtbl.create 16 in
   (* 1. split every edge between original blocks and put the keyed
      state update on it *)
   let glue src src_sig target =
     incr updates;
     let label = Pass.label fresh "sigcfi.up" in
     let patch = step src_sig lxor sig_of target in
-    attach src
+    Pass.attach added ~after:src
       [ { Ir.label;
           instrs =
             [ Ir.Call { dst = None; callee = step_fn; args = [ Ir.Const patch ] } ];
@@ -151,7 +138,7 @@ let instrument_function ~key (m : Ir.modul) (f : Ir.func) =
               match i with
               | Ir.Call { callee; _ }
                 when Ir.find_func m callee <> None
-                     && not (is_runtime_helper callee) ->
+                     && not (Pass.is_runtime_helper callee) ->
                 (* the callee ran its own chain and clobbered S; helpers
                    never touch the chain, and re-seeding after them
                    would mask an already-corrupt state *)
@@ -166,46 +153,23 @@ let instrument_function ~key (m : Ir.modul) (f : Ir.func) =
         match b.term with
         | Ir.Ret _ when List.mem b.Ir.label original ->
           incr checks;
-          let ret_label = Pass.label fresh "sigcfi.ret" in
-          let bad_label = Pass.label fresh "sigcfi.bad" in
-          let t = Pass.temp fresh in
-          let v = Pass.temp fresh in
-          attach b.label
-            [ { Ir.label = ret_label; instrs = []; term = b.term };
-              { Ir.label = bad_label;
-                instrs =
-                  [ Ir.Call { dst = None; callee = Detect.detected_fn; args = [] } ];
-                term = Ir.Br ret_label } ];
-          b.instrs <-
-            b.instrs
-            @ [ Ir.Load { dst = t; src = Ir.Global state_global; volatile = true };
-                Ir.Icmp
-                  { dst = v; op = Ir.Eq; lhs = Ir.Temp t;
-                    rhs = Ir.Const (sig_of b.label) } ];
-          b.term <-
-            Ir.Cond_br { cond = Ir.Temp v; if_true = ret_label; if_false = bad_label }
+          Pass.attach added ~after:b.label
+            (Detect.check_ret fresh ~hint:"sigcfi" state_global
+               (sig_of b.label) b)
         | _ -> ())
       f.blocks;
-  f.blocks <-
-    List.concat_map
-      (fun (b : Ir.block) ->
-        b :: (match Hashtbl.find_opt added b.Ir.label with Some l -> l | None -> []))
-      f.blocks;
+  f.blocks <- Pass.splice added f.blocks;
   (List.length original, !updates, !checks)
 
 let run ?(key = default_key) reaction (m : Ir.modul) =
-  if key <= 0 || key > 0xFF then invalid_arg "Sigcfi.run: key must be in 1..255";
+  Pass.check_key "Sigcfi.run" key;
   Detect.ensure reaction m;
-  if Ir.find_global m state_global = None then
-    m.globals <-
-      m.globals
-      @ [ { Ir.gname = state_global; init = 0; volatile = true;
-            sensitive = false } ];
-  ensure_step_fn m;
+  Pass.ensure_global m state_global ~init:0 ~volatile:true;
+  Pass.ensure_func m step_fn build_step_fn;
   let signed = ref 0 and updates = ref 0 and checks = ref 0 in
   List.iter
     (fun (f : Ir.func) ->
-      if not (is_runtime_helper f.fname) then begin
+      if not (Pass.is_runtime_helper f.fname) then begin
         let s, u, c = instrument_function ~key m f in
         signed := !signed + s;
         updates := !updates + u;

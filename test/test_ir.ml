@@ -275,6 +275,91 @@ let lint_surfaces_through_driver () =
          pass <> "" && contains v.message ~affix:"unreachable")
        c.reports.verify_warnings)
 
+(* --- graph helpers --------------------------------------------------------- *)
+
+(* Random block graphs: self-loops, unreachable blocks, several edges to
+   one target, and labels ("out") that name no block of the function. *)
+let gen_cfg =
+  let open QCheck.Gen in
+  let* n = int_range 1 8 in
+  let target =
+    map (fun i -> if i < n then Printf.sprintf "b%d" i else "out") (int_bound n)
+  in
+  let switch default targets =
+    Ir.Switch
+      { value = Ir.Const 0; cases = List.mapi (fun i l -> (i, l)) targets; default }
+  in
+  let term =
+    oneof
+      [ map (fun l -> Ir.Br l) target;
+        map2
+          (fun if_true if_false ->
+            Ir.Cond_br { cond = Ir.Const 1; if_true; if_false })
+          target target;
+        map2 switch target (list_size (int_bound 3) target);
+        return (Ir.Ret None);
+        return Ir.Unreachable ]
+  in
+  let+ terms = list_repeat n term in
+  let block i term = { Ir.label = Printf.sprintf "b%d" i; instrs = []; term } in
+  { Ir.fname = "g"; params = []; returns_value = false; locals = [];
+    blocks = List.mapi block terms }
+
+let arb_cfg = QCheck.make ~print:(Fmt.str "%a" Ir.pp_func) gen_cfg
+
+(* reach.(i).(j): a path of one or more edges leads from block i to j. *)
+let brute_reach (f : Ir.func) =
+  let blocks = Array.of_list f.blocks in
+  let n = Array.length blocks in
+  let pos l =
+    let rec go i =
+      if i = n then None else if blocks.(i).label = l then Some i else go (i + 1)
+    in
+    go 0
+  in
+  let reach = Array.make_matrix n n false in
+  for i = 0 to n - 1 do
+    let rec visit j =
+      if not reach.(i).(j) then begin
+        reach.(i).(j) <- true;
+        List.iter visit (List.filter_map pos (Ir.successors blocks.(j).term))
+      end
+    in
+    List.iter visit (List.filter_map pos (Ir.successors blocks.(i).term))
+  done;
+  reach
+
+let prop_sccs_mutual_reachability =
+  QCheck.Test.make ~name:"sccs = mutual reachability" ~count:500 arb_cfg (fun f ->
+      let g = Ir.sccs f in
+      let reach = brute_reach f in
+      let n = Array.length reach in
+      let ok = ref (Array.to_list g.nodes = f.blocks) in
+      for i = 0 to n - 1 do
+        ok := !ok && g.in_cycle.(i) = reach.(i).(i);
+        for j = 0 to n - 1 do
+          let mutual = i = j || (reach.(i).(j) && reach.(j).(i)) in
+          ok := !ok && (g.comp.(i) = g.comp.(j)) = mutual
+        done
+      done;
+      !ok)
+
+let prop_predecessors_invert_successors =
+  QCheck.Test.make ~name:"predecessors invert successors" ~count:500 arb_cfg
+    (fun f ->
+      let preds = Ir.predecessors f in
+      List.for_all
+        (fun l ->
+          preds l
+          = List.rev
+              (List.concat_map
+                 (fun (b : Ir.block) ->
+                   List.filter_map
+                     (fun s -> if s = l then Some b.label else None)
+                     (Ir.successors b.term))
+                 f.blocks))
+        ("out" :: "nowhere" :: List.map (fun (b : Ir.block) -> b.label) f.blocks))
+
 let () =
   Alcotest.run "ir"
     [ ("interp",
@@ -298,4 +383,7 @@ let () =
          Alcotest.test_case "unreachable block" `Quick lint_unreachable_block;
          Alcotest.test_case "maybe-undefined temp" `Quick lint_maybe_undefined;
          Alcotest.test_case "surfaces through driver" `Quick
-           lint_surfaces_through_driver ]) ]
+           lint_surfaces_through_driver ]);
+      ("graph",
+       [ Qseed.to_alcotest prop_sccs_mutual_reachability;
+         Qseed.to_alcotest prop_predecessors_invert_successors ]) ]
