@@ -101,7 +101,6 @@ let create ?(stack_top = 0x20003FE8) ?(stack_fill = true) program =
 let cycles t = t.cycles
 let pc t = Machine.Cpu.pc t.cpu
 let reg t n = Machine.Cpu.get t.cpu (Thumb.Reg.of_int n)
-let flags_z t = t.cpu.Machine.Cpu.z
 let trigger_edges t = List.rev t.edges
 
 let read_global t name =

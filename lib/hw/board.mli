@@ -31,7 +31,6 @@ val reset : t -> unit
 val cycles : t -> int
 val pc : t -> int
 val reg : t -> int -> int
-val flags_z : t -> bool
 
 val trigger_edges : t -> int list
 (** Cycle stamps of rising edges on the trigger pin, oldest first. Each

@@ -25,11 +25,6 @@ let load_instrs ?(layout = stm32_layout) instrs =
 
 let load_asm ?layout src = load_instrs ?layout (Thumb.Asm.assemble src)
 
-let code_word t ~index =
-  match Memory.read_u16 t.mem (t.layout.flash_base + (2 * index)) with
-  | Ok w -> w
-  | Error fault -> invalid_arg (Fmt.str "Loader.code_word: %a" Memory.pp_fault fault)
-
 let patch_word t ~index w =
   match Memory.write_u16 t.mem (t.layout.flash_base + (2 * index)) w with
   | Ok () -> ()

@@ -25,10 +25,6 @@ val load_instrs : ?layout:layout -> Thumb.Instr.t list -> t
 val load_asm : ?layout:layout -> string -> t
 (** [load_instrs] of [Thumb.Asm.assemble]. *)
 
-val code_word : t -> index:int -> int
-(** Halfword of the loaded program at instruction [index] (for
-    mask-based corruption). *)
-
 val patch_word : t -> index:int -> int -> unit
 (** Overwrite the halfword at instruction [index] (mask-based glitch
     injection, as the emulation framework does). *)

@@ -1,28 +1,5 @@
 (* Tests for the stats utilities that every report and bench rides on. *)
 
-let counter_basics () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr ~by:3 c "b";
-  Alcotest.(check int) "a" 2 (Stats.Counter.get c "a");
-  Alcotest.(check int) "b" 3 (Stats.Counter.get c "b");
-  Alcotest.(check int) "missing" 0 (Stats.Counter.get c "z");
-  Alcotest.(check int) "total" 5 (Stats.Counter.total c);
-  Alcotest.(check (list (pair string int)))
-    "sorted by count desc"
-    [ ("b", 3); ("a", 2) ]
-    (Stats.Counter.to_list c)
-
-let counter_ties_sort_by_key () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "zz";
-  Stats.Counter.incr c "aa";
-  Alcotest.(check (list (pair string int)))
-    "key order on ties"
-    [ ("aa", 1); ("zz", 1) ]
-    (Stats.Counter.to_list c)
-
 let rate_formatting () =
   let s p = Fmt.str "%a" Stats.Rate.pp_pct p in
   Alcotest.(check string) "zero" "0%" (s 0.);
@@ -137,10 +114,7 @@ let table_layout () =
 
 let () =
   Alcotest.run "stats"
-    [ ("counter",
-       [ Alcotest.test_case "basics" `Quick counter_basics;
-         Alcotest.test_case "tie order" `Quick counter_ties_sort_by_key ]);
-      ("rate",
+    [ ("rate",
        [ Alcotest.test_case "formatting" `Quick rate_formatting;
          Alcotest.test_case "pct" `Quick rate_pct ]);
       ("perf",
