@@ -49,9 +49,13 @@ val handle_line : t -> string -> string
     "zero_is_invalid": false, "max_steps": 200}] — all fields but
     ["case"] optional), serve it, and render the response object (its
     ["cache"] field is the {!status_name}; ["executed"] is the number
-    of sweep cases actually emulated). Malformed lines produce an
-    [{"ok": false}] response rather than an exception — a bad request
-    must not take the server down. *)
+    of sweep cases actually emulated). An absent optional field takes
+    its default; a present one must be well typed — ["model"] one of
+    the strings and/or/xor (any case), ["zero_is_invalid"] a boolean,
+    ["max_steps"] an integer in 1..{!max_steps_limit} — or the answer
+    is [{"ok": false}] with an error naming the field. Malformed lines
+    produce an [{"ok": false}] response rather than an exception — a
+    bad request must not take the server down. *)
 
 val find_case : string -> Glitch_emu.Testcase.t option
 (** Case lookup by (case-insensitive) name, over the conditional
