@@ -498,9 +498,23 @@ let loop_takes_eight_cycles () =
 
 (* --- paper-shape assertions (slow) --------------------------------------------- *)
 
+(* Each no-pool (table, guard) run is computed at most once per process
+   and shared by the shape, golden and parity tests. *)
+let per_guard run =
+  let tables =
+    List.map
+      (fun g -> (g, lazy (run g)))
+      Attack.[ While_not_a; While_a; While_ne_const ]
+  in
+  fun g -> Lazy.force (List.assoc g tables)
+
+let table1 = per_guard (fun g -> Attack.run_table1 g)
+let table2 = per_guard (fun g -> Attack.run_table2 g)
+let table3 = per_guard (fun g -> Attack.run_table3 g)
+
 let table1_shape () =
-  let not_a = Attack.run_table1 While_not_a in
-  let a = Attack.run_table1 While_a in
+  let not_a = table1 While_not_a in
+  let a = table1 While_a in
   let total (t : Attack.table1) =
     Array.fold_left (fun acc (c : Attack.cycle_stats) -> acc + c.successes) 0
       t.per_cycle
@@ -520,7 +534,7 @@ let table1_shape () =
     (not_a.per_cycle.(5).successes > 0 || not_a.per_cycle.(6).successes > 0)
 
 let table2_partial_exceeds_full () =
-  let t = Attack.run_table2 While_not_a in
+  let t = table2 While_not_a in
   let partial = Array.fold_left ( + ) 0 t.partial in
   let full = Array.fold_left ( + ) 0 t.full in
   Alcotest.(check bool)
@@ -533,7 +547,7 @@ let table2_partial_exceeds_full () =
    intentionally, update these numbers AND the tables in EXPERIMENTS.md. *)
 let table1_golden_totals () =
   let total guard =
-    let t = Attack.run_table1 guard in
+    let t = table1 guard in
     Array.fold_left (fun acc (c : Attack.cycle_stats) -> acc + c.successes) 0
       t.per_cycle
   in
@@ -552,7 +566,7 @@ let table1_golden_totals () =
    the absolute numbers for EXPERIMENTS.md. *)
 let table2_golden_totals () =
   let totals guard =
-    let t = Attack.run_table2 guard in
+    let t = table2 guard in
     (Array.fold_left ( + ) 0 t.partial, Array.fold_left ( + ) 0 t.full)
   in
   Alcotest.(check (pair int int)) "while(!a)" (384, 91) (totals While_not_a);
@@ -560,7 +574,7 @@ let table2_golden_totals () =
   Alcotest.(check (pair int int)) "while(a!=K)" (221, 44) (totals While_ne_const)
 
 let table3_golden_rows () =
-  let t = Attack.run_table3 While_not_a in
+  let t = table3 While_not_a in
   Alcotest.(check int) "attempts per window" 9801 t.attempts_per_window;
   Alcotest.(check int) "total" 249
     (List.fold_left (fun acc (_, s) -> acc + s) 0 t.windows);
@@ -572,9 +586,9 @@ let table3_golden_rows () =
    job count; a three-worker pool must reproduce the caller-only run. *)
 let tables_jobs_parity () =
   let guard = Attack.While_not_a in
-  let t1 = Attack.run_table1 guard
-  and t2 = Attack.run_table2 guard
-  and t3 = Attack.run_table3 guard in
+  let t1 = table1 guard
+  and t2 = table2 guard
+  and t3 = table3 guard in
   Runtime.Pool.with_pool ~jobs:3 (fun pool ->
       let p1 = Attack.run_table1 ~pool guard in
       Alcotest.(check bool) "table 1 per_cycle" true (t1.per_cycle = p1.per_cycle);
