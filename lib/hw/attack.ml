@@ -199,9 +199,10 @@ let escaped board (obs : Glitcher.observation) =
    edge is snapshotted, and the unglitched continuation is recorded as
    a baseline. Snapshot and baseline are deep copies ([Memory.snapshot]
    copies every region, [Cpu.copy] the registers) that are only ever
-   read afterwards — [Board.restore] and baseline validity checks
-   blit/compare FROM them — so one boot may back rigs on several worker
-   domains at once. *)
+   read afterwards — a rig's seal copies the snapshot's image once, its
+   rewinds and cutoffs copy registers and delta bytes FROM them — so one
+   boot may back rigs on several worker domains at once, each rig with
+   its own journal. *)
 type boot = {
   b_program : Board.program;
   b_snap : Board.snapshot;
@@ -256,12 +257,15 @@ let sweep_perf ~label ?pool s elapsed_s =
    moment its schedule is provably dead. *)
 type rig = { boot : boot; board : Board.t; mutable tally : sweep }
 
-(* Attempts restore the snapshot before executing anything, so the
-   board only has to have the booted one's memory map, which
+(* The board only has to have the booted one's memory map, which
    [Board.create] on the same program guarantees: materializing a rig
-   is an assemble-and-load, not a boot. *)
+   is an assemble-and-load plus one whole-image copy of the snapshot
+   (the seal), not a boot. Every attempt then rewinds through the
+   rig's journal. *)
 let rig_of_boot boot =
-  { boot; board = Board.create boot.b_program; tally = sweep_zero }
+  let board = Board.create boot.b_program in
+  Board.seal board boot.b_snap;
+  { boot; board; tally = sweep_zero }
 
 let rig_board rig = rig.board
 let tally rig = rig.tally

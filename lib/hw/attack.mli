@@ -5,11 +5,13 @@
     the parameter tuner share.
 
     Each attempt rewinds the board to a snapshot taken at the firmware's
-    first trigger edge, arms the glitch, and classifies the run. The
-    rewind is observationally identical to the ChipWhisperer workflow of
-    power-cycling before every attempt (the boot up to the trigger is
-    deterministic and no glitch window can arm before the first edge
-    exists), but skips re-emulating it 9,801 times per sweep. *)
+    first trigger edge (through the board's write journal, in time
+    proportional to the bytes the previous attempt dirtied), arms the
+    glitch, and classifies the run. The rewind is observationally
+    identical to the ChipWhisperer workflow of power-cycling before
+    every attempt (the boot up to the trigger is deterministic and no
+    glitch window can arm before the first edge exists), but skips
+    re-emulating it 9,801 times per sweep. *)
 
 type guard =
   | While_not_a  (** [while (!a)], a = 0 — the paper's most glitchable *)
@@ -70,9 +72,9 @@ type rig
     snapshot instead of a power-on reset. *)
 
 val rig_of_boot : boot -> rig
-(** A rig on a {e fresh} board (assemble + load only, no emulation).
-    Sound because every {!attempt} restores the snapshot before
-    executing. *)
+(** A rig on a {e fresh} board (assemble + load only, no emulation),
+    {!Board.seal}ed on the boot's trigger snapshot: the one whole-image
+    copy the rig ever makes. *)
 
 val attempt :
   ?config:Susceptibility.config ->
@@ -80,16 +82,17 @@ val attempt :
   rig ->
   Glitcher.params list ->
   Glitcher.observation
-(** One glitch attempt from the rig's trigger snapshot, with its
-    dead-schedule baseline armed, counted in the rig's {!tally}. *)
+(** One glitch attempt from the rig's trigger snapshot ({!Board.rewind},
+    undoing the previous attempt's journal), with its dead-schedule
+    baseline armed, counted in the rig's {!tally}. *)
 
 val rig_board : rig -> Board.t
 (** The rig's board, for post-mortem inspection after {!attempt}. *)
 
 (** What a sweep cost: attempts issued, cycles actually emulated,
-    cycles served by snapshot restore (boot replay + dead-schedule
-    cutoff) that the reset-per-attempt workflow would have emulated,
-    and boots performed. *)
+    cycles served by rewinding (boot replay + dead-schedule cutoff)
+    that the reset-per-attempt workflow would have emulated, and boots
+    performed. *)
 type sweep = {
   attempts : int;
   emulated_cycles : int;
@@ -110,7 +113,7 @@ val map_items :
     [pool] (one worker in the caller without a pool), each on its own
     rig backed by [boot]. Results come back by index with the summed
     tallies of all rigs ([boots] 1); both are bit-identical at every
-    job count because every attempt restores the same snapshot. *)
+    job count because every attempt rewinds to the same snapshot. *)
 
 val sweep_perf :
   label:string -> ?pool:Runtime.Pool.t -> sweep -> float -> Stats.Perf.t

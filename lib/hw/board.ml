@@ -5,13 +5,35 @@ let flash_base = 0x08000000
 let sram_base = 0x20000000
 let sram_size = 16 * 1024
 
+(* Everything but memory: what a journal rewind copies back wholesale. *)
+type scalars = {
+  s_cpu : Machine.Cpu.t;
+  s_cycles : int;
+  s_edges : int list;
+  s_pending : bool;
+  s_gpio : int;
+}
+
+type snapshot = { s_mem : Machine.Memory.snapshot; s_scalars : scalars }
+
+(* A sealed board journals every RAM store since it last stood at
+   [sealed]; undoing the whole journal puts memory back there. A
+   whole-image reset or restore bypasses the journal, so it detaches it
+   ([journal = None]) and the next rewind re-blits once and re-attaches
+   a fresh one. *)
+type seal = {
+  sealed : snapshot;
+  mutable journal : Machine.Memory.journal option;
+}
+
 type t = {
   mem : Machine.Memory.t;
-  mutable cpu : Machine.Cpu.t;
+  cpu : Machine.Cpu.t;
   mutable cycles : int;
   mutable edges : int list;  (* newest first *)
   edge_pending : bool ref;
   gpio_state : int ref;
+  mutable seal : seal option;
   program : program;
   text : bytes;  (* encoded program image *)
   data_init : (int * int) list;
@@ -54,9 +76,17 @@ let load_image t =
     t.data_init;
   if t.stack_fill then fill_stack t.mem ~stack_top:t.stack_top
 
+let unjournal t =
+  match t.seal with
+  | Some s ->
+    Machine.Memory.detach_journal t.mem;
+    s.journal <- None
+  | None -> ()
+
 let reset t =
+  unjournal t;
   load_image t;
-  t.cpu <- Machine.Cpu.create ~sp:t.stack_top ~pc:t.entry ();
+  Machine.Cpu.reset ~sp:t.stack_top ~pc:t.entry t.cpu;
   t.cycles <- 0;
   t.edges <- [];
   t.edge_pending := false;
@@ -88,6 +118,7 @@ let create ?(stack_top = 0x20003FE8) ?(stack_fill = true) program =
       edges = [];
       edge_pending;
       gpio_state;
+      seal = None;
       program;
       text = text_of_program program;
       data_init;
@@ -240,27 +271,86 @@ let run_until_trigger ?(max_cycles = 1_000_000) t =
   in
   go ()
 
-type snapshot = {
-  s_mem : Machine.Memory.snapshot;
-  s_cpu : Machine.Cpu.t;
-  s_cycles : int;
-  s_edges : int list;
-  s_pending : bool;
-  s_gpio : int;
-}
-
-let snapshot t =
-  { s_mem = Machine.Memory.snapshot t.mem;
-    s_cpu = Machine.Cpu.copy t.cpu;
+let scalars t =
+  { s_cpu = Machine.Cpu.copy t.cpu;
     s_cycles = t.cycles;
     s_edges = t.edges;
     s_pending = !(t.edge_pending);
     s_gpio = !(t.gpio_state) }
 
+(* In place: a rewind allocates nothing, and the shared source is only
+   read. *)
+let set_scalars t s =
+  let cpu = t.cpu in
+  Array.blit s.s_cpu.regs 0 cpu.regs 0 16;
+  cpu.n <- s.s_cpu.n;
+  cpu.z <- s.s_cpu.z;
+  cpu.c <- s.s_cpu.c;
+  cpu.v <- s.s_cpu.v;
+  t.cycles <- s.s_cycles;
+  t.edges <- s.s_edges;
+  t.edge_pending := s.s_pending;
+  t.gpio_state := s.s_gpio
+
+let snapshot t =
+  { s_mem = Machine.Memory.snapshot t.mem; s_scalars = scalars t }
+
 let restore t snap =
+  unjournal t;
   Machine.Memory.restore t.mem snap.s_mem;
-  t.cpu <- Machine.Cpu.copy snap.s_cpu;
-  t.cycles <- snap.s_cycles;
-  t.edges <- snap.s_edges;
-  t.edge_pending := snap.s_pending;
-  t.gpio_state := snap.s_gpio
+  set_scalars t snap.s_scalars
+
+let rewind t snap =
+  match t.seal with
+  | Some s when s.sealed == snap ->
+    (match s.journal with
+    | Some j -> Machine.Memory.undo_to t.mem j 0
+    | None ->
+      Machine.Memory.restore t.mem snap.s_mem;
+      let j = Machine.Memory.journal_create () in
+      Machine.Memory.attach_journal t.mem j;
+      s.journal <- Some j);
+    set_scalars t snap.s_scalars
+  | Some _ | None -> restore t snap
+
+let seal t snap =
+  t.seal <- Some { sealed = snap; journal = None };
+  rewind t snap
+
+let journal_length t =
+  match t.seal with
+  | Some { journal = Some j; _ } -> Machine.Memory.journal_length j
+  | Some { journal = None; _ } | None -> 0
+
+(* A delta packs each written byte as [(addr lsl 16) lor (before lsl 8)
+   lor after], ascending by address: [before] is the byte at the seal
+   (the oldest journal pre-image), [after] its value at capture. *)
+type delta = { written : int array; d_scalars : scalars }
+
+let delta t =
+  match t.seal with
+  | Some { journal = Some j; _ } ->
+    let before = Hashtbl.create 64 in
+    (* newest first, so each address keeps its oldest pre-image *)
+    for i = Machine.Memory.journal_length j - 1 downto 0 do
+      let addr, old = Machine.Memory.journal_entry j i in
+      Hashtbl.replace before addr old
+    done;
+    let pack addr old acc =
+      let now = Machine.Memory.read_u8_exn t.mem addr in
+      ((addr lsl 16) lor (old lsl 8) lor now) :: acc
+    in
+    let written = List.sort compare (Hashtbl.fold pack before []) in
+    { written = Array.of_list written; d_scalars = scalars t }
+  | Some { journal = None; _ } | None ->
+    invalid_arg "Board.delta: board not sealed"
+
+let apply_delta t d =
+  let changed_only = Mutant.is Cutoff_delta in
+  Array.iter
+    (fun p ->
+      let v = p land 0xFF in
+      if not (changed_only && v = (p lsr 8) land 0xFF) then
+        Machine.Memory.write_u8_exn t.mem (p lsr 16) v)
+    d.written;
+  set_scalars t d.d_scalars

@@ -3,9 +3,15 @@
     firmware raises as the glitcher's trigger — the paper's experimental
     setup, with the ChipWhisperer replaced by {!Glitcher}.
 
-    A board is created once per experiment and [reset] between attempts
-    (cheap: memory is cleared and the image rewritten), exactly like
-    power-cycling the real target between glitch attempts. *)
+    A board is created once per experiment. A standalone board is
+    [reset] (memory cleared, image rewritten) or [restore]d from a
+    whole-image snapshot between attempts, the simulated power cycle.
+    An attack rig instead {!seal}s its board on the trigger snapshot
+    once: from then on every RAM store is journaled, and {!rewind}
+    returns to the snapshot in time proportional to the bytes the
+    attempt dirtied. The dead-schedule cutoff jumps to the recorded
+    unglitched end state the same way, by writing the baseline's
+    {!delta} through the journal. *)
 
 type program =
   | Asm of string  (** hand-written guard loops (Tables I-III) *)
@@ -85,7 +91,45 @@ val snapshot : t -> snapshot
 (** Full board state: RAM, registers, cycle counter, trigger log. *)
 
 val restore : t -> snapshot -> unit
-(** Rewind to a snapshot — the fast equivalent of a power cycle plus
-    deterministic re-run for attack campaigns whose pre-trigger boot
-    takes hundreds of thousands of cycles (flash-commit in the delay
-    defense). *)
+(** Rewind to a snapshot by whole-image copy — the fast equivalent of a
+    power cycle plus deterministic re-run for attack campaigns whose
+    pre-trigger boot takes hundreds of thousands of cycles
+    (flash-commit in the delay defense). On a sealed board, this and
+    {!reset} bypass the journal: they detach it, and the next {!rewind}
+    re-copies the sealed snapshot in full once before journaling
+    again. *)
+
+(** {2 Journaled rewind}
+
+    The attack rigs' restore path, on the write journal of
+    {!Machine.Memory}. *)
+
+val seal : t -> snapshot -> unit
+(** Restore [snap] in full once, then journal every RAM store so that
+    {!rewind} [t snap] costs only the bytes written since. [snap] is
+    only read, so one snapshot may seal boards on many domains. *)
+
+val rewind : t -> snapshot -> unit
+(** Back to [snap]: undo the journal and copy the registers, flags,
+    cycle count, trigger log and GPIO state when [t] is sealed on [snap]
+    (physically); a whole-image {!restore} otherwise. *)
+
+val journal_length : t -> int
+(** Journal entries since the last rewind of a sealed board (0 when
+    unsealed, or detached by a reset or restore). *)
+
+type delta
+(** What a sealed board wrote since its seal: each written address once,
+    with its sealed and current byte, plus the current registers,
+    flags, cycle count, trigger log and GPIO state. *)
+
+val delta : t -> delta
+(** Capture the write set of a sealed board's journal.
+    @raise Invalid_argument if [t] is not sealed with a live journal. *)
+
+val apply_delta : t -> delta -> unit
+(** Write every byte of the delta's write set (through the journal, when
+    one is attached) and copy its scalars. On a board that holds the
+    sealed snapshot plus any prefix of the writes the delta was captured
+    from, this yields exactly the captured state — including a byte the
+    run wrote and later wrote back to its sealed value. *)

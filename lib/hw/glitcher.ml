@@ -78,20 +78,28 @@ let back_stage_factor = 0.55
    future stochastic decision needs a window, and no window can open
    again. The baseline captures that unglitched continuation once — end
    state, stop reason, and how many trigger edges ever appear — so the
-   sweep kernel can cut such attempts short and restore the recorded end
-   state instead of emulating hundreds of dead spin cycles. *)
+   sweep kernel can cut such attempts short and jump to the recorded end
+   state instead of emulating hundreds of dead spin cycles.
+
+   The end state is a write-set delta, not an image: every address the
+   unglitched run wrote after the trigger, with its end value. A board
+   cut off mid-run holds the snapshot plus a prefix of those writes, so
+   writing the whole set lands exactly on the end state. A diff of the
+   end image against the snapshot would not: a byte written and later
+   written back to its snapshot value is absent from the diff, yet stale
+   on a board cut off between the two stores. *)
 
 type baseline = {
   b_max_cycles : int;
   b_from_cycles : int;  (* cycle stamp of the snapshot the run starts from *)
   b_stop : [ `Stopped of Machine.Exec.stop | `Timeout ];
-  b_end : Board.snapshot;
+  b_end : Board.delta;
   b_cycles : int;
   b_edges : int;  (* trigger edges ever raised by the unglitched run *)
 }
 
 let baseline ?(max_cycles = 3_000) board ~from =
-  Board.restore board from;
+  Board.seal board from;
   let from_cycles = Board.cycles board in
   let stop =
     let rec go () =
@@ -106,7 +114,7 @@ let baseline ?(max_cycles = 3_000) board ~from =
   { b_max_cycles = max_cycles;
     b_from_cycles = from_cycles;
     b_stop = stop;
-    b_end = Board.snapshot board;
+    b_end = Board.delta board;
     b_cycles = Board.cycles board;
     b_edges = List.length (Board.trigger_edges board) }
 
@@ -127,10 +135,10 @@ let windows_dead schedule ~edges ~n_edges ~b_edges ~now =
 let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
     ?from ?baseline board schedule =
   (match from with
-  | Some snap -> Board.restore board snap
+  | Some snap -> Board.rewind board snap
   | None -> Board.reset board);
-  (* cycles already on the board at start were served by the snapshot
-     restore, not emulated by this attempt *)
+  (* cycles already on the board at start were served by the rewind
+     to the snapshot, not emulated by this attempt *)
   let replayed = ref (Board.cycles board) in
   (match baseline with
   | Some b when b.b_max_cycles <> max_cycles ->
@@ -147,6 +155,13 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
      and the planted corruption with it: the entry is simply never
      consumed (and is dropped at the next plant). *)
   let pending : (int, Board.applied) Hashtbl.t = Hashtbl.create 4 in
+  (* each entry's landscape, computed once per attempt *)
+  let landscapes =
+    List.map
+      (fun p ->
+        (p, Susceptibility.landscape config ~width:p.width ~offset:p.offset))
+      schedule
+  in
   let finish stop =
     { stop;
       cycles = Board.cycles board;
@@ -167,7 +182,7 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
         (* dead schedule on a pristine board: the continuation is the
            recorded unglitched run — replay its end state *)
         replayed := !replayed + (b.b_cycles - Board.cycles board);
-        Board.restore board b.b_end;
+        Board.apply_delta board b.b_end;
         finish b.b_stop
       | Some _ | None -> (
         match Board.peek board with
@@ -193,6 +208,7 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
               | None -> Board.Normal
               | Some (p, rel_cycle) ->
                 incr glitched;
+                let e = List.assq p landscapes in
                 let point_salt = [ p.width; p.offset; rel_cycle ] in
                 let attempt_nonce = (nonce * 31) + p.trigger_index in
                 (* Which of the Cortex-M0's three pipeline stages does the
@@ -202,8 +218,9 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
                 if stage_pick < 0.5 then begin
                   let effect =
                     Susceptibility.roll config ~sustained:(p.repeat > 4)
-                      ~width:p.width ~offset:p.offset ~cycle:rel_cycle
-                      ~nonce:attempt_nonce ~instr ~sp:(Board.reg board 13)
+                      ~landscape:e ~width:p.width ~offset:p.offset
+                      ~cycle:rel_cycle ~nonce:attempt_nonce ~instr
+                      ~sp:(Board.reg board 13)
                   in
                   let applied, did_fire =
                     concretise config ~salt:point_salt instr effect
@@ -217,9 +234,6 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
                   let gate =
                     Hashrand.u01 ~seed:config.seed
                       (5 :: p.width :: p.offset :: rel_cycle :: [ attempt_nonce ])
-                  in
-                  let e =
-                    Susceptibility.landscape config ~width:p.width ~offset:p.offset
                   in
                   (if gate < e *. back_stage_factor then
                      match Board.word_at board victim with

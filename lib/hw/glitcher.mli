@@ -26,7 +26,7 @@ type observation = {
   fired : int;  (** glitched cycles that actually produced a fault *)
   glitched_cycles : int;  (** cycles that fell inside an armed window *)
   replayed_cycles : int;
-      (** of [cycles], how many were served by snapshot restore (the
+      (** of [cycles], how many were served by rewinding (the
           pre-trigger boot when running [~from], plus the dead-schedule
           tail when a [baseline] cut the attempt short) rather than
           emulated instruction by instruction *)
@@ -41,18 +41,21 @@ val active_window :
     Exposed for the multi-trigger tie-break regression test. *)
 
 type baseline
-(** The unglitched continuation from a trigger snapshot: end state, stop
-    reason, final cycle count, and how many trigger edges ever fire.
-    Lets {!run} cut an attempt short the moment its schedule is provably
-    dead — no fault applied, nothing pending, every window closed or
-    waiting on an edge that never comes — by restoring the recorded end
-    state, which is bit-identical to emulating the rest. *)
+(** The unglitched continuation from a trigger snapshot: the bytes it
+    wrote with their end values and its end registers ({!Board.delta}),
+    stop reason, final cycle count, and how many trigger edges ever
+    fire. Lets {!run} cut an attempt short the moment its schedule is
+    provably dead — no fault applied, nothing pending, every window
+    closed or waiting on an edge that never comes — by writing that
+    delta, which is bit-identical to emulating the rest. *)
 
 val baseline : ?max_cycles:int -> Board.t -> from:Board.snapshot -> baseline
-(** Run the board glitch-free from the snapshot to completion (or
-    [max_cycles], default 3,000) and record the outcome. The resulting
-    baseline is only valid for {!run} calls with the same [from] and the
-    same [max_cycles] (checked; [Invalid_argument] otherwise). *)
+(** {!Board.seal} the board on [from], run it glitch-free to completion
+    (or [max_cycles], default 3,000) and record the outcome, reading the
+    write set from the seal's journal. The board is left sealed on
+    [from]. The resulting baseline is only valid for {!run} calls with
+    the same [from] and the same [max_cycles] (checked;
+    [Invalid_argument] otherwise). *)
 
 val run :
   ?config:Susceptibility.config ->
@@ -63,7 +66,8 @@ val run :
   Board.t ->
   params list ->
   observation
-(** Reset the board (or rewind it to [from]) and run it to completion
+(** Reset the board (or {!Board.rewind} it to [from]: through the
+    journal when the board is sealed on [from]) and run it to completion
     (or [max_cycles] total board cycles, default 3,000) with the
     schedule armed. [nonce] separates repeated attempts with identical
     parameters (attempt-level noise). The board is left un-reset for
@@ -71,6 +75,6 @@ val run :
 
     [baseline] enables the dead-schedule cutoff: once execution is
     provably identical to the unglitched run forever after, the recorded
-    end state is restored instead of emulated. Observations (and the
-    post-mortem board) are bit-identical with or without it; only
-    [replayed_cycles] reflects the shortcut. *)
+    end state is written ({!Board.apply_delta}) instead of emulated.
+    Observations (and the post-mortem board) are bit-identical with or
+    without it; only [replayed_cycles] reflects the shortcut. *)

@@ -121,13 +121,13 @@ let residue config ~salt ~sp =
   | 6 -> sp lxor Hashrand.bits ~seed:config.seed (333 :: salt) ~width:5
   | _ -> Hashrand.bits ~seed:config.seed (334 :: salt) ~width:32
 
-let roll config ~sustained ~width ~offset ~cycle ~nonce ~instr ~sp =
+let roll config ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr
+    ~sp =
   (* Attempt noise only gates whether the glitch fires; WHAT it does at
      a fixed (width, offset, cycle) point is deterministic, like the
      repeatable electrical disturbance on real silicon. This is what
      lets the paper's tuning search find 10-out-of-10 parameters. *)
   let salt = [ width; offset; cycle ] in
-  let e = landscape config ~width ~offset in
   let gate = Hashrand.u01 ~seed:config.seed (1 :: width :: offset :: cycle :: [ nonce ]) in
   (* Hammering every cycle eventually aborts a bus read even at
      parameter points too weak to disturb a single cycle: sustained

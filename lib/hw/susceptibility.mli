@@ -66,6 +66,7 @@ val class_factor : Thumb.Instr.t -> float
 val roll :
   config ->
   sustained:bool ->
+  landscape:float ->
   width:int ->
   offset:int ->
   cycle:int ->
@@ -73,7 +74,9 @@ val roll :
   instr:Thumb.Instr.t ->
   sp:int ->
   effect
-(** Decide the effect of one glitched cycle. [nonce] distinguishes
+(** Decide the effect of one glitched cycle. [landscape] is
+    {!landscape} at ([width], [offset]), which the caller computes once
+    per attempt rather than once per glitched cycle. [nonce] distinguishes
     attempts with identical parameters; [sp] seeds realistic bus-residue
     values. [sustained] marks glitches stretched over many consecutive
     cycles (long-glitch attacks), whose aborted loads read back zero. *)

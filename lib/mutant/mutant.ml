@@ -4,10 +4,11 @@ type t =
   | Domains_checks
   | Absint_taint
   | State_key_byte
+  | Cutoff_delta
 
 let all =
   [ Branches_complement; Sigcfi_checks; Domains_checks; Absint_taint;
-    State_key_byte ]
+    State_key_byte; Cutoff_delta ]
 
 let name = function
   | Branches_complement -> "branches-complement"
@@ -15,6 +16,7 @@ let name = function
   | Domains_checks -> "domains-checks"
   | Absint_taint -> "absint-taint"
   | State_key_byte -> "state-key-byte"
+  | Cutoff_delta -> "cutoff-delta"
 
 let slot : t option Atomic.t = Atomic.make None
 

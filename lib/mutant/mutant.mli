@@ -21,6 +21,11 @@ type t =
       (** [Exhaust.State.build_key] omits the lowest-address live
           byte that differs from pristine, so states differing only
           there share one key. *)
+  | Cutoff_delta
+      (** [Hw.Board.apply_delta] (the dead-schedule cutoff) writes only
+          the bytes whose end value differs from the trigger snapshot,
+          so a byte the baseline wrote and later wrote back stays stale
+          when the cutoff fires between the two stores. *)
 
 val all : t list
 (** Every mutant, in declaration order. *)

@@ -81,10 +81,11 @@ let roll_deterministic_effect () =
   (* same point, different nonces: the effect kind never changes between
      firing attempts (only whether it fires) *)
   let kinds = Hashtbl.create 8 in
+  let landscape = Susceptibility.landscape config ~width:(-10) ~offset:4 in
   for nonce = 0 to 200 do
     match
-      Susceptibility.roll config ~sustained:false ~width:(-10) ~offset:4
-        ~cycle:5 ~nonce ~instr ~sp:0x20003FE8
+      Susceptibility.roll config ~sustained:false ~landscape ~width:(-10)
+        ~offset:4 ~cycle:5 ~nonce ~instr ~sp:0x20003FE8
     with
     | Susceptibility.No_fault -> ()
     | effect -> Hashtbl.replace kinds (Fmt.str "%a" Susceptibility.pp_effect effect) ()
@@ -383,6 +384,131 @@ let image_cutoff_differential () =
   Alcotest.(check bool) (Printf.sprintf "detections sampled (%d)" !detected)
     true (!detected > 0)
 
+(* The journaled rig against the whole-image oracle: for a strided
+   sample of Table I, II, III and VI schedules, the rig's board after
+   each attempt must equal, in full, a never-sealed board restored from
+   the same snapshot and emulated to the end. A journal entry the rewind
+   or the cutoff missed, anywhere in flash or SRAM, shows up here. *)
+let rig_full_state_differential () =
+  let sample ~name ~step (o : Board_oracle.oracle) rig schedules =
+    let fired = ref 0 and cut = ref 0 and n = ref 0 in
+    let trigger_cycle = Board.cycles o.board in
+    List.iter
+      (fun schedule_at ->
+        let width = ref (-49) in
+        while !width <= 49 do
+          let offset = ref (-49) in
+          while !offset <= 49 do
+            let schedule = schedule_at ~width:!width ~offset:!offset in
+            let obs, mismatch = Board_oracle.check_attempt o rig schedule in
+            Option.iter
+              (fun what ->
+                Alcotest.failf
+                  "%s: %s differs at schedule #%d width=%d offset=%d" name what
+                  !n !width !offset)
+              mismatch;
+            incr n;
+            if obs.fired > 0 then incr fired;
+            if obs.replayed_cycles > trigger_cycle then incr cut;
+            offset := !offset + step
+          done;
+          width := !width + step
+        done)
+      schedules;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: faults (%d) and cutoffs (%d) sampled" name !fired
+         !cut)
+      true
+      (!fired > 0 && !cut > 0)
+  in
+  let table program ~max_cycles ~name schedules =
+    sample ~name ~step:9
+      (Board_oracle.oracle ~max_cycles (Board.Asm program))
+      (Attack.rig_of_boot (Attack.boot_once ~max_cycles program))
+      schedules
+  in
+  let cycles = List.init Attack.loop_cycles Fun.id in
+  table (Attack.single_loop_program While_not_a) ~max_cycles:300 ~name:"table I"
+    (List.map
+       (fun c ~width ~offset ->
+         [ Glitcher.single ~width ~offset ~ext_offset:c ])
+       cycles);
+  table (Attack.double_loop_program While_not_a) ~max_cycles:500 ~name:"table II"
+    (List.map
+       (fun c ~width ~offset ->
+         let p = Glitcher.single ~width ~offset ~ext_offset:c in
+         [ p; { p with trigger_index = 1 } ])
+       cycles);
+  table (Attack.long_glitch_program While_not_a) ~max_cycles:800 ~name:"table III"
+    (List.init 11 (fun i ~width ~offset ->
+         [ Glitcher.with_repeat
+             (Glitcher.single ~width ~offset ~ext_offset:0)
+             (i + 11) ]));
+  let image =
+    (Resistor.Driver.compile
+       (Resistor.Config.all_but_delay ~sensitive:[ "a" ] ())
+       Resistor.Firmware.guard_loop)
+      .image
+  in
+  let program = Board.Image image in
+  sample ~name:"table VI" ~step:14
+    (Board_oracle.oracle ~max_cycles:2_000_000 ~after_trigger:4_000 program)
+    (Attack.rig_of_boot
+       (Attack.boot ~max_cycles:2_000_000 ~after_trigger:4_000 program))
+    (List.map
+       (fun (ext_offset, repeat) ~width ~offset ->
+         [ Glitcher.with_repeat
+             (Glitcher.single ~width ~offset ~ext_offset)
+             repeat ])
+       [ (0, 1); (5, 1); (10, 1); (0, 10); (0, 50); (0, 100); (5, 10); (10, 10) ])
+
+(* The cutoff must write the baseline's whole write set: a byte the
+   unglitched run stored and later stored back to its trigger-time
+   value is stale on a board cut off between the two stores. *)
+let writeback_cutoff_regression () =
+  let tail, mismatch = Board_oracle.writeback_cutoff () in
+  Alcotest.(check bool)
+    (Printf.sprintf "cutoff served %d cycles" tail)
+    true (tail > 0);
+  Alcotest.(check (option string)) "post-mortem state = oracle" None mismatch
+
+(* A reset or a power-on run on a sealed board must not journal the
+   image load, and the next rewind must still land on the trigger
+   state; the journal then holds one attempt's writes again. *)
+let rewind_after_reset () =
+  let program = Board.Asm Board_oracle.writeback_program in
+  let o = Board_oracle.oracle ~max_cycles:300 program in
+  let board = Board.create program in
+  Board.seal board o.snap;
+  let schedule = [ Glitcher.single ~width:(-10) ~offset:5 ~ext_offset:4 ] in
+  let attempt () =
+    ignore (Glitcher.run ~max_cycles:300 ~nonce:1 ~from:o.snap board schedule)
+  in
+  attempt ();
+  let one_attempt = Board.journal_length board in
+  let rewound_to_trigger what =
+    Board.rewind board o.snap;
+    Alcotest.(check (option string)) (what ^ ": rewound to the trigger") None
+      (Board_oracle.mismatch board o.board);
+    attempt ();
+    Alcotest.(check int) (what ^ ": journal holds one attempt") one_attempt
+      (Board.journal_length board)
+  in
+  Board.reset board;
+  Alcotest.(check int) "reset journals nothing" 0 (Board.journal_length board);
+  rewound_to_trigger "after reset";
+  ignore (Glitcher.run ~max_cycles:300 board schedule);
+  Alcotest.(check int) "power-on run journals nothing" 0
+    (Board.journal_length board);
+  rewound_to_trigger "after a power-on run";
+  Board.restore board o.snap;
+  rewound_to_trigger "after a whole-image restore";
+  Alcotest.(check bool)
+    (Printf.sprintf "one attempt's journal (%d) is far below the image"
+       one_attempt)
+    true
+    (one_attempt > 0 && one_attempt < 1024)
+
 let tie_break_uses_absolute_cycles () =
   (* Two windows overlap the same instruction: window [b] (trigger 0,
      far ext_offset) opens at absolute cycle 100, window [a] (trigger 1,
@@ -657,7 +783,11 @@ let () =
          Alcotest.test_case "second trigger" `Quick second_trigger_schedules;
          Alcotest.test_case "loop cycle accounting" `Quick loop_takes_eight_cycles;
          Alcotest.test_case "image cutoff differential" `Slow
-           image_cutoff_differential ]);
+           image_cutoff_differential;
+         Alcotest.test_case "rig full-state differential" `Slow
+           rig_full_state_differential;
+         Alcotest.test_case "cutoff write-back" `Quick writeback_cutoff_regression;
+         Alcotest.test_case "rewind after reset" `Quick rewind_after_reset ]);
       ("paper-shapes",
        [ Alcotest.test_case "table 1" `Slow table1_shape;
          Alcotest.test_case "table 1 golden totals" `Slow table1_golden_totals;

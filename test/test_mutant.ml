@@ -89,6 +89,9 @@ let killers : Mutant.t -> (string * (unit -> bool)) list = function
     [ ("key distinguishes dirty addresses", key_distinguishes_dirty_addresses);
       ("state pruning == oracle on the guard loop",
        pruned_matches_oracle ~static:false) ]
+  | Cutoff_delta ->
+    [ ("cutoff write-back = whole-image oracle",
+       fun () -> snd (Board_oracle.writeback_cutoff ()) = None) ]
 
 let test_every_mutant_killed () =
   List.iter
