@@ -146,6 +146,7 @@ let retarget_diags (cfg : Analysis.Cfg.t) domains =
   let fn_entries =
     List.map (fun (f : Analysis.Cfg.fn) -> (f.entry, f.name)) cfg.funcs
   in
+  let owner = Analysis.Cfg.owner cfg in
   let cluster f =
     Option.bind domains (fun d -> List.assoc_opt f d)
   in
@@ -153,9 +154,7 @@ let retarget_diags (cfg : Analysis.Cfg.t) domains =
     (fun (i : Analysis.Cfg.insn) ->
       match i.instr with
       | Thumb.Instr.Bl_lo off ->
-        let caller =
-          Option.value ~default:"?" (Analysis.Cfg.owner cfg i.addr)
-        in
+        let caller = Option.value ~default:"?" (owner i.addr) in
         List.filter_map
           (fun bit ->
             let word' = i.word lxor (1 lsl bit) in
@@ -250,15 +249,14 @@ let run ?(reports : Resistor.Driver.reports option) ?modul
     Interp.explore ctx ~sinks:false ~max_steps:reach_budget
       (Astate.init image) image.entry
   in
+  let owner = Analysis.Cfg.owner cfg in
   let guards =
     List.filter_map
       (fun (i : Analysis.Cfg.insn) ->
         match scenarios_of_guard ctx reach i with
         | None -> None
         | Some ss ->
-          let func =
-            Option.value ~default:"?" (Analysis.Cfg.owner cfg i.addr)
-          in
+          let func = Option.value ~default:"?" (owner i.addr) in
           Some
             { g_addr = i.addr;
               g_func = func;

@@ -300,11 +300,13 @@ let of_image (image : Lower.Layout.image) =
     code_halfwords;
     data_halfwords }
 
-let owner t addr =
-  List.fold_left
-    (fun acc (f : fn) -> if f.entry <= addr then Some f.name else acc)
-    None
-    (List.sort (fun (a : fn) b -> compare a.entry b.entry) t.funcs)
+let owner t =
+  let funcs = Array.of_list t.funcs in
+  let entries = Array.map (fun (f : fn) -> f.entry) funcs in
+  fun addr ->
+    match Lower.Layout.owner_index entries addr with
+    | -1 -> None
+    | i -> Some funcs.(i).name
 
 let find_fn t name = List.find_opt (fun (f : fn) -> f.name = name) t.funcs
 let block_at t addr = List.find_opt (fun b -> b.start = addr) t.blocks

@@ -60,7 +60,8 @@ type t = {
 val of_image : Lower.Layout.image -> t
 
 val owner : t -> int -> string option
-(** Function owning an address: nearest symbol at or below it. *)
+(** Function owning an address: nearest symbol at or below it. Apply it
+    to [t] once and reuse the result: [owner t] indexes the functions. *)
 
 val find_fn : t -> string -> fn option
 val block_at : t -> int -> block option

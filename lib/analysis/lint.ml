@@ -59,7 +59,7 @@ let of_instrs instrs =
       symbols = [ ("snippet", base) ];
       global_addrs = [];
       entry = base;
-      stack_top = Lower.Layout.sram_base + Lower.Layout.sram_size - 16 }
+      stack_top = Machine.Loader.stm32_layout.stack_top }
   in
   of_image image
 
@@ -217,7 +217,8 @@ let run (t : target) =
         diags := { rule; severity; func; addr; message } :: !diags)
       fmt
   in
-  let owner addr = Option.value ~default:"?" (Cfg.owner cfg addr) in
+  let owner = Cfg.owner cfg in
+  let owner addr = Option.value ~default:"?" (owner addr) in
 
   (* --- CFG recovery anomalies ------------------------------------ *)
   List.iter

@@ -56,13 +56,6 @@ let classify_flip model ~mask ~old_word =
   in
   if new_word = old_word then Benign else classify ~old_word new_word
 
-(* The weight-w bit-selections of a model are its identity mask with w
-   positions inverted: for And that clears the selected bits, for
-   Or/Xor it sets/toggles them — matching the x-axis convention of
-   {!Glitch_emu.Fault_model.flipped_bits}. *)
-let mask_of_bits model bits =
-  Glitch_emu.Fault_model.identity_mask model ~width:16 lxor bits
-
 type flip_tally = {
   f_control : int;
   f_fault : int;
@@ -77,7 +70,7 @@ let flip_surface model word =
   let control = ref 0 and fault = ref 0 and benign = ref 0 in
   let identity = ref 0 in
   let consider bits =
-    let mask = mask_of_bits model bits in
+    let mask = Glitch_emu.Fault_model.mask_of_bits model ~width:16 bits in
     if Glitch_emu.Fault_model.apply model ~mask word land 0xffff = word then
       incr identity;
     match classify_flip model ~mask ~old_word:word with
@@ -85,13 +78,8 @@ let flip_surface model word =
     | Fault -> incr fault
     | Benign -> incr benign
   in
-  for b = 0 to 15 do
-    consider (1 lsl b)
-  done;
-  for b1 = 0 to 14 do
-    for b2 = b1 + 1 to 15 do
-      consider ((1 lsl b1) lor (1 lsl b2))
-    done
+  for weight = 1 to 2 do
+    Glitch_emu.Bitmask.iter_of_weight ~width:16 ~weight consider
   done;
   { f_control = !control;
     f_fault = !fault;
@@ -128,28 +116,22 @@ let profile_word ?(addr = 0) word =
   let t1 = tally () and t2 = tally () in
   let direction = ref [] and escape = ref [] in
   let old_instr = decode word in
-  for b = 0 to 15 do
-    let mask = 1 lsl b in
-    let w' = word lxor mask in
-    bump t1 (classify ~old_word:word w');
-    (match (old_instr, decode w') with
-    | Thumb.Instr.B_cond (c, off), Thumb.Instr.B_cond (c', off')
-      when off' = off
-           && Thumb.Instr.cond_to_int c' = Thumb.Instr.cond_to_int c lxor 1 ->
-      (* the complemented condition: same comparison, inverted outcome *)
-      direction := mask :: !direction
-    | Thumb.Instr.B_cond _, ni when not (diverts ni) ->
-      (* the guard degrades to a straight-line instruction: the branch
-         is never taken, whatever the flags say *)
-      escape := mask :: !escape
-    | _ -> ())
-  done;
-  for b1 = 0 to 14 do
-    for b2 = b1 + 1 to 15 do
-      let w' = word lxor ((1 lsl b1) lor (1 lsl b2)) in
-      bump t2 (classify ~old_word:word w')
-    done
-  done;
+  Glitch_emu.Bitmask.iter_of_weight ~width:16 ~weight:1 (fun mask ->
+      let w' = word lxor mask in
+      bump t1 (classify ~old_word:word w');
+      (match (old_instr, decode w') with
+      | Thumb.Instr.B_cond (c, off), Thumb.Instr.B_cond (c', off')
+        when off' = off
+             && Thumb.Instr.cond_to_int c' = Thumb.Instr.cond_to_int c lxor 1 ->
+        (* the complemented condition: same comparison, inverted outcome *)
+        direction := mask :: !direction
+      | Thumb.Instr.B_cond _, ni when not (diverts ni) ->
+        (* the guard degrades to a straight-line instruction: the branch
+           is never taken, whatever the flags say *)
+        escape := mask :: !escape
+      | _ -> ()));
+  Glitch_emu.Bitmask.iter_of_weight ~width:16 ~weight:2 (fun mask ->
+      bump t2 (classify ~old_word:word (word lxor mask)));
   { addr;
     word;
     control1 = t1.control;
@@ -190,11 +172,10 @@ let analyze (cfg : Cfg.t) =
       (Cfg.reachable_insns cfg)
   in
   let by_func = Hashtbl.create 16 in
+  let owner = Cfg.owner cfg in
   List.iter
     (fun p ->
-      let fname =
-        Option.value ~default:"<orphan>" (Cfg.owner cfg p.addr)
-      in
+      let fname = Option.value ~default:"<orphan>" (owner p.addr) in
       let acc =
         match Hashtbl.find_opt by_func fname with
         | Some acc -> acc
@@ -257,8 +238,8 @@ let analyze (cfg : Cfg.t) =
    Fault must coincide exactly with Invalid_instruction. *)
 
 let in_flash a =
-  a >= Glitch_emu.Campaign.flash_base
-  && a < Glitch_emu.Campaign.flash_base + Glitch_emu.Campaign.flash_size
+  let l = Machine.Loader.snippet_layout in
+  a >= l.flash_base && a < l.flash_base + l.flash_size
 
 (* A branch that stays inside flash lands in the snippet or its
    zero-filled tail (a MOVS nop sled): marker semantics decide between

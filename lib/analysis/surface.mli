@@ -38,10 +38,6 @@ val classify_flip :
     [test/test_analysis.ml] pins this against
     {!Glitch_emu.Campaign.run_one} under all three models. *)
 
-val mask_of_bits : Glitch_emu.Fault_model.flip -> int -> int
-(** The model mask selecting exactly [bits] as the positions that can
-    change: the model's identity mask with those positions inverted. *)
-
 type flip_tally = {
   f_control : int;
   f_fault : int;

@@ -74,13 +74,12 @@ let of_result ?baseline (surface : Analysis.Surface.t) (r : Campaign.result) =
      injection points — i.e. functions the trace fetched — so every
      trace pc resolves to its true owner; an unreached function can
      never sit between a reached function's entry and a traced pc. *)
-  let row_entries =
-    List.map (fun (row : Campaign.row) -> (row.faddr, row.fname)) r.rows
-  in
+  let rows = Array.of_list r.rows in
+  let row_addrs = Array.map (fun (row : Campaign.row) -> row.faddr) rows in
   let owner addr =
-    List.fold_left
-      (fun acc (faddr, fname) -> if faddr <= addr then Some fname else acc)
-      None row_entries
+    match Lower.Layout.owner_index row_addrs addr with
+    | -1 -> None
+    | i -> Some rows.(i).fname
   in
   let reached_set =
     Option.map

@@ -71,43 +71,37 @@ type spec = {
 
 let detect_counter_global = "__gr_detect_count"
 
-let bytes_of_words words =
-  let b = Bytes.create (2 * Array.length words) in
-  Array.iteri (fun i w -> Bytes.set_uint16_le b (2 * i) (w land 0xFFFF)) words;
-  b
-
 (* The full STM32 shape the hardware leg boots: 128K flash, 16K SRAM,
    plus a plain RAM page standing in for the GPIO block so firmware
    calling __trigger_high() stores instead of faulting (a plain page,
    unlike Hw.Board's device, keeps every store journal-visible). *)
-let gpio_base = 0x48000000
-
 let spec_of_image ?(name = "image") (image : Lower.Layout.image) =
+  let l = Loader.stm32_layout in
+  let gpio_page = Lower.Codegen.gpio_trigger_address land lnot 0xFFF in
   { name;
-    code = bytes_of_words image.words;
-    flash_base = Lower.Layout.text_base;
-    flash_size = 0x20000;
-    rams = [ (Lower.Layout.sram_base, Lower.Layout.sram_size); (gpio_base, 0x1000) ];
+    code = Lower.Layout.text_bytes image;
+    flash_base = l.flash_base;
+    flash_size = l.flash_size;
+    rams = [ (l.sram_base, l.sram_size); (gpio_page, 0x1000) ];
     data_init = image.data_init;
     entry = image.entry;
     stack_top = image.stack_top;
     symbols = image.symbols;
     detect_addr = List.assoc_opt detect_counter_global image.global_addrs }
 
-(* The Campaign-compatible snippet shape: tiny flash and SRAM, stack at
-   the top — identical constants to Glitch_emu.Campaign so differential
+(* Glitch_emu.Campaign's rig: the same snippet layout, so differential
    tests can compare bit-for-bit. *)
 let spec_of_case (case : Glitch_emu.Testcase.t) =
-  let flash_base = 0x08000000 and sram_base = 0x20000000 in
+  let l = Loader.snippet_layout in
   { name = case.name;
     code = Thumb.Encode.to_bytes case.instrs;
-    flash_base;
-    flash_size = 0x400;
-    rams = [ (sram_base, 0x400) ];
+    flash_base = l.flash_base;
+    flash_size = l.flash_size;
+    rams = [ (l.sram_base, l.sram_size) ];
     data_init = [];
-    entry = flash_base;
-    stack_top = sram_base + 0x400 - 16;
-    symbols = [ (case.name, flash_base) ];
+    entry = l.flash_base;
+    stack_top = l.stack_top;
+    symbols = [ (case.name, l.flash_base) ];
     detect_addr = None }
 
 let make_rig spec =
@@ -159,9 +153,8 @@ let mode_name = function Transient -> "transient" | Persistent -> "persistent"
 
 (* The per-cycle point list: (model, flipped bit-set, model mask), in a
    fixed order (models, then weights, then bit-sets ascending) shared
-   by the verdict array and the counters. For And the mask that flips
-   bit-set [s] is its complement (And clears the de-selected bits), so
-   weights enumerate actual flip widths uniformly across models. *)
+   by the verdict array and the counters. Weights count flipped bits
+   under every model (Fault_model.mask_of_bits). *)
 let enum_points config =
   List.concat_map
     (fun model ->
@@ -169,28 +162,13 @@ let enum_points config =
         (fun weight ->
           Glitch_emu.Bitmask.of_weight ~width:16 ~weight
           |> List.map (fun bits ->
-                 let mask =
-                   match model with
-                   | Glitch_emu.Fault_model.And -> lnot bits land 0xFFFF
-                   | Glitch_emu.Fault_model.Or | Glitch_emu.Fault_model.Xor ->
-                     bits
-                 in
+                 let mask = Glitch_emu.Fault_model.mask_of_bits model ~width:16 bits in
                  (model, bits, mask)))
         config.weights)
     config.models
   |> Array.of_list
 
 (* --- baseline ----------------------------------------------------------- *)
-
-(* One pristine step: Campaign.run_to_stop's body (fetch through the
-   unboxed path and the shared pre-decoded table, optional fetched-zero
-   trap), as a single reusable step. *)
-let exec_step ~zero_is_invalid mem cpu =
-  match Memory.read_u16_exn mem (Cpu.pc cpu) with
-  | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
-    Exec.Stopped (Exec.Bad_fetch a)
-  | 0 when zero_is_invalid -> Exec.Stopped (Exec.Invalid_instruction 0)
-  | w -> Exec.execute mem cpu Thumb.Decode.table.(w)
 
 type trace = {
   steps : (int * int) array;  (** (pc, fetched word) per executed cycle *)
@@ -207,7 +185,9 @@ let read_det mem = function
 
 (* Run the pristine baseline once, recording each cycle's (pc, word)
    and the canonical state key after it. The keys seed the shared map
-   (below) and anchor the parallel workers' fast-forward. *)
+   (below) and anchor the parallel workers' fast-forward. A word the
+   zero rule refuses stops the trace before its cycle, like a bad
+   fetch. *)
 let run_baseline spec config =
   let rig = make_rig spec in
   let mem = State.mem rig and cpu = State.cpu rig in
@@ -218,15 +198,16 @@ let run_baseline spec config =
     match Memory.read_u16_exn mem pc with
     | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
       stop := Some (Exec.Bad_fetch a)
-    | 0 when config.zero_is_invalid ->
-      stop := Some (Exec.Invalid_instruction 0)
-    | w ->
-      steps := (pc, w) :: !steps;
-      incr n;
-      (match Exec.execute mem cpu Thumb.Decode.table.(w) with
-      | Exec.Running -> ()
-      | Exec.Stopped s -> stop := Some s);
-      keys := State.key rig :: !keys
+    | w -> (
+      match Exec.decode ~zero_is_invalid:config.zero_is_invalid w with
+      | Thumb.Instr.Undefined 0 -> stop := Some (Exec.Invalid_instruction 0)
+      | i ->
+        steps := (pc, w) :: !steps;
+        incr n;
+        (match Exec.execute mem cpu i with
+        | Exec.Running -> ()
+        | Exec.Stopped s -> stop := Some s);
+        keys := State.key rig :: !keys)
   done;
   let nsteps = !n in
   let settle =
@@ -388,16 +369,9 @@ type shared = {
   cycle_lo : int;
   cycle_hi : int;
   verdicts : Bytes.t option;
+  zero_rule : bool option;  (** Exec's options, boxed once *)
+  settle_budget : int option;
 }
-
-let owner_index sh pc =
-  (* nearest symbol at or below pc; 0 when below every symbol *)
-  let lo = ref 0 and hi = ref (Array.length sh.sym_addrs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if sh.sym_addrs.(mid) <= pc then lo := mid + 1 else hi := mid
-  done;
-  max 0 (!lo - 1)
 
 type tally = {
   by_func : int array array;
@@ -427,18 +401,6 @@ let merge_tally dst src =
   dst.executed <- dst.executed + src.executed;
   dst.static_pruned <- dst.static_pruned + src.static_pruned
 
-(* Run the continuation after an injected step until it stops or the
-   settle budget runs out. *)
-let settle_run ~zero_is_invalid ~settle mem cpu =
-  let rec go remaining =
-    if remaining = 0 then Exec.Step_limit
-    else
-      match exec_step ~zero_is_invalid mem cpu with
-      | Exec.Running -> go (remaining - 1)
-      | Exec.Stopped s -> s
-  in
-  go settle
-
 (* Process every injection point of one cycle. [rig] must hold the
    baseline state S_k; it is returned in that same state. *)
 let run_cycle sh tally rig scratch k =
@@ -446,7 +408,8 @@ let run_cycle sh tally rig scratch k =
   let zero_is_invalid = config.zero_is_invalid in
   let mem = State.mem rig and cpu = State.cpu rig in
   let pc, w = sh.tr.steps.(k) in
-  let fidx = owner_index sh pc in
+  (* the nearest symbol at or below pc; the first when below them all *)
+  let fidx = max 0 (Lower.Layout.owner_index sh.sym_addrs pc) in
   let frow = tally.by_func.(fidx) in
   let m0 = State.mark rig in
   let flags = State.save_regs rig scratch in
@@ -476,15 +439,12 @@ let run_cycle sh tally rig scratch k =
         (* inject: execute w' in place of the fetched word *)
         let step =
           match config.mode with
-          | Transient ->
-            if w' = 0 && zero_is_invalid then
-              Exec.Stopped (Exec.Invalid_instruction 0)
-            else Exec.execute mem cpu Thumb.Decode.table.(w')
+          | Transient -> Exec.execute mem cpu (Exec.decode ~zero_is_invalid w')
           | Persistent ->
             (* write the corruption to flash (journaled), then fetch it
                back: it persists for the continuation *)
             Memory.write_u16_exn mem pc w';
-            exec_step ~zero_is_invalid mem cpu
+            Exec.step ?zero_is_invalid:sh.zero_rule mem cpu
         in
         let v, kind =
           match step with
@@ -524,7 +484,10 @@ let run_cycle sh tally rig scratch k =
                   if config.prune then Bytes.sub_string (State.key_buffer rig) 0 len
                   else ""
                 in
-                let s = settle_run ~zero_is_invalid ~settle:sh.tr.settle mem cpu in
+                let s =
+                  Exec.run ?zero_is_invalid:sh.zero_rule
+                    ?max_steps:sh.settle_budget mem cpu
+                in
                 let v = classify_end sh.tr sh.spec.detect_addr config.classify rig s in
                 if config.prune then Runtime.Keymap.add sh.keymap key v;
                 tally.executed <- tally.executed + 1;
@@ -614,7 +577,9 @@ let run ?pool spec config =
       verdicts =
         (if config.keep_points then
            Some (Bytes.make ((cycle_hi - cycle_lo) * npoints) '\255')
-         else None) }
+         else None);
+      zero_rule = Some config.zero_is_invalid;
+      settle_budget = Some tr.settle }
   in
   (* a lone worker drains the whole window as one chunk: one rig, one
      pass over the baseline *)

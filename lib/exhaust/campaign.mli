@@ -59,7 +59,7 @@ val spec_of_image : ?name:string -> Lower.Layout.image -> spec
     GPIO block so trigger stores are journaled instead of faulting). *)
 
 val spec_of_case : Glitch_emu.Testcase.t -> spec
-(** The Glitch_emu.Campaign snippet shape, constant-for-constant, for
+(** The Glitch_emu.Campaign rig, [Machine.Loader.snippet_layout], for
     differential tests. *)
 
 type mode = Transient | Persistent

@@ -380,7 +380,8 @@ let check_static_dynamic (case : Ast_gen.case) =
      pristine baseline (the corrupted word was never fetched). Branch
      words must never be statically Benign. *)
   let baseline_triple =
-    (Oracle.categorize bare_base.Oracle.stop,
+    (Option.fold ~none:Glitch_emu.Campaign.Failed
+       ~some:Glitch_emu.Campaign.category_of_stop bare_base.Oracle.stop,
      bare_base.Oracle.marker = Some Resistor.Firmware.attack_marker_value,
      bare_base.Oracle.detections > 0)
   in

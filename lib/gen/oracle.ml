@@ -125,18 +125,6 @@ type glitch_outcome = {
 
 let silent o = o.succeeded && not o.detected
 
-let categorize (stop : Machine.Exec.stop option) : Glitch_emu.Campaign.category =
-  match stop with
-  | Some (Machine.Exec.Breakpoint _) -> Glitch_emu.Campaign.No_effect
-  | Some (Machine.Exec.Bad_read _ | Machine.Exec.Bad_write _) ->
-    Glitch_emu.Campaign.Bad_read
-  | Some (Machine.Exec.Bad_fetch _) -> Glitch_emu.Campaign.Bad_fetch
-  | Some (Machine.Exec.Invalid_instruction _) ->
-    Glitch_emu.Campaign.Invalid_instruction
-  | Some (Machine.Exec.Swi_trap _ | Machine.Exec.Step_limit) ->
-    Glitch_emu.Campaign.Failed
-  | None -> Glitch_emu.Campaign.Failed  (* ran off its budget *)
-
 let run_corrupted ~budget (image : Lower.Layout.image) ~addr ~mask :
     glitch_outcome =
   let image' = corrupt_image image ~addr ~mask in
@@ -149,7 +137,10 @@ let run_corrupted ~budget (image : Lower.Layout.image) ~addr ~mask :
   let marker = Hw.Board.read_global board Resistor.Firmware.attack_marker_global in
   { g_addr = addr;
     g_mask = mask;
-    category = categorize stop;
+    (* a run off its budget is Failed *)
+    category =
+      Option.fold ~none:Glitch_emu.Campaign.Failed
+        ~some:Glitch_emu.Campaign.category_of_stop stop;
     succeeded = marker = Some Resistor.Firmware.attack_marker_value;
     detected = Resistor.Detect.detections (Hw.Board.read_global board) > 0 }
 

@@ -56,14 +56,8 @@ type result = {
   stats : sweep_stats;
 }
 
-(* A small dedicated address space: snippets are a handful of
-   instructions and a few words of stack. Small regions keep the
-   65,536-run sweep cheap to reset. *)
-let flash_base = 0x08000000
-let flash_size = 0x400
-let sram_base = 0x20000000
-let sram_size = 0x400
-let stack_top = sram_base + sram_size - 16
+let layout = Loader.snippet_layout
+let flash_base = layout.flash_base
 
 (* [pristine] is the address space right after loading the unperturbed
    image: resetting between masks is two [Bytes.blit]s (flash including
@@ -78,65 +72,50 @@ type rig = {
   target : int;  (* unperturbed target halfword *)
   target_addr : int;  (* its flash address *)
   pristine : Memory.snapshot;
+  zero_rule : bool option;  (* Exec.run's options, boxed once *)
+  budget : int option;
 }
 
-let make_rig (case : Testcase.t) =
-  let mem = Memory.create () in
-  Memory.map mem ~addr:flash_base ~size:flash_size;
-  Memory.map mem ~addr:sram_base ~size:sram_size;
-  let image = Thumb.Encode.to_bytes case.Testcase.instrs in
-  Memory.load_bytes mem ~addr:flash_base image;
+let make_rig config (case : Testcase.t) =
+  let { Loader.mem; cpu; _ } = Loader.load_instrs ~layout case.Testcase.instrs in
   { mem;
-    cpu = Cpu.create ~sp:stack_top ~pc:flash_base ();
-    image;
+    cpu;
+    image = Thumb.Encode.to_bytes case.instrs;
     target = Testcase.target_word case;
     target_addr = flash_base + (2 * case.target_index);
-    pristine = Memory.snapshot mem }
+    pristine = Memory.snapshot mem;
+    zero_rule = Some config.zero_is_invalid;
+    budget = Some config.max_steps }
 
-(* Execute until stop, optionally treating a fetched 0x0000 as an
-   invalid instruction (Figure 2(c)'s modified ISA). Fetches go through
-   the unboxed memory path and the shared pre-decoded instruction
-   table, so a well-behaved run allocates nothing. *)
-let run_to_stop ~zero_is_invalid ~max_steps mem cpu =
-  let rec go remaining =
-    if remaining = 0 then Exec.Step_limit
-    else
-      match Memory.read_u16_exn mem (Cpu.pc cpu) with
-      | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
-        Exec.Bad_fetch a
-      | 0 when zero_is_invalid -> Exec.Invalid_instruction 0
-      | w -> (
-        match Exec.execute mem cpu Thumb.Decode.table.(w) with
-        | Exec.Running -> go (remaining - 1)
-        | Exec.Stopped s -> s)
-  in
-  go max_steps
-
-let classify cpu (stop : Exec.stop) : category =
-  match stop with
-  | Exec.Breakpoint _ ->
-    if Cpu.get cpu Testcase.skip_reg = Testcase.skip_marker then Success
-    else No_effect
+let category_of_stop : Exec.stop -> category = function
+  | Exec.Breakpoint _ -> No_effect
   | Exec.Bad_read _ | Exec.Bad_write _ -> Bad_read
   | Exec.Bad_fetch _ -> Bad_fetch
   | Exec.Invalid_instruction _ -> Invalid_instruction
   | Exec.Swi_trap _ | Exec.Step_limit -> Failed
 
+let classify cpu (stop : Exec.stop) =
+  match stop with
+  | Exec.Breakpoint _ when Cpu.get cpu Testcase.skip_reg = Testcase.skip_marker ->
+    Success
+  | _ -> category_of_stop stop
+
+(* Reset the CPU and run the perturbed snippet to its stop. Fetches go
+   through the unboxed memory path and the shared pre-decoded
+   instruction table, so a well-behaved run allocates nothing. *)
+let run_rig rig =
+  Cpu.reset ~sp:layout.stack_top ~pc:flash_base rig.cpu;
+  classify rig.cpu
+    (Exec.run ?zero_is_invalid:rig.zero_rule ?max_steps:rig.budget rig.mem rig.cpu)
+
 (* The fast kernel: one perturbed word against a reused rig. The
    outcome is a pure function of (config, case, word) — the rig is
    restored to the same pristine state every time — which is what makes
    the per-word memo below sound. *)
-let run_word config rig ~word =
+let run_word rig ~word =
   Memory.restore rig.mem rig.pristine;
-  (match Memory.write_u16 rig.mem rig.target_addr word with
-  | Ok () -> ()
-  | Error _ -> assert false);
-  Cpu.reset ~sp:stack_top ~pc:flash_base rig.cpu;
-  let stop =
-    run_to_stop ~zero_is_invalid:config.zero_is_invalid
-      ~max_steps:config.max_steps rig.mem rig.cpu
-  in
-  classify rig.cpu stop
+  Memory.write_u16_exn rig.mem rig.target_addr word;
+  run_rig rig
 
 (* The reference kernel: the original reset protocol (clear everything,
    reload the image, perturb), no memo, a fresh machine per call. Kept
@@ -145,18 +124,11 @@ let run_word config rig ~word =
 let run_mask config rig (case : Testcase.t) ~mask =
   Memory.clear rig.mem;
   Memory.load_bytes rig.mem ~addr:flash_base rig.image;
-  let word = Fault_model.apply config.flip ~mask (Testcase.target_word case) in
-  (match Memory.write_u16 rig.mem rig.target_addr word with
-  | Ok () -> ()
-  | Error _ -> assert false);
-  Cpu.reset ~sp:stack_top ~pc:flash_base rig.cpu;
-  let stop =
-    run_to_stop ~zero_is_invalid:config.zero_is_invalid
-      ~max_steps:config.max_steps rig.mem rig.cpu
-  in
-  classify rig.cpu stop
+  Memory.write_u16_exn rig.mem rig.target_addr
+    (Fault_model.apply config.flip ~mask (Testcase.target_word case));
+  run_rig rig
 
-let run_one config case ~mask = run_mask config (make_rig case) case ~mask
+let run_one config case ~mask = run_mask config (make_rig config case) case ~mask
 
 let width = 16
 let ncat = List.length categories
@@ -196,14 +168,14 @@ let make_store () = Runtime.Store.create ~slots:0x10000
 
 let make_memo store = { store; executed = 0; memoized = 0 }
 
-let classify_word config rig memo ~word =
+let classify_word rig memo ~word =
   let c = Runtime.Store.get memo.store word in
   if c >= 0 then begin
     memo.memoized <- memo.memoized + 1;
     c
   end
   else begin
-    let c = category_index (run_word config rig ~word) in
+    let c = category_index (run_word rig ~word) in
     Runtime.Store.set memo.store word c;
     memo.executed <- memo.executed + 1;
     c
@@ -212,7 +184,7 @@ let classify_word config rig memo ~word =
 let record config rig memo t ~mask =
   let flipped = Fault_model.flipped_bits config.flip ~width ~mask in
   let word = Fault_model.apply config.flip ~mask rig.target in
-  let idx = classify_word config rig memo ~word in
+  let idx = classify_word rig memo ~word in
   t.by_weight.(flipped).(idx) <- t.by_weight.(flipped).(idx) + 1;
   if flipped > 0 then t.totals.(idx) <- t.totals.(idx) + 1
 
@@ -239,7 +211,7 @@ let run_case ?pool ?store config (case : Testcase.t) =
   let store = match store with Some s -> s | None -> make_store () in
   let parts =
     Runtime.Pool.drain ?pool ~lo:0 ~hi:(1 lsl width)
-      ~init:(fun () -> (make_rig case, make_memo store, make_tally ()))
+      ~init:(fun () -> (make_rig config case, make_memo store, make_tally ()))
       (fun (rig, memo, t) lo hi ->
         for mask = lo to hi - 1 do
           record config rig memo t ~mask

@@ -41,15 +41,17 @@ type counts = int array
 val category_index : category -> int
 
 val flash_base : int
-val flash_size : int
-val sram_base : int
-val sram_size : int
-val stack_top : int
-(** The sweep rig's address-space geometry.  Exposed so the static
-    analyzer ({!Analysis.Surface.predicted_outcomes}) can reason about
-    which perturbed branch targets stay inside the snippet image — the
-    differential property pins its predictions against {!run_one} on
-    exactly this rig. *)
+(** Where the sweep rig loads a case: the flash base of
+    [Machine.Loader.snippet_layout], the rig's geometry. *)
+
+val category_of_stop : Machine.Exec.stop -> category
+(** The category of a stop alone, for runs with no skip marker to read:
+    a breakpoint is [No_effect], a trap or exhausted budget [Failed]. *)
+
+val classify : Machine.Cpu.t -> Machine.Exec.stop -> category
+(** Figure 2's classification of a finished snippet run: a breakpoint
+    with the skip marker in [Testcase.skip_reg] is [Success], anything
+    else {!category_of_stop}. *)
 
 type sweep_stats = {
   executed : int;  (** perturbed words actually emulated *)

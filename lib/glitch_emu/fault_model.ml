@@ -12,6 +12,8 @@ let apply flip ~mask word =
 let identity_mask flip ~width =
   match flip with And -> (1 lsl width) - 1 | Or | Xor -> 0
 
+let mask_of_bits flip ~width bits = identity_mask flip ~width lxor bits
+
 let flipped_bits flip ~width ~mask =
   match flip with
   | And -> width - Bitmask.popcount mask

@@ -20,6 +20,11 @@ val identity_mask : flip -> width:int -> int
 (** The mask that leaves a word unmodified: all-ones for [And], zero for
     [Or]/[Xor]. *)
 
+val mask_of_bits : flip -> width:int -> int -> int
+(** The identity mask with the positions of the bit-set [bits] inverted:
+    the mask that can change exactly those bits under every model. The
+    one bit-set to mask rule; sweeps enumerate bit-sets by weight. *)
+
 val flipped_bits : flip -> width:int -> mask:int -> int
 (** How many bit positions the mask can possibly change: for [And] the
     number of zeros in the mask, for [Or]/[Xor] the number of ones. This

@@ -10,7 +10,7 @@ let guard_name = function
 let loop_cycles = 8
 
 (* Raise the trigger pin: r1 holds the GPIO data-register address
-   afterwards (0x48000028). *)
+   ([Lower.Codegen.gpio_trigger_address]) afterwards. *)
 let trigger_preamble =
   {|
   movs r1, #0x48

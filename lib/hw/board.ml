@@ -1,9 +1,11 @@
 type program = Asm of string | Image of Lower.Layout.image
 
-let gpio_base = 0x48000000
-let flash_base = 0x08000000
-let sram_base = 0x20000000
-let sram_size = 16 * 1024
+let layout = Machine.Loader.stm32_layout
+let flash_base = layout.flash_base
+
+(* A 256-byte GPIO block holding the trigger data register. *)
+let gpio_base = Lower.Codegen.gpio_trigger_address land lnot 0xFF
+let gpio_data = Lower.Codegen.gpio_trigger_address - gpio_base
 
 (* Everything but memory: what a journal rewind copies back wholesale. *)
 type scalars = {
@@ -44,14 +46,7 @@ type t = {
 
 let text_of_program = function
   | Asm source -> Thumb.Encode.to_bytes (Thumb.Asm.assemble source)
-  | Image image ->
-    let b = Bytes.create (2 * Array.length image.Lower.Layout.words) in
-    Array.iteri
-      (fun i w ->
-        Bytes.set_uint8 b (2 * i) (w land 0xFF);
-        Bytes.set_uint8 b ((2 * i) + 1) ((w lsr 8) land 0xFF))
-      image.Lower.Layout.words;
-    b
+  | Image image -> Lower.Layout.text_bytes image
 
 (* Deterministic "boot garbage" for the stack area: a real SRAM powers
    up with residual values; corrupted address computations then load
@@ -94,14 +89,14 @@ let reset t =
 
 let create ?(stack_top = 0x20003FE8) ?(stack_fill = true) program =
   let mem = Machine.Memory.create () in
-  Machine.Memory.map mem ~addr:flash_base ~size:(128 * 1024);
-  Machine.Memory.map mem ~addr:sram_base ~size:sram_size;
+  Machine.Memory.map mem ~addr:flash_base ~size:layout.flash_size;
+  Machine.Memory.map mem ~addr:layout.sram_base ~size:layout.sram_size;
   let edge_pending = ref false in
   let gpio_state = ref 0 in
   Machine.Memory.add_device mem ~addr:gpio_base ~size:0x100
-    ~read:(fun off -> if off = 0x28 then !gpio_state else 0)
+    ~read:(fun off -> if off = gpio_data then !gpio_state else 0)
     ~write:(fun off v ->
-      if off = 0x28 then begin
+      if off = gpio_data then begin
         let bit = v land 1 in
         if bit = 1 && !gpio_state = 0 then edge_pending := true;
         gpio_state := bit

@@ -20,7 +20,8 @@ type program =
 type t
 
 val gpio_base : int
-(** [0x48000000]; the trigger data register lives at offset [0x28]. *)
+(** [0x48000000], the base of the 256-byte GPIO device holding the
+    trigger data register [Lower.Codegen.gpio_trigger_address]. *)
 
 val create : ?stack_top:int -> ?stack_fill:bool -> program -> t
 (** [stack_top] defaults to [0x20003FE8] (the SP the paper reports).

@@ -110,7 +110,7 @@ let corrupt_value32 config ~salt v =
    data-register address, and mixes thereof — the families of values the
    paper observed in the comparator register post-mortem. *)
 let residue config ~salt ~sp =
-  let gpio = 0x48000028 in
+  let gpio = Lower.Codegen.gpio_trigger_address in
   match Hashrand.bits ~seed:config.seed (331 :: salt) ~width:3 with
   | 0 | 1 | 2 -> 0 (* failed load: the bus reads back idle/zero *)
   | 3 -> sp

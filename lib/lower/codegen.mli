@@ -30,7 +30,9 @@ exception Error of error
 val pp_error : error Fmt.t
 
 val gpio_trigger_address : int
-(** [0x48000028], the GPIO data register the paper's trigger writes. *)
+(** [0x48000028], the GPIO data register the paper's trigger writes.
+    The one GPIO constant: the board's GPIO device and the GPIO page of
+    exhaust campaigns are placed around it. *)
 
 val intrinsics : string list
 (** Extern names expanded inline ([__halt], [__trigger_high],

@@ -19,9 +19,23 @@ exception Error of error
 let pp_error ppf { message } = Fmt.string ppf message
 let fail fmt = Fmt.kstr (fun message -> raise (Error { message })) fmt
 
-let text_base = 0x08000000
-let sram_base = 0x20000000
-let sram_size = 16 * 1024
+let text_base = Machine.Loader.stm32_layout.flash_base
+let sram_base = Machine.Loader.stm32_layout.sram_base
+let sram_size = Machine.Loader.stm32_layout.sram_size
+
+let text_bytes image =
+  let b = Bytes.create (2 * Array.length image.words) in
+  Array.iteri (fun i w -> Bytes.set_uint16_le b (2 * i) (w land 0xFFFF)) image.words;
+  b
+
+(* Binary search for the last entry <= addr. *)
+let owner_index entries addr =
+  let lo = ref 0 and hi = ref (Array.length entries) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if entries.(mid) <= addr then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
 
 let link (m : Ir.modul) =
   let compiled =
@@ -110,16 +124,10 @@ let link (m : Ir.modul) =
     symbols;
     global_addrs;
     entry = resolve_sym "__start";
-    stack_top = sram_base + sram_size - 16 }
+    stack_top = Machine.Loader.stm32_layout.stack_top }
 
 let write_to mem image =
-  Array.iteri
-    (fun i w ->
-      match Machine.Memory.write_u16 mem (image.text.base + (2 * i)) w with
-      | Ok () -> ()
-      | Error fault ->
-        fail "writing text: %a" Machine.Memory.pp_fault fault)
-    image.words;
+  Machine.Memory.load_bytes mem ~addr:image.text.base (text_bytes image);
   List.iter
     (fun (addr, v) ->
       match Machine.Memory.write_u32 mem addr v with
@@ -140,11 +148,7 @@ let load image =
   { Machine.Loader.mem;
     cpu;
     layout =
-      { Machine.Loader.flash_base = text_base;
-        flash_size;
-        sram_base;
-        sram_size;
-        stack_top = image.stack_top } }
+      { Machine.Loader.stm32_layout with flash_size; stack_top = image.stack_top } }
 
 let size_report image =
   [ ("text", image.text.size);

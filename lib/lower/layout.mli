@@ -29,6 +29,16 @@ val pp_error : error Fmt.t
 val text_base : int
 val sram_base : int
 val sram_size : int
+(** The flash base and the SRAM region of [Machine.Loader.stm32_layout],
+    where {!link} places text and globals. *)
+
+val text_bytes : image -> bytes
+(** The .text halfwords as little-endian bytes, to load at [text.base]. *)
+
+val owner_index : int array -> int -> int
+(** The index of the greatest of the ascending [entries] at or below
+    [addr] (the last of equal ones), or [-1]: the symbol owning [addr].
+    Every owner lookup uses it. *)
 
 val link : Ir.modul -> image
 (** Compile every IR function with {!Codegen}, add the runtime blob and
@@ -36,8 +46,8 @@ val link : Ir.modul -> image
     @raise Error on undefined symbols or BL targets out of range. *)
 
 val write_to : Machine.Memory.t -> image -> unit
-(** Copy .text and .data initialisers into already-mapped memory (the
-    board simulator maps flash/SRAM/GPIO itself). *)
+(** Copy .text and .data initialisers into already-mapped memory.
+    @raise Invalid_argument if .text falls outside it. *)
 
 val load : image -> Machine.Loader.t
 (** Convenience for tests: a plain machine (no GPIO device; stores to

@@ -429,18 +429,32 @@ let execute mem cpu i =
   | r -> r
   | exception Stop_exn s -> Stopped s
 
-let step mem cpu =
+(* Figure 2(c)'s ISA change: with [zero_is_invalid] the all-zero
+   halfword has no decoding, instead of being [movs r0, r0]. Executing
+   [Undefined 0] stops with [Invalid_instruction 0] and changes nothing. *)
+let decode ~zero_is_invalid w =
+  if w = 0 && zero_is_invalid then Instr.Undefined 0 else Decode.table.(w)
+
+let step ?(zero_is_invalid = false) mem cpu =
   match Memory.read_u16_exn mem (Cpu.pc cpu) with
-  | w -> execute mem cpu Decode.table.(w)
+  | w -> execute mem cpu (decode ~zero_is_invalid w)
   | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
     Stopped (Bad_fetch a)
 
-let run ?(max_steps = 10_000) mem cpu =
-  let rec go remaining =
-    if remaining = 0 then Step_limit
-    else
-      match step mem cpu with
-      | Running -> go (remaining - 1)
-      | Stopped s -> s
-  in
-  go max_steps
+(* [step] unrolled into a top-level loop: one call per instruction, no
+   closure, and a stop is returned unboxed, so a run allocates nothing
+   of its own. *)
+let rec run_from zero_is_invalid mem cpu remaining =
+  if remaining = 0 then Step_limit
+  else
+    match Memory.read_u16_exn mem (Cpu.pc cpu) with
+    | w -> (
+      match execute_exn mem cpu (decode ~zero_is_invalid w) with
+      | Running -> run_from zero_is_invalid mem cpu (remaining - 1)
+      | Stopped s -> s)
+    | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) -> Bad_fetch a
+
+let run ?(zero_is_invalid = false) ?(max_steps = 10_000) mem cpu =
+  match run_from zero_is_invalid mem cpu max_steps with
+  | s -> s
+  | exception Stop_exn s -> s

@@ -31,10 +31,21 @@ val execute : Memory.t -> Cpu.t -> Thumb.Instr.t -> step_result
     PC. Used directly by the pipeline simulator to run corrupted
     instructions without writing them back to flash. *)
 
-val step : Memory.t -> Cpu.t -> step_result
-(** Fetch the halfword at [Cpu.pc], decode via the shared pre-decoded
-    [Thumb.Decode.table], {!execute}. *)
+val decode : zero_is_invalid:bool -> int -> Thumb.Instr.t
+(** The instruction a fetched halfword executes as, from the shared
+    pre-decoded [Thumb.Decode.table]. With [zero_is_invalid] (Figure
+    2(c)'s ISA change) [0x0000] decodes as [Undefined 0], so {!execute}
+    stops it with [Invalid_instruction 0] and changes nothing, instead
+    of running it as [movs r0, r0]. This is the one home of that rule. *)
 
-val run : ?max_steps:int -> Memory.t -> Cpu.t -> stop
-(** Step until the program stops, at most [max_steps] (default 10,000)
-    instructions. *)
+val step : ?zero_is_invalid:bool -> Memory.t -> Cpu.t -> step_result
+(** Fetch the halfword at [Cpu.pc], {!decode} it ([zero_is_invalid]
+    defaults to [false]), {!execute} it. An unmapped or misaligned fetch
+    stops with [Bad_fetch]. *)
+
+val run :
+  ?zero_is_invalid:bool -> ?max_steps:int -> Memory.t -> Cpu.t -> stop
+(** {!step} until the program stops, at most [max_steps] (default
+    10,000) instructions, else [Step_limit]. The loop allocates nothing,
+    but without cross-module inlining (dune's dev profile) each
+    [~label:v] boxes [Some v] per call: sweep kernels box them once. *)

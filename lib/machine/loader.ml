@@ -13,6 +13,12 @@ let stm32_layout =
     sram_size = 16 * 1024;
     stack_top = 0x20003FF0 }
 
+let snippet_layout =
+  { stm32_layout with
+    flash_size = 0x400;
+    sram_size = 0x400;
+    stack_top = stm32_layout.sram_base + 0x400 - 16 }
+
 type t = { mem : Memory.t; cpu : Cpu.t; layout : layout }
 
 let load_instrs ?(layout = stm32_layout) instrs =

@@ -1,6 +1,7 @@
-(** Convenience harness: map a flash + SRAM address space shaped like the
-    paper's STM32 targets, load a program, and produce a ready-to-run
-    CPU. *)
+(** The address geometries of the emulated targets, and a convenience
+    harness: map a flash + SRAM address space, load a program, and
+    produce a ready-to-run CPU. Every base and size an engine maps comes
+    from a {!layout} here. *)
 
 type layout = {
   flash_base : int;
@@ -14,7 +15,13 @@ val stm32_layout : layout
 (** Flash at [0x08000000] (128 KiB), SRAM at [0x20000000] (16 KiB),
     initial SP [0x20003FF0] — chosen so the paper's observed
     SP-derived corruption values ([0x20003FE8], [0x20003FF6]) are
-    plausible stack addresses. *)
+    plausible stack addresses. The board, the linker and whole-image
+    exhaust campaigns all use it. *)
+
+val snippet_layout : layout
+(** The same bases with 1 KiB of flash and SRAM, stack 16 bytes below
+    the top: the small, cheap-to-reset rig of the Figure 2 sweeps (Thumb
+    and RV32I) and of single-case exhaust campaigns. *)
 
 type t = { mem : Memory.t; cpu : Cpu.t; layout : layout }
 

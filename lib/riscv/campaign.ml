@@ -41,17 +41,15 @@ let all_conditional_branches = List.map conditional_branch Instr.branch_conds
 
 (* --- rig ------------------------------------------------------------------ *)
 
-let flash_base = 0x08000000
-let flash_size = 0x400
-let sram_base = 0x20000000
-let sram_size = 0x400
+(* the Thumb sweep's rig geometry *)
+let layout = Machine.Loader.snippet_layout
 
 type rig = { mem : Machine.Memory.t; words : int array }
 
 let make_rig case =
   let mem = Machine.Memory.create () in
-  Machine.Memory.map mem ~addr:flash_base ~size:flash_size;
-  Machine.Memory.map mem ~addr:sram_base ~size:sram_size;
+  Machine.Memory.map mem ~addr:layout.flash_base ~size:layout.flash_size;
+  Machine.Memory.map mem ~addr:layout.sram_base ~size:layout.sram_size;
   { mem; words = Array.of_list (Codec.encode_program case.instrs) }
 
 let write_program rig ~target_word case =
@@ -59,7 +57,7 @@ let write_program rig ~target_word case =
   Array.iteri
     (fun i w ->
       let w = if i = case.target_index then target_word else w in
-      match Machine.Memory.write_u32 rig.mem (flash_base + (4 * i)) w with
+      match Machine.Memory.write_u32 rig.mem (layout.flash_base + (4 * i)) w with
       | Ok () -> ()
       | Error _ -> assert false)
     rig.words
@@ -81,14 +79,14 @@ let run_mask config rig case ~mask =
     land 0xFFFFFFFF
   in
   write_program rig ~target_word:word case;
-  let cpu = Exec.create_cpu ~sp:(sram_base + sram_size - 16) ~pc:flash_base () in
+  let cpu = Exec.create_cpu ~sp:layout.stack_top ~pc:layout.flash_base () in
   let stop = Exec.run ~max_steps:config.max_steps rig.mem cpu in
   classify cpu stop
 
 let run_one config case ~mask = run_mask config (make_rig case) case ~mask
 
-(* xorshift-based deterministic mask sampling for high weights *)
-let sample_mask state ~weight =
+(* xorshift-based deterministic bit-set sampling for high weights *)
+let sample_bits state ~weight =
   let next () =
     let x = !state in
     let x = x lxor (x lsl 13) land 0x3FFFFFFFFFFFFFFF in
@@ -126,7 +124,12 @@ let run_case config case =
   let by_weight =
     List.init 33 (fun weight ->
         let counts = Array.make ncat 0 in
-        let record mask =
+        (* [weight] counts flipped bits under every model, as in the
+           Thumb sweep *)
+        let record bits =
+          let mask =
+            Glitch_emu.Fault_model.mask_of_bits config.flip ~width:32 bits
+          in
           let cat = run_mask config rig case ~mask in
           let idx = Glitch_emu.Campaign.category_index cat in
           counts.(idx) <- counts.(idx) + 1;
@@ -141,7 +144,7 @@ let run_case config case =
           Glitch_emu.Bitmask.iter_of_weight ~width:32 ~weight record
         else
           for _ = 1 to config.samples_per_weight do
-            record (sample_mask state ~weight)
+            record (sample_bits state ~weight)
           done;
         (Array.fold_left ( + ) 0 counts, counts))
   in

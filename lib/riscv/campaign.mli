@@ -40,7 +40,10 @@ type result = {
   case : testcase;
   config : config;
   by_weight : (int * int array) list;
-      (** (attempted masks, per-category counts) indexed by weight 0-32 *)
+      (** (attempted masks, per-category counts) indexed by the number
+          of bits the mask can flip, 0-32, as [Fault_model.flipped_bits]
+          counts them: entry 0 is the unmodified word under every model
+          and is left out of [totals]. *)
   totals : int array;
 }
 

@@ -358,26 +358,6 @@ let prop_pruned_equals_oracle =
 
 (* --- differential: exhaust reproduces the fig2 sweep tables --------------- *)
 
-(* Glitch_emu.Campaign's classification, restated as an exhaust
-   classifier (the campaign's own [classify] is internal). It reads
-   only the final CPU state and the stop — pure, as sharing requires. *)
-let fig2_classify cpu (stop : Machine.Exec.stop) =
-  Glitch_emu.Campaign.category_index
-    (match stop with
-    | Machine.Exec.Breakpoint _ ->
-      if
-        Machine.Cpu.get cpu Glitch_emu.Testcase.skip_reg
-        = Glitch_emu.Testcase.skip_marker
-      then Glitch_emu.Campaign.Success
-      else Glitch_emu.Campaign.No_effect
-    | Machine.Exec.Bad_read _ | Machine.Exec.Bad_write _ ->
-      Glitch_emu.Campaign.Bad_read
-    | Machine.Exec.Bad_fetch _ -> Glitch_emu.Campaign.Bad_fetch
-    | Machine.Exec.Invalid_instruction _ ->
-      Glitch_emu.Campaign.Invalid_instruction
-    | Machine.Exec.Swi_trap _ | Machine.Exec.Step_limit ->
-      Glitch_emu.Campaign.Failed)
-
 let ncat = List.length Glitch_emu.Campaign.categories
 
 (* Run the exhaustive injector restricted to the one cycle that fetches
@@ -393,7 +373,9 @@ let exhaust_fig2_tables ?pool flip ~zero_is_invalid case =
       mode = Exhaust.Campaign.Persistent;
       zero_is_invalid;
       max_trace = 200;
-      classify = Some fig2_classify;
+      classify =
+        Some (fun cpu stop ->
+            Glitch_emu.Campaign.(category_index (classify cpu stop)));
       keep_points = true }
   in
   let steps, _stop = Exhaust.Campaign.baseline spec config in

@@ -539,6 +539,23 @@ let prop_flipped_bits_match_apply =
             && Bitmask.popcount changed <= reported)
         Fault_model.all)
 
+let prop_mask_of_bits_flips_its_bits =
+  (* The one bit-set -> mask rule: a mask built from a bit-set can flip
+     exactly popcount(bit-set) positions under every model, and the
+     empty bit-set is the identity mask. *)
+  QCheck.Test.make ~name:"mask_of_bits flips exactly its bits" ~count:500
+    QCheck.(int_bound 0xFFFFFFFF)
+    (fun bits ->
+      List.for_all
+        (fun (m, width) ->
+          let bits = bits land ((1 lsl width) - 1) in
+          Fault_model.flipped_bits m ~width
+            ~mask:(Fault_model.mask_of_bits m ~width bits)
+          = Bitmask.popcount bits
+          && Fault_model.mask_of_bits m ~width 0
+             = Fault_model.identity_mask m ~width)
+        (List.concat_map (fun m -> [ (m, 16); (m, 32) ]) Fault_model.all))
+
 let () =
   let props =
     List.map Qseed.to_alcotest
@@ -547,7 +564,8 @@ let () =
   let campaign_props =
     List.map Qseed.to_alcotest
       [ prop_fast_kernel_matches_reference; prop_memo_agrees_with_categories;
-        prop_shared_store_matches_private_oracle; prop_flipped_bits_match_apply ]
+        prop_shared_store_matches_private_oracle; prop_flipped_bits_match_apply;
+        prop_mask_of_bits_flips_its_bits ]
   in
   Alcotest.run "glitch_emu"
     [ ("bitmask",

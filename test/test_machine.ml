@@ -337,6 +337,26 @@ let glitched_beq_exits_loop () =
   Alcotest.check stop_testable "exits" (Exec.Breakpoint 0) stop;
   Alcotest.(check int) "success marker" 0xAA (reg t.cpu 0)
 
+let zero_rule () =
+  (* Figure 2(c)'s ISA change is an argument of Exec: with it a fetched
+     0x0000 stops the run where it stands; without it the word runs as
+     movs r0, r0, which keeps r0 and clears the N flag cmp set. *)
+  let load () =
+    let t = Loader.load_asm "movs r0, #5\ncmp r0, #9\nmovs r1, #0\nbkpt #0" in
+    Loader.patch_word t ~index:2 0x0000;
+    t
+  in
+  let t = load () in
+  Alcotest.check stop_testable "refused" (Exec.Invalid_instruction 0)
+    (Exec.run ~zero_is_invalid:true t.mem t.cpu);
+  Alcotest.(check int) "stopped at the zero word" (t.layout.flash_base + 4)
+    (Cpu.pc t.cpu);
+  Alcotest.(check bool) "N still set" true t.cpu.n;
+  let t = load () in
+  Alcotest.check stop_testable "executed" (Exec.Breakpoint 0) (Exec.run t.mem t.cpu);
+  Alcotest.(check int) "r0 kept" 5 (reg t.cpu 0);
+  Alcotest.(check bool) "movs r0, r0 cleared N" false t.cpu.n
+
 (* --- wider ALU semantics --------------------------------------------------- *)
 
 let carry_chain_adc () =
@@ -555,5 +575,6 @@ let () =
          Alcotest.test_case "invalid instruction" `Quick invalid_instruction_reported;
          Alcotest.test_case "step limit" `Quick step_limit_reported;
          Alcotest.test_case "paper loop spins" `Quick paper_while_not_a_loops_forever;
-         Alcotest.test_case "glitched beq exits" `Quick glitched_beq_exits_loop ]);
+         Alcotest.test_case "glitched beq exits" `Quick glitched_beq_exits_loop;
+         Alcotest.test_case "zero rule" `Quick zero_rule ]);
       ("properties", props) ]

@@ -214,7 +214,11 @@ let high_weights_enumerated_exhaustively () =
         (Printf.sprintf "weight %d enumerated" weight)
         population total;
       let expected = Array.make (Array.length counts) 0 in
-      Glitch_emu.Bitmask.iter_of_weight ~width:32 ~weight (fun mask ->
+      Glitch_emu.Bitmask.iter_of_weight ~width:32 ~weight (fun bits ->
+          let mask =
+            Glitch_emu.Fault_model.mask_of_bits config.Campaign.flip ~width:32
+              bits
+          in
           let cat = Campaign.run_one config case ~mask in
           let i = Glitch_emu.Campaign.category_index cat in
           expected.(i) <- expected.(i) + 1);
@@ -226,6 +230,47 @@ let high_weights_enumerated_exhaustively () =
   let total, _ = List.nth r.Campaign.by_weight 16 in
   Alcotest.(check int) "weight 16 sampled" config.Campaign.samples_per_weight
     total
+
+let and_weights_count_cleared_bits () =
+  (* Under AND, weight k holds the masks that clear k bits: weight 0 is
+     the unmodified word, left out of the totals, and weight 1 the 32
+     single-bit clears. *)
+  let case = Campaign.conditional_branch Instr.BEQ in
+  let config = Campaign.default_config Glitch_emu.Fault_model.And in
+  let r = Campaign.run_case config case in
+  let ncat = List.length Glitch_emu.Campaign.categories in
+  let tally masks =
+    let counts = Array.make ncat 0 in
+    List.iter
+      (fun mask ->
+        let i =
+          Glitch_emu.Campaign.category_index (Campaign.run_one config case ~mask)
+        in
+        counts.(i) <- counts.(i) + 1)
+      masks;
+    (List.length masks, counts)
+  in
+  let check_weight weight masks =
+    let expected_total, expected = tally masks in
+    let total, counts = List.nth r.Campaign.by_weight weight in
+    Alcotest.(check int)
+      (Printf.sprintf "weight %d runs" weight)
+      expected_total total;
+    Alcotest.(check (array int))
+      (Printf.sprintf "weight %d counts" weight)
+      expected counts
+  in
+  check_weight 0 [ 0xFFFFFFFF ];
+  check_weight 1 (List.init 32 (fun b -> 0xFFFFFFFF lxor (1 lsl b)));
+  let _, identity = List.nth r.Campaign.by_weight 0 in
+  Alcotest.(check int) "identity is No Effect" 1
+    identity.(Glitch_emu.Campaign.category_index Glitch_emu.Campaign.No_effect);
+  let column i =
+    List.fold_left (fun n (_, counts) -> n + counts.(i)) 0 r.Campaign.by_weight
+  in
+  Alcotest.(check (array int)) "totals leave weight 0 out"
+    (Array.init ncat (fun i -> column i - identity.(i)))
+    r.Campaign.totals
 
 let riscv_encoding_more_fault_tolerant () =
   (* The headline cross-ISA result: under the same 1->0 fault model,
@@ -276,5 +321,7 @@ let () =
          Alcotest.test_case "deterministic" `Slow campaign_deterministic;
          Alcotest.test_case "high weights exhaustive" `Slow
            high_weights_enumerated_exhaustively;
+         Alcotest.test_case "AND weights count cleared bits" `Quick
+           and_weights_count_cleared_bits;
          Alcotest.test_case "cross-ISA headline" `Slow
            riscv_encoding_more_fault_tolerant ]) ]
