@@ -17,3 +17,19 @@ val u01 : seed:int -> int list -> float
 
 val bits : seed:int -> int list -> width:int -> int
 (** Uniform [width]-bit integer ([1 <= width <= 32]). *)
+
+(** {2 Fixed-arity draws}
+
+    [hash2 ~seed a b = hash ~seed [ a; b ]], and likewise for four and
+    five coordinates, without building the list or boxing the Int64
+    state: the per-cycle draw sites of the glitch simulation use these. *)
+
+val hash2 : seed:int -> int -> int -> int
+val hash4 : seed:int -> int -> int -> int -> int -> int
+val hash5 : seed:int -> int -> int -> int -> int -> int -> int
+
+val to_u01 : int -> float
+(** [to_u01 (hash ~seed coords) = u01 ~seed coords]. *)
+
+val to_bits : int -> width:int -> int
+(** [to_bits (hash ~seed coords) ~width = bits ~seed coords ~width]. *)

@@ -58,7 +58,13 @@ val pp_effect : effect Fmt.t
 
 val landscape : config -> width:int -> offset:int -> float
 (** Effectiveness of the physical parameter point; pure in (config,
-    width, offset). *)
+    width, offset). Memoized: each domain keeps the 99 x 99 grid of the
+    config it was last asked about, filled point by point on first use;
+    a (width, offset) off the grid is computed directly. *)
+
+val landscape_direct : config -> width:int -> offset:int -> float
+(** {!landscape} computed from scratch, sweet spots included: the
+    memo's reference. *)
 
 val class_factor : Thumb.Instr.t -> float
 (** Relative susceptibility of the executing instruction (RQ4). *)
@@ -75,14 +81,17 @@ val roll :
   sp:int ->
   effect
 (** Decide the effect of one glitched cycle. [landscape] is
-    {!landscape} at ([width], [offset]), which the caller computes once
+    {!landscape} at ([width], [offset]), which the caller looks up once
     per attempt rather than once per glitched cycle. [nonce] distinguishes
     attempts with identical parameters; [sp] seeds realistic bus-residue
     values. [sustained] marks glitches stretched over many consecutive
     cycles (long-glitch attacks), whose aborted loads read back zero. *)
 
-val corrupt_word : config -> salt:int list -> int -> int
-(** 1->0-biased bit corruption of a 16-bit instruction word. *)
+val corrupt_word : config -> width:int -> offset:int -> cycle:int -> int -> int
+(** 1->0-biased bit corruption of a 16-bit instruction word, drawn at
+    the glitch point ([width], [offset], [cycle]): deterministic in the
+    point, like {!roll}'s choice of effect. *)
 
-val corrupt_value32 : config -> salt:int list -> int -> int
+val corrupt_value32 :
+  config -> width:int -> offset:int -> cycle:int -> int -> int
 (** Same bias over a 32-bit data value. *)

@@ -14,7 +14,7 @@ let create ?(sp = 0) ?(pc = 0) () =
   regs.(15) <- mask32 pc;
   { regs; n = false; z = false; c = false; v = false }
 
-let reset ?(sp = 0) ?(pc = 0) t =
+let reset ~sp ~pc t =
   Array.fill t.regs 0 16 0;
   t.regs.(13) <- mask32 sp;
   t.regs.(15) <- mask32 pc;

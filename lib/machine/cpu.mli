@@ -14,10 +14,11 @@ type t = {
 
 val create : ?sp:int -> ?pc:int -> unit -> t
 
-val reset : ?sp:int -> ?pc:int -> t -> unit
-(** Restore the power-on state [create] builds, in place: all registers
-    zero except [sp]/[pc], all flags clear. Lets sweep rigs reuse one
-    CPU across millions of runs instead of allocating per run. *)
+val reset : sp:int -> pc:int -> t -> unit
+(** Restore the power-on state [create ~sp ~pc ()] builds, in place: all
+    registers zero except [sp]/[pc], all flags clear. Lets sweep rigs
+    reuse one CPU across millions of runs instead of allocating per run;
+    the labels are mandatory so a call boxes no optional argument. *)
 
 val get : t -> Thumb.Reg.t -> int
 (** Operand read: [pc] reads as the current instruction address + 4. *)

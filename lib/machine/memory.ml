@@ -292,12 +292,17 @@ let snapshot t =
       | Device _ -> None)
     t.regions
 
-let restore t snap =
-  List.iter
-    (fun (base, saved) ->
-      match find t base with
-      | Some (Ram { base = b; data }) when b = base
-                                           && Bytes.length data = Bytes.length saved ->
-        Bytes.blit saved 0 data 0 (Bytes.length saved)
-      | Some _ | None -> invalid_arg "Memory.restore: mismatched snapshot")
-    snap
+(* The snapshot lists the RAM regions in region-list order, so restore
+   walks both lists in step: no closure and no [find] option per run. *)
+let rec restore_regions regions snap =
+  match (regions, snap) with
+  | [], [] -> ()
+  | Device _ :: regions, _ -> restore_regions regions snap
+  | Ram { base; data } :: regions, (saved_base, saved) :: snap
+    when base = saved_base && Bytes.length data = Bytes.length saved ->
+    Bytes.blit saved 0 data 0 (Bytes.length saved);
+    restore_regions regions snap
+  | Ram _ :: _, _ | [], _ :: _ ->
+    invalid_arg "Memory.restore: mismatched snapshot"
+
+let restore t snap = restore_regions t.regions snap

@@ -1,10 +1,11 @@
 (* The whole-state oracle for journaled attack rigs, shared by
    test_hw's differentials and test_mutant's kill matrix. The oracle
-   board is never sealed: every [Glitcher.run ~from] on it is a
-   whole-image [Board.restore] followed by full emulation, with no
-   dead-schedule cutoff. A rig's attempt must leave its board in the
-   same state: the whole 144 KB image, registers, flags, cycle count,
-   trigger edges and GPIO. *)
+   board is never sealed: every attempt on it is a whole-image
+   [Board.restore] followed by full emulation in the reference loop
+   ([Glitcher_oracle.run]), with no dead-schedule cutoff and no plain
+   tail. A rig's attempt must leave its board in the same state: the
+   whole 144 KB image, registers, flags, cycle count, trigger edges and
+   GPIO. *)
 
 open Hw
 
@@ -40,10 +41,11 @@ let same_observation (a : Glitcher.observation) (b : Glitcher.observation) =
 
 (* One attempt on [rig] and the same schedule on the oracle: [None] when
    the observations and the whole post-mortem states agree. *)
-let check_attempt o rig schedule =
-  let obs = Attack.attempt rig schedule in
+let check_attempt ?nonce o rig schedule =
+  let obs = Attack.attempt ?nonce rig schedule in
   let expected =
-    Glitcher.run ~max_cycles:o.max_cycles ~from:o.snap o.board schedule
+    Glitcher_oracle.run ~max_cycles:o.max_cycles ?nonce ~from:o.snap o.board
+      schedule
   in
   if not (same_observation obs expected) then (obs, Some "observation")
   else (obs, mismatch (Attack.rig_board rig) o.board)

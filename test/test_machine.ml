@@ -180,6 +180,30 @@ let memory_load_bytes_blit () =
   Memory.load_bytes m ~addr:0x1004 (Bytes.of_string "\x0D\xF0\xFE\xCA");
   Alcotest.(check int) "blit contents" 0xCAFEF00D (Memory.read_u32_exn m 0x1004)
 
+(* Restore walks the regions and the snapshot in step, skipping devices:
+   every RAM region comes back, and a snapshot of a differently shaped
+   memory is rejected. *)
+let memory_restore_regions () =
+  let shaped sizes =
+    let m = Memory.create () in
+    Memory.map m ~addr:0x1000 ~size:(fst sizes);
+    Memory.add_device m ~addr:0x2000 ~size:4 ~read:(fun _ -> 0) ~write:(fun _ _ -> ());
+    Memory.map m ~addr:0x3000 ~size:(snd sizes);
+    m
+  in
+  let m = shaped (8, 8) in
+  Memory.write_u32_exn m 0x1000 0x11223344;
+  Memory.write_u32_exn m 0x3004 0x55667788;
+  let snap = Memory.snapshot m in
+  Memory.clear m;
+  Memory.restore m snap;
+  Alcotest.(check int) "first region" 0x11223344 (Memory.read_u32_exn m 0x1000);
+  Alcotest.(check int) "region past the device" 0x55667788
+    (Memory.read_u32_exn m 0x3004);
+  Alcotest.check_raises "differently sized region"
+    (Invalid_argument "Memory.restore: mismatched snapshot") (fun () ->
+      Memory.restore (shaped (8, 16)) snap)
+
 (* --- flag semantics ------------------------------------------------------ *)
 
 let flags_add_sub () =
@@ -548,7 +572,8 @@ let () =
          Alcotest.test_case "region straddling" `Quick memory_straddles_regions;
          Alcotest.test_case "cache tracks regions" `Quick memory_cache_tracks_regions;
          Alcotest.test_case "fault addresses and refill" `Quick memory_fault_addresses;
-         Alcotest.test_case "load_bytes blit" `Quick memory_load_bytes_blit ]);
+         Alcotest.test_case "load_bytes blit" `Quick memory_load_bytes_blit;
+         Alcotest.test_case "restore walks regions" `Quick memory_restore_regions ]);
       ("flags",
        [ Alcotest.test_case "add/sub carry-borrow" `Quick flags_add_sub;
          Alcotest.test_case "signed overflow" `Quick flags_overflow;
