@@ -207,8 +207,21 @@ let merge_into dst (src : tally) =
    so only executed + memoized and the tables themselves are
    deterministic. A lone worker sweeps all masks with one rig, and
    executes each distinct word exactly once. *)
+(* One store per domain, emptied at the start of every [run_case] that
+   is given none. A fresh 64 KB table per case would be garbage the
+   moment the case returns, and the major heap would keep dozens of
+   them alive until the collector caught up. *)
+let scratch_store = Domain.DLS.new_key make_store
+
 let run_case ?pool ?store config (case : Testcase.t) =
-  let store = match store with Some s -> s | None -> make_store () in
+  let store =
+    match store with
+    | Some s -> s
+    | None ->
+      let s = Domain.DLS.get scratch_store in
+      Runtime.Store.clear s;
+      s
+  in
   let parts =
     Runtime.Pool.drain ?pool ~lo:0 ~hi:(1 lsl width)
       ~init:(fun () -> (make_rig config case, make_memo store, make_tally ()))

@@ -105,7 +105,9 @@ val run_case :
     [store] supplies a warm store from a previous run of the {e same}
     [(config, case)] pair (see {!make_store}); words already present
     are served without emulation, so a fully warm store yields
-    [stats.executed = 0]. *)
+    [stats.executed = 0]. Without one, the calling domain's scratch
+    store is emptied and used, so a run allocates no fresh 64 KB
+    table. *)
 
 val to_json : result -> Json.t
 (** The result's tables: [{"totals": {category name: count, ...},

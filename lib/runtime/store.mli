@@ -22,6 +22,10 @@ val create : slots:int -> t
 
 val length : t -> int
 
+val clear : t -> unit
+(** Empty every slot. Not concurrent-safe: no domain may use the store
+    meanwhile. *)
+
 val get : t -> int -> int
 (** The value published for a slot, or [-1] when (observably) empty.
     A racing reader may see [-1] for a slot another domain just filled;

@@ -471,6 +471,21 @@ let shared_store_warm_run_executes_nothing () =
       Alcotest.(check int) "warm parallel executes nothing" 0
         par.stats.Campaign.executed)
 
+(* Without a store, run_case uses its domain's scratch store, emptied
+   first: back-to-back runs, even of different cases, start cold and
+   match runs on fresh stores, counters included. *)
+let scratch_store_starts_empty () =
+  let config = Campaign.default_config Fault_model.And in
+  let bne_case = Testcase.conditional_branch Thumb.Instr.NE in
+  List.iter
+    (fun case ->
+      let fresh = Campaign.run_case ~store:(Campaign.make_store ()) config case in
+      let scratch = Campaign.run_case config case in
+      check_same_result "scratch = fresh" fresh scratch;
+      Alcotest.(check int) "same executed count" fresh.stats.Campaign.executed
+        scratch.stats.Campaign.executed)
+    [ beq_case; beq_case; bne_case ]
+
 let parallel_stats_conserve_masks () =
   (* The executed/memoized split of a parallel sweep is schedule-
      dependent (two workers racing on a cold slot both execute), but
@@ -614,6 +629,8 @@ let () =
            memo_saves_most_executions;
          Alcotest.test_case "warm shared store executes nothing" `Slow
            shared_store_warm_run_executes_nothing;
+         Alcotest.test_case "scratch store starts empty" `Slow
+           scratch_store_starts_empty;
          Alcotest.test_case "parallel stats conserve masks" `Slow
            parallel_stats_conserve_masks ]);
       ("campaign-properties", campaign_props) ]
