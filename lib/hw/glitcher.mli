@@ -77,4 +77,8 @@ val run :
     provably identical to the unglitched run forever after, the recorded
     end state is written ({!Board.apply_delta}) instead of emulated.
     Observations (and the post-mortem board) are bit-identical with or
-    without it; only [replayed_cycles] reflects the shortcut. *)
+    without it; only [replayed_cycles] reflects the shortcut. Without
+    that cutoff, once nothing is planted and every window is anchored to
+    a trigger edge already seen and has closed, no fault can apply any
+    more and the attempt finishes as {!Board.run_plain}; those cycles
+    count as emulated. *)
