@@ -35,7 +35,7 @@ let () =
   (match Machine.Exec.run ~max_steps:1000 t.mem t.cpu with
   | Machine.Exec.Breakpoint 0 ->
     Fmt.pr "Glitched run: escaped! r1 = 0x%X@."
-      (Machine.Cpu.get t.cpu Thumb.Reg.r1)
+      (Machine.Exec.get t.cpu Thumb.Reg.r1)
   | stop -> Fmt.pr "Glitched run: %a@." Machine.Exec.pp_stop stop);
 
   (* 4. How likely is that corruption? Ask the Figure 2 campaign. *)

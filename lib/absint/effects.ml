@@ -18,7 +18,7 @@ let fc = 2
 let fv = 1
 let fnzcv = fn lor fz lor fc lor fv
 
-(* Flags read by Cpu.condition_holds per condition. *)
+(* Flags read by Exec.condition_holds per condition. *)
 let cond_flags (c : Thumb.Instr.cond) =
   match c with
   | EQ | NE -> fz

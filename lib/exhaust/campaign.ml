@@ -194,7 +194,7 @@ let run_baseline spec config =
   let steps = ref [] and keys = ref [] and n = ref 0 in
   let stop = ref None in
   while !n < config.max_trace && !stop = None do
-    let pc = Cpu.pc cpu in
+    let pc = Exec.pc cpu in
     match Memory.read_u16_exn mem pc with
     | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
       stop := Some (Exec.Bad_fetch a)

@@ -96,7 +96,7 @@ let category_of_stop : Exec.stop -> category = function
 
 let classify cpu (stop : Exec.stop) =
   match stop with
-  | Exec.Breakpoint _ when Cpu.get cpu Testcase.skip_reg = Testcase.skip_marker ->
+  | Exec.Breakpoint _ when Exec.get cpu Testcase.skip_reg = Testcase.skip_marker ->
     Success
   | _ -> category_of_stop stop
 

@@ -133,8 +133,8 @@ let create ?stack_top ?(stack_fill = true) program =
   t
 
 let cycles t = t.cycles
-let pc t = Machine.Cpu.pc t.cpu
-let reg t n = Machine.Cpu.get t.cpu (Thumb.Reg.of_int n)
+let pc t = t.cpu.regs.(15)
+let reg t n = Machine.Exec.get t.cpu (Thumb.Reg.of_int n)
 let edge_count t = t.n_edges
 let edge t i =
   if i < 0 || i >= t.n_edges then invalid_arg "Board.edge";
@@ -169,7 +169,7 @@ type applied =
 let word_at t addr =
   match Machine.Memory.read_u16 t.mem addr with Ok w -> Some w | Error _ -> None
 
-let fetch t = Thumb.Decode.of_word (Machine.Memory.read_u16_exn t.mem (pc t))
+let fetch t = Thumb.Decode.table.(Machine.Memory.read_u16_exn t.mem (pc t))
 
 let peek t =
   match fetch t with
@@ -230,7 +230,7 @@ let instr_duration t (instr : Thumb.Instr.t) =
   let taken =
     match instr with
     | Thumb.Instr.B_cond (cond, off) ->
-      off <> -1 && Machine.Cpu.condition_holds t.cpu cond
+      off <> -1 && Machine.Exec.condition_holds t.cpu cond
     | _ -> true
   in
   Thumb.Cycles.of_instr ~taken instr
@@ -239,20 +239,20 @@ let step_fetched t applied instr =
   match applied with
   | Normal -> execute_counted t instr
   | As_nop ->
-    Machine.Cpu.set_pc t.cpu (pc t + 2);
+    Machine.Exec.set_pc t.cpu (pc t + 2);
     finish_step t ~duration:1 Machine.Exec.Running
-  | Fetch_word w -> execute_counted t (Thumb.Decode.of_word w)
+  | Fetch_word w -> execute_counted t Thumb.Decode.table.(w)
   | Load_value v ->
     let result = execute_counted t instr in
     (match (result, load_destination instr) with
-    | Machine.Exec.Running, Some rd -> Machine.Cpu.set t.cpu rd v
+    | Machine.Exec.Running, Some rd -> Machine.Exec.set t.cpu rd v
     | (Machine.Exec.Running | Machine.Exec.Stopped _), _ -> ());
     result
   | Load_mangle f ->
     let result = execute_counted t instr in
     (match (result, load_destination instr) with
     | Machine.Exec.Running, Some rd ->
-      Machine.Cpu.set t.cpu rd (f (Machine.Cpu.get t.cpu rd))
+      Machine.Exec.set t.cpu rd (f (Machine.Exec.get t.cpu rd))
     | (Machine.Exec.Running | Machine.Exec.Stopped _), _ -> ());
     result
   | Z_flip ->
@@ -262,7 +262,7 @@ let step_fetched t applied instr =
     | Machine.Exec.Stopped _ -> ());
     result
   | Pc_set target ->
-    Machine.Cpu.set_pc t.cpu target;
+    Machine.Exec.set_pc t.cpu target;
     finish_step t ~duration:1 Machine.Exec.Running
 
 let step ?(applied = Normal) t =

@@ -23,17 +23,6 @@ let reset ~sp ~pc t =
   t.c <- false;
   t.v <- false
 
-let get t r =
-  let i = Thumb.Reg.to_int r in
-  if i = 15 then mask32 (t.regs.(15) + 4) else t.regs.(i)
-
-let set t r v =
-  let i = Thumb.Reg.to_int r in
-  if i = 15 then t.regs.(15) <- mask32 v land lnot 1 else t.regs.(i) <- mask32 v
-
-let pc t = t.regs.(15)
-let set_pc t v = t.regs.(15) <- mask32 v land lnot 1
-
 let copy t = { t with regs = Array.copy t.regs }
 
 let pp ppf t =
@@ -46,20 +35,3 @@ let pp ppf t =
     (if t.z then 'Z' else '-')
     (if t.c then 'C' else '-')
     (if t.v then 'V' else '-')
-
-let condition_holds t (c : Thumb.Instr.cond) =
-  match c with
-  | EQ -> t.z
-  | NE -> not t.z
-  | CS -> t.c
-  | CC -> not t.c
-  | MI -> t.n
-  | PL -> not t.n
-  | VS -> t.v
-  | VC -> not t.v
-  | HI -> t.c && not t.z
-  | LS -> (not t.c) || t.z
-  | GE -> t.n = t.v
-  | LT -> t.n <> t.v
-  | GT -> (not t.z) && t.n = t.v
-  | LE -> t.z || t.n <> t.v

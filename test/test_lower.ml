@@ -18,7 +18,7 @@ let run_machine (m : Ir.modul) =
   let t = Lower.Layout.load image in
   match Machine.Exec.run ~max_steps:2_000_000 t.mem t.cpu with
   | Machine.Exec.Breakpoint 0 ->
-    let r0 = Machine.Cpu.get t.cpu Thumb.Reg.r0 in
+    let r0 = Machine.Exec.get t.cpu Thumb.Reg.r0 in
     let global name =
       match
         Machine.Memory.read_u32 t.mem (List.assoc name image.global_addrs)

@@ -12,7 +12,7 @@ let run_asm ?max_steps src =
   let stop = Exec.run ?max_steps t.mem t.cpu in
   (stop, t.cpu, t)
 
-let reg cpu r = Cpu.get cpu (Thumb.Reg.of_int r)
+let reg cpu r = Exec.get cpu (Thumb.Reg.of_int r)
 
 (* --- memory ------------------------------------------------------------- *)
 
@@ -374,7 +374,7 @@ let zero_rule () =
   Alcotest.check stop_testable "refused" (Exec.Invalid_instruction 0)
     (Exec.run ~zero_is_invalid:true t.mem t.cpu);
   Alcotest.(check int) "stopped at the zero word" (t.layout.flash_base + 4)
-    (Cpu.pc t.cpu);
+    (Exec.pc t.cpu);
   Alcotest.(check bool) "N still set" true t.cpu.n;
   let t = load () in
   Alcotest.check stop_testable "executed" (Exec.Breakpoint 0) (Exec.run t.mem t.cpu);
@@ -501,7 +501,7 @@ let prop_step_total =
       let t =
         Loader.load_instrs [ Thumb.Decode.instr word; Thumb.Instr.Bkpt 0 ]
       in
-      Cpu.set t.cpu Thumb.Reg.r0 r0;
+      Exec.set t.cpu Thumb.Reg.r0 r0;
       match Exec.run ~max_steps:16 t.mem t.cpu with
       | (_ : Exec.stop) -> true)
 
@@ -521,7 +521,7 @@ let prop_branch_target =
       ignore (Exec.step t.mem t.cpu);
       ignore (Exec.step t.mem t.cpu);
       ignore (Exec.step t.mem t.cpu);
-      Cpu.pc t.cpu = base + 4 + 4 + (2 * off))
+      Exec.pc t.cpu = base + 4 + 4 + (2 * off))
 
 (* --- property: ADD/SUB flags agree with wide-integer reference ---------- *)
 
@@ -540,7 +540,7 @@ let prop_adds_flags =
       in
       let stop = Exec.run t.mem t.cpu in
       stop = Exec.Breakpoint 0
-      && Cpu.get t.cpu Thumb.Reg.r0 = (a + b) land 0xFFFFFFFF
+      && Exec.get t.cpu Thumb.Reg.r0 = (a + b) land 0xFFFFFFFF
       && t.cpu.z = ((a + b) land 0xFFFFFFFF = 0)
       && t.cpu.n = ((a + b) land 0x80000000 <> 0))
 
@@ -555,6 +555,85 @@ let prop_cmp_eq_iff_equal =
       in
       let (_ : Exec.stop) = Exec.run t.mem t.cpu in
       t.cpu.z = (a = b))
+
+(* --- differential: Exec against the reference executor ------------------- *)
+
+(* Every halfword [Thumb.Decode.table] holds, plus the zero rule's
+   [Undefined 0], executed by [Exec.execute] and by [Exec_oracle.execute]
+   (the executor before the register rules moved into [Exec]), each on
+   its own copy of one seeded machine state: r0-r15 drawn from raw
+   words, SRAM addresses and small values, PC in flash, SP in SRAM,
+   random NZCV, random flash and SRAM bytes on the snippet layout. Both
+   memories journal their stores, so equal journals plus equal bytes at
+   the journaled addresses mean equal memory; undoing the journal puts
+   the state back for the next word. *)
+let exec_matches_oracle () =
+  let layout = Loader.snippet_layout in
+  let instrs =
+    Array.append Thumb.Decode.table [| Exec.decode ~zero_is_invalid:true 0 |]
+  in
+  let a = Loader.load_instrs ~layout [] and b = Loader.load_instrs ~layout [] in
+  let check_state seed =
+    let rng = Random.State.make [| seed |] in
+    let word () = Int32.to_int (Random.State.bits32 rng) land 0xFFFFFFFF in
+    let in_sram () = layout.sram_base + (4 * Random.State.int rng (layout.sram_size / 4)) in
+    let regs =
+      Array.init 16 (fun _ ->
+          match Random.State.int rng 3 with
+          | 0 -> word ()
+          | 1 -> in_sram ()
+          | _ -> Random.State.int rng 256)
+    in
+    regs.(13) <- in_sram ();
+    regs.(15) <- layout.flash_base + (2 * Random.State.int rng (layout.flash_size / 2));
+    let flags = Array.init 4 (fun _ -> Random.State.bool rng) in
+    let fill addr size =
+      let bytes = Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+      Memory.load_bytes a.mem ~addr bytes;
+      Memory.load_bytes b.mem ~addr bytes
+    in
+    Memory.detach_journal a.mem;
+    Memory.detach_journal b.mem;
+    fill layout.flash_base layout.flash_size;
+    fill layout.sram_base layout.sram_size;
+    let ja = Memory.journal_create () and jb = Memory.journal_create () in
+    Memory.attach_journal a.mem ja;
+    Memory.attach_journal b.mem jb;
+    let set_state (cpu : Cpu.t) =
+      Array.blit regs 0 cpu.regs 0 16;
+      cpu.n <- flags.(0);
+      cpu.z <- flags.(1);
+      cpu.c <- flags.(2);
+      cpu.v <- flags.(3)
+    in
+    Array.iteri
+      (fun w instr ->
+        set_state a.cpu;
+        set_state b.cpu;
+        let got = Exec.execute a.mem a.cpu instr in
+        let want = Exec_oracle.execute b.mem b.cpu instr in
+        let fail what =
+          Alcotest.failf "seed %d, word 0x%04x (%a): %s differs" seed w
+            Thumb.Instr.pp instr what
+        in
+        if got <> want then fail "step result";
+        if a.cpu.regs <> b.cpu.regs then fail "registers";
+        if a.cpu.n <> b.cpu.n || a.cpu.z <> b.cpu.z || a.cpu.c <> b.cpu.c
+           || a.cpu.v <> b.cpu.v
+        then fail "flags";
+        let n = Memory.journal_length ja in
+        if n <> Memory.journal_length jb then fail "store count";
+        for i = 0 to n - 1 do
+          let ((addr, _) as entry) = Memory.journal_entry ja i in
+          if entry <> Memory.journal_entry jb i
+             || Memory.read_u8_exn a.mem addr <> Memory.read_u8_exn b.mem addr
+          then fail "memory"
+        done;
+        Memory.undo_to a.mem ja 0;
+        Memory.undo_to b.mem jb 0)
+      instrs
+  in
+  List.iter check_state [ 1; 2; 3; 4 ]
 
 let () =
   let props =
@@ -602,4 +681,7 @@ let () =
          Alcotest.test_case "paper loop spins" `Quick paper_while_not_a_loops_forever;
          Alcotest.test_case "glitched beq exits" `Quick glitched_beq_exits_loop;
          Alcotest.test_case "zero rule" `Quick zero_rule ]);
+      ( "oracle",
+        [ Alcotest.test_case "exec agrees with the oracle on every halfword"
+            `Quick exec_matches_oracle ] );
       ("properties", props) ]
