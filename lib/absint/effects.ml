@@ -11,7 +11,7 @@ let sp_bit = 1 lsl 13
 let lr_bit = 1 lsl 14
 let pc_bit = 1 lsl 15
 
-(* NZCV bit codes, matching the Exhaust.State key flag byte. *)
+(* NZCV bit codes, matching the Machine.State key flag byte. *)
 let fn = 8
 let fz = 4
 let fc = 2

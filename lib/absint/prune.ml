@@ -60,21 +60,18 @@ let create ~steps ~terminating ~settle ~end_verdict ~no_effect_ok
 
 let proved ctx = Atomic.get ctx.proved
 
-(* State keys are exact serializations (Exhaust.State): r0..r15 as 4
-   bytes LE each, one NZCV byte, then live-and-dirty memory. Equal
-   suffix <=> identical memory. *)
-let regs_bytes = 64
-let flag_index = 64
-let header = 65
-
 (* Bytes [i, len) of [base] and [fault] agree. *)
 let rec tail_equal base fault len i =
   i = len || (base.[i] = Bytes.get fault i && tail_equal base fault len (i + 1))
 
 (* Diff the baseline key against the post-fault key held in the first
    [len] bytes of [fault] into a (reg mask, flag mask) taint seed; None
-   when the damage is not representable (PC or memory differs). *)
+   when the damage is not representable (PC or memory differs). Keys
+   are exact serializations (Machine.State): r0..r15 as 4 bytes LE
+   each, one NZCV byte, then live-and-dirty memory. Equal suffix <=>
+   identical memory. *)
 let seed base fault len =
+  let header = Machine.State.header_bytes in
   if String.length base < header || len < header then None
   else if String.length base <> len || not (tail_equal base fault len header) then
     (* memory tails must be bit-identical *)
@@ -90,7 +87,8 @@ let seed base fault len =
         || base.[off + 3] <> Bytes.get fault (off + 3)
       then regs := !regs lor (1 lsl i)
     done;
-    let flags = Char.code base.[flag_index] lxor Bytes.get_uint8 fault flag_index in
+    let at = Machine.State.flags_offset in
+    let flags = Char.code base.[at] lxor Bytes.get_uint8 fault at in
     if !regs land (1 lsl 15) <> 0 then None  (* control already diverged *)
     else Some (!regs land 0xFFFF, flags land 0xF)
   end

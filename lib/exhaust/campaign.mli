@@ -12,7 +12,7 @@
     after the injected step (the classifier reads only the final state
     and per-run constants, and the settle budget is one per-run
     constant), so identical post-fault states share one continuation
-    through a {!Runtime.Keymap} keyed on canonical {!State} keys —
+    through a {!Runtime.Keymap} keyed on canonical {!Machine.State} keys —
     exact serializations, so sharing can never merge distinct states.
     Baseline states are pre-seeded when their verdict is provable
     without running. All sharing flows through the one shared map, so

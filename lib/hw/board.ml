@@ -18,14 +18,14 @@ type scalars = {
 
 type snapshot = { s_mem : Machine.Memory.snapshot; s_scalars : scalars }
 
-(* A sealed board journals every RAM store since it last stood at
+(* A sealed board tracks every RAM store since it last stood at
    [sealed]; undoing the whole journal puts memory back there. A
    whole-image reset or restore bypasses the journal, so it detaches it
-   ([journal = None]) and the next rewind re-blits once and re-attaches
-   a fresh one. *)
+   ([tracker = None]) and the next rewind re-blits once and seals a
+   fresh tracker. *)
 type seal = {
   sealed : snapshot;
-  mutable journal : Machine.Memory.journal option;
+  mutable tracker : Machine.State.t option;
 }
 
 type t = {
@@ -76,7 +76,7 @@ let unjournal t =
   match t.seal with
   | Some s ->
     Machine.Memory.detach_journal t.mem;
-    s.journal <- None
+    s.tracker <- None
   | None -> ()
 
 let reset t =
@@ -327,54 +327,37 @@ let restore t snap =
 let rewind t snap =
   match t.seal with
   | Some s when s.sealed == snap ->
-    (match s.journal with
-    | Some j -> Machine.Memory.undo_to t.mem j 0
+    (match s.tracker with
+    | Some st -> Machine.State.undo_to st 0
     | None ->
       Machine.Memory.restore t.mem snap.s_mem;
-      let j = Machine.Memory.journal_create () in
-      Machine.Memory.attach_journal t.mem j;
-      s.journal <- Some j);
+      s.tracker <- Some (Machine.State.seal ~mem:t.mem ~cpu:t.cpu));
     set_scalars t snap.s_scalars
   | Some _ | None -> restore t snap
 
 let seal t snap =
-  t.seal <- Some { sealed = snap; journal = None };
+  t.seal <- Some { sealed = snap; tracker = None };
   rewind t snap
 
 let journal_length t =
   match t.seal with
-  | Some { journal = Some j; _ } -> Machine.Memory.journal_length j
-  | Some { journal = None; _ } | None -> 0
+  | Some { tracker = Some st; _ } -> Machine.State.mark st
+  | Some { tracker = None; _ } | None -> 0
 
-(* A delta packs each written byte as [(addr lsl 16) lor (before lsl 8)
-   lor after], ascending by address: [before] is the byte at the seal
-   (the oldest journal pre-image), [after] its value at capture. *)
+(* [written] is [Machine.State.written] at capture. *)
 type delta = { written : int array; d_scalars : scalars }
 
 let delta t =
   match t.seal with
-  | Some { journal = Some j; _ } ->
-    let before = Hashtbl.create 64 in
-    (* newest first, so each address keeps its oldest pre-image *)
-    for i = Machine.Memory.journal_length j - 1 downto 0 do
-      let addr, old = Machine.Memory.journal_entry j i in
-      Hashtbl.replace before addr old
-    done;
-    let pack addr old acc =
-      let now = Machine.Memory.read_u8_exn t.mem addr in
-      ((addr lsl 16) lor (old lsl 8) lor now) :: acc
-    in
-    let written = List.sort compare (Hashtbl.fold pack before []) in
-    { written = Array.of_list written; d_scalars = scalars t }
-  | Some { journal = None; _ } | None ->
+  | Some { tracker = Some st; _ } ->
+    { written = Machine.State.written st; d_scalars = scalars t }
+  | Some { tracker = None; _ } | None ->
     invalid_arg "Board.delta: board not sealed"
 
+let written d = d.written
+
 let apply_delta t d =
-  let changed_only = Mutant.is Cutoff_delta in
   Array.iter
-    (fun p ->
-      let v = p land 0xFF in
-      if not (changed_only && v = (p lsr 8) land 0xFF) then
-        Machine.Memory.write_u8_exn t.mem (p lsr 16) v)
+    (fun p -> Machine.Memory.write_u8_exn t.mem (p lsr 16) (p land 0xFF))
     d.written;
   set_scalars t d.d_scalars

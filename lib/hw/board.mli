@@ -122,8 +122,8 @@ val restore : t -> snapshot -> unit
 
 (** {2 Journaled rewind}
 
-    The attack rigs' restore path, on the write journal of
-    {!Machine.Memory}. *)
+    The attack rigs' restore path, on a {!Machine.State} tracker over
+    the write journal of {!Machine.Memory}. *)
 
 val seal : t -> snapshot -> unit
 (** Restore [snap] in full once, then journal every RAM store so that
@@ -147,6 +147,9 @@ type delta
 val delta : t -> delta
 (** Capture the write set of a sealed board's journal.
     @raise Invalid_argument if [t] is not sealed with a live journal. *)
+
+val written : delta -> int array
+(** The delta's write set, packed as {!Machine.State.written}. *)
 
 val apply_delta : t -> delta -> unit
 (** Write every byte of the delta's write set (through the journal, when

@@ -3,20 +3,15 @@ type t =
   | Sigcfi_checks
   | Domains_checks
   | Absint_taint
-  | State_key_byte
-  | Cutoff_delta
 
 let all =
-  [ Branches_complement; Sigcfi_checks; Domains_checks; Absint_taint;
-    State_key_byte; Cutoff_delta ]
+  [ Branches_complement; Sigcfi_checks; Domains_checks; Absint_taint ]
 
 let name = function
   | Branches_complement -> "branches-complement"
   | Sigcfi_checks -> "sigcfi-checks"
   | Domains_checks -> "domains-checks"
   | Absint_taint -> "absint-taint"
-  | State_key_byte -> "state-key-byte"
-  | Cutoff_delta -> "cutoff-delta"
 
 let slot : t option Atomic.t = Atomic.make None
 

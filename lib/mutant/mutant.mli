@@ -5,7 +5,9 @@
 
     At most one mutant is armed at a time, process-wide, through one
     atomic slot. Production code asks {!is} at the one place its defect
-    lives; nothing is armed unless a caller runs under {!with_}. *)
+    lives; nothing is armed unless a caller runs under {!with_}. Defects
+    on hot paths, where that read would cost time, are source patches
+    in [test/mutants/] instead. *)
 
 type t =
   | Branches_complement
@@ -17,22 +19,13 @@ type t =
   | Absint_taint
       (** The static pre-pruner's transfer function drops all fault
           taint, so it "proves" continuations it never tracked. *)
-  | State_key_byte
-      (** [Exhaust.State.build_key] omits the lowest-address live
-          byte that differs from pristine, so states differing only
-          there share one key. *)
-  | Cutoff_delta
-      (** [Hw.Board.apply_delta] (the dead-schedule cutoff) writes only
-          the bytes whose end value differs from the trigger snapshot,
-          so a byte the baseline wrote and later wrote back stays stale
-          when the cutoff fires between the two stores. *)
 
 val all : t list
 (** Every mutant, in declaration order. *)
 
 val name : t -> string
 (** Kebab-case name, as the [--mutant] option and corpus headers
-    spell it ([branches-complement], [state-key-byte], ...). *)
+    spell it ([branches-complement], [absint-taint], ...). *)
 
 val is : t -> bool
 (** [is m]: [m] is the armed mutant. *)

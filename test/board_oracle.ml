@@ -96,3 +96,20 @@ let writeback_cutoff () =
   in
   if obs.fired > 0 then Alcotest.fail "the write-back window fired";
   (obs.replayed_cycles - trigger_cycle, mismatch)
+
+(* [Board.delta]'s write set as the board computed it before it moved
+   onto [Machine.State]: a scan of the whole journal [j] over [mem],
+   each address packed once with its oldest pre-image, as
+   [(addr lsl 16) lor (before lsl 8) lor after], ascending by address. *)
+let journal_delta mem j =
+  let before = Hashtbl.create 64 in
+  (* newest first, so each address keeps its oldest pre-image *)
+  for i = Machine.Memory.journal_length j - 1 downto 0 do
+    let addr, old = Machine.Memory.journal_entry j i in
+    Hashtbl.replace before addr old
+  done;
+  let pack addr old acc =
+    let now = Machine.Memory.read_u8_exn mem addr in
+    ((addr lsl 16) lor (old lsl 8) lor now) :: acc
+  in
+  Array.of_list (List.sort compare (Hashtbl.fold pack before []))

@@ -24,64 +24,64 @@ let seal_rig () =
   let mem = Machine.Memory.create () in
   Machine.Memory.map mem ~addr:sram ~size:0x100;
   let cpu = Machine.Cpu.create ~sp:(sram + 0xF0) ~pc:sram () in
-  Exhaust.State.seal ~mem ~cpu
+  Machine.State.seal ~mem ~cpu
 
 let test_state_key_stable_across_undo () =
   let rig = seal_rig () in
-  let mem = Exhaust.State.mem rig in
-  let k0 = Exhaust.State.key rig in
+  let mem = Machine.State.mem rig in
+  let k0 = Machine.State.key rig in
   for round = 1 to 3 do
-    let m = Exhaust.State.mark rig in
+    let m = Machine.State.mark rig in
     Machine.Memory.write_u8_exn mem (sram + 0x10) (0x40 + round);
     Machine.Memory.write_u32_exn mem (sram + 0x20) 0xDEADBEEF;
     Alcotest.(check bool)
       (Printf.sprintf "round %d: dirty state has a different key" round)
       false
-      (String.equal k0 (Exhaust.State.key rig));
-    Exhaust.State.undo_to rig m;
+      (String.equal k0 (Machine.State.key rig));
+    Machine.State.undo_to rig m;
     Alcotest.(check string)
       (Printf.sprintf "round %d: key restored after undo" round)
-      k0 (Exhaust.State.key rig)
+      k0 (Machine.State.key rig)
   done
 
 let test_state_key_ignores_same_value_write () =
   let rig = seal_rig () in
-  let mem = Exhaust.State.mem rig in
-  let k0 = Exhaust.State.key rig in
+  let mem = Machine.State.mem rig in
+  let k0 = Machine.State.key rig in
   (* writing a byte's pristine value back dirties the journal but not
      the state: the key only encodes bytes that differ from pristine *)
   Machine.Memory.write_u8_exn mem (sram + 8) 0;
   Alcotest.(check string) "pristine-value write leaves the key" k0
-    (Exhaust.State.key rig);
+    (Machine.State.key rig);
   Machine.Memory.write_u8_exn mem (sram + 8) 7;
-  let k1 = Exhaust.State.key rig in
+  let k1 = Machine.State.key rig in
   Alcotest.(check bool) "real write changes the key" false
     (String.equal k0 k1);
   Machine.Memory.write_u8_exn mem (sram + 8) 0;
   Alcotest.(check string) "writing the pristine value back reverts the key"
-    k0 (Exhaust.State.key rig)
+    k0 (Machine.State.key rig)
 
 let test_state_key_register_sensitivity () =
   let rig = seal_rig () in
-  let cpu = Exhaust.State.cpu rig in
-  let k0 = Exhaust.State.key rig in
+  let cpu = Machine.State.cpu rig in
+  let k0 = Machine.State.key rig in
   for r = 0 to 15 do
     let saved = cpu.Machine.Cpu.regs.(r) in
     cpu.Machine.Cpu.regs.(r) <- saved lxor 0x1000;
     Alcotest.(check bool)
       (Printf.sprintf "r%d is part of the key" r)
       false
-      (String.equal k0 (Exhaust.State.key rig));
+      (String.equal k0 (Machine.State.key rig));
     cpu.Machine.Cpu.regs.(r) <- saved;
     Alcotest.(check string)
       (Printf.sprintf "r%d restored restores the key" r)
-      k0 (Exhaust.State.key rig)
+      k0 (Machine.State.key rig)
   done
 
 let test_state_key_flag_sensitivity () =
   let rig = seal_rig () in
-  let cpu = Exhaust.State.cpu rig in
-  let k0 = Exhaust.State.key rig in
+  let cpu = Machine.State.cpu rig in
+  let k0 = Machine.State.key rig in
   let flags =
     [ ("n", fun v -> cpu.Machine.Cpu.n <- v);
       ("z", fun v -> cpu.Machine.Cpu.z <- v);
@@ -94,59 +94,59 @@ let test_state_key_flag_sensitivity () =
       Alcotest.(check bool)
         (Printf.sprintf "flag %s is part of the key" name)
         false
-        (String.equal k0 (Exhaust.State.key rig));
+        (String.equal k0 (Machine.State.key rig));
       set false;
       Alcotest.(check string)
         (Printf.sprintf "flag %s cleared restores the key" name)
-        k0 (Exhaust.State.key rig))
+        k0 (Machine.State.key rig))
     flags
 
 let test_state_key_distinct_dirty_bytes () =
   let rig = seal_rig () in
-  let mem = Exhaust.State.mem rig in
-  let m = Exhaust.State.mark rig in
+  let mem = Machine.State.mem rig in
+  let m = Machine.State.mark rig in
   Machine.Memory.write_u8_exn mem (sram + 0x30) 1;
-  let ka = Exhaust.State.key rig in
-  Exhaust.State.undo_to rig m;
+  let ka = Machine.State.key rig in
+  Machine.State.undo_to rig m;
   Machine.Memory.write_u8_exn mem (sram + 0x31) 1;
-  let kb = Exhaust.State.key rig in
+  let kb = Machine.State.key rig in
   Alcotest.(check bool) "same byte at a different address, different key"
     false (String.equal ka kb)
 
 let test_state_save_restore_regs () =
   let rig = seal_rig () in
-  let cpu = Exhaust.State.cpu rig in
+  let cpu = Machine.State.cpu rig in
   let scratch = Array.make 16 0 in
   cpu.Machine.Cpu.regs.(3) <- 0x33;
   cpu.Machine.Cpu.n <- true;
-  let k0 = Exhaust.State.key rig in
-  let flags = Exhaust.State.save_regs rig scratch in
+  let k0 = Machine.State.key rig in
+  let flags = Machine.State.save_regs rig scratch in
   cpu.Machine.Cpu.regs.(3) <- 0x44;
   cpu.Machine.Cpu.regs.(11) <- 0x55;
   cpu.Machine.Cpu.n <- false;
   cpu.Machine.Cpu.c <- true;
-  Exhaust.State.restore_regs rig scratch flags;
+  Machine.State.restore_regs rig scratch flags;
   Alcotest.(check string) "save/restore round-trips the key" k0
-    (Exhaust.State.key rig)
+    (Machine.State.key rig)
 
 let test_state_live_set_follows_undo () =
   let rig = seal_rig () in
-  let mem = Exhaust.State.mem rig in
+  let mem = Machine.State.mem rig in
   Machine.Memory.write_u8_exn mem (sram + 4) 1;
-  Alcotest.(check int) "baseline write is live" 1 (Exhaust.State.touched_bytes rig);
-  let m = Exhaust.State.mark rig in
+  Alcotest.(check int) "baseline write is live" 1 (Machine.State.touched_bytes rig);
+  let m = Machine.State.mark rig in
   Machine.Memory.write_u16_exn mem (sram + 8) 0x0303;
   Machine.Memory.write_u8_exn mem (sram + 4) 2;
   Alcotest.(check int) "continuation writes are live" 3
-    (Exhaust.State.touched_bytes rig);
-  Exhaust.State.undo_to rig m;
+    (Machine.State.touched_bytes rig);
+  Machine.State.undo_to rig m;
   Alcotest.(check int) "undo drops addresses first written after the mark" 1
-    (Exhaust.State.touched_bytes rig);
+    (Machine.State.touched_bytes rig);
   (* the same, for writes no key or count has looked at yet *)
   Machine.Memory.write_u32_exn mem (sram + 12) 0x04040404;
-  Exhaust.State.undo_to rig m;
+  Machine.State.undo_to rig m;
   Alcotest.(check int) "unabsorbed writes never become live" 1
-    (Exhaust.State.touched_bytes rig)
+    (Machine.State.touched_bytes rig)
 
 (* --- property: State.key == a full scan against a seal-time snapshot ------ *)
 
@@ -236,11 +236,11 @@ let prop_key_equals_full_scan =
           done)
         key_regions;
       let cpu = Machine.Cpu.create ~sp:(sram + 0x10) ~pc:sram () in
-      let rig = Exhaust.State.seal ~mem ~cpu in
+      let rig = Machine.State.seal ~mem ~cpu in
       let pristine = map () in
       Machine.Memory.restore pristine (Machine.Memory.snapshot mem);
       let marks = ref [] in
-      let check () = String.equal (Exhaust.State.key rig) (reference_key mem pristine cpu) in
+      let check () = String.equal (Machine.State.key rig) (reference_key mem pristine cpu) in
       List.for_all
         (fun op ->
           (match op with
@@ -251,12 +251,12 @@ let prop_key_equals_full_scan =
             let a = slot_addr i in
             Machine.Memory.write_u8_exn mem a (Machine.Memory.read_u8_exn pristine a)
           | Reg (r, v) -> cpu.regs.(r) <- v
-          | Mark -> marks := Exhaust.State.mark rig :: !marks
+          | Mark -> marks := Machine.State.mark rig :: !marks
           | Undo i -> (
             match List.filteri (fun j _ -> j >= i mod max 1 (List.length !marks)) !marks with
             | [] -> ()
             | m :: older ->
-              Exhaust.State.undo_to rig m;
+              Machine.State.undo_to rig m;
               marks := older)
           | Check -> ());
           op <> Check || check ())
@@ -289,7 +289,19 @@ let test_keymap_collisions_kept_apart () =
     (Runtime.Keymap.count m);
   Alcotest.check_raises "negative verdicts rejected"
     (Invalid_argument "Keymap.add: negative value") (fun () ->
-      Runtime.Keymap.add m "state-d" (-1))
+      Runtime.Keymap.add m "state-d" (-1));
+  (* equal full hashes: the hash folds each 8-byte word in as a 63-bit
+     int, so on a little-endian host two keys that differ only in the
+     top bit of their last byte hash alike, and only the key compare
+     tells them apart *)
+  let low = String.make 8 '\000' in
+  let high = String.make 7 '\000' ^ "\128" in
+  Runtime.Keymap.add m low 7;
+  Runtime.Keymap.add m high 9;
+  Alcotest.(check (option int)) "equal-hash keys kept apart" (Some 7)
+    (Runtime.Keymap.find m low);
+  Alcotest.(check (option int)) "equal-hash keys kept apart" (Some 9)
+    (Runtime.Keymap.find m high)
 
 (* --- Memory write journal ------------------------------------------------- *)
 

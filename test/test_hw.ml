@@ -661,6 +661,115 @@ let rewind_after_reset () =
     true
     (one_attempt > 0 && one_attempt < 1024)
 
+(* Board.delta against the journal scan it replaced. A sealed board
+   runs a random list of byte stores into eight bytes of its stack fill
+   (about half of them storing the sealed byte back) under random
+   steps, rewinds and resets. A shadow memory holding the same eight
+   sealed bytes takes the same journaled stores, and after every op the
+   board's write set must equal [Board_oracle.journal_delta] over the
+   shadow: every address written since the seal, once, also when its
+   byte is back at the sealed value. After a reset the board has no
+   live journal, and [delta] must refuse. *)
+let prop_delta_matches_journal_scan =
+  (* the stack fill under [sp - 32], from [sp - 32] up *)
+  let sealed = [| 0x55; 0x00; 0x68; 0xFF; 0x08; 0x00; 0x55; 0x01 |] in
+  let base = 0x20003FE8 - 32 in
+  let flash_base = Machine.Loader.stm32_layout.flash_base in
+  let prologue =
+    [ "movs r1, #0x48"; "lsls r1, r1, #24"; "adds r1, #0x28"; "movs r2, #1";
+      "str r2, [r1, #0]"; "mov r3, sp"; "subs r3, #32" ]
+  in
+  let program stores =
+    String.concat "\n"
+      (prologue
+      @ List.concat_map
+          (fun (off, v) ->
+            [ Printf.sprintf "movs r2, #%d" v;
+              Printf.sprintf "strb r2, [r3, #%d]" off ])
+          stores
+      @ [ "bkpt #0" ])
+  in
+  let store =
+    QCheck.Gen.(
+      int_bound 7 >>= fun off ->
+      map (fun v -> (off, v)) (oneof [ return sealed.(off); int_bound 255 ]))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun k -> `Step k) (int_range 1 4));
+          (2, return `Rewind);
+          (1, return `Reset) ])
+  in
+  let print (stores, ops) =
+    String.concat " "
+      (List.map (fun (off, v) -> Printf.sprintf "[%d]=%d" off v) stores
+      @ "|"
+        :: List.map
+             (function
+               | `Step k -> Printf.sprintf "step%d" k
+               | `Rewind -> "rewind"
+               | `Reset -> "reset")
+             ops)
+  in
+  QCheck.Test.make ~name:"Board.delta = journal scan" ~count:1000
+    (QCheck.make ~print
+       QCheck.Gen.(
+         pair (list_size (int_range 1 12) store) (list_size (int_range 1 30) op)))
+    (fun (stores, ops) ->
+      let stores_a = Array.of_list stores in
+      let board = Board.create (Board.Asm (program stores)) in
+      if not (Board.run_until_trigger ~max_cycles:300 board) then
+        QCheck.Test.fail_report "never triggered";
+      let snap = Board.snapshot board in
+      Board.seal board snap;
+      let shadow = Machine.Memory.create () in
+      Machine.Memory.map shadow ~addr:base ~size:8;
+      let journal = ref None in
+      let reseal () =
+        Array.iteri (fun i b -> Machine.Memory.write_u8_exn shadow (base + i) b)
+          sealed;
+        let j = Machine.Memory.journal_create () in
+        Machine.Memory.attach_journal shadow j;
+        journal := Some j
+      in
+      reseal ();
+      (* store [i]'s [strb] is instruction [List.length prologue + 2i + 1] *)
+      let step () =
+        let i = ((Board.pc board - flash_base) / 2) - List.length prologue in
+        match Board.step board with
+        | Machine.Exec.Running when i >= 0 && i land 1 = 1 && !journal <> None ->
+          let off, v = stores_a.(i / 2) in
+          Machine.Memory.write_u8_exn shadow (base + off) v
+        | Machine.Exec.Running | Machine.Exec.Stopped _ -> ()
+      in
+      let agrees () =
+        match !journal with
+        | Some j ->
+          Board.written (Board.delta board) = Board_oracle.journal_delta shadow j
+        | None -> (
+          match Board.delta board with
+          | _ -> false
+          | exception Invalid_argument _ -> true)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Step k -> for _ = 1 to k do step () done
+          | `Rewind ->
+            Board.rewind board snap;
+            (match !journal with
+            | Some j -> Machine.Memory.undo_to shadow j 0
+            | None -> reseal ())
+          | `Reset ->
+            Board.reset board;
+            Machine.Memory.detach_journal shadow;
+            journal := None);
+          agrees ()
+          || QCheck.Test.fail_reportf "write sets differ after %s"
+               (print ([], [ op ])))
+        ops)
+
 let tie_break_uses_absolute_cycles () =
   (* Two windows overlap the same instruction: window [b] (trigger 0,
      far ext_offset) opens at absolute cycle 100, window [a] (trigger 1,
@@ -945,7 +1054,8 @@ let () =
          Alcotest.test_case "rig full-state differential" `Slow
            rig_full_state_differential;
          Alcotest.test_case "cutoff write-back" `Quick writeback_cutoff_regression;
-         Alcotest.test_case "rewind after reset" `Quick rewind_after_reset ]);
+         Alcotest.test_case "rewind after reset" `Quick rewind_after_reset;
+         Qseed.to_alcotest prop_delta_matches_journal_scan ]);
       ("paper-shapes",
        [ Alcotest.test_case "table 1" `Slow table1_shape;
          Alcotest.test_case "table 1 golden totals" `Slow table1_golden_totals;
