@@ -163,8 +163,7 @@ let fig2x ?pool () =
   in
   let riscv_rates flip =
     let results =
-      List.map
-        (Riscv.Campaign.run_case (Riscv.Campaign.default_config flip))
+      List.map (Riscv.Campaign.run_case flip)
         Riscv.Campaign.all_conditional_branches
     in
     let n = float_of_int (List.length results) in

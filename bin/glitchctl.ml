@@ -304,9 +304,7 @@ let emulate_cmd =
         exit_input
       | Some cond ->
         let case = Riscv.Campaign.conditional_branch cond in
-        let result =
-          Riscv.Campaign.run_case (Riscv.Campaign.default_config model) case
-        in
+        let result = Riscv.Campaign.run_case model case in
         Fmt.pr "%s under %s (sampled masks):@." case.name
           (Glitch_emu.Fault_model.name model);
         print_categories (Riscv.Campaign.category_percent result);

@@ -24,10 +24,7 @@ let () =
       in
       let escaped = Hw.Attack.escaped board obs in
       if escaped then hits := (!width, !offset) :: !hits;
-      let e =
-        Hw.Susceptibility.landscape Hw.Susceptibility.default ~width:!width
-          ~offset:!offset
-      in
+      let e = Hw.Susceptibility.landscape ~width:!width ~offset:!offset in
       Buffer.add_char row
         (if escaped then '#'
          else if e > 1.0 then '+'

@@ -41,51 +41,6 @@ let classify ~old_word new_word =
   | ni ->
     if diverts (decode old_word) || diverts ni then Control else Benign
 
-(* The XOR sweep above toggles bits; real glitch characterisations are
-   mostly unidirectional (clock/voltage glitches clear bits — the And
-   model — while some technologies set them — Or). [classify_flip]
-   routes the perturbation through {!Glitch_emu.Fault_model.apply}, so
-   the same taxonomy covers all three models. A mask that leaves the
-   encoding unchanged (clearing zeros, setting ones) is Benign
-   outright: the fetched word is bit-for-bit the pristine one, and no
-   sweep can distinguish the run from the baseline. *)
-let classify_flip model ~mask ~old_word =
-  let old_word = old_word land 0xffff in
-  let new_word =
-    Glitch_emu.Fault_model.apply model ~mask old_word land 0xffff
-  in
-  if new_word = old_word then Benign else classify ~old_word new_word
-
-type flip_tally = {
-  f_control : int;
-  f_fault : int;
-  f_benign : int;
-  f_identity : int;
-      (** selections whose application left the word unchanged — a
-          subset of [f_benign] *)
-}
-
-let flip_surface model word =
-  let word = word land 0xffff in
-  let control = ref 0 and fault = ref 0 and benign = ref 0 in
-  let identity = ref 0 in
-  let consider bits =
-    let mask = Glitch_emu.Fault_model.mask_of_bits model ~width:16 bits in
-    if Glitch_emu.Fault_model.apply model ~mask word land 0xffff = word then
-      incr identity;
-    match classify_flip model ~mask ~old_word:word with
-    | Control -> incr control
-    | Fault -> incr fault
-    | Benign -> incr benign
-  in
-  for weight = 1 to 2 do
-    Glitch_emu.Bitmask.iter_of_weight ~width:16 ~weight consider
-  done;
-  { f_control = !control;
-    f_fault = !fault;
-    f_benign = !benign;
-    f_identity = !identity }
-
 type tally = { mutable control : int; mutable fault : int; mutable benign : int }
 
 let tally () = { control = 0; fault = 0; benign = 0 }

@@ -28,28 +28,6 @@ val diverts : Thumb.Instr.t -> bool
 
 val classify : old_word:int -> int -> verdict
 
-val classify_flip :
-  Glitch_emu.Fault_model.flip -> mask:int -> old_word:int -> verdict
-(** {!classify} generalized beyond XOR: the perturbed word is
-    [Fault_model.apply model ~mask old_word]. A selection that leaves
-    the encoding unchanged (And clearing zeros, Or setting ones) is
-    [Benign] outright — the dynamic sweep cannot distinguish such a run
-    from the baseline. The QCheck differential in
-    [test/test_analysis.ml] pins this against
-    {!Glitch_emu.Campaign.run_one} under all three models. *)
-
-type flip_tally = {
-  f_control : int;
-  f_fault : int;
-  f_benign : int;
-  f_identity : int;
-}
-
-val flip_surface : Glitch_emu.Fault_model.flip -> int -> flip_tally
-(** Verdict counts for one word over the 16 weight-1 and 120 weight-2
-    bit-selections of the model (the XOR column reproduces
-    {!profile_word}'s tallies). *)
-
 type profile = {
   addr : int;
   word : int;

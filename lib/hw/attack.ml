@@ -270,10 +270,10 @@ let rig_of_boot boot =
 let rig_board rig = rig.board
 let tally rig = rig.tally
 
-let attempt ?config ?nonce rig schedule =
+let attempt ?nonce rig schedule =
   let b = rig.boot in
   let obs =
-    Glitcher.run ?config ~max_cycles:b.b_max_cycles ?nonce ~from:b.b_snap
+    Glitcher.run ~max_cycles:b.b_max_cycles ?nonce ~from:b.b_snap
       ~baseline:b.b_baseline rig.board schedule
   in
   let t = rig.tally and replayed = obs.Glitcher.replayed_cycles in
@@ -285,7 +285,7 @@ let attempt ?config ?nonce rig schedule =
   obs
 
 (* Every attempt rewinds to the same trigger snapshot, so an item's
-   result depends only on (boot, item, fault config) — never on which
+   result depends only on (boot, item) — never on which
    rig ran it or in what order. Each worker claims items one at a time
    on its own rig; results are reassembled by index and the rigs'
    tallies summed, bit-identical at every job count. *)
@@ -300,10 +300,10 @@ let map_items ?pool ~boot f items =
     { (List.fold_left (fun s rig -> sweep_add s rig.tally) sweep_zero rigs) with
       boots = 1 } )
 
-let full_parameter_sweep ?config rig ~make_schedule ~classify =
+let full_parameter_sweep rig ~make_schedule ~classify =
   for width = -49 to 49 do
     for offset = -49 to 49 do
-      classify rig.board (attempt ?config rig (make_schedule ~width ~offset))
+      classify rig.board (attempt rig (make_schedule ~width ~offset))
     done
   done
 
@@ -320,12 +320,12 @@ type table1 = {
 
 let cycles = Array.init loop_cycles Fun.id
 
-let run_table1 ?pool ?config guard =
+let run_table1 ?pool guard =
   let cmp_reg = comparator guard in
   let run_cycle rig cycle =
     let successes = ref 0 in
     let values : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    full_parameter_sweep ?config rig
+    full_parameter_sweep rig
       ~make_schedule:(fun ~width ~offset ->
         [ Glitcher.single ~width ~offset ~ext_offset:cycle ])
       ~classify:(fun board obs ->
@@ -357,10 +357,10 @@ type table2 = {
   sweep2 : sweep;
 }
 
-let run_table2 ?pool ?config guard =
+let run_table2 ?pool guard =
   let run_cycle rig cycle =
     let partial = ref 0 and full = ref 0 in
-    full_parameter_sweep ?config rig
+    full_parameter_sweep rig
       ~make_schedule:(fun ~width ~offset ->
         [ Glitcher.single ~width ~offset ~ext_offset:cycle;
           { (Glitcher.single ~width ~offset ~ext_offset:cycle) with
@@ -387,10 +387,10 @@ type table3 = {
   sweep3 : sweep;
 }
 
-let run_table3 ?pool ?config guard =
+let run_table3 ?pool guard =
   let run_window rig last_cycle =
     let successes = ref 0 in
-    full_parameter_sweep ?config rig
+    full_parameter_sweep rig
       ~make_schedule:(fun ~width ~offset ->
         [ Glitcher.with_repeat
             (Glitcher.single ~width ~offset ~ext_offset:0)

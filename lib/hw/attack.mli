@@ -76,12 +76,7 @@ val rig_of_boot : boot -> rig
     {!Board.seal}ed on the boot's trigger snapshot: the one whole-image
     copy the rig ever makes. *)
 
-val attempt :
-  ?config:Susceptibility.config ->
-  ?nonce:int ->
-  rig ->
-  Glitcher.params list ->
-  Glitcher.observation
+val attempt : ?nonce:int -> rig -> Glitcher.params list -> Glitcher.observation
 (** One glitch attempt from the rig's trigger snapshot ({!Board.rewind},
     undoing the previous attempt's journal), with its dead-schedule
     baseline armed, counted in the rig's {!tally}. *)
@@ -132,8 +127,7 @@ type table1 = {
   sweep1 : sweep;
 }
 
-val run_table1 :
-  ?pool:Runtime.Pool.t -> ?config:Susceptibility.config -> guard -> table1
+val run_table1 : ?pool:Runtime.Pool.t -> guard -> table1
 (** The 8 per-cycle sweeps run through {!map_items} on one {!boot}, so
     the table is bit-identical at every job count. Likewise for
     {!run_table2} and {!run_table3}. *)
@@ -146,8 +140,7 @@ type table2 = {
   sweep2 : sweep;
 }
 
-val run_table2 :
-  ?pool:Runtime.Pool.t -> ?config:Susceptibility.config -> guard -> table2
+val run_table2 : ?pool:Runtime.Pool.t -> guard -> table2
 
 type table3 = {
   guard3 : guard;
@@ -158,8 +151,7 @@ type table3 = {
   sweep3 : sweep;
 }
 
-val run_table3 :
-  ?pool:Runtime.Pool.t -> ?config:Susceptibility.config -> guard -> table3
+val run_table3 : ?pool:Runtime.Pool.t -> guard -> table3
 
 val escaped : Board.t -> Glitcher.observation -> bool
 (** Did the run reach the escape marker ([r0 = 0xAA] at a breakpoint)? *)

@@ -42,7 +42,6 @@ type t = {
   data_init : (int * int) list;
   entry : int;
   stack_top : int;
-  stack_fill : bool;
 }
 
 let text_of_program = function
@@ -70,7 +69,7 @@ let load_image t =
       | Ok () -> ()
       | Error _ -> invalid_arg "Board: data init outside RAM")
     t.data_init;
-  if t.stack_fill then fill_stack t.mem ~stack_top:t.stack_top
+  fill_stack t.mem ~stack_top:t.stack_top
 
 let unjournal t =
   match t.seal with
@@ -91,7 +90,7 @@ let reset t =
 (* The SP the paper reports for its hand-written guard loops. *)
 let asm_stack_top = 0x20003FE8
 
-let create ?stack_top ?(stack_fill = true) program =
+let create program =
   let mem = Machine.Memory.create () in
   Machine.Memory.map mem ~addr:flash_base ~size:layout.flash_size;
   Machine.Memory.map mem ~addr:layout.sram_base ~size:layout.sram_size;
@@ -105,14 +104,13 @@ let create ?stack_top ?(stack_fill = true) program =
         if bit = 1 && !gpio_state = 0 then edge_pending := true;
         gpio_state := bit
       end);
-  let data_init, entry, image_stack_top =
+  let data_init, entry, stack_top =
     match program with
     | Asm _ -> ([], flash_base, asm_stack_top)
     | Image image ->
       (image.Lower.Layout.data_init, image.Lower.Layout.entry,
        image.Lower.Layout.stack_top)
   in
-  let stack_top = Option.value stack_top ~default:image_stack_top in
   let t =
     { mem;
       cpu = Machine.Cpu.create ();
@@ -126,8 +124,7 @@ let create ?stack_top ?(stack_fill = true) program =
       text = text_of_program program;
       data_init;
       entry;
-      stack_top;
-      stack_fill }
+      stack_top }
   in
   reset t;
   t

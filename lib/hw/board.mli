@@ -23,14 +23,14 @@ val gpio_base : int
 (** [0x48000000], the base of the 256-byte GPIO device holding the
     trigger data register [Lower.Codegen.gpio_trigger_address]. *)
 
-val create : ?stack_top:int -> ?stack_fill:bool -> program -> t
-(** [stack_top] defaults to the image's own [stack_top] for an [Image]
-    (the SP the exhaust and absint legs start the same firmware with)
-    and to [0x20003FE8], the SP the paper reports, for an [Asm] program.
-    [stack_fill] (default true) pre-fills the stack area with a
-    deterministic non-zero byte pattern, standing in for the boot
-    garbage a real SRAM holds — corrupted address loads then return
-    varied values, as observed in Table I. *)
+val create : program -> t
+(** The SP starts at the image's own [stack_top] for an [Image] (the SP
+    the exhaust and absint legs start the same firmware with) and at
+    [0x20003FE8], the SP the paper reports, for an [Asm] program. The
+    256 bytes below it are pre-filled with a deterministic non-zero
+    byte pattern, standing in for the boot garbage a real SRAM holds:
+    corrupted address loads then return varied values (the Table VI
+    goldens depend on it). *)
 
 val reset : t -> unit
 (** Back to power-on state: zeroed RAM (plus stack fill), reloaded

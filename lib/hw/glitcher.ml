@@ -62,26 +62,24 @@ let active_window schedule edges ~start ~duration =
 
 (* What an effect does to the step, given the glitch point it was drawn
    at; [Normal] exactly when it does not fire. *)
-let concretise config ~width ~offset ~cycle (instr : Thumb.Instr.t)
+let concretise ~width ~offset ~cycle (instr : Thumb.Instr.t)
     (effect : Susceptibility.effect) : Board.applied =
   match effect with
   | Susceptibility.No_fault -> Board.Normal
   | Susceptibility.Skip -> Board.As_nop
   | Susceptibility.Corrupt_fetch ->
     let word = Thumb.Encode.instr instr in
-    let word' = Susceptibility.corrupt_word config ~width ~offset ~cycle word in
+    let word' = Susceptibility.corrupt_word ~width ~offset ~cycle word in
     if word' = word then Board.Normal else Board.Fetch_word word'
   | Susceptibility.Load_residue v -> Board.Load_value v
   | Susceptibility.Load_bitflip ->
     Board.Load_mangle
-      (fun v -> Susceptibility.corrupt_value32 config ~width ~offset ~cycle v)
+      (fun v -> Susceptibility.corrupt_value32 ~width ~offset ~cycle v)
   | Susceptibility.Flip_z -> Board.Z_flip
   | Susceptibility.Pc_corrupt ->
     (* corrupting the prefetch address sends the core into unmapped or
        unintended memory; derive a deterministic bogus target *)
-    let draw =
-      Hashrand.hash4 ~seed:config.Susceptibility.seed 8 width offset cycle
-    in
+    let draw = Hashrand.hash4 ~seed:Susceptibility.seed 8 width offset cycle in
     Board.Pc_set (0x1000 + (2 * Hashrand.to_bits draw ~width:16))
 
 (* Susceptibility of the decode and fetch latches: encoding corruption
@@ -120,16 +118,7 @@ type baseline = {
 let baseline ?(max_cycles = 3_000) board ~from =
   Board.seal board from;
   let from_cycles = Board.cycles board in
-  let stop =
-    let rec go () =
-      if Board.cycles board >= max_cycles then `Timeout
-      else
-        match Board.step board with
-        | Machine.Exec.Running -> go ()
-        | Machine.Exec.Stopped s -> `Stopped s
-    in
-    go ()
-  in
+  let stop = Board.run_plain ~max_cycles board in
   { b_max_cycles = max_cycles;
     b_from_cycles = from_cycles;
     b_stop = stop;
@@ -169,8 +158,7 @@ let take_planted pending pc =
     pending := List.remove_assoc pc !pending;
     planted
 
-let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
-    ?from ?baseline board schedule =
+let run ?(max_cycles = 3_000) ?(nonce = 0) ?from ?baseline board schedule =
   (match from with
   | Some snap -> Board.rewind board snap
   | None -> Board.reset board);
@@ -183,12 +171,12 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
   | Some b when b.b_from_cycles <> Board.cycles board ->
     invalid_arg "Glitcher.run: baseline built from a different snapshot"
   | Some _ | None -> ());
-  let seed = config.Susceptibility.seed in
+  let seed = Susceptibility.seed in
   let entries = Array.of_list schedule in
   (* each entry's landscape, looked up once per attempt *)
   let landscapes =
     Array.map
-      (fun p -> Susceptibility.landscape config ~width:p.width ~offset:p.offset)
+      (fun p -> Susceptibility.landscape ~width:p.width ~offset:p.offset)
       entries
   in
   let edge = Board.edge board in
@@ -235,11 +223,11 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
       in
       if stage_pick < 0.5 then begin
         let effect =
-          Susceptibility.roll config ~sustained:(p.repeat > 4)
+          Susceptibility.roll ~sustained:(p.repeat > 4)
             ~landscape:landscapes.(i) ~width ~offset ~cycle ~nonce:attempt_nonce
             ~instr ~sp:(Board.reg board 13)
         in
-        let applied = concretise config ~width ~offset ~cycle instr effect in
+        let applied = concretise ~width ~offset ~cycle instr effect in
         (match applied with Board.Normal -> () | _ -> incr fired);
         applied
       end
@@ -261,8 +249,7 @@ let run ?(config = Susceptibility.default) ?(max_cycles = 3_000) ?(nonce = 0)
                if plant_pick < 0.4 then Board.As_nop
                else
                  Board.Fetch_word
-                   (Susceptibility.corrupt_word config ~width ~offset ~cycle
-                      victim_word)
+                   (Susceptibility.corrupt_word ~width ~offset ~cycle victim_word)
              in
              pending := (victim, planted) :: List.remove_assoc victim !pending);
         Board.Normal

@@ -58,7 +58,6 @@ val baseline : ?max_cycles:int -> Board.t -> from:Board.snapshot -> baseline
     [Invalid_argument] otherwise). *)
 
 val run :
-  ?config:Susceptibility.config ->
   ?max_cycles:int ->
   ?nonce:int ->
   ?from:Board.snapshot ->

@@ -1,23 +1,29 @@
-type config = {
-  seed : int;
-  core_amplitude : float;
-  core_sigma : float;
-  tail_amplitude : float;
-  tail_sigma : float;
-  n_spots : int;
-  p_bit_clear : float;
-  p_bit_set : float;
-}
+(* The calibration of the one target this repository models, an
+   STM32F0-class board under clock glitching (docs/FAULT_MODEL.md
+   records which paper observation pins each value). *)
 
-let default =
-  { seed = 0x51075ED;
-    core_amplitude = 1.3;
-    core_sigma = 0.8;
-    tail_amplitude = 0.42;
-    tail_sigma = 5.0;
-    n_spots = 3;
-    p_bit_clear = 0.35;
-    p_bit_set = 0.04 }
+(* Board seed: sweet-spot centres and every per-point draw hash it. *)
+let seed = 0x51075ED
+
+(* Each spot's near-deterministic core: a peak >= 1 makes the very
+   centre fire every attempt (the Section V-B tuner's prize) within a
+   radius of one to a few grid points. *)
+let core_amplitude = 1.3
+let core_sigma = 0.8
+
+(* The broad marginal tail, in percent units: its height stays well
+   below 0.5, so tail successes rarely repeat (Table II's partial >>
+   full). *)
+let tail_amplitude = 0.42
+let tail_sigma = 5.0
+
+(* Sweet spots scattered over the (width, offset) plane. *)
+let n_spots = 3
+
+(* Per-bit flip probabilities of word corruption: clock glitches are
+   strongly biased toward clearing bits. *)
+let p_bit_clear = 0.35
+let p_bit_set = 0.04
 
 type effect =
   | No_fault
@@ -39,11 +45,10 @@ let pp_effect ppf = function
 
 (* Sweet-spot centres are derived from the seed so different boards have
    different-but-stable landscapes, like real silicon. *)
-let spots config =
-  List.init config.n_spots (fun k ->
+let spots =
+  List.init n_spots (fun k ->
       let pick salt =
-        float_of_int
-          (Hashrand.to_bits (Hashrand.hash2 ~seed:config.seed salt k) ~width:7)
+        float_of_int (Hashrand.to_bits (Hashrand.hash2 ~seed salt k) ~width:7)
         -. 64.
       in
       let clamp v = Float.max (-45.) (Float.min 45. v) in
@@ -54,64 +59,40 @@ let spots config =
    marginal, poorly-repeatable parameter points. The tail carries most
    of the success mass, which is why a full sweep's successes mostly do
    NOT repeat — the partial >> full gap of Table II. *)
-let landscape_of_spots config spots ~width ~offset =
+let landscape_direct ~width ~offset =
   let w = float_of_int width and o = float_of_int offset in
   List.fold_left
     (fun acc (cw, co) ->
       let d2 = ((w -. cw) ** 2.) +. ((o -. co) ** 2.) in
       let core =
-        config.core_amplitude
-        *. exp (-.d2 /. (2. *. config.core_sigma *. config.core_sigma))
+        core_amplitude *. exp (-.d2 /. (2. *. core_sigma *. core_sigma))
       in
       let tail =
-        config.tail_amplitude
-        *. exp (-.d2 /. (2. *. config.tail_sigma *. config.tail_sigma))
+        tail_amplitude *. exp (-.d2 /. (2. *. tail_sigma *. tail_sigma))
       in
       Float.max acc (core +. tail))
     0. spots
 
-let landscape_direct config ~width ~offset =
-  landscape_of_spots config (spots config) ~width ~offset
-
 (* The glitcher asks for the landscape of every schedule entry of every
    attempt, and a sweep revisits each of the 99 x 99 grid points once
-   per target cycle. Each domain keeps the grid of the config it last
-   saw, filled point by point on first use (NaN marks a point not yet
-   computed), so nothing is built before a sweep needs it. *)
+   per target cycle. Each domain keeps its own grid, filled point by
+   point on first use (NaN marks a point not yet computed), so nothing
+   is built before a sweep needs it. *)
 let grid_side = 99
 
-type memo = {
-  m_config : config;
-  m_spots : (float * float) list;
-  m_grid : float array;
-}
+let grid_key : float array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make (grid_side * grid_side) Float.nan)
 
-let memo_key : memo option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let memo config =
-  let cell = Domain.DLS.get memo_key in
-  match !cell with
-  | Some m when m.m_config == config || m.m_config = config -> m
-  | Some _ | None ->
-    let m =
-      { m_config = config;
-        m_spots = spots config;
-        m_grid = Array.make (grid_side * grid_side) Float.nan }
-    in
-    cell := Some m;
-    m
-
-let landscape config ~width ~offset =
-  let m = memo config in
+let landscape ~width ~offset =
   if width < -49 || width > 49 || offset < -49 || offset > 49 then
-    landscape_of_spots config m.m_spots ~width ~offset
+    landscape_direct ~width ~offset
   else
+    let grid = Domain.DLS.get grid_key in
     let i = ((width + 49) * grid_side) + offset + 49 in
-    let e = m.m_grid.(i) in
+    let e = grid.(i) in
     if Float.is_nan e then begin
-      let e = landscape_of_spots config m.m_spots ~width ~offset in
-      m.m_grid.(i) <- e;
+      let e = landscape_direct ~width ~offset in
+      grid.(i) <- e;
       e
     end
     else e
@@ -133,38 +114,34 @@ let class_factor (i : Thumb.Instr.t) =
     | Ldr_pc _ | Mem_reg _ | Mem_sign _ | Mem_imm _ | Mem_half _ | Mem_sp _
     | Push _ | Pop _ | Stmia _ | Ldmia _ -> 0.6
 
-let biased_flip config ~p_clear ~width ~offset ~cycle ~bits word =
-  let seed = config.seed in
+let biased_flip ~p_clear ~width ~offset ~cycle ~bits word =
   let flipped = ref 0 in
   for bit = 0 to bits - 1 do
     let u = Hashrand.to_u01 (Hashrand.hash5 ~seed 997 bit width offset cycle) in
     if word land (1 lsl bit) <> 0 then begin
       if u < p_clear then flipped := !flipped lor (1 lsl bit)
     end
-    else if u < config.p_bit_set then flipped := !flipped lor (1 lsl bit)
+    else if u < p_bit_set then flipped := !flipped lor (1 lsl bit)
   done;
   word lxor !flipped
 
-let corrupt_word config ~width ~offset ~cycle word =
-  biased_flip config ~p_clear:config.p_bit_clear ~width ~offset ~cycle ~bits:16
-    word
+let corrupt_word ~width ~offset ~cycle word =
+  biased_flip ~p_clear:p_bit_clear ~width ~offset ~cycle ~bits:16 word
 
 (* Data latches hold their value more robustly than the instruction
    path: a register flip is rarer per bit than an encoding flip, which
    is why while(a) resists glitching better than the single-bit Hamming
    distance of its guard would suggest (paper Section V-A). *)
-let corrupt_value32 config ~width ~offset ~cycle v =
-  biased_flip config ~p_clear:(config.p_bit_clear *. 0.4) ~width ~offset ~cycle
-    ~bits:32 v
+let corrupt_value32 ~width ~offset ~cycle v =
+  biased_flip ~p_clear:(p_bit_clear *. 0.4) ~width ~offset ~cycle ~bits:32 v
 
 (* Bus residue candidates for corrupted loads: stack pointer, the GPIO
    data-register address, and mixes thereof — the families of values the
    paper observed in the comparator register post-mortem. *)
-let residue config ~width ~offset ~cycle ~sp =
+let residue ~width ~offset ~cycle ~sp =
   let gpio = Lower.Codegen.gpio_trigger_address in
   let draw salt bits =
-    Hashrand.to_bits (Hashrand.hash4 ~seed:config.seed salt width offset cycle)
-      ~width:bits
+    Hashrand.to_bits (Hashrand.hash4 ~seed salt width offset cycle) ~width:bits
   in
   match draw 331 3 with
   | 0 | 1 | 2 -> 0 (* failed load: the bus reads back idle/zero *)
@@ -174,13 +151,11 @@ let residue config ~width ~offset ~cycle ~sp =
   | 6 -> sp lxor draw 333 5
   | _ -> draw 334 32
 
-let roll config ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr
-    ~sp =
+let roll ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr ~sp =
   (* Attempt noise only gates whether the glitch fires; WHAT it does at
      a fixed (width, offset, cycle) point is deterministic, like the
      repeatable electrical disturbance on real silicon. This is what
      lets the paper's tuning search find 10-out-of-10 parameters. *)
-  let seed = config.seed in
   let gate =
     Hashrand.to_u01 (Hashrand.hash5 ~seed 1 width offset cycle nonce)
   in
@@ -218,7 +193,7 @@ let roll config ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr
           Hashrand.to_u01 (Hashrand.hash4 ~seed 3 width offset cycle)
         in
         if residue_pick < 0.5 then
-          Load_residue (residue config ~width ~offset ~cycle ~sp)
+          Load_residue (residue ~width ~offset ~cycle ~sp)
         else Load_bitflip
       end
       else Corrupt_fetch

@@ -24,23 +24,13 @@
       SP or the GPIO address — the values seen post-mortem in Table I),
       or flip the Z flag during a compare. *)
 
-type config = {
-  seed : int;
-  core_amplitude : float;
-      (** peak of a spot's near-deterministic core (>= 1 makes the very
-          centre fire every attempt — the V-B tuner's prize) *)
-  core_sigma : float;  (** core radius: one to a few grid points *)
-  tail_amplitude : float;
-      (** height of the broad marginal tail (well below 0.5, so tail
-          successes rarely repeat: Table II's partial >> full) *)
-  tail_sigma : float;  (** tail radius, in percent units *)
-  n_spots : int;  (** sweet spots scattered over the (w, o) plane *)
-  p_bit_clear : float;  (** per-bit 1->0 probability in word corruption *)
-  p_bit_set : float;  (** per-bit 0->1 probability (clock glitches are
-                          strongly biased toward clearing) *)
-}
-
-val default : config
+val seed : int
+(** The board seed, [0x51075ED]: the sweet-spot centres and every
+    per-point draw hash it. The model's other calibration constants
+    (three sweet spots, each a core of amplitude 1.3 and sigma 0.8 on a
+    tail of amplitude 0.42 and sigma 5.0; per-bit 1->0 and 0->1
+    corruption probabilities 0.35 and 0.04) are private: there is one
+    target, and docs/FAULT_MODEL.md records what pins each value. *)
 
 (** What happens to the glitched cycle. The board supplies the true
     encoding / loaded value where the effect needs one. *)
@@ -56,21 +46,19 @@ type effect =
 
 val pp_effect : effect Fmt.t
 
-val landscape : config -> width:int -> offset:int -> float
-(** Effectiveness of the physical parameter point; pure in (config,
-    width, offset). Memoized: each domain keeps the 99 x 99 grid of the
-    config it was last asked about, filled point by point on first use;
-    a (width, offset) off the grid is computed directly. *)
+val landscape : width:int -> offset:int -> float
+(** Effectiveness of the physical parameter point; pure in (width,
+    offset). Memoized: each domain keeps a 99 x 99 grid, filled point by
+    point on first use; a (width, offset) off the grid is computed
+    directly. *)
 
-val landscape_direct : config -> width:int -> offset:int -> float
-(** {!landscape} computed from scratch, sweet spots included: the
-    memo's reference. *)
+val landscape_direct : width:int -> offset:int -> float
+(** {!landscape} computed without the grid: the memo's reference. *)
 
 val class_factor : Thumb.Instr.t -> float
 (** Relative susceptibility of the executing instruction (RQ4). *)
 
 val roll :
-  config ->
   sustained:bool ->
   landscape:float ->
   width:int ->
@@ -87,11 +75,10 @@ val roll :
     values. [sustained] marks glitches stretched over many consecutive
     cycles (long-glitch attacks), whose aborted loads read back zero. *)
 
-val corrupt_word : config -> width:int -> offset:int -> cycle:int -> int -> int
+val corrupt_word : width:int -> offset:int -> cycle:int -> int -> int
 (** 1->0-biased bit corruption of a 16-bit instruction word, drawn at
     the glitch point ([width], [offset], [cycle]): deterministic in the
     point, like {!roll}'s choice of effect. *)
 
-val corrupt_value32 :
-  config -> width:int -> offset:int -> cycle:int -> int -> int
+val corrupt_value32 : width:int -> offset:int -> cycle:int -> int -> int
 (** Same bias over a 32-bit data value. *)

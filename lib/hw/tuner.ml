@@ -9,7 +9,10 @@ type result = {
 
 let per_attempt_s = 0.095
 
-let search ?(config = Susceptibility.default) ?(coarse_step = 2) guard =
+(* The stride of the initial plane scan. *)
+let coarse_step = 2
+
+let search guard =
   let rig =
     Attack.rig_of_boot (Attack.boot_once (Attack.single_loop_program guard))
   in
@@ -18,7 +21,7 @@ let search ?(config = Susceptibility.default) ?(coarse_step = 2) guard =
     let schedule =
       [ Glitcher.with_repeat (Glitcher.single ~width ~offset ~ext_offset) repeat ]
     in
-    let obs = Attack.attempt ~config ~nonce rig schedule in
+    let obs = Attack.attempt ~nonce rig schedule in
     let ok = Attack.escaped (Attack.rig_board rig) obs in
     if ok then incr successes;
     ok

@@ -21,9 +21,5 @@ val per_attempt_s : float
 (** 0.095 s — reset, arm, run, check; calibrated so an unprotected
     search lands in the paper's "minutes, not hours" regime. *)
 
-val search :
-  ?config:Susceptibility.config ->
-  ?coarse_step:int ->
-  Attack.guard ->
-  result
-(** [coarse_step] (default 2) is the stride of the initial plane scan. *)
+val search : Attack.guard -> result
+(** The initial plane scan strides 2 points in width and in offset. *)

@@ -29,7 +29,7 @@ let load_instrs ?(layout = stm32_layout) instrs =
   let cpu = Cpu.create ~sp:layout.stack_top ~pc:layout.flash_base () in
   { mem; cpu; layout }
 
-let load_asm ?layout src = load_instrs ?layout (Thumb.Asm.assemble src)
+let load_asm src = load_instrs (Thumb.Asm.assemble src)
 
 let patch_word t ~index w =
   match Memory.write_u16 t.mem (t.layout.flash_base + (2 * index)) w with

@@ -29,8 +29,8 @@ val load_instrs : ?layout:layout -> Thumb.Instr.t list -> t
 (** Map the layout, place the encoded program at [flash_base], point the
     CPU at it with SP = [stack_top]. *)
 
-val load_asm : ?layout:layout -> string -> t
-(** [load_instrs] of [Thumb.Asm.assemble]. *)
+val load_asm : string -> t
+(** [load_instrs] of [Thumb.Asm.assemble], on {!stm32_layout}. *)
 
 val patch_word : t -> index:int -> int -> unit
 (** Overwrite the halfword at instruction [index] (mask-based glitch

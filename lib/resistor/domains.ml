@@ -130,8 +130,8 @@ let instrument_function ~key domains (f : Ir.func) =
   end;
   (!bridges, !checks)
 
-let run ?(key = default_key) reaction (m : Ir.modul) =
-  Pass.check_key "Domains.run" key;
+let run reaction (m : Ir.modul) =
+  let key = default_key in
   Detect.ensure reaction m;
   let domains, clusters = partition ~key m in
   let init =

@@ -24,6 +24,7 @@ val bridge_fn : string
     bridge half calls it with the compile-time bridge constant. *)
 
 val default_key : int
+(** The nonzero byte {!run} keys every build with. *)
 
 val cluster_key : key:int -> int -> int
 (** Distinct nonzero GF(2^8) key of cluster [d]: [key * alpha^(d+1)]. *)
@@ -33,6 +34,6 @@ val partition : key:int -> Ir.modul -> (string * int) list * int
     count); [main] anchors cluster 0, "__gr_" runtime helpers are
     excluded. *)
 
-val run : ?key:int -> Config.reaction -> Ir.modul -> report
-(** Instrument every function (except the detector); verifies the
-    module. @raise Invalid_argument if [key] is outside 1..255. *)
+val run : Config.reaction -> Ir.modul -> report
+(** Instrument every function (except the detector) under
+    {!default_key}; verifies the module. *)

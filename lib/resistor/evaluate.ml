@@ -36,7 +36,7 @@ let windows = function
 
 (* One row of the sweep: all offsets at a fixed (window, width), as
    (successes, detections). *)
-let run_row ?fault_config ~sweep_step rig (ext_offset, repeat, width) =
+let run_row ~sweep_step rig (ext_offset, repeat, width) =
   let board = Hw.Attack.rig_board rig in
   let successes = ref 0 and detections = ref 0 in
   let offset = ref (-49) in
@@ -46,9 +46,7 @@ let run_row ?fault_config ~sweep_step rig (ext_offset, repeat, width) =
           (Hw.Glitcher.single ~width ~offset:!offset ~ext_offset)
           repeat ]
     in
-    let (_ : Hw.Glitcher.observation) =
-      Hw.Attack.attempt ?config:fault_config rig schedule
-    in
+    let (_ : Hw.Glitcher.observation) = Hw.Attack.attempt rig schedule in
     let marker = Hw.Board.read_global board Firmware.attack_marker_global in
     if marker = Some Firmware.attack_marker_value then incr successes
     else if Detect.detections (Hw.Board.read_global board) > 0 then
@@ -67,7 +65,7 @@ let rows_of attack ~sweep_step =
       widths (-49) [])
     (windows attack)
 
-let run_image ?pool ?fault_config ?(sweep_step = 1) image attack =
+let run_image ?pool ?(sweep_step = 1) image attack =
   if sweep_step < 1 then invalid_arg "Evaluate.run_image: sweep_step < 1";
   (* enough budget after the trigger for the defended loop plus the
      spin-on-detection reaction to settle *)
@@ -76,8 +74,7 @@ let run_image ?pool ?fault_config ?(sweep_step = 1) image attack =
       (Hw.Board.Image image)
   in
   let counts, sweep =
-    Hw.Attack.map_items ?pool ~boot
-      (run_row ?fault_config ~sweep_step)
+    Hw.Attack.map_items ?pool ~boot (run_row ~sweep_step)
       (Array.of_list (rows_of attack ~sweep_step))
   in
   Array.fold_left
@@ -86,6 +83,6 @@ let run_image ?pool ?fault_config ?(sweep_step = 1) image attack =
     { attempts = sweep.attempts; successes = 0; detections = 0; sweep }
     counts
 
-let run ?pool ?fault_config ?sweep_step (config : Config.t) scenario attack =
+let run ?pool ?sweep_step (config : Config.t) scenario attack =
   let compiled = Driver.compile config (scenario_source scenario) in
-  run_image ?pool ?fault_config ?sweep_step compiled.image attack
+  run_image ?pool ?sweep_step compiled.image attack

@@ -40,7 +40,6 @@ val detection_rate : outcome -> float
 
 val run :
   ?pool:Runtime.Pool.t ->
-  ?fault_config:Hw.Susceptibility.config ->
   ?sweep_step:int ->
   Config.t ->
   scenario ->
@@ -62,7 +61,6 @@ val run :
 
 val run_image :
   ?pool:Runtime.Pool.t ->
-  ?fault_config:Hw.Susceptibility.config ->
   ?sweep_step:int ->
   Lower.Layout.image ->
   attack ->

@@ -43,9 +43,6 @@ let ensure_func (m : Ir.modul) fname build =
 let ensure_extern (m : Ir.modul) name =
   if not (List.mem name m.externs) then m.externs <- name :: m.externs
 
-let check_key pass key =
-  if key <= 0 || key > 0xFF then invalid_arg (pass ^ ": key must be in 1..255")
-
 let attach added ~after blocks =
   Hashtbl.replace added after
     (Option.value ~default:[] (Hashtbl.find_opt added after) @ blocks)

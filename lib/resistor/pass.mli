@@ -24,10 +24,6 @@ val ensure_func : Ir.modul -> string -> (unit -> Ir.func) -> unit
 val ensure_extern : Ir.modul -> string -> unit
 (** Declare a runtime-resolved callee unless already declared. *)
 
-val check_key : string -> int -> unit
-(** Raise [Invalid_argument "<pass>: key must be in 1..255"] for a
-    key that is not a nonzero byte. *)
-
 val attach :
   (string, Ir.block list) Hashtbl.t -> after:string -> Ir.block list -> unit
 (** Queue blocks to follow the block labelled [after] (after any

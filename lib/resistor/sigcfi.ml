@@ -161,8 +161,8 @@ let instrument_function ~key (m : Ir.modul) (f : Ir.func) =
   f.blocks <- Pass.splice added f.blocks;
   (List.length original, !updates, !checks)
 
-let run ?(key = default_key) reaction (m : Ir.modul) =
-  Pass.check_key "Sigcfi.run" key;
+let run reaction (m : Ir.modul) =
+  let key = default_key in
   Detect.ensure reaction m;
   Pass.ensure_global m state_global ~init:0 ~volatile:true;
   Pass.ensure_func m step_fn build_step_fn;

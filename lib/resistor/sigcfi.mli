@@ -27,6 +27,7 @@ val step_fn : string
     blocks call it with the edge's compile-time patch constant. *)
 
 val default_key : int
+(** The nonzero byte {!run} keys every build with. *)
 
 val step : int -> int
 (** GF(2^8) multiply-by-alpha (poly 0x11D); the compile-time twin of
@@ -35,6 +36,6 @@ val step : int -> int
 val signature : key:int -> string -> string -> int
 (** [signature ~key fname label]: keyed polynomial MAC in [0, 255]. *)
 
-val run : ?key:int -> Config.reaction -> Ir.modul -> report
-(** Instrument every function (except the detector); verifies the
-    module. @raise Invalid_argument if [key] is outside 1..255. *)
+val run : Config.reaction -> Ir.modul -> report
+(** Instrument every function (except the detector) under
+    {!default_key}; verifies the module. *)

@@ -1,12 +1,8 @@
-type config = {
-  flip : Glitch_emu.Fault_model.flip;
-  samples_per_weight : int;
-  seed : int;
-  max_steps : int;
-}
-
-let default_config flip =
-  { flip; samples_per_weight = 600; seed = 0x155C_5EED; max_steps = 200 }
+(* Masks drawn per weight whose population C(32,k) exceeds it, the
+   sampler's seed, and the step budget of one run. *)
+let samples_per_weight = 600
+let seed = 0x155C_5EED
+let max_steps = 200
 
 type testcase = { name : string; instrs : Instr.t list; target_index : int }
 
@@ -72,18 +68,18 @@ let classify cpu (stop : Exec.stop) : Glitch_emu.Campaign.category =
   | Exec.Invalid_instruction _ -> Glitch_emu.Campaign.Invalid_instruction
   | Exec.Ecall_trap | Exec.Step_limit -> Glitch_emu.Campaign.Failed
 
-let run_mask config rig case ~mask =
+let run_mask flip rig case ~mask =
   let word =
-    Glitch_emu.Fault_model.apply config.flip ~mask
+    Glitch_emu.Fault_model.apply flip ~mask
       rig.words.(case.target_index)
     land 0xFFFFFFFF
   in
   write_program rig ~target_word:word case;
   let cpu = Exec.create_cpu ~sp:layout.stack_top ~pc:layout.flash_base () in
-  let stop = Exec.run ~max_steps:config.max_steps rig.mem cpu in
+  let stop = Exec.run ~max_steps rig.mem cpu in
   classify cpu stop
 
-let run_one config case ~mask = run_mask config (make_rig case) case ~mask
+let run_one flip case ~mask = run_mask flip (make_rig case) case ~mask
 
 (* xorshift-based deterministic bit-set sampling for high weights *)
 let sample_bits state ~weight =
@@ -110,17 +106,17 @@ let sample_bits state ~weight =
 
 type result = {
   case : testcase;
-  config : config;
+  flip : Glitch_emu.Fault_model.flip;
   by_weight : (int * int array) list;
   totals : int array;
 }
 
 let ncat = List.length Glitch_emu.Campaign.categories
 
-let run_case config case =
+let run_case flip case =
   let rig = make_rig case in
   let totals = Array.make ncat 0 in
-  let state = ref (config.seed lor 1) in
+  let state = ref (seed lor 1) in
   let by_weight =
     List.init 33 (fun weight ->
         let counts = Array.make ncat 0 in
@@ -128,9 +124,9 @@ let run_case config case =
            Thumb sweep *)
         let record bits =
           let mask =
-            Glitch_emu.Fault_model.mask_of_bits config.flip ~width:32 bits
+            Glitch_emu.Fault_model.mask_of_bits flip ~width:32 bits
           in
-          let cat = run_mask config rig case ~mask in
+          let cat = run_mask flip rig case ~mask in
           let idx = Glitch_emu.Campaign.category_index cat in
           counts.(idx) <- counts.(idx) + 1;
           if weight > 0 then totals.(idx) <- totals.(idx) + 1
@@ -140,15 +136,15 @@ let run_case config case =
            than the budget (weight 31: C(32,31) = 32 masks for 600
            draws) would count duplicate masks as independent trials. *)
         let exhaustive = Glitch_emu.Bitmask.choose 32 weight in
-        if weight <= 2 || exhaustive <= config.samples_per_weight then
+        if weight <= 2 || exhaustive <= samples_per_weight then
           Glitch_emu.Bitmask.iter_of_weight ~width:32 ~weight record
         else
-          for _ = 1 to config.samples_per_weight do
+          for _ = 1 to samples_per_weight do
             record (sample_bits state ~weight)
           done;
         (Array.fold_left ( + ) 0 counts, counts))
   in
-  { case; config; by_weight; totals }
+  { case; flip; by_weight; totals }
 
 let success_percent r =
   let num = r.totals.(Glitch_emu.Campaign.category_index Glitch_emu.Campaign.Success) in

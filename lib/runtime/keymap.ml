@@ -35,13 +35,17 @@ let create ?(slots = 1 lsl 16) () =
     added = Atomic.make 0 }
 
 (* Eight bytes at a time through the unboxed primitive; the value only
-   picks a bucket inside this process, so host byte order is fine. *)
+   picks a bucket inside this process, so host byte order is fine.
+   [Int64.to_int] drops a word's bit 63, so it is folded back in at bit
+   0: keys differing only there would otherwise share a bucket chain. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 
 let hash b len =
   let h = ref len and i = ref 0 in
   while !i + 8 <= len do
-    let x = (!h lxor Int64.to_int (get64 b !i)) * 0x100000001b3 in
+    let w = get64 b !i in
+    let w = Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 63) in
+    let x = (!h lxor w) * 0x100000001b3 in
     h := x lxor (x lsr 29);
     i := !i + 8
   done;

@@ -31,6 +31,10 @@ val add : t -> string -> int -> unit
     of the insertion race verify the key is present and return. @raise
     Invalid_argument on a negative value. *)
 
+val hash : Bytes.t -> int -> int
+(** [hash b len] is the bucket hash of the key held in the first [len]
+    bytes of [b]; every bit of the key feeds it. Exposed for tests. *)
+
 val count : t -> int
 (** Distinct keys inserted so far. Schedule-independent after a region
     completes, because raced duplicates are never inserted. *)

@@ -338,8 +338,7 @@ and parse_instr_unchecked env line body : Instr.t list =
 
 (* --- driver ------------------------------------------------------------ *)
 
-let assemble_with_labels ?(origin = 0) src =
-  if origin land 1 <> 0 then invalid_arg "Asm.assemble: odd origin";
+let assemble_with_labels src =
   let lines = split_lines src in
   let labels = Hashtbl.create 16 in
   (* First pass: label -> halfword index. *)
@@ -373,6 +372,6 @@ let assemble_with_labels ?(origin = 0) src =
   in
   (List.rev rev_instrs, label_offsets)
 
-let assemble ?origin src = fst (assemble_with_labels ?origin src)
+let assemble src = fst (assemble_with_labels src)
 
-let assemble_words ?origin src = Encode.program (assemble ?origin src)
+let assemble_words src = Encode.program (assemble src)

@@ -23,17 +23,16 @@ exception Parse_error of error
 
 val pp_error : error Fmt.t
 
-val assemble : ?origin:int -> string -> Instr.t list
-(** [assemble ~origin src] parses and resolves labels, assuming the
-    first instruction is placed at byte address [origin] (default 0).
+val assemble : string -> Instr.t list
+(** [assemble src] parses and resolves labels, counting from the first
+    instruction at offset 0.
     @raise Parse_error on syntax errors, unknown mnemonics, out-of-range
     immediates, or undefined/duplicate labels. *)
 
-val assemble_words : ?origin:int -> string -> int list
+val assemble_words : string -> int list
 (** {!assemble} followed by {!Encode.program}. *)
 
-val assemble_with_labels :
-  ?origin:int -> string -> Instr.t list * (string * int) list
+val assemble_with_labels : string -> Instr.t list * (string * int) list
 (** Like {!assemble}, also returning each label's halfword offset —
     used by the linker to export symbols from hand-written runtime
     assembly. *)

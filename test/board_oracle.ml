@@ -80,11 +80,10 @@ let writeback_cutoff () =
   let program = Board.Asm writeback_program in
   let o = oracle ~max_cycles:300 program in
   let rig = Attack.rig_of_boot (Attack.boot_once writeback_program) in
-  let config = Susceptibility.default in
   let quietest = ref (0, 0, infinity) in
   for width = -49 to 49 do
     for offset = -49 to 49 do
-      let e = Susceptibility.landscape config ~width ~offset in
+      let e = Susceptibility.landscape ~width ~offset in
       let _, _, best = !quietest in
       if e < best then quietest := (width, offset, e)
     done

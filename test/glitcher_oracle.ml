@@ -28,7 +28,7 @@ let active_window (schedule : Glitcher.params list) edges ~start ~duration =
   in
   Option.map (fun (p, rel, _) -> (p, rel)) best
 
-let concretise (config : Susceptibility.config) ~salt (instr : Thumb.Instr.t)
+let concretise ~salt (instr : Thumb.Instr.t)
     (effect : Susceptibility.effect) : Board.applied * bool =
   let width, offset, cycle =
     match salt with
@@ -40,25 +40,23 @@ let concretise (config : Susceptibility.config) ~salt (instr : Thumb.Instr.t)
   | Susceptibility.Skip -> (Board.As_nop, true)
   | Susceptibility.Corrupt_fetch ->
     let word = Thumb.Encode.instr instr in
-    let word' = Susceptibility.corrupt_word config ~width ~offset ~cycle word in
+    let word' = Susceptibility.corrupt_word ~width ~offset ~cycle word in
     if word' = word then (Board.Normal, false)
     else (Board.Fetch_word word', true)
   | Susceptibility.Load_residue v -> (Board.Load_value v, true)
   | Susceptibility.Load_bitflip ->
-    let mangle v =
-      Susceptibility.corrupt_value32 config ~width ~offset ~cycle v
-    in
+    let mangle v = Susceptibility.corrupt_value32 ~width ~offset ~cycle v in
     (Board.Load_mangle mangle, true)
   | Susceptibility.Flip_z -> (Board.Z_flip, true)
   | Susceptibility.Pc_corrupt ->
     let bogus =
-      0x1000 + (2 * Hashrand.bits ~seed:config.seed (8 :: salt) ~width:16)
+      0x1000 + (2 * Hashrand.bits ~seed:Susceptibility.seed (8 :: salt) ~width:16)
     in
     (Board.Pc_set bogus, true)
 
 let back_stage_factor = 0.55
 
-let run ?(config = Susceptibility.default) ~max_cycles ?(nonce = 0) ~from board
+let run ~max_cycles ?(nonce = 0) ~from board
     (schedule : Glitcher.params list) : Glitcher.observation =
   Board.restore board from;
   let replayed = Board.cycles board in
@@ -68,8 +66,7 @@ let run ?(config = Susceptibility.default) ~max_cycles ?(nonce = 0) ~from board
     List.map
       (fun (p : Glitcher.params) ->
         ( p,
-          Susceptibility.landscape_direct config ~width:p.width
-            ~offset:p.offset ))
+          Susceptibility.landscape_direct ~width:p.width ~offset:p.offset ))
       schedule
   in
   let finish stop : Glitcher.observation =
@@ -104,17 +101,17 @@ let run ?(config = Susceptibility.default) ~max_cycles ?(nonce = 0) ~from board
               let point_salt = [ p.width; p.offset; rel_cycle ] in
               let attempt_nonce = (nonce * 31) + p.trigger_index in
               let stage_pick =
-                Hashrand.u01 ~seed:config.seed (4 :: point_salt)
+                Hashrand.u01 ~seed:Susceptibility.seed (4 :: point_salt)
               in
               if stage_pick < 0.5 then begin
                 let effect =
-                  Susceptibility.roll config ~sustained:(p.repeat > 4)
+                  Susceptibility.roll ~sustained:(p.repeat > 4)
                     ~landscape:e ~width:p.width ~offset:p.offset
                     ~cycle:rel_cycle ~nonce:attempt_nonce ~instr
                     ~sp:(Board.reg board 13)
                 in
                 let applied, did_fire =
-                  concretise config ~salt:point_salt instr effect
+                  concretise ~salt:point_salt instr effect
                 in
                 if did_fire then incr fired;
                 applied
@@ -123,7 +120,7 @@ let run ?(config = Susceptibility.default) ~max_cycles ?(nonce = 0) ~from board
                 let delta = if stage_pick < 0.8 then 2 else 4 in
                 let victim = pc + delta in
                 let gate =
-                  Hashrand.u01 ~seed:config.seed
+                  Hashrand.u01 ~seed:Susceptibility.seed
                     (5 :: p.width :: p.offset :: rel_cycle :: [ attempt_nonce ])
                 in
                 (if gate < e *. back_stage_factor then
@@ -132,11 +129,11 @@ let run ?(config = Susceptibility.default) ~max_cycles ?(nonce = 0) ~from board
                    | Some victim_word ->
                      incr fired;
                      let planted =
-                       if Hashrand.u01 ~seed:config.seed (6 :: point_salt) < 0.4
+                       if Hashrand.u01 ~seed:Susceptibility.seed (6 :: point_salt) < 0.4
                        then Board.As_nop
                        else
                          Board.Fetch_word
-                           (Susceptibility.corrupt_word config ~width:p.width
+                           (Susceptibility.corrupt_word ~width:p.width
                               ~offset:p.offset ~cycle:rel_cycle victim_word)
                      in
                      Hashtbl.replace pending victim planted);

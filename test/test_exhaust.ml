@@ -290,12 +290,15 @@ let test_keymap_collisions_kept_apart () =
   Alcotest.check_raises "negative verdicts rejected"
     (Invalid_argument "Keymap.add: negative value") (fun () ->
       Runtime.Keymap.add m "state-d" (-1));
-  (* equal full hashes: the hash folds each 8-byte word in as a 63-bit
-     int, so on a little-endian host two keys that differ only in the
-     top bit of their last byte hash alike, and only the key compare
+  (* equal full hashes: the hash folds each 8-byte word's bit 63 into
+     its bit 0, so on a little-endian host a key with only bit 0 set
+     and one with only bit 63 set hash alike, and only the key compare
      tells them apart *)
-  let low = String.make 8 '\000' in
+  let low = "\001" ^ String.make 7 '\000' in
   let high = String.make 7 '\000' ^ "\128" in
+  let hash k = Runtime.Keymap.hash (Bytes.of_string k) 8 in
+  Alcotest.(check int) "the pair collides on the full hash" (hash low)
+    (hash high);
   Runtime.Keymap.add m low 7;
   Runtime.Keymap.add m high 9;
   Alcotest.(check (option int)) "equal-hash keys kept apart" (Some 7)

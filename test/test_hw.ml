@@ -49,55 +49,34 @@ let prop_fixed_arity_draws =
 (* --- susceptibility -------------------------------------------------------- *)
 
 (* The per-domain memo returns the direct computation's float, bit for
-   bit, over the whole grid, for two configs looked up alternately (each
-   switch rebuilds the memo), and off the grid as well. *)
+   bit, over the whole grid (twice, so the second pass reads every point
+   back from the grid), and off the grid as well. *)
 let landscape_memo_exact () =
-  let perturbed =
-    { Susceptibility.default with
-      seed = 0xC0FFEE;
-      core_sigma = 1.1;
-      n_spots = 4 }
-  in
-  let same config ~width ~offset =
-    let bits f = Int64.bits_of_float (f config ~width ~offset) in
+  let same ~width ~offset =
+    let bits f = Int64.bits_of_float (f ~width ~offset) in
     bits Susceptibility.landscape = bits Susceptibility.landscape_direct
   in
   for pass = 1 to 2 do
-    List.iter
-      (fun (name, config) ->
-        for width = -49 to 49 do
-          for offset = -49 to 49 do
-            if not (same config ~width ~offset) then
-              Alcotest.failf "%s pass %d: memo differs at (%d, %d)" name pass
-                width offset
-          done
-        done)
-      [ ("default", Susceptibility.default); ("perturbed", perturbed) ]
+    for width = -49 to 49 do
+      for offset = -49 to 49 do
+        if not (same ~width ~offset) then
+          Alcotest.failf "pass %d: memo differs at (%d, %d)" pass width offset
+      done
+    done
   done;
   List.iter
     (fun (width, offset) ->
-      List.iter
-        (fun config ->
-          if not (same config ~width ~offset) then
-            Alcotest.failf "off-grid (%d, %d) differs" width offset)
-        [ Susceptibility.default; perturbed ])
-    [ (50, 0); (0, -50); (-60, 12); (99, 99); (-49, 50) ];
-  Alcotest.(check bool) "the perturbed landscape differs" true
-    (Susceptibility.landscape perturbed ~width:0 ~offset:0
-     <> Susceptibility.landscape Susceptibility.default ~width:0 ~offset:0
-     || Susceptibility.landscape perturbed ~width:10 ~offset:(-10)
-        <> Susceptibility.landscape Susceptibility.default ~width:10
-             ~offset:(-10))
-
+      if not (same ~width ~offset) then
+        Alcotest.failf "off-grid (%d, %d) differs" width offset)
+    [ (50, 0); (0, -50); (-60, 12); (99, 99); (-49, 50) ]
 
 let landscape_properties () =
-  let config = Susceptibility.default in
   (* bounded, non-negative, and small on most of the plane *)
   let above_one = ref 0 and total = ref 0 in
   for w = -49 to 49 do
     for o = -49 to 49 do
       incr total;
-      let e = Susceptibility.landscape config ~width:w ~offset:o in
+      let e = Susceptibility.landscape ~width:w ~offset:o in
       Alcotest.(check bool) "non-negative" true (e >= 0.);
       if e > 1. then incr above_one
     done
@@ -120,13 +99,12 @@ let class_factors_ordered () =
   Alcotest.(check bool) "register ALU nearly immune" true (f alu < 0.2)
 
 let corrupt_word_biased () =
-  let config = Susceptibility.default in
   (* over many glitch points, 1->0 flips must dominate 0->1 flips *)
   let cleared = ref 0 and set = ref 0 in
   for point = 0 to 500 do
     let w = 0xD0F0 in
     let w' =
-      Susceptibility.corrupt_word config ~width:((point mod 99) - 49)
+      Susceptibility.corrupt_word ~width:((point mod 99) - 49)
         ~offset:((point / 99) - 49) ~cycle:(point mod 7) w
     in
     cleared := !cleared + Glitch_emu.Bitmask.popcount (w land lnot w');
@@ -138,15 +116,14 @@ let corrupt_word_biased () =
     (!cleared > 4 * !set)
 
 let roll_deterministic_effect () =
-  let config = Susceptibility.default in
   let instr = Thumb.Instr.B_cond (EQ, -4) in
   (* same point, different nonces: the effect kind never changes between
      firing attempts (only whether it fires) *)
   let kinds = Hashtbl.create 8 in
-  let landscape = Susceptibility.landscape config ~width:(-10) ~offset:4 in
+  let landscape = Susceptibility.landscape ~width:(-10) ~offset:4 in
   for nonce = 0 to 200 do
     match
-      Susceptibility.roll config ~sustained:false ~landscape ~width:(-10)
+      Susceptibility.roll ~sustained:false ~landscape ~width:(-10)
         ~offset:4 ~cycle:5 ~nonce ~instr ~sp:0x20003FE8
     with
     | Susceptibility.No_fault -> ()
@@ -392,13 +369,12 @@ let prop_glitcher_matches_oracle =
          programs)
   in
   let hot =
-    let config = Susceptibility.default in
     Array.of_list
       (List.concat_map
          (fun width ->
            List.filter_map
              (fun offset ->
-               if Susceptibility.landscape config ~width ~offset > 0.1 then
+               if Susceptibility.landscape ~width ~offset > 0.1 then
                  Some (width, offset)
                else None)
              (List.init 99 (fun o -> o - 49)))

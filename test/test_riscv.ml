@@ -180,9 +180,8 @@ let exec_faults () =
 let unglitched_branches_taken () =
   List.iter
     (fun case ->
-      let config = Campaign.default_config Glitch_emu.Fault_model.And in
       let identity = 0xFFFFFFFF in
-      match Campaign.run_one config case ~mask:identity with
+      match Campaign.run_one Glitch_emu.Fault_model.And case ~mask:identity with
       | Glitch_emu.Campaign.No_effect -> ()
       | cat ->
         Alcotest.fail
@@ -192,9 +191,8 @@ let unglitched_branches_taken () =
 
 let campaign_deterministic () =
   let case = Campaign.conditional_branch Instr.BEQ in
-  let config = Campaign.default_config Glitch_emu.Fault_model.And in
-  let r1 = Campaign.run_case config case in
-  let r2 = Campaign.run_case config case in
+  let r1 = Campaign.run_case Glitch_emu.Fault_model.And case in
+  let r2 = Campaign.run_case Glitch_emu.Fault_model.And case in
   Alcotest.(check bool) "same totals" true (r1.totals = r2.totals)
 
 let high_weights_enumerated_exhaustively () =
@@ -205,8 +203,8 @@ let high_weights_enumerated_exhaustively () =
      size, and the category counts must match running every mask of
      that weight once. *)
   let case = Campaign.conditional_branch Instr.BEQ in
-  let config = Campaign.default_config Glitch_emu.Fault_model.And in
-  let r = Campaign.run_case config case in
+  let flip = Glitch_emu.Fault_model.And in
+  let r = Campaign.run_case flip case in
   List.iter
     (fun (weight, population) ->
       let total, counts = List.nth r.Campaign.by_weight weight in
@@ -215,36 +213,32 @@ let high_weights_enumerated_exhaustively () =
         population total;
       let expected = Array.make (Array.length counts) 0 in
       Glitch_emu.Bitmask.iter_of_weight ~width:32 ~weight (fun bits ->
-          let mask =
-            Glitch_emu.Fault_model.mask_of_bits config.Campaign.flip ~width:32
-              bits
-          in
-          let cat = Campaign.run_one config case ~mask in
+          let mask = Glitch_emu.Fault_model.mask_of_bits flip ~width:32 bits in
+          let cat = Campaign.run_one flip case ~mask in
           let i = Glitch_emu.Campaign.category_index cat in
           expected.(i) <- expected.(i) + 1);
       Alcotest.(check (array int))
         (Printf.sprintf "weight %d counts" weight)
         expected counts)
     [ (30, 496); (31, 32); (32, 1) ];
-  (* a mid-range weight still samples exactly the configured budget *)
+  (* a mid-range weight still samples exactly the 600-mask budget *)
   let total, _ = List.nth r.Campaign.by_weight 16 in
-  Alcotest.(check int) "weight 16 sampled" config.Campaign.samples_per_weight
-    total
+  Alcotest.(check int) "weight 16 sampled" 600 total
 
 let and_weights_count_cleared_bits () =
   (* Under AND, weight k holds the masks that clear k bits: weight 0 is
      the unmodified word, left out of the totals, and weight 1 the 32
      single-bit clears. *)
   let case = Campaign.conditional_branch Instr.BEQ in
-  let config = Campaign.default_config Glitch_emu.Fault_model.And in
-  let r = Campaign.run_case config case in
+  let r = Campaign.run_case Glitch_emu.Fault_model.And case in
   let ncat = List.length Glitch_emu.Campaign.categories in
   let tally masks =
     let counts = Array.make ncat 0 in
     List.iter
       (fun mask ->
         let i =
-          Glitch_emu.Campaign.category_index (Campaign.run_one config case ~mask)
+          Glitch_emu.Campaign.category_index
+            (Campaign.run_one Glitch_emu.Fault_model.And case ~mask)
         in
         counts.(i) <- counts.(i) + 1)
       masks;
@@ -286,9 +280,7 @@ let riscv_encoding_more_fault_tolerant () =
     Glitch_emu.Campaign.category_percent r Glitch_emu.Campaign.Success
   in
   let case = Campaign.conditional_branch Instr.BEQ in
-  let r =
-    Campaign.run_case (Campaign.default_config Glitch_emu.Fault_model.And) case
-  in
+  let r = Campaign.run_case Glitch_emu.Fault_model.And case in
   let riscv_rate = Campaign.success_percent r in
   let invalid_rate =
     Campaign.category_percent r Glitch_emu.Campaign.Invalid_instruction

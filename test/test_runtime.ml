@@ -326,6 +326,13 @@ let pool_stats_busy_tracks_work () =
       Alcotest.(check bool) "busy bounded by jobs*wall" true
         (s.Runtime.Pool.busy_s <= (2. *. s.Runtime.Pool.wall_s) +. 1e-6))
 
+(* Two 8-byte keys that differ only in bit 63 of their one word must
+   not share a bucket hash. *)
+let keymap_hash_keeps_bit_63 () =
+  let hash s = Runtime.Keymap.hash (Bytes.of_string s) (String.length s) in
+  Alcotest.(check bool) "top bit of a word changes the hash" true
+    (hash (String.make 8 '\000') <> hash (String.make 7 '\000' ^ "\128"))
+
 let () =
   let props = List.map Qseed.to_alcotest [ prop_queue_tiles_range ] in
   Alcotest.run "runtime"
@@ -358,6 +365,8 @@ let () =
          Alcotest.test_case "rejects bad values" `Quick store_rejects_bad_values;
          Alcotest.test_case "concurrent publication" `Quick
            store_concurrent_publication ]);
+      ("keymap",
+       [ Alcotest.test_case "hash keeps bit 63" `Quick keymap_hash_keeps_bit_63 ]);
       ("stats",
        [ Alcotest.test_case "default_jobs clamped to chunks" `Quick
            default_jobs_clamped_to_chunks;
