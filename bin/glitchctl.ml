@@ -160,19 +160,6 @@ let cache_dir_arg =
            already cached are served without executing anything; \
            corrupted entries are treated as misses.")
 
-let mutant_arg =
-  let mutants = List.map (fun m -> (Mutant.name m, m)) Mutant.all in
-  Arg.(
-    value
-    & opt (some (enum mutants)) None
-    & info [ "mutant" ] ~docv:"NAME"
-        ~doc:
-          (Printf.sprintf
-             "Negative control: run with one seeded defect armed, %s. \
-              The check that guards it must then fail (exit 3); a clean \
-              result means that check is vacuous."
-             (Arg.doc_alts_enum mutants)))
-
 (* --- asm ------------------------------------------------------------------- *)
 
 let asm_cmd =
@@ -482,8 +469,7 @@ let lint_cmd =
              deterministic escape is upgraded to an error, and the \
              prover's findings are merged into the report.")
   in
-  let run file config json exhaust mutant absint jobs =
-    Mutant.with_ mutant @@ fun () ->
+  let run file config json exhaust absint jobs =
     let target source =
       if Filename.check_suffix file ".s" then
         Analysis.Lint.of_instrs (Thumb.Asm.assemble source)
@@ -545,8 +531,7 @@ let lint_cmd =
               ~doc:"on Error-severity lint findings."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ file $ config_arg $ json $ exhaust
-      $ mutant_arg $ absint $ jobs_arg ())
+      const run $ file $ config_arg $ json $ exhaust $ absint $ jobs_arg ())
 
 (* --- prove ------------------------------------------------------------------------ *)
 
@@ -785,8 +770,7 @@ let fuzz_cmd =
       & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Re-run one saved counterexample instead of fuzzing, under the \
-             mutant its $(i,mutant:) header names.")
+            "Re-run one saved counterexample instead of fuzzing.")
   in
   let max_skip_rate =
     Arg.(
@@ -798,13 +782,8 @@ let fuzz_cmd =
              generator drifting into a precondition desert would otherwise \
              \"pass\" while exercising nothing.")
   in
-  let run count seed corpus properties mutant replay max_skip_rate =
+  let run count seed corpus properties replay max_skip_rate =
     match replay with
-    | Some _ when mutant <> None ->
-      Fmt.epr
-        "--mutant conflicts with --replay: the entry's header names its \
-         mutant@.";
-      exit_input
     | Some path -> (
       match Gen.Corpus.load path with
       | Error m ->
@@ -856,7 +835,7 @@ let fuzz_cmd =
         in
         Fmt.pr "fuzz: seed %d, %d program(s) per family@." seed count;
         let summary =
-          Gen.Fuzz.run ~dir:corpus ~families ?mutant ~count ~seed ()
+          Gen.Fuzz.run ~dir:corpus ~families ~count ~seed ()
         in
         List.iter
           (fun (r : Gen.Fuzz.family_run) ->
@@ -903,8 +882,7 @@ let fuzz_cmd =
               ~doc:"on a property failure or a skip-rate breach."
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ count $ seed $ corpus $ properties $ mutant_arg $ replay
-      $ max_skip_rate)
+      const run $ count $ seed $ corpus $ properties $ replay $ max_skip_rate)
 
 (* --- bench ----------------------------------------------------------------------- *)
 

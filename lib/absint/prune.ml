@@ -143,7 +143,6 @@ let prove ctx ~cycle ~base_key ~fault_key ~fault_len =
         else if j > hi then
           if ctx.terminating then None  (* final state still differs *)
           else Some ctx.no_effect_verdict
-        else if Mutant.is Absint_taint then flow (j + 1) 0 0
         else
           match flow_step ctx.effs.(j) regs flags with
           | None -> None

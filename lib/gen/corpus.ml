@@ -2,16 +2,19 @@
 
    A corpus entry is a plain Mini-C file whose leading comment lines
    carry the metadata needed to re-run the exact failing check:
-   property family, generator seed, pass configuration and the seeded
-   mutant (if any) the failure was found under. Because the metadata
-   lives in [//] comments, the whole file still parses as Mini-C — the
-   stored source IS the replay input. *)
+   property family, generator seed and pass configuration. Because the
+   metadata lives in [//] comments, the whole file still parses as
+   Mini-C — the stored source IS the replay input.
+
+   Seeded defects are source patches ([test/mutants/]), not something a
+   replay can arm, so a header naming one is refused: the entry would
+   otherwise replay against the honest build and pass. Older files
+   carry [mutant: none], which is accepted. *)
 
 type entry = {
   property : string;
   seed : int;
   config : Resistor.Config.t;
-  mutant : Mutant.t option;
   message : string;
   source : string;
 }
@@ -41,7 +44,6 @@ let render (e : entry) =
       "// seed: " ^ string_of_int e.seed;
       "// defenses: " ^ config_to_string e.config;
       "// sensitive: " ^ String.concat "," e.config.sensitive;
-      "// mutant: " ^ Option.fold ~none:"none" ~some:Mutant.name e.mutant;
       "// message: " ^ one_line e.message;
       "";
       e.source ]
@@ -88,25 +90,28 @@ let load path : (entry, string) result =
       | Some s -> String.split_on_char ',' s
     in
     let seed = get "seed" ~default:"0" in
-    let mutant =
+    let defect =
       match (field lines "sabotage", get "mutant" ~default:"none") with
       | Some _, _ ->
-        Error "obsolete \"sabotage:\" header; name the mutant with \"mutant:\""
-      | None, "none" -> Ok None
-      | None, name -> (
-        match List.find_opt (fun m -> Mutant.name m = name) Mutant.all with
-        | Some m -> Ok (Some m)
-        | None -> Error (Printf.sprintf "unknown mutant: %S" name))
+        Error
+          "obsolete \"sabotage:\" header; seeded defects are the source \
+           patches in test/mutants/"
+      | None, "none" -> Ok ()
+      | None, name ->
+        Error
+          (Printf.sprintf
+             "found under mutant %S, which a replay cannot arm: apply \
+              test/mutants/%s.mutant and drop the \"mutant:\" header"
+             name name)
     in
     let config = config_of_string ~sensitive (get "defenses" ~default:"") in
-    match (int_of_string_opt seed, mutant, config) with
+    match (int_of_string_opt seed, defect, config) with
     | None, _, _ -> Error (Printf.sprintf "malformed seed: %S" seed)
     | _, Error m, _ | _, _, Error m -> Error m
-    | Some seed, Ok mutant, Ok config ->
+    | Some seed, Ok (), Ok config ->
       Ok
         { property = get "property" ~default:"roundtrip";
           seed;
           config;
-          mutant;
           message = get "message" ~default:"";
           source = text }

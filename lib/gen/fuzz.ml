@@ -509,7 +509,6 @@ type family_run = {
 type summary = {
   seed : int;
   count : int;
-  mutant : Mutant.t option;
   runs : family_run list;
 }
 
@@ -532,7 +531,7 @@ let corpus_config family prog =
   | Efficacy | Static_dynamic ->
     Config.all_but_delay ~sensitive:(source_globals prog) ()
 
-let run_family ?dir ~mutant ~count ~seed family =
+let run_family ?dir ~count ~seed family =
   let checked = ref 0 and skipped = ref 0 in
   let prop case =
     match check family case with
@@ -558,7 +557,6 @@ let run_family ?dir ~mutant ~count ~seed family =
             { Corpus.property = family_name family;
               seed;
               config = corpus_config family case.Ast_gen.prog;
-              mutant;
               message;
               source })
         dir
@@ -589,17 +587,12 @@ let run_family ?dir ~mutant ~count ~seed family =
   in
   { family; checked = !checked; skipped = !skipped; failure }
 
-(* Run [count] generated programs through each selected family, with
-   [mutant] armed for the duration — the negative control: a seeded
-   defect must make the family that guards it fail. Saved
-   counterexamples record the mutant so {!replay} re-arms it. *)
-let run ?dir ?(families = all_families) ?mutant ~count ~seed () =
-  Mutant.with_ mutant @@ fun () ->
-  let runs = List.map (run_family ?dir ~mutant ~count ~seed) families in
-  { seed; count; mutant; runs }
+(* Run [count] generated programs through each selected family. *)
+let run ?dir ?(families = all_families) ~count ~seed () =
+  let runs = List.map (run_family ?dir ~count ~seed) families in
+  { seed; count; runs }
 
-(* Re-run the property of a saved counterexample deterministically,
-   under the mutant its header names. *)
+(* Re-run the property of a saved counterexample deterministically. *)
 let replay (entry : Corpus.entry) : (verdict, string) result =
   match family_of_string entry.property with
   | None -> Error (Printf.sprintf "unknown property %S" entry.property)
@@ -611,4 +604,4 @@ let replay (entry : Corpus.entry) : (verdict, string) result =
         if has_marker prog then Ast_gen.Guarded else Ast_gen.Terminating
       in
       let case = { Ast_gen.shape; prog } in
-      Mutant.with_ entry.mutant (fun () -> Ok (check family case)))
+      Ok (check family case))

@@ -49,8 +49,10 @@ let text_of_program = function
   | Image image -> Lower.Layout.text_bytes image
 
 (* Deterministic "boot garbage" for the stack area: a real SRAM powers
-   up with residual values; corrupted address computations then load
-   varied small bytes (Table I's 0x55 / 0x68 / 0xFF comparator values). *)
+   up with residual values, so a corrupted address computation that
+   lands in the stack loads varied small bytes, not zero. The
+   hand-written Table I-III loops never read it; the linked Table VI
+   firmware does, and its goldens depend on this pattern. *)
 let fill_stack mem ~stack_top =
   let pattern = [| 0x55; 0x00; 0x68; 0xFF; 0x08; 0x00; 0x55; 0x01 |] in
   for i = 0 to 255 do

@@ -51,12 +51,9 @@ let instrument_edge (f : Ir.func) fresh defs ~shadows ~(block : Ir.block) ~edge
     let c_rhs_i, c_rhs = complement rhs_clone.value in
     let verdict = Pass.temp fresh in
     let verdict_icmp =
-      if Mutant.is Branches_complement then
-        Ir.Icmp { dst = verdict; op = Ir.Eq; lhs = c_lhs; rhs = c_lhs }
-      else
-        Ir.Icmp
-          { dst = verdict; op = complemented_op edge_op; lhs = c_lhs;
-            rhs = c_rhs }
+      Ir.Icmp
+        { dst = verdict; op = complemented_op edge_op; lhs = c_lhs;
+          rhs = c_rhs }
     in
     (* Operands the cloner reused verbatim live in a single stack slot
        at -O0, and a corrupted guard word can decode into a store that
@@ -72,28 +69,26 @@ let instrument_edge (f : Ir.func) fresh defs ~shadows ~(block : Ir.block) ~edge
       |> ( @ ) lhs_clone.Pass.reused
     in
     let pair_instrs, pair_cond =
-      if Mutant.is Branches_complement then ([], Ir.Temp verdict)
-      else
-        List.fold_left
-          (fun (instrs, cond) t ->
-            match Pass.shadow_for f fresh defs shadows t with
-            | None -> (instrs, cond)
-            | Some sh ->
-              let x = Pass.temp fresh in
-              let ok = Pass.temp fresh in
-              let combined = Pass.temp fresh in
-              ( instrs
-                @ [ Ir.Binop
-                      { dst = x; op = Ir.Xor; lhs = Ir.Temp t;
-                        rhs = Ir.Temp sh };
-                    Ir.Icmp
-                      { dst = ok; op = Ir.Eq; lhs = Ir.Temp x;
-                        rhs = Ir.Const mask32 };
-                    Ir.Binop
-                      { dst = combined; op = Ir.And; lhs = cond;
-                        rhs = Ir.Temp ok } ],
-                Ir.Temp combined ))
-          ([], Ir.Temp verdict) reused
+      List.fold_left
+        (fun (instrs, cond) t ->
+          match Pass.shadow_for f fresh defs shadows t with
+          | None -> (instrs, cond)
+          | Some sh ->
+            let x = Pass.temp fresh in
+            let ok = Pass.temp fresh in
+            let combined = Pass.temp fresh in
+            ( instrs
+              @ [ Ir.Binop
+                    { dst = x; op = Ir.Xor; lhs = Ir.Temp t;
+                      rhs = Ir.Temp sh };
+                  Ir.Icmp
+                    { dst = ok; op = Ir.Eq; lhs = Ir.Temp x;
+                      rhs = Ir.Const mask32 };
+                  Ir.Binop
+                    { dst = combined; op = Ir.And; lhs = cond;
+                      rhs = Ir.Temp ok } ],
+              Ir.Temp combined ))
+        ([], Ir.Temp verdict) reused
     in
     let check_block =
       { Ir.label = check_label;

@@ -99,35 +99,33 @@ let instrument_function ~key domains (f : Ir.func) =
             | _ -> [ i ])
           b.instrs)
     f.blocks;
-  if not (Mutant.is Domains_checks) then begin
-    (* 2. return checks, split off the Ret like a sink *)
-    List.iter
-      (fun (b : Ir.block) ->
-        match b.term with
-        | Ir.Ret _ ->
-          incr checks;
-          Pass.attach added ~after:b.label
-            (Detect.check_ret fresh ~hint:"domains" domain_global own_key b)
-        | _ -> ())
-      f.blocks;
-    f.blocks <- Pass.splice added f.blocks;
-    (* 3. entry check becomes the new first block *)
-    match f.blocks with
-    | [] -> ()
-    | entry :: _ ->
-      incr checks;
-      let check_label = Pass.label fresh "domains.entry" in
-      let bad_label = Pass.label fresh "domains.bad" in
-      let instrs, ok = Detect.matches fresh domain_global own_key in
-      let check =
-        { Ir.label = check_label;
-          instrs;
-          term =
-            Ir.Cond_br
-              { cond = ok; if_true = entry.Ir.label; if_false = bad_label } }
-      in
-      f.blocks <- check :: Detect.arm bad_label ~next:entry.Ir.label :: f.blocks
-  end;
+  (* 2. return checks, split off the Ret like a sink *)
+  List.iter
+    (fun (b : Ir.block) ->
+      match b.term with
+      | Ir.Ret _ ->
+        incr checks;
+        Pass.attach added ~after:b.label
+          (Detect.check_ret fresh ~hint:"domains" domain_global own_key b)
+      | _ -> ())
+    f.blocks;
+  f.blocks <- Pass.splice added f.blocks;
+  (* 3. entry check becomes the new first block *)
+  (match f.blocks with
+   | [] -> ()
+   | entry :: _ ->
+     incr checks;
+     let check_label = Pass.label fresh "domains.entry" in
+     let bad_label = Pass.label fresh "domains.bad" in
+     let instrs, ok = Detect.matches fresh domain_global own_key in
+     let check =
+       { Ir.label = check_label;
+         instrs;
+         term =
+           Ir.Cond_br
+             { cond = ok; if_true = entry.Ir.label; if_false = bad_label } }
+     in
+     f.blocks <- check :: Detect.arm bad_label ~next:entry.Ir.label :: f.blocks);
   (!bridges, !checks)
 
 let run reaction (m : Ir.modul) =

@@ -147,17 +147,16 @@ let instrument_function ~key (m : Ir.modul) (f : Ir.func) =
             b.instrs)
     f.blocks;
   (* 3. sink checks: every return is dominated by a signature check *)
-  if not (Mutant.is Sigcfi_checks) then
-    List.iter
-      (fun (b : Ir.block) ->
-        match b.term with
-        | Ir.Ret _ when List.mem b.Ir.label original ->
-          incr checks;
-          Pass.attach added ~after:b.label
-            (Detect.check_ret fresh ~hint:"sigcfi" state_global
-               (sig_of b.label) b)
-        | _ -> ())
-      f.blocks;
+  List.iter
+    (fun (b : Ir.block) ->
+      match b.term with
+      | Ir.Ret _ when List.mem b.Ir.label original ->
+        incr checks;
+        Pass.attach added ~after:b.label
+          (Detect.check_ret fresh ~hint:"sigcfi" state_global
+             (sig_of b.label) b)
+      | _ -> ())
+    f.blocks;
   f.blocks <- Pass.splice added f.blocks;
   (List.length original, !updates, !checks)
 

@@ -1,11 +1,10 @@
-(* The whole-state oracle for journaled attack rigs, shared by
-   test_hw's differentials and test_mutant's kill matrix. The oracle
-   board is never sealed: every attempt on it is a whole-image
-   [Board.restore] followed by full emulation in the reference loop
-   ([Glitcher_oracle.run]), with no dead-schedule cutoff and no plain
-   tail. A rig's attempt must leave its board in the same state: the
-   whole 144 KB image, registers, flags, cycle count, trigger edges and
-   GPIO. *)
+(* The whole-state oracle for journaled attack rigs, used by test_hw's
+   differentials and properties. The oracle board is never sealed:
+   every attempt on it is a whole-image [Board.restore] followed by
+   full emulation in the reference loop ([Glitcher_oracle.run]), with
+   no dead-schedule cutoff and no plain tail. A rig's attempt must
+   leave its board in the same state: the whole 144 KB image,
+   registers, flags, cycle count, trigger edges and GPIO. *)
 
 open Hw
 

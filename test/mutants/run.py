@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Source-patch mutants: every entry of this catalog must be killed.
 
-Each `*.mutant` file in this directory is one seeded defect, written as
-an exact-string patch:
+This catalog is the project's one negative-control mechanism: no
+production code reads a mutant switch, so a seeded defect exists only
+in a patched copy of the tree and costs nothing at run time. Each
+`*.mutant` file in this directory is one seeded defect, written as an
+exact-string patch:
 
     # what the defect is (comment lines start with '#')
     file: lib/machine/exec.ml
@@ -15,7 +18,15 @@ an exact-string patch:
 
 `kills:` lines (one or more) name tests of the suite as Alcotest prints
 them, group then test name. The old and new texts are the lines between
-the markers, joined by newlines.
+the markers, joined by newlines. A patched tree must still compile
+under dune's default (dev) profile, where an unused variable is an
+error, so a patch that drops the only use of a name adds an
+`ignore (...)` of it.
+
+Tier-1 (test/test_mutant.ml) checks that the catalog has not rotted:
+each old text occurs exactly once, each suite is in test/dune, and the
+group and name of each killing test are string literals of the
+suite's source. Only this script shows that each entry is killed.
 
 The script copies the tree to a temporary directory, checks that the
 honest copy passes every suite the catalog names, then applies one

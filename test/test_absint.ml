@@ -9,9 +9,9 @@
    - soundness of the static pre-pruner against the dynamic engine: on
      the guard-loop firmware and on generated programs, a campaign with
      [static_prune] produces bit-identical verdict tables and per-point
-     verdicts to the unpruned oracle — and the sabotaged transfer
-     function (taint never propagates) is caught by the same
-     differential. *)
+     verdicts to the unpruned oracle. The absint-taint entry of
+     test/mutants/ (taint never propagates) shows the same
+     differential catches a broken transfer function. *)
 
 let vset_gen =
   QCheck.Gen.(
@@ -249,26 +249,6 @@ let prop_static_sound_on_generated =
         && static.verdicts = oracle.verdicts
         && static.faulted = oracle.faulted)
 
-(* The negative control: with the Absint_taint mutant armed (taint
-   never propagates), the same differential must trip — otherwise the
-   soundness gate is vacuous. *)
-let test_sabotage_trips () =
-  let spec = guard_loop_spec Resistor.Config.none in
-  let config =
-    { (guard_loop_config ()) with
-      Exhaust.Campaign.static_prune = true;
-      keep_points = true }
-  in
-  let honest = Exhaust.Campaign.run spec config in
-  let sabotaged =
-    Mutant.with_ (Some Absint_taint) (fun () -> Exhaust.Campaign.run spec config)
-  in
-  Alcotest.(check bool) "sabotage proves more points" true
-    (sabotaged.Exhaust.Campaign.static_pruned
-    > honest.Exhaust.Campaign.static_pruned);
-  Alcotest.(check bool) "sabotaged verdicts diverge from the honest run" false
-    (sabotaged.Exhaust.Campaign.verdicts = honest.Exhaust.Campaign.verdicts)
-
 (* --- prover ---------------------------------------------------------------- *)
 
 let prove defenses =
@@ -385,9 +365,7 @@ let () =
             test_guard_loop_static_jobs_parity;
           Alcotest.test_case "terminating baseline rejoin" `Quick
             test_terminating_static_sound;
-          Qseed.to_alcotest prop_static_sound_on_generated;
-          Alcotest.test_case "sabotaged transfer function is caught" `Quick
-            test_sabotage_trips ] );
+          Qseed.to_alcotest prop_static_sound_on_generated ] );
       ( "prove",
         [ Alcotest.test_case "undefended guard loop: escape witnesses" `Quick
             test_prove_undefended_escapes;

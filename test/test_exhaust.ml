@@ -599,11 +599,12 @@ let test_result_cache_roundtrip () =
     (cold.Exhaust.Campaign.rows = warm.Exhaust.Campaign.rows);
   Alcotest.(check int) "warm run executed nothing" 0 warm.executed
 
-(* The key describes the whole spec: specs that differ only in their
-   memory map can get different verdicts (an access past 0x400 faults
-   in one and not the other), so each must miss where the original
-   hits. *)
-let test_cache_key_covers_memory_map () =
+(* The key describes the whole spec and every keyed config field: specs
+   that differ only in their memory map can get different verdicts (an
+   access past 0x400 faults in one and not the other), and so can runs
+   with another settle budget, window or fault set, so each variant
+   must miss where the original hits. *)
+let test_cache_key_covers_spec_and_config () =
   let case = Glitch_emu.Testcase.conditional_branch Thumb.Instr.NE in
   let spec = Exhaust.Campaign.spec_of_case case in
   let config =
@@ -611,17 +612,26 @@ let test_cache_key_covers_memory_map () =
       Exhaust.Campaign.max_trace = 32 }
   in
   let cache = fresh_cache () in
-  let hit spec = snd (Exhaust.Campaign.run_cached ~cache spec config) in
-  ignore (hit spec);
-  Alcotest.(check bool) "original hits" true (hit spec);
+  let hit spec config = snd (Exhaust.Campaign.run_cached ~cache spec config) in
+  ignore (hit spec config);
+  Alcotest.(check bool) "original hits" true (hit spec config);
   List.iter
-    (fun (name, spec') ->
-      Alcotest.(check bool) (name ^ " misses") false (hit spec'))
+    (fun (name, spec', config') ->
+      Alcotest.(check bool) (name ^ " misses") false (hit spec' config'))
     [ ( "extra RAM",
-        { spec with
-          Exhaust.Campaign.rams = (0x20000400, 0x400) :: spec.Exhaust.Campaign.rams } );
-      ("larger flash", { spec with Exhaust.Campaign.flash_size = 0x800 });
-      ("moved flash", { spec with Exhaust.Campaign.flash_base = 0x08000400 }) ]
+        { spec with rams = (0x20000400, 0x400) :: spec.Exhaust.Campaign.rams },
+        config );
+      ("larger flash", { spec with flash_size = 0x800 }, config);
+      ("moved flash", { spec with flash_base = 0x08000400 }, config);
+      ("models", spec, { config with models = [ Glitch_emu.Fault_model.And ] });
+      ("weights", spec, { config with weights = [ 1 ] });
+      ("mode", spec, { config with mode = Persistent });
+      ("zero_is_invalid", spec, { config with zero_is_invalid = true });
+      ("max_trace", spec, { config with max_trace = 33 });
+      ("settle_steps", spec, { config with settle_steps = Some 8 });
+      ("cycles", spec, { config with cycles = Some (0, 4) });
+      ("prune", spec, { config with prune = false });
+      ("static_prune", spec, { config with static_prune = true }) ]
 
 let () =
   Alcotest.run "exhaust"
@@ -662,5 +672,5 @@ let () =
       ( "persistence",
         [ Alcotest.test_case "encode/decode and cache round-trip" `Quick
             test_result_cache_roundtrip;
-          Alcotest.test_case "cache key covers the memory map" `Quick
-            test_cache_key_covers_memory_map ] ) ]
+          Alcotest.test_case "cache key covers spec and config" `Quick
+            test_cache_key_covers_spec_and_config ] ) ]

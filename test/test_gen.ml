@@ -1,6 +1,7 @@
 (* The randomized differential-testing harness, tested the boring way:
-   fixed corpus entries, fixed seeds, and the negative control that
-   justifies trusting the green runs. *)
+   fixed corpus entries and fixed seeds. The negative controls that
+   justify trusting the green runs are the test/mutants/ entries these
+   tests kill. *)
 
 let marker = Resistor.Firmware.attack_marker_global
 
@@ -11,7 +12,6 @@ let sample_entry =
     seed = 1234;
     config =
       Resistor.Config.all_but_delay ~sensitive:[ "g0"; marker ] ();
-    mutant = Some Mutant.Branches_complement;
     message = "addr 0x8000092 mask 0x0100: silent\nsuccess";
     source =
       Printf.sprintf
@@ -26,8 +26,6 @@ let test_corpus_roundtrip () =
   | Ok e ->
     Alcotest.(check string) "property" "efficacy" e.Gen.Corpus.property;
     Alcotest.(check int) "seed" 1234 e.seed;
-    Alcotest.(check (option string)) "mutant" (Some "branches-complement")
-      (Option.map Mutant.name e.mutant);
     Alcotest.(check string) "defenses" "All\\Delay"
       (Resistor.Config.name e.config);
     Alcotest.(check bool) "same config" true (e.config = sample_entry.config);
@@ -39,32 +37,6 @@ let test_corpus_roundtrip () =
     (match Minic.Parser.program e.source with
     | _ -> ()
     | exception _ -> Alcotest.fail "saved corpus file does not parse as Mini-C")
-
-(* A counterexample found under a mutant replays under that mutant: an
-   absint failure saved with Absint_taint must still fail when loaded
-   back, not pass by replaying the honest transfer function. *)
-let test_absint_mutant_replays () =
-  let dir = Filename.temp_file "corpus" "" in
-  Sys.remove dir;
-  let path =
-    Gen.Corpus.save ~dir
-      { Gen.Corpus.property = "absint";
-        seed = 42;
-        config = Resistor.Config.none;
-        mutant = Some Mutant.Absint_taint;
-        message = "static verdict totals diverge from the oracle";
-        source = Resistor.Firmware.guard_loop }
-  in
-  match Gen.Corpus.load path with
-  | Error m -> Alcotest.failf "load: %s" m
-  | Ok e -> (
-    Alcotest.(check (option string)) "mutant" (Some "absint-taint")
-      (Option.map Mutant.name e.Gen.Corpus.mutant);
-    match Gen.Fuzz.replay e with
-    | Ok (Gen.Fuzz.Fail _) -> ()
-    | Ok Gen.Fuzz.Pass -> Alcotest.fail "absint counterexample replayed clean"
-    | Ok (Gen.Fuzz.Skip m) -> Alcotest.failf "precondition lost: %s" m
-    | Error m -> Alcotest.failf "replay: %s" m)
 
 (* A header naming a defense the registry does not know is an error,
    not a config with that defense silently dropped. *)
@@ -82,13 +54,13 @@ let test_unknown_defense_rejected () =
   | Ok e ->
     Alcotest.failf "loaded as %s" (Resistor.Config.name e.Gen.Corpus.config)
 
-(* --- the committed mutant counterexample --------------------------------- *)
+(* --- the committed counterexamples ----------------------------------------- *)
 
 (* [corpus/] holds the shrunk program on which a deliberately broken
    Branches/Loops pass (complemented re-check disabled) lets a 1-bit
-   guard flip set the attack marker without tripping the detector.
-   Under the mutant its header names the failure must reproduce;
-   with the pass restored the same program must be defended. *)
+   guard flip set the attack marker without tripping the detector. The
+   honest pass must defend it; the branches-complement entry of
+   test/mutants/ shows the broken one does not. *)
 (* Everything lives relative to _build/default/test, whatever the cwd. *)
 let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
 
@@ -117,29 +89,9 @@ let test_committed_configs () =
     [ ("fuzz-efficacy-17f790fd.c", [ "attack_success" ]);
       ("fuzz-efficacy-2ee70427.c", [ "g5"; "guard13"; "attack_success" ]) ]
 
-let test_sabotage_still_fails () =
-  let e = load_committed () in
-  Alcotest.(check bool) "recorded under the complement mutant" true
-    (e.Gen.Corpus.mutant = Some Mutant.Branches_complement);
-  match Gen.Fuzz.replay e with
-  | Error m -> Alcotest.failf "replay: %s" m
-  | Ok (Gen.Fuzz.Fail m) ->
-    let has_silent =
-      let needle = "silent" in
-      let nl = String.length needle and ml = String.length m in
-      let rec go i =
-        i + nl <= ml && (String.sub m i nl = needle || go (i + 1))
-      in
-      go 0
-    in
-    Alcotest.(check bool) ("silent-success diagnostic in: " ^ m) true has_silent
-  | Ok Gen.Fuzz.Pass ->
-    Alcotest.fail "sabotaged pass no longer caught — negative control is dead"
-  | Ok (Gen.Fuzz.Skip m) -> Alcotest.failf "precondition lost: %s" m
-
 let test_fixed_pass_defends () =
   let e = load_committed () in
-  match Gen.Fuzz.replay { e with Gen.Corpus.mutant = None } with
+  match Gen.Fuzz.replay e with
   | Error m -> Alcotest.failf "replay: %s" m
   | Ok Gen.Fuzz.Pass -> ()
   | Ok (Gen.Fuzz.Fail m) ->
@@ -164,8 +116,6 @@ let test_spilled_slot_clobber_defended () =
   match Gen.Corpus.load path with
   | Error m -> Alcotest.failf "%s: %s" path m
   | Ok e -> (
-    Alcotest.(check bool) "a real finding, not a mutant" true
-      (e.Gen.Corpus.mutant = None);
     match Gen.Fuzz.replay e with
     | Error m -> Alcotest.failf "replay: %s" m
     | Ok Gen.Fuzz.Pass -> ()
@@ -277,6 +227,15 @@ let test_fuzz_smoke () =
   | [ r ] -> Alcotest.(check int) "all 50 checked" 50 r.Gen.Fuzz.checked
   | _ -> Alcotest.fail "expected exactly one family run"
 
+(* The efficacy family defends generated guarded programs; the first
+   one at this seed leaks under the branches-complement entry of
+   test/mutants/, so the family is shown able to fail. *)
+let test_fuzz_efficacy () =
+  let summary =
+    Gen.Fuzz.run ~families:[ Gen.Fuzz.Efficacy ] ~count:3 ~seed:42 ()
+  in
+  Alcotest.(check bool) "efficacy family green" true (Gen.Fuzz.ok summary)
+
 (* --- skip accounting ------------------------------------------------------- *)
 
 (* A program past the 255-slot frame budget is a precondition miss, not
@@ -312,8 +271,7 @@ let test_skip_rate_budget () =
   let desert = run Gen.Fuzz.Semantics 100 80 in
   let empty = run Gen.Fuzz.Efficacy 0 0 in
   let summary =
-    { Gen.Fuzz.seed = 0; count = 100; mutant = None;
-      runs = [ quiet; desert; empty ] }
+    { Gen.Fuzz.seed = 0; count = 100; runs = [ quiet; desert; empty ] }
   in
   Alcotest.(check (float 1e-9)) "2% skip" 0.02 (Gen.Fuzz.skip_rate quiet);
   Alcotest.(check (float 1e-9)) "80% skip" 0.8 (Gen.Fuzz.skip_rate desert);
@@ -408,12 +366,9 @@ let test_exit_codes () =
       (* CFCSS alone leaves the loop guard direction-flippable *)
       ("lint cfcss token", [ "lint"; guarded; "--defenses=cfcss" ], 3);
       ("lint --cfcss is gone", [ "lint"; good; "--cfcss" ], 2);
-      ( "lint sabotaged cfi flagged",
-        [ "lint"; good; "--defenses=all-cfi"; "--mutant"; "sigcfi-checks" ],
-        3 );
-      ( "lint sabotaged domains flagged",
-        [ "lint"; good; "--defenses=all-cfi"; "--mutant"; "domains-checks" ],
-        3 );
+      ( "lint --mutant is gone",
+        [ "lint"; good; "--mutant"; "sigcfi-checks" ],
+        2 );
       ( "fuzz skip-rate breach",
         [ "fuzz"; "--count"; "5"; "--seed"; "11"; "--properties"; "roundtrip";
           "--max-skip-rate=-1";
@@ -427,26 +382,29 @@ let test_exit_codes () =
         [ "fuzz"; "--properties"; "nonsense" ],
         2 );
       ("fuzz zero count", [ "fuzz"; "--count"; "0" ], 2);
-      ("fuzz unknown mutant", [ "fuzz"; "--mutant"; "bogus" ], 2);
-      ( "fuzz replay unknown mutant header",
-        [ "fuzz"; "--replay"; entry "// mutant: bogus" ],
+      ( "fuzz --mutant is gone",
+        [ "fuzz"; "--mutant"; "branches-complement" ],
         2 );
+      (* a defect cannot be armed at run time, so an entry found under
+         one must not replay as a pass against the honest build *)
+      ( "fuzz replay mutant header",
+        [ "fuzz"; "--replay"; entry "// mutant: branches-complement" ],
+        2 );
+      ( "fuzz replay mutant none header",
+        [ "fuzz"; "--replay"; entry "// mutant: none" ],
+        0 );
       ( "fuzz replay leftover sabotage header",
         [ "fuzz"; "--replay"; entry "// sabotage: yes" ],
         2 );
       ( "fuzz replay malformed seed",
         [ "fuzz"; "--replay"; entry "// seed: 12abc" ],
         2 );
-      ( "fuzz replay with --mutant",
-        [ "fuzz"; "--replay"; committed_counterexample; "--mutant";
-          "absint-taint" ],
-        2 );
       ( "fuzz replay unknown property",
         [ "fuzz"; "--replay"; bad_property ],
         2 );
-      ( "fuzz replay mutant counterexample",
+      ( "fuzz replay committed counterexample",
         [ "fuzz"; "--replay"; committed_counterexample ],
-        3 ) ]
+        0 ) ]
   in
   List.iter
     (fun (name, args, expected) ->
@@ -637,16 +595,12 @@ let () =
     [ ( "corpus",
         [ Alcotest.test_case "save/load round trip" `Quick
             test_corpus_roundtrip;
-          Alcotest.test_case "absint mutant replays under its mutant" `Quick
-            test_absint_mutant_replays;
           Alcotest.test_case "unknown defense rejected" `Quick
             test_unknown_defense_rejected;
           Alcotest.test_case "committed entries' configs" `Quick
             test_committed_configs ] );
       ( "sabotage",
-        [ Alcotest.test_case "counterexample still fails" `Quick
-            test_sabotage_still_fails;
-          Alcotest.test_case "fixed pass defends" `Quick
+        [ Alcotest.test_case "fixed pass defends" `Quick
             test_fixed_pass_defends ] );
       ( "regressions",
         [ Alcotest.test_case "negative literal round trip" `Quick
@@ -661,6 +615,7 @@ let () =
         [ Alcotest.test_case "observer trace" `Quick test_observer_trace ] );
       ( "fuzz",
         [ Alcotest.test_case "fixed-seed smoke" `Quick test_fuzz_smoke;
+          Alcotest.test_case "efficacy at seed 42" `Quick test_fuzz_efficacy;
           Alcotest.test_case "capacity limit skips, not passes" `Quick
             test_capacity_limit_skips;
           Alcotest.test_case "skip-rate budget" `Quick test_skip_rate_budget ] );

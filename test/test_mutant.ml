@@ -1,96 +1,10 @@
-(* The mutant catalog's kill matrix: every seeded defect in [Mutant.all]
-   must be caught by at least one oracle. A killer is a named check that
-   holds on the honest build and fails with its mutant armed; the match
-   in [killers] is exhaustive, so a new mutant does not compile until it
-   has one.
-
-   Hot-path defects are source patches instead, in test/mutants/, and
-   test/mutants/run.py shows each is killed. Here tier-1 only checks
-   that the patch catalog has not rotted. *)
+(* The seeded-defect catalog: every entry of test/mutants/ is a source
+   patch that test/mutants/run.py applies to a copy of the tree, and
+   the tests it names must then fail. Tier-1 only checks that the
+   catalog has not rotted: each patch still applies, and each killing
+   test still exists under the name the entry gives it. *)
 
 let build_root = Filename.dirname (Filename.dirname Sys.executable_name)
-
-(* --- checks ----------------------------------------------------------------- *)
-
-(* The committed efficacy counterexample: the complemented re-check
-   catches every 1/2-bit guard flip on it. *)
-let efficacy_counterexample_defended () =
-  let path =
-    Filename.concat
-      (Filename.concat build_root "corpus")
-      "fuzz-efficacy-17f790fd.c"
-  in
-  match Gen.Corpus.load path with
-  | Error m -> Alcotest.failf "%s: %s" path m
-  | Ok e ->
-    let prog = Minic.Parser.program e.Gen.Corpus.source in
-    Gen.Fuzz.check Gen.Fuzz.Efficacy { Gen.Ast_gen.shape = Guarded; prog }
-    = Gen.Fuzz.Pass
-
-(* A CFI-defended guard loop draws no Error finding from its own audit. *)
-let cfi_audit_clean config rule () =
-  let compiled = Resistor.Driver.compile config Resistor.Firmware.guard_loop in
-  let report = Analysis.Lint.run (Analysis.Lint.of_compiled compiled) in
-  not
-    (List.exists
-       (fun (d : Analysis.Lint.diag) -> d.rule = rule)
-       (Analysis.Lint.errors report))
-
-(* On a guard-loop window, the campaign with static and state-key
-   pruning gives the same per-point verdicts as the unpruned oracle. *)
-let pruned_matches_oracle () =
-  let compiled =
-    Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
-  in
-  let spec =
-    Exhaust.Campaign.spec_of_image ~name:"guard_loop"
-      compiled.Resistor.Driver.image
-  in
-  let config =
-    { (Exhaust.Campaign.default_config ()) with
-      Exhaust.Campaign.max_trace = 96;
-      settle_steps = Some 24;
-      static_prune = true;
-      keep_points = true }
-  in
-  let pruned = Exhaust.Campaign.run spec config in
-  let oracle =
-    Exhaust.Campaign.run spec
-      { config with Exhaust.Campaign.prune = false; static_prune = false }
-  in
-  pruned.Exhaust.Campaign.verdicts = oracle.Exhaust.Campaign.verdicts
-
-(* --- the matrix ------------------------------------------------------------- *)
-
-let killers : Mutant.t -> (string * (unit -> bool)) list = function
-  | Branches_complement ->
-    [ ("committed efficacy counterexample defended",
-       efficacy_counterexample_defended) ]
-  | Sigcfi_checks ->
-    [ ("sigcfi audit clean",
-       cfi_audit_clean (Resistor.Config.make [ Sigcfi ]) "sigcfi-sink") ]
-  | Domains_checks ->
-    [ ("domains audit clean",
-       cfi_audit_clean (Resistor.Config.make [ Domains ]) "domains-check") ]
-  | Absint_taint ->
-    [ ("static pruning == oracle on the guard loop",
-       pruned_matches_oracle) ]
-
-let test_every_mutant_killed () =
-  List.iter
-    (fun m ->
-      List.iter
-        (fun (name, holds) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s holds with no mutant" name)
-            true
-            (Mutant.with_ None holds);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s kills %s" name (Mutant.name m))
-            false
-            (Mutant.with_ (Some m) holds))
-        (killers m))
-    Mutant.all
 
 (* --- the source-patch catalog ------------------------------------------- *)
 
@@ -135,8 +49,18 @@ let parse_entry path =
     old = String.concat "\n" old;
     new_ = String.concat "\n" new_ }
 
+(* The suites test/dune declares: the words of its [(names ...)] field. *)
+let suites () =
+  read_file (Filename.concat build_root "test/dune")
+  |> String.split_on_char '('
+  |> List.find (String.starts_with ~prefix:"names")
+  |> String.map (function '\n' | ')' -> ' ' | c -> c)
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> w <> "" && w <> "names")
+
 let test_catalog_applies () =
   let dir = Filename.concat (Filename.concat build_root "test") "mutants" in
+  let suites = suites () in
   let names =
     List.sort compare
       (List.filter
@@ -163,27 +87,33 @@ let test_catalog_applies () =
       Alcotest.(check int)
         (Printf.sprintf "%s: old text occurs once in %s" name (one "file"))
         1
-        (occurrences (read_file file) e.old))
+        (occurrences (read_file file) e.old);
+      let suite = one "suite" in
+      if not (List.mem suite suites) then
+        Alcotest.failf "%s: %s is not a suite in test/dune" name suite;
+      (* a kill names "group test" as Alcotest prints them; both halves
+         must still be string literals of the suite *)
+      let source =
+        read_file (Filename.concat build_root ("test/" ^ suite ^ ".ml"))
+      in
+      List.iter
+        (fun (k, kill) ->
+          if k = "kills" then
+            match String.index_opt kill ' ' with
+            | None -> Alcotest.failf "%s: kill %S names no group" name kill
+            | Some i ->
+              List.iter
+                (fun part ->
+                  if occurrences source ("\"" ^ part ^ "\"") = 0 then
+                    Alcotest.failf "%s: %S is not a string literal of %s.ml"
+                      name part suite)
+                [ String.sub kill 0 i;
+                  String.sub kill (i + 1) (String.length kill - i - 1) ])
+        e.fields)
     names
-
-let test_with_restores () =
-  let armed () = List.filter Mutant.is Mutant.all in
-  Alcotest.(check int) "nothing armed by default" 0 (List.length (armed ()));
-  Mutant.with_ (Some Sigcfi_checks) (fun () ->
-      Alcotest.(check bool) "armed inside" true (Mutant.is Sigcfi_checks);
-      (try Mutant.with_ (Some Absint_taint) (fun () -> raise Exit)
-       with Exit -> ());
-      Alcotest.(check bool) "restored after an exception" true
-        (armed () = [ Mutant.Sigcfi_checks ]);
-      Mutant.with_ None (fun () ->
-          Alcotest.(check int) "None disarms" 0 (List.length (armed ()))));
-  Alcotest.(check int) "restored on return" 0 (List.length (armed ()))
 
 let () =
   Alcotest.run "mutant"
     [ ( "catalog",
-        [ Alcotest.test_case "with_ restores the slot" `Quick test_with_restores;
-          Alcotest.test_case "every mutant is killed" `Quick
-            test_every_mutant_killed;
-          Alcotest.test_case "source patches still apply" `Quick
+        [ Alcotest.test_case "source patches still apply" `Quick
             test_catalog_applies ] ) ]
