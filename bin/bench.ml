@@ -386,11 +386,11 @@ let tables ?pool () =
 
 (* Runs Figure 2's 62 sweeps, quietly, at --jobs 1, 2, 4 and 8 (a fresh
    pool per leg), checks every leg's tables bit-identical to the
-   sequential one, and records all four legs as "fig2" rows. With the
-   shared memo store the executed counter must NOT grow with the job
-   count — that counter parity, not wall-clock on a core-starved CI
-   container, is the evidence that the old duplicated-execution
-   inversion is gone. *)
+   sequential one, and records all four legs as "fig2" rows. Each
+   distinct word is run by one worker, so the executed counter is the
+   same at every job count — that counter parity, not wall-clock on a
+   core-starved CI container, is the evidence that no leg duplicates
+   work. *)
 let scaling () =
   section "scaling - fig2 sweep kernel at --jobs 1,2,4,8";
   let leg jobs =

@@ -173,11 +173,7 @@ let loop_header_count (f : Ir.func) =
 
 (* ------------------------------------------------------------------ *)
 
-let popcount v =
-  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
-  go 0 (v land 0xFFFFFFFF)
-
-let hamming a b = popcount (a lxor b)
+let hamming a b = Glitch_emu.Bitmask.popcount ((a lxor b) land 0xFFFFFFFF)
 
 let min_pairwise values =
   let rec go acc = function

@@ -60,7 +60,7 @@ let layout = Loader.snippet_layout
 let flash_base = layout.flash_base
 
 (* [pristine] is the address space right after loading the unperturbed
-   image: resetting between masks is two [Bytes.blit]s (flash including
+   image: resetting between words is two [Bytes.blit]s (flash including
    the target halfword, plus zeroed SRAM) via [Memory.restore], instead
    of [Memory.clear] + a per-byte [load_bytes]. The blit also undoes
    any stray flash writes a glitched run may have performed, so the
@@ -69,8 +69,7 @@ type rig = {
   mem : Memory.t;
   cpu : Cpu.t;
   image : bytes;
-  target : int;  (* unperturbed target halfword *)
-  target_addr : int;  (* its flash address *)
+  target_addr : int;  (* flash address of the target halfword *)
   pristine : Memory.snapshot;
   zero_rule : bool option;  (* Exec.run's options, boxed once *)
   budget : int option;
@@ -81,7 +80,6 @@ let make_rig config (case : Testcase.t) =
   { mem;
     cpu;
     image = Thumb.Encode.to_bytes case.instrs;
-    target = Testcase.target_word case;
     target_addr = flash_base + (2 * case.target_index);
     pristine = Memory.snapshot mem;
     zero_rule = Some config.zero_is_invalid;
@@ -110,8 +108,8 @@ let run_rig rig =
 
 (* The fast kernel: one perturbed word against a reused rig. The
    outcome is a pure function of (config, case, word) — the rig is
-   restored to the same pristine state every time — which is what makes
-   the per-word memo below sound. *)
+   restored to the same pristine state every time — which is what lets
+   a sweep run each distinct word once. *)
 let run_word rig ~word =
   Memory.restore rig.mem rig.pristine;
   Memory.write_u16_exn rig.mem rig.target_addr word;
@@ -133,113 +131,74 @@ let run_one config case ~mask = run_mask config (make_rig config case) case ~mas
 let width = 16
 let ncat = List.length categories
 
-type tally = { by_weight : counts array; totals : counts }
+(* One count per category for each bit count 0..width. *)
+let zero_counts () = Array.init (width + 1) (fun _ -> Array.make ncat 0)
 
-let make_tally () =
-  { by_weight = Array.init (width + 1) (fun _ -> Array.make ncat 0);
-    totals = Array.make ncat 0 }
+(* A worker's share of a sweep: [by_changed.(d).(c)] counts the image
+   words of category [c] that differ from the target in [d] bits. *)
+type tally = { by_changed : counts array; mutable executed : int }
 
-(* The word-outcome memo. [store] slot [word] is the category index
-   already established for a perturbed word, or empty. The And/Or
-   fault models are many-to-one (e.g. AND can only produce subsets of
-   the target's set bits), so a 65,536-mask sweep visits only a few
-   hundred to a few thousand distinct words — every revisit is a table
-   lookup instead of an emulation.
+let make_tally () = { by_changed = zero_counts (); executed = 0 }
 
-   The store is SHARED between worker domains (it used to be
-   worker-private, which made N workers re-execute every word up to N
-   times and inverted the parallel speedup). Sharing is sound because
-   the outcome is a pure function of (config, case, word): racing
-   workers can only publish identical values, and a stale read of
-   "empty" merely re-executes — see [Runtime.Store]. The counters stay
-   per-worker (merged after the region), so hit rates remain
-   observable without contended atomics on the hot path.
+(* Category totals over the modified masks: every weight but 0. *)
+let totals_of by_weight =
+  Array.init ncat (fun c ->
+      Array.fold_left (fun n row -> n + row.(c)) 0 by_weight - by_weight.(0).(c))
 
-   A store is only valid for the (config, case) pair it was filled
-   under — the outcome depends on the whole snippet, not just the
-   perturbed word — so callers passing [?store] must key it by both. *)
-type memo = {
-  store : Runtime.Store.t;
-  mutable executed : int;
-  mutable memoized : int;
-}
+let make_store () = Runtime.Store.create ~slots:(1 lsl width)
 
-let make_store () = Runtime.Store.create ~slots:0x10000
-
-let make_memo store = { store; executed = 0; memoized = 0 }
-
-let classify_word rig memo ~word =
-  let c = Runtime.Store.get memo.store word in
-  if c >= 0 then begin
-    memo.memoized <- memo.memoized + 1;
-    c
-  end
+(* A word already in [store] is not run again; a word run is published
+   there. Every word is visited by exactly one worker, so no two
+   workers ever fill the same slot. *)
+let word_outcome store rig t ~word =
+  let known = match store with Some s -> Runtime.Store.get s word | None -> -1 in
+  if known >= 0 then known
   else begin
     let c = category_index (run_word rig ~word) in
-    Runtime.Store.set memo.store word c;
-    memo.executed <- memo.executed + 1;
+    (match store with Some s -> Runtime.Store.set s word c | None -> ());
+    t.executed <- t.executed + 1;
     c
   end
 
-let record config rig memo t ~mask =
-  let flipped = Fault_model.flipped_bits config.flip ~width ~mask in
-  let word = Fault_model.apply config.flip ~mask rig.target in
-  let idx = classify_word rig memo ~word in
-  t.by_weight.(flipped).(idx) <- t.by_weight.(flipped).(idx) + 1;
-  if flipped > 0 then t.totals.(idx) <- t.totals.(idx) + 1
-
-(* Counts are merged with integer addition — commutative and
-   associative — so the merged result is bit-identical whatever the
-   domain count or chunk schedule. *)
-let merge_into dst (src : tally) =
-  Array.iteri
-    (fun w row -> Array.iteri (fun i n -> row.(i) <- row.(i) + n) src.by_weight.(w))
-    dst.by_weight;
-  Array.iteri (fun i n -> dst.totals.(i) <- dst.totals.(i) + n) src.totals
-
-(* The 2^16 mask space is cut into contiguous slices; each worker
-   drains slices into a private rig and tally but a SHARED word-outcome
-   store, and per-worker tallies are summed. Classification depends
-   only on (config, case, mask), so the merged counts are the same
-   whatever the races on the store resolve to; the executed/memoized
-   split, by contrast, is schedule-dependent with several workers (a
-   word raced by two workers on a cold slot counts as two executions),
-   so only executed + memoized and the tables themselves are
-   deterministic. A lone worker sweeps all masks with one rig, and
-   executes each distinct word exactly once. *)
-(* One store per domain, emptied at the start of every [run_case] that
-   is given none. A fresh 64 KB table per case would be garbage the
-   moment the case returns, and the major heap would keep dozens of
-   them alive until the collector caught up. *)
-let scratch_store = Domain.DLS.new_key make_store
-
+(* Each distinct perturbed word is run once: the drain ranges over the
+   indices of the subsets of the target's changeable bits, not over
+   masks. Only afterwards are the words spread over the masks that
+   produce them, by [Fault_model.preimages], with integer arithmetic
+   that does not depend on which worker took which slice. *)
 let run_case ?pool ?store config (case : Testcase.t) =
-  let store =
-    match store with
-    | Some s -> s
-    | None ->
-      let s = Domain.DLS.get scratch_store in
-      Runtime.Store.clear s;
-      s
-  in
+  let target = Testcase.target_word case in
+  let changeable = Fault_model.changeable config.flip ~width target in
   let parts =
-    Runtime.Pool.drain ?pool ~lo:0 ~hi:(1 lsl width)
-      ~init:(fun () -> (make_rig config case, make_memo store, make_tally ()))
-      (fun (rig, memo, t) lo hi ->
-        for mask = lo to hi - 1 do
-          record config rig memo t ~mask
+    Runtime.Pool.drain ?pool ~lo:0 ~hi:(1 lsl Bitmask.popcount changeable)
+      ~init:(fun () -> (make_rig config case, make_tally ()))
+      (fun (rig, t) lo hi ->
+        let s = ref (Bitmask.deposit lo ~into:changeable) in
+        for _ = lo to hi - 1 do
+          let c = word_outcome store rig t ~word:(target lxor !s) in
+          let row = t.by_changed.(Bitmask.popcount !s) in
+          row.(c) <- row.(c) + 1;
+          s := Bitmask.next_subset !s ~within:changeable
         done)
   in
-  let t = make_tally () in
-  let executed = ref 0 and memoized = ref 0 in
+  let by_weight = zero_counts () in
+  let executed = ref 0 in
   List.iter
-    (fun (_, memo, part) ->
-      merge_into t part;
-      executed := !executed + memo.executed;
-      memoized := !memoized + memo.memoized)
+    (fun (_, t) ->
+      executed := !executed + t.executed;
+      Array.iteri
+        (fun changed words ->
+          for weight = changed to width do
+            let n =
+              Fault_model.preimages config.flip ~width ~target ~changed ~weight
+            in
+            for c = 0 to ncat - 1 do
+              by_weight.(weight).(c) <- by_weight.(weight).(c) + (n * words.(c))
+            done
+          done)
+        t.by_changed)
     parts;
-  { case; config; by_weight = t.by_weight; totals = t.totals;
-    stats = { executed = !executed; memoized = !memoized } }
+  { case; config; by_weight; totals = totals_of by_weight;
+    stats = { executed = !executed; memoized = (1 lsl width) - !executed } }
 
 let perf ~label ?pool results elapsed_s =
   let executed, memoized =
@@ -323,12 +282,11 @@ let of_json config case j =
     || Array.exists (fun row -> Array.length row <> ncat || Array.mem (-1) row) by_weight
   then None
   else
-    let column i = Array.fold_left (fun n row -> n + row.(i)) 0 by_weight in
+    let totals = totals_of by_weight in
     let r =
-      { case; config; by_weight;
-        totals = Array.init ncat (fun i -> column i - by_weight.(0).(i));
-        stats = { executed = 0; memoized = 1 lsl width } }
+      { case; config; by_weight; totals; stats = { executed = 0; memoized = 1 lsl width } }
     in
-    if Array.fold_left ( + ) 0 (Array.init ncat column) = 1 lsl width && to_json r = j
+    let sum = Array.fold_left ( + ) 0 in
+    if sum totals + sum by_weight.(0) = 1 lsl width && to_json r = j
     then Some r
     else None

@@ -7,9 +7,11 @@
     The sweep kernel exploits the fact that classification is a pure
     function of the {e perturbed word} (the rig is restored to an
     identical pristine state before every run): the And/Or fault models
-    map 65,536 masks onto far fewer distinct words, so each distinct
-    word is executed once and every other mask replays the memoized
-    category. {!sweep_stats} reports how much work that saved. *)
+    map 65,536 masks onto far fewer distinct words
+    ({!Fault_model.changeable}), so each distinct word is executed once
+    and counted for every mask that produces it
+    ({!Fault_model.preimages}). {!sweep_stats} reports how much work
+    that saved. *)
 
 (** Outcome classification, matching Figure 2's legend. *)
 type category =
@@ -55,14 +57,13 @@ val classify : Machine.Cpu.t -> Machine.Exec.stop -> category
 
 type sweep_stats = {
   executed : int;  (** perturbed words actually emulated *)
-  memoized : int;  (** masks served from the per-word outcome memo *)
+  memoized : int;  (** masks whose outcome needed no emulation of their own *)
 }
-(** [executed + memoized] equals the number of masks processed. The
-    memo store is shared between workers, so in a parallel sweep
-    [executed] stays close to the number of distinct perturbed words;
-    the exact executed/memoized split is schedule-dependent (two
-    workers racing on a cold slot both count an execution) — only the
-    sum and the resulting tables are deterministic. *)
+(** [executed + memoized = 65536]. Each distinct perturbed word is
+    emulated by exactly one worker, so the split does not depend on the
+    job count or the schedule: a cold sweep executes as many words as
+    the model's image of the target holds, a sweep on a warm store
+    none. *)
 
 type result = {
   case : Testcase.t;
@@ -78,36 +79,35 @@ type result = {
 val run_one : config -> Testcase.t -> mask:int -> category
 (** Run a single perturbed execution on a fresh machine, via the
     original reference reset protocol (clear, reload, perturb) with no
-    memoization. This is the oracle that differential tests pin the
-    memoized sweep kernel against. *)
+    per-word sharing. This is the oracle that differential tests pin the
+    sweep kernel against. *)
 
 val make_store : unit -> Runtime.Store.t
-(** A fresh empty word-outcome store ([2^16] slots). A store caches
-    word classifications for exactly one [(config, case)] pair — the
-    outcome depends on the whole snippet, not just the perturbed word —
-    so callers keeping stores warm across calls must key them by
-    both. *)
+(** A fresh empty word-outcome store ([2^16] slots), for callers that
+    keep the outcomes of a sweep warm across calls. A store caches word
+    classifications for exactly one [(config, case)] pair — the outcome
+    depends on the whole snippet, not just the perturbed word — so such
+    callers must key their stores by both. *)
 
 val run_case :
   ?pool:Runtime.Pool.t -> ?store:Runtime.Store.t ->
   config -> Testcase.t -> result
-(** Run all [2^16] masks against the case's target instruction.
+(** Classify all [2^16] masks against the case's target instruction.
 
-    The mask space is drained through {!Runtime.Pool.drain}: each
-    worker sweeps the chunks it claims against a private rig whose
-    memory map and CPU are reused across masks, all workers sharing one
-    lock-free word-outcome store ({!Runtime.Store}). Per-worker counts
-    are merged with plain integer addition — commutative — so
-    [by_weight] and [totals] are bit-identical for every job count.
-    Without a pool (or with a one-job pool) a single worker in the
-    caller sweeps every mask.
+    The distinct perturbed words, not the masks, are drained through
+    {!Runtime.Pool.drain}: each worker runs the words it claims, once
+    each, against a private rig whose memory map and CPU are reused
+    across words, and counts them by how many bits they change. The
+    per-worker counts are summed and spread over the masks that produce
+    each word ({!Fault_model.preimages}) with integer arithmetic, so
+    [by_weight], [totals] and [stats] are bit-identical for every job
+    count. Without a pool (or with a one-job pool) a single worker in
+    the caller runs every word.
 
-    [store] supplies a warm store from a previous run of the {e same}
-    [(config, case)] pair (see {!make_store}); words already present
-    are served without emulation, so a fully warm store yields
-    [stats.executed = 0]. Without one, the calling domain's scratch
-    store is emptied and used, so a run allocates no fresh 64 KB
-    table. *)
+    [store] supplies a store from previous runs of the {e same}
+    [(config, case)] pair (see {!make_store}): words already present
+    are not run, and every word run is added, so a fully warm store
+    yields [stats.executed = 0]. *)
 
 val to_json : result -> Json.t
 (** The result's tables: [{"totals": {category name: count, ...},
@@ -121,22 +121,21 @@ val of_json : config -> Testcase.t -> Json.t -> result option
 val perf :
   label:string -> ?pool:Runtime.Pool.t -> result list -> float -> Stats.Perf.t
 (** The PERF record of sweeps that took [elapsed_s] on [pool]: [2^16]
-    items per result, then the summed memo split [executed],
-    [memoized] and [hit_rate]. *)
+    items per result, then the summed split [executed], [memoized] and
+    [hit_rate]. *)
 
 type sweep = {
   categories : category array;
       (** entry [mask] is that mask's classification; [2^16] entries *)
   by_word : category option array;
-      (** the memo: entry [word] is the category established for that
-          perturbed word, or [None] if no mask produced it; [2^16]
-          entries *)
+      (** entry [word] is the category established for that perturbed
+          word, or [None] if no mask produced it; [2^16] entries *)
   sweep_stats : sweep_stats;
 }
 
 val sweep : config -> Testcase.t -> sweep
 (** {!run_case} on a fresh store with no pool, read back per mask and
-    per word, so tests can check the memo against
+    per word, so tests can check the per-word outcomes against
     {!categories_by_mask} and {!run_one}. *)
 
 val categories_by_mask : config -> Testcase.t -> category array

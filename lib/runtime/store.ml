@@ -22,7 +22,6 @@ let create ~slots =
   { slots = Bytes.make slots (Char.chr empty_slot) }
 
 let length t = Bytes.length t.slots
-let clear t = Bytes.fill t.slots 0 (Bytes.length t.slots) (Char.chr empty_slot)
 
 let get t i =
   let v = Char.code (Bytes.get t.slots i) in

@@ -3,16 +3,15 @@
     One byte per slot; a slot is either empty or holds a small integer
     in [0, 254]. Reads and writes are plain (non-atomic) byte accesses,
     which is sound {e only} for memoizing a function that is
-    deterministic and many-to-one over slot indices: every domain that
-    fills slot [i] must store the same value, so races can at worst
-    return a stale "empty" and cost a duplicated computation — never a
-    wrong or torn value (single-byte accesses cannot tear, and the
-    OCaml 5 memory model forbids out-of-thin-air reads).
+    deterministic over slot indices: every domain that fills slot [i]
+    must store the same value, so races can at worst return a stale
+    "empty" — never a wrong or torn value (single-byte accesses cannot
+    tear, and the OCaml 5 memory model forbids out-of-thin-air reads).
 
-    This is the shared replacement for the worker-private sweep memos:
-    with a private memo, [N] workers re-execute a word up to [N] times;
-    with a shared store the expected duplication is bounded by the
-    handful of in-flight computations that race on a cold slot. *)
+    The Figure 2 sweep fills one per [(config, case)] pair when asked
+    to: [glitchctl serve] keeps them warm across requests, and
+    [Glitch_emu.Campaign.sweep] reads one back per word. The sweep's
+    workers each run distinct words, so they never race on a slot. *)
 
 type t
 
@@ -21,10 +20,6 @@ val create : slots:int -> t
     count. *)
 
 val length : t -> int
-
-val clear : t -> unit
-(** Empty every slot. Not concurrent-safe: no domain may use the store
-    meanwhile. *)
 
 val get : t -> int -> int
 (** The value published for a slot, or [-1] when (observably) empty.

@@ -33,6 +33,41 @@ let enumeration_distinct_and_complete () =
   done;
   Alcotest.(check int) "covers 2^16" 65536 (Hashtbl.length seen)
 
+(* The definition [Bitmask.popcount] must keep: one bit at a time. *)
+let serial_popcount v =
+  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
+  go 0 v
+
+let popcount_is_bit_serial () =
+  for v = 0 to 0xFFFF do
+    if Bitmask.popcount v <> serial_popcount v then
+      Alcotest.failf "popcount 0x%04x = %d" v (Bitmask.popcount v)
+  done;
+  let rng = Random.State.make [| 32 |] in
+  let sampled = List.init 100_000 (fun _ -> Random.State.bits32 rng |> Int32.to_int) in
+  List.iter
+    (fun v ->
+      let v = v land 0xFFFFFFFF in
+      if Bitmask.popcount v <> serial_popcount v then
+        Alcotest.failf "popcount 0x%08x = %d" v (Bitmask.popcount v))
+    ([ 0xFFFFFFFF; 0x80000000; 0x7FFFFFFF; 0xFFFF0000; 0x55555555 ] @ sampled);
+  (* outside 0 .. 2^32 - 1 every bit still counts *)
+  List.iter
+    (fun v -> Alcotest.(check int) (Printf.sprintf "%x" v) (serial_popcount v) (Bitmask.popcount v))
+    [ 0x100000000; 0x1FFFFFFFF; max_int; -1; min_int ]
+
+let prop_subset_walk =
+  QCheck.Test.make ~name:"deposit and next_subset walk the subsets in order"
+    ~count:200 QCheck.(int_bound 0xFFFF)
+    (fun bits ->
+      let n = 1 lsl Bitmask.popcount bits in
+      let walk = Array.init n (fun i -> Bitmask.deposit i ~into:bits) in
+      let subsets = List.filter (fun s -> s land bits = s) (List.init 0x10000 Fun.id) in
+      Array.to_list walk = subsets
+      && Array.for_all
+           (fun i -> Bitmask.next_subset walk.(i) ~within:bits = walk.((i + 1) mod n))
+           (Array.init n Fun.id))
+
 let prop_weight_enumeration =
   QCheck.Test.make ~name:"of_weight lists are sorted and exact" ~count:50
     QCheck.(pair (int_range 1 12) (int_range 0 12))
@@ -71,6 +106,40 @@ let fault_unidirectional () =
     let ored = Fault_model.apply Or ~mask w in
     Alcotest.(check int) "or superset" ored (ored lor w)
   done
+
+let prop_preimages_bucket_masks =
+  (* The preimage rule against its definition: bucketing all 2^16 masks
+     by the word [apply] makes of the target and by [flipped_bits] gives
+     each word of [changeable]'s image the histogram [preimages]
+     predicts, and every other word none. *)
+  QCheck.Test.make ~name:"preimage counts = per-mask bucketing" ~count:12
+    QCheck.(int_bound 0xFFFF)
+    (fun target ->
+      List.for_all
+        (fun flip ->
+          let hist = Array.make_matrix 0x10000 17 0 in
+          for mask = 0 to 0xFFFF do
+            let word = Fault_model.apply flip ~mask target in
+            let weight = Fault_model.flipped_bits flip ~width:16 ~mask in
+            hist.(word).(weight) <- hist.(word).(weight) + 1
+          done;
+          let changeable = Fault_model.changeable flip ~width:16 target in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun word row ->
+                 let d = word lxor target in
+                 let in_image = d land changeable = d in
+                 Array.for_all Fun.id
+                   (Array.mapi
+                      (fun weight n ->
+                        n
+                        = if in_image then
+                            Fault_model.preimages flip ~width:16 ~target
+                              ~changed:(Bitmask.popcount d) ~weight
+                          else 0)
+                      row))
+               hist))
+        Fault_model.all)
 
 let flipped_bits () =
   Alcotest.(check int) "and identity" 0
@@ -335,8 +404,8 @@ let parallel_matches_sequential () =
 
 let one_job_pool_matches_no_pool () =
   (* No pool and a one-job pool are the same single worker in the
-     caller: equal tables and, with nothing to race, the same
-     executed/memoized split — each distinct word executed once. *)
+     caller: equal tables and the same executed/memoized split — each
+     distinct word executed once. *)
   let config = Campaign.default_config Fault_model.And in
   let plain = Campaign.run_case config beq_case in
   Runtime.Pool.with_pool ~jobs:1 (fun pool ->
@@ -471,38 +540,68 @@ let shared_store_warm_run_executes_nothing () =
       Alcotest.(check int) "warm parallel executes nothing" 0
         par.stats.Campaign.executed)
 
-(* Without a store, run_case uses its domain's scratch store, emptied
-   first: back-to-back runs, even of different cases, start cold and
-   match runs on fresh stores, counters included. *)
-let scratch_store_starts_empty () =
+(* A run without a store keeps nothing between calls: back-to-back
+   runs, even of different cases, start cold and match runs on fresh
+   stores, counters included. *)
+let no_store_is_fresh_store () =
   let config = Campaign.default_config Fault_model.And in
   let bne_case = Testcase.conditional_branch Thumb.Instr.NE in
   List.iter
     (fun case ->
       let fresh = Campaign.run_case ~store:(Campaign.make_store ()) config case in
-      let scratch = Campaign.run_case config case in
-      check_same_result "scratch = fresh" fresh scratch;
+      let plain = Campaign.run_case config case in
+      check_same_result "no store = fresh" fresh plain;
       Alcotest.(check int) "same executed count" fresh.stats.Campaign.executed
-        scratch.stats.Campaign.executed)
+        plain.stats.Campaign.executed)
     [ beq_case; beq_case; bne_case ]
 
 let parallel_stats_conserve_masks () =
-  (* The executed/memoized split of a parallel sweep is schedule-
-     dependent (two workers racing on a cold slot both execute), but
-     every mask is accounted for, every distinct word is executed at
-     least once, and a worker never executes the same word twice — so
-     executed is bounded by jobs x distinct words, not by the mask
-     count. *)
+  (* Each distinct word is run by exactly one worker, so a parallel
+     sweep executes exactly the distinct words and accounts for every
+     mask, whatever the schedule. *)
   let config = Campaign.default_config Fault_model.And in
   let distinct = 1 lsl Bitmask.popcount (Testcase.target_word beq_case) in
   Runtime.Pool.with_pool ~jobs:4 (fun pool ->
       let r = Campaign.run_case ~pool config beq_case in
-      Alcotest.(check int) "executed+memoized" 65536
-        (r.stats.Campaign.executed + r.stats.Campaign.memoized);
-      Alcotest.(check bool) "every distinct word executed" true
-        (r.stats.Campaign.executed >= distinct);
-      Alcotest.(check bool) "bounded by jobs x distinct words" true
-        (r.stats.Campaign.executed <= 4 * distinct))
+      Alcotest.(check int) "executed = distinct words" distinct
+        r.stats.Campaign.executed;
+      Alcotest.(check int) "memoized = the other masks" (65536 - distinct)
+        r.stats.Campaign.memoized)
+
+(* Every sweep of Figure 2 as perfbench runs it: the four panels over
+   the fourteen conditional branches, then AND and OR over each
+   non-branch case. *)
+let fig2_sweeps =
+  let config = Campaign.default_config in
+  List.concat_map
+    (fun config -> List.map (fun case -> (config, case)) Testcase.all_conditional_branches)
+    [ config And; config Or; { (config And) with zero_is_invalid = true }; config Xor ]
+  @ List.concat_map
+      (fun config -> List.map (fun case -> (config, case)) Testcase.non_branch_cases)
+      [ config And; config Or ]
+
+let kernel_matches_mask_oracle () =
+  (* The per-word kernel, alone and on two workers, against the
+     per-mask loop it replaced: the same tables and the same split. *)
+  Alcotest.(check int) "62 sweeps" 62 (List.length fig2_sweeps);
+  Runtime.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun ((config : Campaign.config), (case : Testcase.t)) ->
+          let name = Fault_model.name config.flip ^ "/" ^ case.name in
+          let by_weight, totals, stats = Fig2_mask_oracle.run_case config case in
+          List.iter
+            (fun (leg, (r : Campaign.result)) ->
+              let name = name ^ " " ^ leg in
+              Alcotest.(check (array (array int))) (name ^ " by_weight") by_weight
+                r.by_weight;
+              Alcotest.(check (array int)) (name ^ " totals") totals r.totals;
+              Alcotest.(check int) (name ^ " executed") stats.Campaign.executed
+                r.stats.executed;
+              Alcotest.(check int) (name ^ " memoized") stats.Campaign.memoized
+                r.stats.memoized)
+            [ ("jobs=1", Campaign.run_case config case);
+              ("jobs=2", Campaign.run_case ~pool config case) ])
+        fig2_sweeps)
 
 let prop_shared_store_matches_private_oracle =
   (* The sequential run (one fresh private store, the pre-sharing
@@ -574,20 +673,21 @@ let prop_mask_of_bits_flips_its_bits =
 let () =
   let props =
     List.map Qseed.to_alcotest
-      [ prop_weight_enumeration; prop_classification_deterministic ]
+      [ prop_weight_enumeration; prop_subset_walk; prop_classification_deterministic ]
   in
   let campaign_props =
     List.map Qseed.to_alcotest
       [ prop_fast_kernel_matches_reference; prop_memo_agrees_with_categories;
         prop_shared_store_matches_private_oracle; prop_flipped_bits_match_apply;
-        prop_mask_of_bits_flips_its_bits ]
+        prop_mask_of_bits_flips_its_bits; prop_preimages_bucket_masks ]
   in
   Alcotest.run "glitch_emu"
     [ ("bitmask",
        [ Alcotest.test_case "binomial table" `Quick choose_table;
          Alcotest.test_case "enumeration counts" `Quick enumeration_matches_choose;
          Alcotest.test_case "distinct and complete" `Quick
-           enumeration_distinct_and_complete ]);
+           enumeration_distinct_and_complete;
+         Alcotest.test_case "popcount = bit-serial" `Quick popcount_is_bit_serial ]);
       ("bitmask-properties", props);
       ("fault-model",
        [ Alcotest.test_case "apply semantics" `Quick fault_semantics;
@@ -629,8 +729,10 @@ let () =
            memo_saves_most_executions;
          Alcotest.test_case "warm shared store executes nothing" `Slow
            shared_store_warm_run_executes_nothing;
-         Alcotest.test_case "scratch store starts empty" `Slow
-           scratch_store_starts_empty;
+         Alcotest.test_case "no store = fresh store" `Slow
+           no_store_is_fresh_store;
          Alcotest.test_case "parallel stats conserve masks" `Slow
-           parallel_stats_conserve_masks ]);
+           parallel_stats_conserve_masks;
+         Alcotest.test_case "sweep kernel = per-mask oracle" `Slow
+           kernel_matches_mask_oracle ]);
       ("campaign-properties", campaign_props) ]
