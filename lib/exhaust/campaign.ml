@@ -151,22 +151,34 @@ let default_config () =
 
 let mode_name = function Transient -> "transient" | Persistent -> "persistent"
 
-(* The per-cycle point list: (model, flipped bit-set, model mask), in a
-   fixed order (models, then weights, then bit-sets ascending) shared
-   by the verdict array and the counters. Weights count flipped bits
-   under every model (Fault_model.mask_of_bits). *)
-let enum_points config =
-  List.concat_map
+(* The per-cycle points: (model, flipped bit-set, model mask), visited
+   in a fixed order (models, then weights, then bit-sets ascending)
+   shared by the verdict array and the counters. Weights count flipped
+   bits under every model (Fault_model.mask_of_bits). *)
+let iter_points config f =
+  List.iter
     (fun model ->
-      List.concat_map
+      List.iter
         (fun weight ->
-          Glitch_emu.Bitmask.of_weight ~width:16 ~weight
-          |> List.map (fun bits ->
-                 let mask = Glitch_emu.Fault_model.mask_of_bits model ~width:16 bits in
-                 (model, bits, mask)))
+          Glitch_emu.Bitmask.iter_of_weight ~width:16 ~weight (fun bits ->
+              f model bits
+                (Glitch_emu.Fault_model.mask_of_bits model ~width:16 bits)))
         config.weights)
     config.models
-  |> Array.of_list
+
+let count_points config =
+  List.length config.models
+  * List.fold_left
+      (fun n weight -> n + Glitch_emu.Bitmask.choose 16 weight)
+      0 config.weights
+
+let enum_points config =
+  let points = Array.make (count_points config) (Glitch_emu.Fault_model.And, 0, 0) in
+  let i = ref 0 in
+  iter_points config (fun model bits mask ->
+      points.(!i) <- (model, bits, mask);
+      incr i);
+  points
 
 (* --- baseline ----------------------------------------------------------- *)
 
@@ -195,7 +207,7 @@ let run_baseline spec config =
   let stop = ref None in
   while !n < config.max_trace && !stop = None do
     let pc = Exec.pc cpu in
-    match Memory.read_u16_exn mem pc with
+    match Memory.fetch_u16_exn mem pc with
     | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
       stop := Some (Exec.Bad_fetch a)
     | w -> (
@@ -361,7 +373,8 @@ type shared = {
   spec : spec;
   config : config;
   tr : trace;
-  points_per_cycle : (Glitch_emu.Fault_model.flip * int * int) array;
+  point_models : Glitch_emu.Fault_model.flip array;  (** per point, in order *)
+  point_masks : int array;
   keymap : Runtime.Keymap.t;
   static_ctx : Absint.Prune.ctx option;
   sym_addrs : int array;  (** ascending *)
@@ -401,9 +414,47 @@ let merge_tally dst src =
   dst.executed <- dst.executed + src.executed;
   dst.static_pruned <- dst.static_pruned + src.static_pruned
 
+(* Same cycle + same perturbed word => same post-fault state: a
+   per-cycle word memo is the cheap front of the state-equivalence memo
+   (it never reaches the machine at all). Each chunk owns one flat
+   open-addressing table, sized from the points per cycle (at most
+   half full even if every point's word is distinct). A slot's key is
+   [stamp lsl 16 lor word], and the stamp goes up once per cycle, so a
+   slot stamped by an earlier cycle reads as empty and a new cycle
+   clears nothing. A value packs [verdict lsl 2 lor kind], where kind
+   records how the first occurrence was served — immediate fault (0),
+   continuation (1) or static proof (2) — so the counters stay
+   truthful. *)
+type word_memo = {
+  keys : int array;  (** -1, or [stamp lsl 16 lor word] *)
+  vals : int array;
+  slot_mask : int;
+  mutable stamp : int;
+}
+
+let make_word_memo npoints =
+  let distinct = min npoints 0x10000 in
+  let size = ref 16 in
+  while !size < 2 * distinct do
+    size := 2 * !size
+  done;
+  { keys = Array.make !size (-1); vals = Array.make !size 0;
+    slot_mask = !size - 1; stamp = 0 }
+
+(* The slot holding [key] in the current cycle, or the free slot where
+   it belongs (the sizing leaves one). *)
+let rec memo_slot m key i =
+  let k = m.keys.(i) in
+  if k = key || k < m.stamp lsl 16 then i
+  else memo_slot m key ((i + 1) land m.slot_mask)
+
+let kind_fault = 0
+let kind_continuation = 1
+let kind_static = 2
+
 (* Process every injection point of one cycle. [rig] must hold the
    baseline state S_k; it is returned in that same state. *)
-let run_cycle sh tally rig scratch k =
+let run_cycle sh tally rig memo scratch k =
   let config = sh.config in
   let zero_is_invalid = config.zero_is_invalid in
   let mem = State.mem rig and cpu = State.cpu rig in
@@ -413,29 +464,34 @@ let run_cycle sh tally rig scratch k =
   let frow = tally.by_func.(fidx) in
   let m0 = State.mark rig in
   let flags = State.save_regs rig scratch in
-  (* Same cycle + same perturbed word => same post-fault state: a
-     per-cycle word table is the cheap front of the state-equivalence
-     memo (it never reaches the machine at all). It remembers how the
-     first occurrence was served — immediate fault (0), continuation
-     (1), or static proof (2) — so the counters stay truthful. *)
-  let word_memo : (int, int * int) Hashtbl.t = Hashtbl.create 128 in
+  memo.stamp <- memo.stamp + 1;
+  let stamp_bits = memo.stamp lsl 16 in
   let memo_on = config.prune || config.static_prune in
   let keyed = config.prune || sh.static_ctx <> None in
-  let npoints = Array.length sh.points_per_cycle in
+  let npoints = Array.length sh.point_masks in
   let base_index =
     match sh.verdicts with Some _ -> (k - sh.cycle_lo) * npoints | None -> 0
   in
   for p = 0 to npoints - 1 do
-    let model, _bits, mask = sh.points_per_cycle.(p) in
-    let w' = Glitch_emu.Fault_model.apply model ~mask w in
-    let v =
-      match if memo_on then Hashtbl.find_opt word_memo w' else None with
-      | Some (v, kind) ->
-        (if kind = 1 then tally.pruned <- tally.pruned + 1
-         else if kind = 0 then tally.faulted <- tally.faulted + 1
-         else tally.static_pruned <- tally.static_pruned + 1);
-        v
-      | None ->
+    let w' =
+      Glitch_emu.Fault_model.apply sh.point_models.(p) ~mask:sh.point_masks.(p) w
+    in
+    let key = stamp_bits lor w' in
+    let slot =
+      if memo_on then
+        memo_slot memo key (((w' * 0x9E3779B1) lsr 16) land memo.slot_mask)
+      else -1
+    in
+    let packed =
+      if slot >= 0 && memo.keys.(slot) = key then begin
+        let packed = memo.vals.(slot) in
+        let kind = packed land 3 in
+        if kind = kind_continuation then tally.pruned <- tally.pruned + 1
+        else if kind = kind_fault then tally.faulted <- tally.faulted + 1
+        else tally.static_pruned <- tally.static_pruned + 1;
+        packed
+      end
+      else begin
         (* inject: execute w' in place of the fetched word *)
         let step =
           match config.mode with
@@ -446,12 +502,13 @@ let run_cycle sh tally rig scratch k =
             Memory.write_u16_exn mem pc w';
             Exec.step ?zero_is_invalid:sh.zero_rule mem cpu
         in
-        let v, kind =
+        let packed =
           match step with
           | Exec.Stopped s ->
             (* the injected step itself faulted; no continuation *)
             tally.faulted <- tally.faulted + 1;
-            (classify_end sh.tr sh.spec.detect_addr config.classify rig s, 0)
+            (classify_end sh.tr sh.spec.detect_addr config.classify rig s lsl 2)
+            lor kind_fault
           | Exec.Running -> (
             (* one key per point, built in the rig's buffer: the prover
                and the keymap read the same bytes *)
@@ -466,7 +523,7 @@ let run_cycle sh tally rig scratch k =
             match static_v with
             | Some v ->
               tally.static_pruned <- tally.static_pruned + 1;
-              (v, 2)
+              (v lsl 2) lor kind_static
             | None ->
               let shared =
                 if config.prune then
@@ -475,12 +532,12 @@ let run_cycle sh tally rig scratch k =
               in
               if shared >= 0 then begin
                 tally.pruned <- tally.pruned + 1;
-                (shared, 1)
+                (shared lsl 2) lor kind_continuation
               end
               else begin
                 (* copied out before the continuation runs: classifying
                    its end may build another key in the same buffer *)
-                let key =
+                let state_key =
                   if config.prune then Bytes.sub_string (State.key_buffer rig) 0 len
                   else ""
                 in
@@ -489,16 +546,21 @@ let run_cycle sh tally rig scratch k =
                     ?max_steps:sh.settle_budget mem cpu
                 in
                 let v = classify_end sh.tr sh.spec.detect_addr config.classify rig s in
-                if config.prune then Runtime.Keymap.add sh.keymap key v;
+                if config.prune then Runtime.Keymap.add sh.keymap state_key v;
                 tally.executed <- tally.executed + 1;
-                (v, 1)
+                (v lsl 2) lor kind_continuation
               end)
         in
         State.undo_to rig m0;
         State.restore_regs rig scratch flags;
-        if memo_on then Hashtbl.replace word_memo w' (v, kind);
-        v
+        if slot >= 0 then begin
+          memo.keys.(slot) <- key;
+          memo.vals.(slot) <- packed
+        end;
+        packed
+      end
     in
+    let v = packed lsr 2 in
     frow.(v) <- frow.(v) + 1;
     tally.totals.(v) <- tally.totals.(v) + 1;
     match sh.verdicts with
@@ -506,19 +568,20 @@ let run_cycle sh tally rig scratch k =
     | None -> ()
   done
 
-(* Drain a contiguous cycle chunk with a private rig: replay the
-   pristine baseline to the chunk start, then alternate inject-and-scan
-   with one pristine step. *)
+(* Drain a contiguous cycle chunk with a private rig and word memo:
+   replay the pristine baseline to the chunk start, then alternate
+   inject-and-scan with one pristine step. *)
 let run_chunk sh tally lo hi =
   let rig = make_rig sh.spec in
   let mem = State.mem rig and cpu = State.cpu rig in
+  let memo = make_word_memo (Array.length sh.point_masks) in
   let scratch = Array.make 16 0 in
   for k = 0 to lo - 1 do
     let _, w = sh.tr.steps.(k) in
     ignore (Exec.execute mem cpu Thumb.Decode.table.(w))
   done;
   for k = lo to hi - 1 do
-    run_cycle sh tally rig scratch k;
+    run_cycle sh tally rig memo scratch k;
     let _, w = sh.tr.steps.(k) in
     ignore (Exec.execute mem cpu Thumb.Decode.table.(w))
   done
@@ -535,8 +598,14 @@ let run ?pool spec config =
     | Some (lo, hi) -> (max 0 lo, min nsteps hi)
   in
   let cycle_hi = max cycle_lo cycle_hi in
-  let points_per_cycle = enum_points config in
-  let npoints = Array.length points_per_cycle in
+  let npoints = count_points config in
+  let point_models = Array.make npoints Glitch_emu.Fault_model.And in
+  let point_masks = Array.make npoints 0 in
+  let i = ref 0 in
+  iter_points config (fun model _bits mask ->
+      point_models.(!i) <- model;
+      point_masks.(!i) <- mask;
+      incr i);
   let keymap = Runtime.Keymap.create () in
   if config.prune then
     seed_baseline_states keymap tr spec.detect_addr config.classify rig;
@@ -567,7 +636,8 @@ let run ?pool spec config =
     { spec;
       config;
       tr;
-      points_per_cycle;
+      point_models;
+      point_masks;
       keymap;
       static_ctx;
       sym_addrs = Array.of_list (List.map snd symbols);

@@ -100,7 +100,10 @@ let classify cpu (stop : Exec.stop) =
 
 (* Reset the CPU and run the perturbed snippet to its stop. Fetches go
    through the unboxed memory path and the shared pre-decoded
-   instruction table, so a well-behaved run allocates nothing. *)
+   instruction table, so a run allocates only its stop: nothing for an
+   exhausted budget, 4 words for a breakpoint, trap or invalid word, 7
+   for a bad fetch and 10 for a bad data access (the memory fault plus
+   the stop it becomes). The XOR sweep of BEQ averages 6.4 words a run. *)
 let run_rig rig =
   Cpu.reset ~sp:layout.stack_top ~pc:flash_base rig.cpu;
   classify rig.cpu

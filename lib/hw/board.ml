@@ -168,7 +168,7 @@ type applied =
 let word_at t addr =
   match Machine.Memory.read_u16 t.mem addr with Ok w -> Some w | Error _ -> None
 
-let fetch t = Thumb.Decode.table.(Machine.Memory.read_u16_exn t.mem (pc t))
+let fetch t = Thumb.Decode.table.(Machine.Memory.fetch_u16_exn t.mem (pc t))
 
 let peek t =
   match fetch t with

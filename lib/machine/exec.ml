@@ -236,6 +236,23 @@ let rlist_table =
 let rlist_count =
   Array.init 256 (fun rlist -> List.length rlist_table.(rlist))
 
+(* Transfer the registers of a list to or from consecutive words from
+   [addr]; returns the address after the last. Top-level, so a
+   PUSH/POP/STMIA/LDMIA allocates no closure. With [wrap] the address
+   is masked to 32 bits after each word (LDMIA/STMIA write it back);
+   PUSH/POP step it unmasked. *)
+let rec store_list mem (cpu : Cpu.t) wrap addr = function
+  | [] -> addr
+  | r :: rest ->
+    store_w mem addr cpu.regs.(r);
+    store_list mem cpu wrap (if wrap then mask32 (addr + 4) else addr + 4) rest
+
+let rec load_list mem (cpu : Cpu.t) wrap addr = function
+  | [] -> addr
+  | r :: rest ->
+    cpu.regs.(r) <- load_w mem addr;
+    load_list mem cpu wrap (if wrap then mask32 (addr + 4) else addr + 4) rest
+
 (* Execution --------------------------------------------------------------- *)
 
 (* Each arm is responsible for the PC: fall-through arms end with
@@ -388,26 +405,14 @@ let execute_exn mem (cpu : Cpu.t) (i : Instr.t) : step_result =
     let rlist = rlist land 0xFF in
     let count = rlist_count.(rlist) + if lr then 1 else 0 in
     let base = mask32 (get cpu Reg.sp - (4 * count)) in
-    let rec go addr = function
-      | [] -> addr
-      | r :: rest ->
-        store_w mem addr cpu.regs.(r);
-        go (addr + 4) rest
-    in
-    let addr = go base rlist_table.(rlist) in
+    let addr = store_list mem cpu false base rlist_table.(rlist) in
     if lr then store_w mem addr (get cpu Reg.lr);
     set cpu Reg.sp base;
     next2 cpu pc
   | Pop { rlist; pc = load_pc } ->
     let rlist = rlist land 0xFF in
     let base = get cpu Reg.sp in
-    let rec go addr = function
-      | [] -> addr
-      | r :: rest ->
-        cpu.regs.(r) <- load_w mem addr;
-        go (addr + 4) rest
-    in
-    let addr = go base rlist_table.(rlist) in
+    let addr = load_list mem cpu false base rlist_table.(rlist) in
     if load_pc then begin
       let target = load_w mem addr in
       set cpu Reg.sp (mask32 (addr + 4));
@@ -419,23 +424,11 @@ let execute_exn mem (cpu : Cpu.t) (i : Instr.t) : step_result =
       next2 cpu pc
     end
   | Stmia (rb, rlist) ->
-    let rec go addr = function
-      | [] -> addr
-      | r :: rest ->
-        store_w mem addr cpu.regs.(r);
-        go (mask32 (addr + 4)) rest
-    in
-    let final = go (get cpu rb) rlist_table.(rlist land 0xFF) in
+    let final = store_list mem cpu true (get cpu rb) rlist_table.(rlist land 0xFF) in
     set cpu rb final;
     next2 cpu pc
   | Ldmia (rb, rlist) ->
-    let rec go addr = function
-      | [] -> addr
-      | r :: rest ->
-        cpu.regs.(r) <- load_w mem addr;
-        go (mask32 (addr + 4)) rest
-    in
-    let final = go (get cpu rb) rlist_table.(rlist land 0xFF) in
+    let final = load_list mem cpu true (get cpu rb) rlist_table.(rlist land 0xFF) in
     set cpu rb final;
     next2 cpu pc
   | B_cond (cond, off) ->
@@ -471,7 +464,7 @@ let decode ~zero_is_invalid w =
   if w = 0 && zero_is_invalid then Instr.Undefined 0 else Decode.table.(w)
 
 let step ?(zero_is_invalid = false) mem cpu =
-  match Memory.read_u16_exn mem (pc cpu) with
+  match Memory.fetch_u16_exn mem (pc cpu) with
   | w -> execute mem cpu (decode ~zero_is_invalid w)
   | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
     Stopped (Bad_fetch a)
@@ -482,7 +475,7 @@ let step ?(zero_is_invalid = false) mem cpu =
 let rec run_from zero_is_invalid mem cpu remaining =
   if remaining = 0 then Step_limit
   else
-    match Memory.read_u16_exn mem (pc cpu) with
+    match Memory.fetch_u16_exn mem (pc cpu) with
     | w -> (
       match execute_exn mem cpu (decode ~zero_is_invalid w) with
       | Running -> run_from zero_is_invalid mem cpu (remaining - 1)

@@ -19,25 +19,36 @@ type region =
    how the rig learns each byte's pristine value for state hashing. *)
 type journal = { mutable packed : int array; mutable len : int }
 
-(* [cache_lo, cache_hi) is the span of the most recently hit RAM region,
-   backed by [cache_data] (address [a] lives at offset [a - cache_lo]).
-   An empty cache is encoded as [cache_hi = 0], which no address
-   satisfies. Devices are never cached: their handlers must run on every
-   access. With the cache warm, an aligned halfword or word access is a
-   bounds check plus one [Bytes] primitive — no list walk, no per-byte
-   recursion, no allocation; a miss that lands in RAM repoints the
-   cache with one allocation-free walk of the region list. *)
+(* Two last-hit caches, each a span [lo, hi) of one RAM region backed
+   by its [data] (address [a] lives at offset [a - lo]): [cache_*] for
+   data accesses, [fetch_*] for instruction fetches. A guard loop that
+   loads from SRAM on every iteration would make a single cache flip
+   between flash and SRAM twice per iteration, each flip a walk of the
+   region list; with its own cache a fetch stays on flash while the
+   loads stay on SRAM. An empty cache is encoded as [hi = 0], which no
+   address satisfies. Devices are never cached: their handlers must run
+   on every access. With a cache warm, an aligned halfword or word
+   access is a bounds check plus one [Bytes] primitive — no list walk,
+   no per-byte recursion, no allocation; a miss that lands in RAM
+   repoints that cache with one allocation-free walk of the region
+   list. Both caches hold the regions' own buffers, so stores through
+   either path, journal undo, [restore] and [clear] are visible to both
+   at once; only a change to the region list ([map], [add_device])
+   empties them. *)
 type t = {
   mutable regions : region list;
   mutable cache_lo : int;
   mutable cache_hi : int;
   mutable cache_data : Bytes.t;
+  mutable fetch_lo : int;
+  mutable fetch_hi : int;
+  mutable fetch_data : Bytes.t;
   mutable journal : journal option;
 }
 
 let create () =
   { regions = []; cache_lo = 0; cache_hi = 0; cache_data = Bytes.empty;
-    journal = None }
+    fetch_lo = 0; fetch_hi = 0; fetch_data = Bytes.empty; journal = None }
 
 let journal_create () = { packed = Array.make 256 0; len = 0 }
 
@@ -63,7 +74,10 @@ let journal_entry j i =
 let invalidate_cache t =
   t.cache_lo <- 0;
   t.cache_hi <- 0;
-  t.cache_data <- Bytes.empty
+  t.cache_data <- Bytes.empty;
+  t.fetch_lo <- 0;
+  t.fetch_hi <- 0;
+  t.fetch_data <- Bytes.empty
 
 let region_span = function
   | Ram { base; data } -> (base, base + Bytes.length data)
@@ -99,27 +113,36 @@ let find t addr =
       addr >= lo && addr < hi)
     t.regions
 
-(* Point the cache at the RAM region holding [addr]; [false] when
-   [addr] is in a device or unmapped. A plain match over the region
-   list, so a cache miss on the unboxed paths allocates nothing. *)
-let rec refill t addr = function
+(* Point the data cache ([fetch] = false) or the fetch cache at the
+   RAM region holding [addr]; [false] when [addr] is in a device or
+   unmapped. A plain match over the region list, so a cache miss on the
+   unboxed paths allocates nothing. *)
+let rec refill t ~fetch addr = function
   | [] -> false
   | Ram { base; data } :: rest ->
     if addr >= base && addr < base + Bytes.length data then begin
-      t.cache_lo <- base;
-      t.cache_hi <- base + Bytes.length data;
-      t.cache_data <- data;
+      if fetch then begin
+        t.fetch_lo <- base;
+        t.fetch_hi <- base + Bytes.length data;
+        t.fetch_data <- data
+      end
+      else begin
+        t.cache_lo <- base;
+        t.cache_hi <- base + Bytes.length data;
+        t.cache_data <- data
+      end;
       true
     end
-    else refill t addr rest
+    else refill t ~fetch addr rest
   | Device { base; size; _ } :: rest ->
-    if addr >= base && addr < base + size then false else refill t addr rest
+    if addr >= base && addr < base + size then false
+    else refill t ~fetch addr rest
 
-(* [addr, addr + n) inside the cached region, after at most one refill
-   on a miss. *)
+(* [addr, addr + n) inside the cached data region, after at most one
+   refill on a miss. *)
 let[@inline] cached t addr n =
   (addr >= t.cache_lo && addr + n <= t.cache_hi)
-  || (refill t addr t.regions && addr + n <= t.cache_hi)
+  || (refill t ~fetch:false addr t.regions && addr + n <= t.cache_hi)
 
 let is_mapped t addr = find t addr <> None
 
@@ -133,23 +156,36 @@ let clear t =
 (* Slow paths: region-list search, one byte at a time, so accesses that
    straddle region boundaries, touch devices or fault behave exactly
    like the original per-byte protocol (including which address a
-   fault names). *)
+   fault names). A plain walk of the list, like [refill]: a device
+   access or a fault allocates nothing but the fault itself. *)
 
-let byte_read t addr =
-  match find t addr with
-  | Some (Ram { base; data }) -> Bytes.get_uint8 data (addr - base)
-  | Some (Device { base; read; _ }) -> read (addr - base) land 0xFF
-  | None -> raise (Fault (Unmapped addr))
+let rec byte_read_in addr = function
+  | [] -> raise (Fault (Unmapped addr))
+  | Ram { base; data } :: rest ->
+    if addr >= base && addr < base + Bytes.length data then
+      Bytes.get_uint8 data (addr - base)
+    else byte_read_in addr rest
+  | Device { base; size; read; _ } :: rest ->
+    if addr >= base && addr < base + size then read (addr - base) land 0xFF
+    else byte_read_in addr rest
 
-let byte_write t addr v =
-  match find t addr with
-  | Some (Ram { base; data }) ->
-    (match t.journal with
-    | None -> ()
-    | Some j -> journal_note j addr (Bytes.get_uint8 data (addr - base)));
-    Bytes.set_uint8 data (addr - base) (v land 0xFF)
-  | Some (Device { base; write; _ }) -> write (addr - base) (v land 0xFF)
-  | None -> raise (Fault (Unmapped addr))
+let byte_read t addr = byte_read_in addr t.regions
+
+let rec byte_write_in t addr v = function
+  | [] -> raise (Fault (Unmapped addr))
+  | Ram { base; data } :: rest ->
+    if addr >= base && addr < base + Bytes.length data then begin
+      (match t.journal with
+      | None -> ()
+      | Some j -> journal_note j addr (Bytes.get_uint8 data (addr - base)));
+      Bytes.set_uint8 data (addr - base) (v land 0xFF)
+    end
+    else byte_write_in t addr v rest
+  | Device { base; size; write; _ } :: rest ->
+    if addr >= base && addr < base + size then write (addr - base) (v land 0xFF)
+    else byte_write_in t addr v rest
+
+let byte_write t addr v = byte_write_in t addr v t.regions
 
 (* Undo-side byte store: must not itself be journaled. *)
 let poke_raw t addr v =
@@ -168,10 +204,23 @@ let undo_to t j mark =
 (* Unboxed accessors: check the cache (refilling it on a miss), fall
    back to the slow path. *)
 
-let read_u8_exn t addr =
+let[@inline] read_u8_exn t addr =
   if cached t addr 1 then
     Bytes.get_uint8 t.cache_data (addr - t.cache_lo)
   else byte_read t addr
+
+let append_changed t ~addrs ~pristine n buf pos =
+  let len = ref pos in
+  for i = 0 to n - 1 do
+    let addr = addrs.(i) in
+    let cur = read_u8_exn t addr in
+    if cur <> pristine.(i) then begin
+      Bytes.set_int32_le buf !len (Int32.of_int addr);
+      Bytes.set_uint8 buf (!len + 4) cur;
+      len := !len + 5
+    end
+  done;
+  !len
 
 let write_u8_exn t addr v =
   if cached t addr 1 then begin
@@ -192,6 +241,19 @@ let read_u16_exn t addr =
     let b1 = byte_read t (addr + 1) in
     b0 lor (b1 lsl 8)
   end
+
+(* A hit leaves the data cache alone; anything the fetch cache cannot
+   serve (a device, a straddle, a fault) is a plain [read_u16_exn]. *)
+let fetch_u16_exn t addr =
+  if
+    addr land 1 = 0
+    && ((addr >= t.fetch_lo && addr + 2 <= t.fetch_hi)
+       || (refill t ~fetch:true addr t.regions && addr + 2 <= t.fetch_hi))
+  then Bytes.get_uint16_le t.fetch_data (addr - t.fetch_lo)
+  else read_u16_exn t addr
+
+let fetch_window t =
+  if t.fetch_hi = 0 then None else Some (t.fetch_lo, t.fetch_hi)
 
 let write_u16_exn t addr v =
   if addr land 1 <> 0 then raise (Fault (Unaligned addr))

@@ -69,6 +69,27 @@ val write_u8_exn : t -> int -> int -> unit
 val write_u16_exn : t -> int -> int -> unit
 val write_u32_exn : t -> int -> int -> unit
 
+val fetch_u16_exn : t -> int -> int
+(** An instruction fetch: {!read_u16_exn}'s value and fault for every
+    address, served by a cache of its own. Data accesses keep their own
+    last-hit region, so a loop that alternates fetches from flash with
+    loads from SRAM walks the region list for neither. Only a RAM
+    region is ever cached; a device's handler runs on every fetch. *)
+
+val fetch_window : t -> (int * int) option
+(** [Some (lo, hi)] when the fetch cache serves the addresses
+    [lo <= a < hi]; [None] when it is empty, as after {!create}, {!map}
+    and {!add_device}. A fetch that misses RAM leaves it as it was. For
+    tests. *)
+
+val append_changed :
+  t -> addrs:int array -> pristine:int array -> int -> Bytes.t -> int -> int
+(** [append_changed t ~addrs ~pristine n buf pos] appends, for each
+    [i < n] in order whose current byte at [addrs.(i)] differs from
+    [pristine.(i)], the address (4 bytes LE) and that byte to [buf] at
+    [pos], and returns the new end: the memory part of a [State] key
+    in one call. [buf] must have room for [5 * n] bytes past [pos]. *)
+
 val load_bytes : t -> addr:int -> bytes -> unit
 (** Bulk store for program loading; a single [Bytes.blit] when the
     range falls inside one RAM region. @raise Invalid_argument if any

@@ -133,17 +133,8 @@ let build_key t =
     Bytes.set_int32_le b (4 * i) (Int32.of_int regs.(i))
   done;
   Bytes.set_uint8 b flags_offset (flags_byte t.cpu);
-  let len = ref header_bytes in
-  for i = 0 to t.nlive - 1 do
-    let addr = t.addrs.(i) in
-    let cur = Memory.read_u8_exn t.mem addr in
-    if cur <> t.pristine.(i) then begin
-      Bytes.set_int32_le b !len (Int32.of_int addr);
-      Bytes.set_uint8 b (!len + 4) cur;
-      len := !len + 5
-    end
-  done;
-  !len
+  Memory.append_changed t.mem ~addrs:t.addrs ~pristine:t.pristine t.nlive b
+    header_bytes
 
 let key_buffer t = t.buf
 

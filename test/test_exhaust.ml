@@ -335,6 +335,45 @@ let test_memory_journal_rewind () =
   Alcotest.(check int) "detached writes are not journaled" mark
     (Machine.Memory.journal_length j)
 
+(* --- point enumeration ------------------------------------------------------ *)
+
+(* [enum_points] fills its array in one pass; the verdict array and the
+   fig2 differential depend on its order, so it must match the
+   list-built enumeration it replaced, point for point. *)
+let reference_points config =
+  List.concat_map
+    (fun model ->
+      List.concat_map
+        (fun weight ->
+          Glitch_emu.Bitmask.of_weight ~width:16 ~weight
+          |> List.map (fun bits ->
+                 ( model,
+                   bits,
+                   Glitch_emu.Fault_model.mask_of_bits model ~width:16 bits )))
+        config.Exhaust.Campaign.weights)
+    config.Exhaust.Campaign.models
+  |> Array.of_list
+
+let test_enum_points_order () =
+  let models = Glitch_emu.Fault_model.[ [ And ]; [ Or ]; [ Xor ]; [ And; Or; Xor ] ] in
+  List.iter
+    (fun models ->
+      List.iter
+        (fun weights ->
+          let config =
+            { (Exhaust.Campaign.default_config ()) with
+              Exhaust.Campaign.models; weights }
+          in
+          let label =
+            Printf.sprintf "%s, %d weight(s)"
+              (String.concat "+" (List.map Glitch_emu.Fault_model.name models))
+              (List.length weights)
+          in
+          Alcotest.(check bool) label true
+            (Exhaust.Campaign.enum_points config = reference_points config))
+        [ [ 1; 2 ]; List.init 17 Fun.id ])
+    models
+
 (* --- property: pruned campaign == unpruned oracle ------------------------- *)
 
 (* On generated firmware, the campaign with state-hash pruning must
@@ -658,7 +697,9 @@ let () =
         [ Alcotest.test_case "write journal rewinds memory" `Quick
             test_memory_journal_rewind ] );
       ( "pruning",
-        [ Qseed.to_alcotest prop_pruned_equals_oracle;
+        [ Alcotest.test_case "enum_points order = list-built reference" `Quick
+            test_enum_points_order;
+          Qseed.to_alcotest prop_pruned_equals_oracle;
           Alcotest.test_case "guard-loop prune floor + jobs-4 parity" `Quick
             test_guard_loop_prune_floor_and_parity ] );
       ( "agreement",

@@ -115,6 +115,84 @@ let memory_cache_tracks_regions () =
   Alcotest.(check (list (pair int int))) "device write seen" [ (1, 0xAB) ]
     !written
 
+(* Instruction fetches keep a last-hit region of their own
+   ([Memory.fetch_u16_exn]), so a load from SRAM between two fetches
+   from flash moves only the data cache. Whatever the interleaving, a
+   fetch must see every change to the bytes it reads: a store through
+   the data path, a journal undo, [restore], [clear] and a new mapping.
+   A device is never cached (its handler runs on every fetch), and a
+   bad fetch faults at the address [read_u16_exn] names. *)
+let memory_fetch_cache_tracks_regions () =
+  let flash = 0x1000 and sram = 0x3000 in
+  let m = Memory.create () in
+  Memory.map m ~addr:flash ~size:16;
+  Memory.map m ~addr:sram ~size:16;
+  Memory.write_u16_exn m flash 0x1111;
+  Memory.write_u16_exn m sram 0x5555;
+  let window = Alcotest.(option (pair int int)) in
+  (* fetch, load from SRAM, fetch again *)
+  let fetches name expected addr =
+    Alcotest.(check int) (name ^ ": fetch") expected (Memory.fetch_u16_exn m addr);
+    ignore (Memory.read_u16_exn m sram);
+    Alcotest.(check int) (name ^ ": fetch after a load") expected
+      (Memory.fetch_u16_exn m addr);
+    Alcotest.(check int) (name ^ ": a data read agrees") expected
+      (Memory.read_u16_exn m addr)
+  in
+  Alcotest.check window "empty before the first fetch" None (Memory.fetch_window m);
+  fetches "initial" 0x1111 flash;
+  Alcotest.check window "a load leaves the fetch cache on flash"
+    (Some (flash, flash + 16)) (Memory.fetch_window m);
+  let snap = Memory.snapshot m in
+  Memory.write_u16_exn m flash 0x2222;
+  fetches "rewritten by write_u16_exn" 0x2222 flash;
+  let j = Memory.journal_create () in
+  Memory.attach_journal m j;
+  Memory.write_u16_exn m flash 0x3333;
+  fetches "journaled store" 0x3333 flash;
+  Memory.undo_to m j 0;
+  fetches "undone journal" 0x2222 flash;
+  Memory.detach_journal m;
+  Memory.restore m snap;
+  fetches "restore" 0x1111 flash;
+  Memory.clear m;
+  fetches "clear" 0 flash;
+  Memory.map m ~addr:0x8000 ~size:16;
+  Alcotest.check window "a new map empties the fetch cache" None
+    (Memory.fetch_window m);
+  Memory.write_u16_exn m 0x8000 0x7777;
+  fetches "new map" 0x7777 0x8000;
+  fetches "flash after the new map" 0 flash;
+  let reads = ref 0 in
+  Memory.add_device m ~addr:0x5000 ~size:4
+    ~read:(fun off -> incr reads; 0x40 + off)
+    ~write:(fun _ _ -> ());
+  Alcotest.check window "a new device empties the fetch cache" None
+    (Memory.fetch_window m);
+  ignore (Memory.fetch_u16_exn m flash);
+  for _ = 1 to 3 do
+    Alcotest.(check int) "device fetch" 0x4140 (Memory.fetch_u16_exn m 0x5000)
+  done;
+  Alcotest.(check int) "the device is read on every fetch" 6 !reads;
+  Alcotest.check window "a device fetch leaves the fetch cache as it was"
+    (Some (flash, flash + 16)) (Memory.fetch_window m);
+  (* a halfword whose second byte is unmapped faults there *)
+  Memory.map m ~addr:0x9000 ~size:1;
+  let fault f addr =
+    match f m addr with
+    | exception Memory.Fault e -> Some (Fmt.str "%a" Memory.pp_fault e)
+    | _ -> None
+  in
+  List.iter
+    (fun addr ->
+      ignore (Memory.fetch_u16_exn m flash);
+      let expected = fault Memory.read_u16_exn addr in
+      Alcotest.(check bool) (Printf.sprintf "a read at 0x%x faults" addr) true
+        (expected <> None);
+      Alcotest.(check (option string)) (Printf.sprintf "fetch fault at 0x%x" addr)
+        expected (fault Memory.fetch_u16_exn addr))
+    [ flash + 1; flash + 16; 0x2000; 0x5003; 0x5004; 0x9000 ]
+
 (* A cache miss refills the cache and retries the fast path only when
    the whole access lies in one RAM region. Straddling, device and
    unmapped accesses keep the per-byte protocol: the fault names the
@@ -650,6 +728,8 @@ let () =
          Alcotest.test_case "exn accessors" `Quick memory_exn_api;
          Alcotest.test_case "region straddling" `Quick memory_straddles_regions;
          Alcotest.test_case "cache tracks regions" `Quick memory_cache_tracks_regions;
+         Alcotest.test_case "fetch cache tracks regions" `Quick
+           memory_fetch_cache_tracks_regions;
          Alcotest.test_case "fault addresses and refill" `Quick memory_fault_addresses;
          Alcotest.test_case "load_bytes blit" `Quick memory_load_bytes_blit;
          Alcotest.test_case "restore walks regions" `Quick memory_restore_regions ]);
