@@ -254,8 +254,15 @@ let sweep_perf ~label ?pool s elapsed_s =
    have cost so far. Every attempt starts from the boot's snapshot
    instead of a power-on reset — sound because no glitch window can arm
    before the first trigger edge exists — and ends via the baseline the
-   moment its schedule is provably dead. *)
-type rig = { boot : boot; board : Board.t; mutable tally : sweep }
+   moment its schedule is provably dead. Its counts are fields of its
+   own, so an attempt adds to them without building a [sweep]. *)
+type rig = {
+  boot : boot;
+  board : Board.t;
+  mutable attempts : int;
+  mutable emulated : int;
+  mutable replayed : int;
+}
 
 (* The board only has to have the booted one's memory map, which
    [Board.create] on the same program guarantees: materializing a rig
@@ -265,10 +272,15 @@ type rig = { boot : boot; board : Board.t; mutable tally : sweep }
 let rig_of_boot boot =
   let board = Board.create boot.b_program in
   Board.seal board boot.b_snap;
-  { boot; board; tally = sweep_zero }
+  { boot; board; attempts = 0; emulated = 0; replayed = 0 }
 
 let rig_board rig = rig.board
-let tally rig = rig.tally
+
+let tally rig =
+  { attempts = rig.attempts;
+    emulated_cycles = rig.emulated;
+    replayed_cycles = rig.replayed;
+    boots = 0 }
 
 let attempt ?nonce rig schedule =
   let b = rig.boot in
@@ -276,12 +288,10 @@ let attempt ?nonce rig schedule =
     Glitcher.run ~max_cycles:b.b_max_cycles ?nonce ~from:b.b_snap
       ~baseline:b.b_baseline rig.board schedule
   in
-  let t = rig.tally and replayed = obs.Glitcher.replayed_cycles in
-  rig.tally <-
-    { t with
-      attempts = t.attempts + 1;
-      emulated_cycles = t.emulated_cycles + obs.Glitcher.cycles - replayed;
-      replayed_cycles = t.replayed_cycles + replayed };
+  let replayed = obs.Glitcher.replayed_cycles in
+  rig.attempts <- rig.attempts + 1;
+  rig.emulated <- rig.emulated + obs.Glitcher.cycles - replayed;
+  rig.replayed <- rig.replayed + replayed;
   obs
 
 (* Every attempt rewinds to the same trigger snapshot, so an item's
@@ -297,7 +307,7 @@ let map_items ?pool ~boot f items =
       (fun rig i _ -> results.(i) <- Some (f rig items.(i)))
   in
   ( Array.map Option.get results,
-    { (List.fold_left (fun s rig -> sweep_add s rig.tally) sweep_zero rigs) with
+    { (List.fold_left (fun s rig -> sweep_add s (tally rig)) sweep_zero rigs) with
       boots = 1 } )
 
 let full_parameter_sweep rig ~make_schedule ~classify =

@@ -161,7 +161,7 @@ type applied =
   | As_nop
   | Fetch_word of int
   | Load_value of int
-  | Load_mangle of (int -> int)
+  | Load_mangle of { width : int; offset : int; cycle : int }
   | Z_flip
   | Pc_set of int
 
@@ -247,11 +247,13 @@ let step_fetched t applied instr =
     | Machine.Exec.Running, Some rd -> Machine.Exec.set t.cpu rd v
     | (Machine.Exec.Running | Machine.Exec.Stopped _), _ -> ());
     result
-  | Load_mangle f ->
+  | Load_mangle { width; offset; cycle } ->
     let result = execute_counted t instr in
     (match (result, load_destination instr) with
     | Machine.Exec.Running, Some rd ->
-      Machine.Exec.set t.cpu rd (f (Machine.Exec.get t.cpu rd))
+      Machine.Exec.set t.cpu rd
+        (Susceptibility.corrupt_value32 ~width ~offset ~cycle
+           (Machine.Exec.get t.cpu rd))
     | (Machine.Exec.Running | Machine.Exec.Stopped _), _ -> ());
     result
   | Z_flip ->
@@ -270,15 +272,19 @@ let step ?(applied = Normal) t =
   | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
     Machine.Exec.Stopped (Machine.Exec.Bad_fetch a)
 
-let run_plain ?(max_cycles = 1_000_000) t =
-  let rec go () =
-    if t.cycles >= max_cycles then `Timeout
-    else
-      match step t with
-      | Machine.Exec.Running -> go ()
-      | Machine.Exec.Stopped s -> `Stopped s
-  in
-  go ()
+(* [step] unrolled into a top-level loop: no closure per run. *)
+let rec run_plain_to t max_cycles =
+  if t.cycles >= max_cycles then `Timeout
+  else
+    match fetch t with
+    | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
+      `Stopped (Machine.Exec.Bad_fetch a)
+    | instr -> (
+      match execute_counted t instr with
+      | Machine.Exec.Running -> run_plain_to t max_cycles
+      | Machine.Exec.Stopped s -> `Stopped s)
+
+let run_plain ?(max_cycles = 1_000_000) t = run_plain_to t max_cycles
 
 let run_until_trigger ?(max_cycles = 1_000_000) t =
   let rec go () =
@@ -299,18 +305,23 @@ let scalars t =
     s_gpio = !(t.gpio_state) }
 
 (* In place: a rewind allocates nothing, and the shared source is only
-   read. *)
+   read. Plain loops: the copies are 16 registers and a few edges, less
+   than a call to the blit primitive costs. *)
 let set_scalars t s =
-  let cpu = t.cpu in
-  Array.blit s.s_cpu.regs 0 cpu.regs 0 16;
-  cpu.n <- s.s_cpu.n;
-  cpu.z <- s.s_cpu.z;
-  cpu.c <- s.s_cpu.c;
-  cpu.v <- s.s_cpu.v;
+  let cpu = t.cpu and src = s.s_cpu in
+  for i = 0 to 15 do
+    cpu.regs.(i) <- src.regs.(i)
+  done;
+  cpu.n <- src.n;
+  cpu.z <- src.z;
+  cpu.c <- src.c;
+  cpu.v <- src.v;
   t.cycles <- s.s_cycles;
   let n = Array.length s.s_edges in
   if n > Array.length t.edges then t.edges <- Array.make (2 * n) 0;
-  Array.blit s.s_edges 0 t.edges 0 n;
+  for i = 0 to n - 1 do
+    t.edges.(i) <- s.s_edges.(i)
+  done;
   t.n_edges <- n;
   t.edge_pending := s.s_pending;
   t.gpio_state := s.s_gpio
@@ -356,7 +367,8 @@ let delta t =
 let written d = d.written
 
 let apply_delta t d =
-  Array.iter
-    (fun p -> Machine.Memory.write_u8_exn t.mem (p lsr 16) (p land 0xFF))
-    d.written;
+  let w = d.written in
+  for i = 0 to Array.length w - 1 do
+    Machine.Memory.write_u8_exn t.mem (w.(i) lsr 16) (w.(i) land 0xFF)
+  done;
   set_scalars t d.d_scalars

@@ -66,7 +66,9 @@ type applied =
   | As_nop  (** instruction replaced by a NOP *)
   | Fetch_word of int  (** this encoding executes instead *)
   | Load_value of int  (** load executes; destination forced to value *)
-  | Load_mangle of (int -> int)  (** destination passed through a corruption *)
+  | Load_mangle of { width : int; offset : int; cycle : int }
+      (** load executes; destination passed through
+          {!Susceptibility.corrupt_value32} at that glitch point *)
   | Z_flip  (** Z inverted after the instruction *)
   | Pc_set of int  (** program counter latch overwritten *)
 

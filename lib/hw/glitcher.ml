@@ -22,43 +22,164 @@ type observation = {
 let imax (a : int) b = if a > b then a else b
 let imin (a : int) b = if a < b then a else b
 
-(* Which armed window overlaps [start, start+duration)? The index of its
-   entry, or -1. [edge i] is the cycle stamp of trigger edge [i] < [n_edges].
-   When several windows overlap, the one containing the earliest
-   *absolute* cycle wins (the first listed on a tie). Ties between windows
-   anchored to different trigger edges must compare absolute cycles:
-   comparing [lo - edge] across edges (as an earlier version did) could
-   resolve a multi-trigger schedule to the later window just because its
-   own trigger fired more recently. *)
-let window_index entries ~n_edges ~edge ~start ~duration =
-  let best = ref (-1) and best_lo = ref 0 in
-  for i = 0 to Array.length entries - 1 do
-    let p = entries.(i) in
+(* --- per-attempt state -----------------------------------------------------
+
+   Everything an attempt keeps besides the board, in one record that a
+   domain reuses for all its attempts: an attempt writes its counters,
+   schedule, gates and window state into the arrays in place and
+   allocates nothing of its own until its observation. *)
+
+type state = {
+  mutable n : int;  (* schedule entries, in [entries.(0 .. n-1)] *)
+  mutable entries : params array;
+  mutable gates : Susceptibility.gates array;  (* per entry *)
+  (* Window state, for [seen_edges] trigger edges. An entry whose edge
+     exists spans the absolute cycles [w_lo, w_hi); one still waiting
+     for its edge has [w_lo = w_hi = max_int], which overlaps nothing. *)
+  mutable seen_edges : int;  (* -1: not computed for this attempt *)
+  mutable edges : int array;
+  mutable w_lo : int array;
+  mutable w_hi : int array;
+  (* From cycle [closed_at] on every window has closed; from [dead_at]
+     on every window has closed or waits for an edge the unglitched run
+     never raises ([baseline_edges] of them, -1 without a baseline).
+     Every anchored window lies within [span_lo, span_hi). *)
+  mutable closed_at : int;
+  mutable dead_at : int;
+  mutable baseline_edges : int;
+  mutable span_lo : int;
+  mutable span_hi : int;
+  mutable fired : int;
+  mutable glitched : int;
+  (* true while no fault has been applied to any step: the execution so
+     far is bit-identical to the unglitched run *)
+  mutable pristine : bool;
+  mutable tail : int;  (* cycles the dead-schedule cutoff served *)
+  (* Corruption planted in the decode/fetch stages materialises when the
+     victim address is reached: [planted.(k)] waits for pc [victims.(k)],
+     one per address, k < [n_planted]. A branch in between flushes the
+     pipeline and the planted corruption with it: the entry is simply
+     never consumed. *)
+  mutable n_planted : int;
+  mutable victims : int array;
+  mutable planted : Board.applied array;
+}
+
+let create_state () =
+  { n = 0;
+    entries = [||];
+    gates = [||];
+    seen_edges = -1;
+    edges = Array.make 4 0;
+    w_lo = [||];
+    w_hi = [||];
+    closed_at = max_int;
+    dead_at = max_int;
+    baseline_edges = -1;
+    span_lo = max_int;
+    span_hi = min_int;
+    fired = 0;
+    glitched = 0;
+    pristine = true;
+    tail = 0;
+    n_planted = 0;
+    victims = Array.make 4 0;
+    planted = Array.make 4 Board.Normal }
+
+let state_key = Domain.DLS.new_key create_state
+
+let rec fill_entries st i = function
+  | [] -> ()
+  | p :: rest ->
+    st.entries.(i) <- p;
+    fill_entries st (i + 1) rest
+
+(* Copy [schedule] into [st], growing its arrays when it is longer than
+   any schedule the state held before. *)
+let load_schedule st schedule =
+  let n = List.length schedule in
+  if n > Array.length st.entries then begin
+    let cap = imax n (2 * Array.length st.entries) in
+    st.entries <- Array.make cap (List.hd schedule);
+    st.gates <- Array.init cap (fun _ -> Susceptibility.make_gates ());
+    st.w_lo <- Array.make cap 0;
+    st.w_hi <- Array.make cap 0
+  end;
+  st.n <- n;
+  fill_entries st 0 schedule
+
+(* The window state for the first [n_edges] stamps of [st.edges]. *)
+let anchor st ~n_edges =
+  let closed_at = ref min_int and dead_at = ref min_int in
+  let span_lo = ref max_int and span_hi = ref min_int in
+  for i = 0 to st.n - 1 do
+    let p = st.entries.(i) in
     if p.trigger_index < n_edges then begin
-      let w_lo = edge p.trigger_index + p.ext_offset in
-      let lo = imax w_lo start
-      and hi = imin (w_lo + p.repeat) (start + duration) in
-      if lo < hi && (!best < 0 || lo < !best_lo) then begin
-        best := i;
-        best_lo := lo
-      end
+      let lo = st.edges.(p.trigger_index) + p.ext_offset in
+      let hi = lo + p.repeat in
+      st.w_lo.(i) <- lo;
+      st.w_hi.(i) <- hi;
+      closed_at := imax !closed_at hi;
+      dead_at := imax !dead_at hi;
+      span_lo := imin !span_lo lo;
+      span_hi := imax !span_hi hi
+    end
+    else begin
+      st.w_lo.(i) <- max_int;
+      st.w_hi.(i) <- max_int;
+      (* a window whose edge has not come yet may still open ... *)
+      closed_at := max_int;
+      (* ... on a pristine board only if the unglitched run raises that
+         edge *)
+      if p.trigger_index < st.baseline_edges then dead_at := max_int
+    end
+  done;
+  st.seen_edges <- n_edges;
+  st.closed_at <- !closed_at;
+  st.dead_at <- !dead_at;
+  st.span_lo <- !span_lo;
+  st.span_hi <- !span_hi
+
+let refresh_windows st board =
+  let n_edges = Board.edge_count board in
+  if n_edges > Array.length st.edges then
+    st.edges <- Array.make (2 * n_edges) 0;
+  for i = 0 to n_edges - 1 do
+    st.edges.(i) <- Board.edge board i
+  done;
+  anchor st ~n_edges
+
+(* Which armed window overlaps [start, start+duration)? The index of its
+   entry, or -1. When several windows overlap, the one containing the
+   earliest *absolute* cycle wins (the first listed on a tie). Ties
+   between windows anchored to different trigger edges must compare
+   absolute cycles: comparing [lo - edge] across edges (as an earlier
+   version did) could resolve a multi-trigger schedule to the later
+   window just because its own trigger fired more recently. *)
+let window_index st ~start ~duration =
+  let best = ref (-1) and best_lo = ref 0 in
+  for i = 0 to st.n - 1 do
+    let lo = imax st.w_lo.(i) start
+    and hi = imin st.w_hi.(i) (start + duration) in
+    if lo < hi && (!best < 0 || lo < !best_lo) then begin
+      best := i;
+      best_lo := lo
     end
   done;
   !best
 
 (* The overlapping cycle's position relative to the window's own edge. *)
-let relative_cycle p ~edge ~start = imax (edge + p.ext_offset) start - edge
+let relative_cycle st i ~start =
+  imax st.w_lo.(i) start - st.w_lo.(i) + st.entries.(i).ext_offset
 
 let active_window schedule edges ~start ~duration =
-  let entries = Array.of_list schedule and edges = Array.of_list edges in
-  match
-    window_index entries ~n_edges:(Array.length edges) ~edge:(Array.get edges)
-      ~start ~duration
-  with
+  let st = create_state () in
+  load_schedule st schedule;
+  st.edges <- Array.of_list edges;
+  anchor st ~n_edges:(Array.length st.edges);
+  match window_index st ~start ~duration with
   | -1 -> None
-  | i ->
-    let p = entries.(i) in
-    Some (p, relative_cycle p ~edge:edges.(p.trigger_index) ~start)
+  | i -> Some (st.entries.(i), relative_cycle st i ~start)
 
 (* What an effect does to the step, given the glitch point it was drawn
    at; [Normal] exactly when it does not fire. *)
@@ -72,20 +193,13 @@ let concretise ~width ~offset ~cycle (instr : Thumb.Instr.t)
     let word' = Susceptibility.corrupt_word ~width ~offset ~cycle word in
     if word' = word then Board.Normal else Board.Fetch_word word'
   | Susceptibility.Load_residue v -> Board.Load_value v
-  | Susceptibility.Load_bitflip ->
-    Board.Load_mangle
-      (fun v -> Susceptibility.corrupt_value32 ~width ~offset ~cycle v)
+  | Susceptibility.Load_bitflip -> Board.Load_mangle { width; offset; cycle }
   | Susceptibility.Flip_z -> Board.Z_flip
   | Susceptibility.Pc_corrupt ->
     (* corrupting the prefetch address sends the core into unmapped or
        unintended memory; derive a deterministic bogus target *)
     let draw = Hashrand.hash4 ~seed:Susceptibility.seed 8 width offset cycle in
     Board.Pc_set (0x1000 + (2 * Hashrand.to_bits draw ~width:16))
-
-(* Susceptibility of the decode and fetch latches: encoding corruption
-   there applies to whatever instruction occupies the stage, regardless
-   of its class — it is the latch being disturbed, not the ALU. *)
-let back_stage_factor = 0.55
 
 (* --- pristine-continuation baseline ---------------------------------------
 
@@ -126,37 +240,126 @@ let baseline ?(max_cycles = 3_000) board ~from =
     b_cycles = Board.cycles board;
     b_edges = Board.edge_count board }
 
-(* Entry [p]'s window is anchored to an edge already seen and has closed
-   by [now]: nothing that happens from here on can open it again. *)
-let closed p ~n_edges ~edge ~now =
-  p.trigger_index < n_edges
-  && edge p.trigger_index + p.ext_offset + p.repeat <= now
+(* The slot of [pc] among the planted victims, or [n_planted]. *)
+let rec planted_slot st pc k =
+  if k = st.n_planted || st.victims.(k) = pc then k
+  else planted_slot st pc (k + 1)
 
-(* Every window from entry [i] on is closed. *)
-let rec windows_closed entries i ~n_edges ~edge ~now =
-  i >= Array.length entries
-  || closed entries.(i) ~n_edges ~edge ~now
-     && windows_closed entries (i + 1) ~n_edges ~edge ~now
+(* Plant [applied] for pc [victim], replacing what was planted there. *)
+let plant st victim applied =
+  let k = planted_slot st victim 0 in
+  if k = st.n_planted then begin
+    if k = Array.length st.victims then begin
+      st.victims <- Array.append st.victims (Array.make k 0);
+      st.planted <- Array.append st.planted (Array.make k Board.Normal)
+    end;
+    st.victims.(k) <- victim;
+    st.n_planted <- k + 1
+  end;
+  st.planted.(k) <- applied
 
-(* Every window from entry [i] on is dead on a pristine board: closed,
-   or anchored to an edge index the unglitched continuation never
-   produces. A window waiting on an edge that *will* arrive unglitched
-   (index < b_edges) may still open, so it blocks the cutoff. *)
-let rec windows_dead entries i ~n_edges ~edge ~b_edges ~now =
-  i >= Array.length entries
-  || (let p = entries.(i) in
-      if p.trigger_index < n_edges then closed p ~n_edges ~edge ~now
-      else p.trigger_index >= b_edges)
-     && windows_dead entries (i + 1) ~n_edges ~edge ~b_edges ~now
+(* The corruption planted for [pc], taken out; [Normal] when there is
+   none (a planted step is never [Normal]). *)
+let take_planted st pc =
+  let k = planted_slot st pc 0 in
+  if k = st.n_planted then Board.Normal
+  else begin
+    let applied = st.planted.(k) and last = st.n_planted - 1 in
+    st.victims.(k) <- st.victims.(last);
+    st.planted.(k) <- st.planted.(last);
+    st.n_planted <- last;
+    applied
+  end
 
-(* The corruption planted for [pc], taken out of [pending]; [Normal]
-   when there is none (a planted step is never [Normal]). *)
-let take_planted pending pc =
-  match List.assoc_opt pc !pending with
-  | None -> Board.Normal
-  | Some planted ->
-    pending := List.remove_assoc pc !pending;
-    planted
+(* The fault, if any, that the armed windows put on [instr] at [pc]. *)
+let glitch st board ~nonce instr ~pc ~start =
+  if start >= st.span_hi then Board.Normal
+  else
+    (* overlap is tested against the cycles the instruction will
+       actually consume: a not-taken branch occupies 1 cycle, so a
+       glitch must not fire in the 2 phantom cycles of the taken
+       duration (they never elapse — Board.step advances by the
+       actual cost) *)
+    let duration = Board.instr_duration board instr in
+    if start + duration <= st.span_lo then Board.Normal
+    else
+      match window_index st ~start ~duration with
+      | -1 -> Board.Normal
+      | i -> (
+        st.glitched <- st.glitched + 1;
+        let p = st.entries.(i) in
+        let width = p.width and offset = p.offset in
+        let cycle = relative_cycle st i ~start in
+        let nonce = (nonce * 31) + p.trigger_index in
+        (* Which of the Cortex-M0's three pipeline stages does the
+           glitch disturb? Decode and fetch hold the next two
+           instructions. *)
+        match Susceptibility.stage ~width ~offset ~cycle with
+        | 0 ->
+          let effect =
+            Susceptibility.roll_gated ~sustained:(p.repeat > 4)
+              ~gates:st.gates.(i) ~width ~offset ~cycle ~nonce ~instr
+              ~sp:(Board.reg board 13)
+          in
+          let applied = concretise ~width ~offset ~cycle instr effect in
+          (match applied with
+          | Board.Normal -> ()
+          | _ -> st.fired <- st.fired + 1);
+          applied
+        | bytes ->
+          let victim = pc + bytes in
+          (if
+             Susceptibility.back_stage_fires ~gates:st.gates.(i) ~width ~offset
+               ~cycle ~nonce
+           then
+             match Board.word_at board victim with
+             | None -> ()
+             | Some victim_word ->
+               st.fired <- st.fired + 1;
+               plant st victim
+                 (if Susceptibility.plant_skips ~width ~offset ~cycle then
+                    Board.As_nop
+                  else
+                    Board.Fetch_word
+                      (Susceptibility.corrupt_word ~width ~offset ~cycle
+                         victim_word)));
+          Board.Normal)
+
+(* The attempt from the board's current state to its stop: one fetch
+   and at most one window test per cycle, until the schedule is dead or
+   closed with nothing planted. *)
+let rec steps st board ~max_cycles ~nonce baseline =
+  let now = Board.cycles board in
+  if now >= max_cycles then `Timeout
+  else begin
+    if Board.edge_count board <> st.seen_edges then refresh_windows st board;
+    match baseline with
+    | Some b when st.n_planted = 0 && st.pristine && now >= st.dead_at ->
+      (* dead schedule on a pristine board: the continuation is the
+         recorded unglitched run — replay its end state *)
+      st.tail <- b.b_cycles - now;
+      Board.apply_delta board b.b_end;
+      b.b_stop
+    | Some _ | None when st.n_planted = 0 && now >= st.closed_at ->
+      (* no window can open again and nothing is planted: no fault can
+         apply, so the rest is a plain run, still emulated *)
+      Board.run_plain ~max_cycles board
+    | Some _ | None -> (
+      match Board.fetch board with
+      | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
+        `Stopped (Machine.Exec.Bad_fetch a)
+      | instr -> (
+        let pc = Board.pc board in
+        let applied =
+          match take_planted st pc with
+          | Board.Normal -> glitch st board ~nonce instr ~pc ~start:now
+          | planted -> planted
+        in
+        (match applied with Board.Normal -> () | _ -> st.pristine <- false);
+        match Board.step_fetched board applied instr with
+        | Machine.Exec.Running -> steps st board ~max_cycles ~nonce baseline
+        | Machine.Exec.Stopped s -> `Stopped s))
+  end
 
 let run ?(max_cycles = 3_000) ?(nonce = 0) ?from ?baseline board schedule =
   (match from with
@@ -164,130 +367,29 @@ let run ?(max_cycles = 3_000) ?(nonce = 0) ?from ?baseline board schedule =
   | None -> Board.reset board);
   (* cycles already on the board at start were served by the rewind
      to the snapshot, not emulated by this attempt *)
-  let replayed = ref (Board.cycles board) in
+  let replayed = Board.cycles board in
   (match baseline with
   | Some b when b.b_max_cycles <> max_cycles ->
     invalid_arg "Glitcher.run: baseline built for a different max_cycles"
-  | Some b when b.b_from_cycles <> Board.cycles board ->
+  | Some b when b.b_from_cycles <> replayed ->
     invalid_arg "Glitcher.run: baseline built from a different snapshot"
   | Some _ | None -> ());
-  let seed = Susceptibility.seed in
-  let entries = Array.of_list schedule in
-  (* each entry's landscape, looked up once per attempt *)
-  let landscapes =
-    Array.map
-      (fun p -> Susceptibility.landscape ~width:p.width ~offset:p.offset)
-      entries
-  in
-  let edge = Board.edge board in
-  let fired = ref 0 and glitched = ref 0 in
-  (* true while no fault has been applied to any step: the execution so
-     far is bit-identical to the unglitched run *)
-  let pristine = ref true in
-  (* Corruption planted in the decode/fetch stages materialises when the
-     victim address is reached: (victim pc, planted step) pairs, one per
-     address. A branch in between flushes the pipeline and the planted
-     corruption with it: the entry is simply never consumed. *)
-  let pending = ref [] in
-  let finish stop =
-    { stop;
-      cycles = Board.cycles board;
-      fired = !fired;
-      glitched_cycles = !glitched;
-      replayed_cycles = !replayed }
-  in
-  (* The fault, if any, that the armed windows put on [instr] at [pc]. *)
-  let glitch instr ~pc =
-    let start = Board.cycles board in
-    (* overlap is tested against the cycles the instruction will
-       actually consume: a not-taken branch occupies 1 cycle, so a
-       glitch must not fire in the 2 phantom cycles of the taken
-       duration (they never elapse — Board.step advances by the
-       actual cost) *)
-    let duration = Board.instr_duration board instr in
-    match
-      window_index entries ~n_edges:(Board.edge_count board) ~edge ~start
-        ~duration
-    with
-    | -1 -> Board.Normal
-    | i ->
-      incr glitched;
-      let p = entries.(i) in
-      let width = p.width and offset = p.offset in
-      let cycle = relative_cycle p ~edge:(edge p.trigger_index) ~start in
-      let attempt_nonce = (nonce * 31) + p.trigger_index in
-      (* Which of the Cortex-M0's three pipeline stages does the glitch
-         disturb? Decode and fetch hold the next two instructions. *)
-      let stage_pick =
-        Hashrand.to_u01 (Hashrand.hash4 ~seed 4 width offset cycle)
-      in
-      if stage_pick < 0.5 then begin
-        let effect =
-          Susceptibility.roll ~sustained:(p.repeat > 4)
-            ~landscape:landscapes.(i) ~width ~offset ~cycle ~nonce:attempt_nonce
-            ~instr ~sp:(Board.reg board 13)
-        in
-        let applied = concretise ~width ~offset ~cycle instr effect in
-        (match applied with Board.Normal -> () | _ -> incr fired);
-        applied
-      end
-      else begin
-        let victim = pc + if stage_pick < 0.8 then 2 else 4 in
-        let gate =
-          Hashrand.to_u01
-            (Hashrand.hash5 ~seed 5 width offset cycle attempt_nonce)
-        in
-        (if gate < landscapes.(i) *. back_stage_factor then
-           match Board.word_at board victim with
-           | None -> ()
-           | Some victim_word ->
-             incr fired;
-             let planted =
-               let plant_pick =
-                 Hashrand.to_u01 (Hashrand.hash4 ~seed 6 width offset cycle)
-               in
-               if plant_pick < 0.4 then Board.As_nop
-               else
-                 Board.Fetch_word
-                   (Susceptibility.corrupt_word ~width ~offset ~cycle victim_word)
-             in
-             pending := (victim, planted) :: List.remove_assoc victim !pending);
-        Board.Normal
-      end
-  in
-  let rec go () =
-    let now = Board.cycles board in
-    if now >= max_cycles then finish `Timeout
-    else
-      let n_edges = Board.edge_count board in
-      match (!pending, baseline) with
-      | [], Some b
-        when !pristine
-             && windows_dead entries 0 ~n_edges ~edge ~b_edges:b.b_edges ~now
-        ->
-        (* dead schedule on a pristine board: the continuation is the
-           recorded unglitched run — replay its end state *)
-        replayed := !replayed + (b.b_cycles - now);
-        Board.apply_delta board b.b_end;
-        finish b.b_stop
-      | [], (Some _ | None) when windows_closed entries 0 ~n_edges ~edge ~now ->
-        (* no window can open again and nothing is planted: no fault can
-           apply, so the rest is a plain run, still emulated *)
-        finish (Board.run_plain ~max_cycles board)
-      | _ :: _, _ | [], _ -> (
-        match Board.fetch board with
-        | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
-          finish (`Stopped (Machine.Exec.Bad_fetch a))
-        | instr -> (
-          let pc = Board.pc board in
-          let applied =
-            match take_planted pending pc with
-            | Board.Normal -> glitch instr ~pc
-            | planted -> planted
-          in
-          (match applied with Board.Normal -> () | _ -> pristine := false);
-          match Board.step_fetched board applied instr with
-          | Machine.Exec.Running -> go ()
-          | Machine.Exec.Stopped s -> finish (`Stopped s)))
-  in
-  go ()
+  let st = Domain.DLS.get state_key in
+  load_schedule st schedule;
+  for i = 0 to st.n - 1 do
+    let p = st.entries.(i) in
+    Susceptibility.fill_gates st.gates.(i) ~width:p.width ~offset:p.offset
+  done;
+  st.seen_edges <- -1;
+  st.baseline_edges <- (match baseline with Some b -> b.b_edges | None -> -1);
+  st.fired <- 0;
+  st.glitched <- 0;
+  st.pristine <- true;
+  st.tail <- 0;
+  st.n_planted <- 0;
+  let stop = steps st board ~max_cycles ~nonce baseline in
+  { stop;
+    cycles = Board.cycles board;
+    fired = st.fired;
+    glitched_cycles = st.glitched;
+    replayed_cycles = replayed + st.tail }

@@ -25,8 +25,28 @@ let hash4 ~seed a b c d =
 let hash5 ~seed a b c d e =
   finish (fold (fold (fold (fold (fold (start seed) a) b) c) d) e)
 
-let to_u01 h =
-  float_of_int (h land 0x3FFFFFFFFFFF) /. float_of_int 0x400000000000
+(* A uniform draw is the low 46 bits of the hash over 2^46. *)
+let u01_mask = 0x3FFFFFFFFFFF
+let one = u01_mask + 1
+
+let to_u01 h = float_of_int (h land u01_mask) /. float_of_int one
+
+(* [m / 2^46 < p] for an integer [m < 2^46] is [m < ceil (p * 2^46)]:
+   scaling by a power of two is exact, so the comparison moves to the
+   integers without rounding. The ceiling is taken inline: [int_of_float]
+   rounds the positive [x] down, so add one unless [x] was whole. *)
+let[@inline] threshold p =
+  if not (p > 0.) then 0
+  else if p >= 1. then one
+  else
+    let x = p *. 0x1p46 in
+    let t = int_of_float x in
+    if float_of_int t < x then t + 1 else t
+
+let thresholds ~scale ps ts =
+  for k = 0 to Array.length ps - 1 do
+    ts.(k) <- threshold (scale *. ps.(k))
+  done
 
 let u01 ~seed coords = to_u01 (hash ~seed coords)
 

@@ -29,7 +29,33 @@ val hash4 : seed:int -> int -> int -> int -> int -> int
 val hash5 : seed:int -> int -> int -> int -> int -> int -> int
 
 val to_u01 : int -> float
-(** [to_u01 (hash ~seed coords) = u01 ~seed coords]. *)
+(** [to_u01 (hash ~seed coords) = u01 ~seed coords]: the low 46 bits of
+    the hash, [m], over [2^46]. *)
+
+(** {2 Integer draws}
+
+    A draw that fires with probability [p] compares [to_u01 h < p]. The
+    simulation's draws make the same comparison on integers, with no
+    float built per draw: [to_u01 h] is [m / 2^46] for an integer
+    [m = h land u01_mask < 2^46], and multiplying by [2^46] is exact, so
+    [to_u01 h < p] holds exactly when [m < ceil (p * 2^46)]. That bound,
+    clamped to [[0, 2^46]], is {!threshold}[ p]. [floor] would be wrong
+    whenever [p * 2^46] is not an integer: [m = floor (p * 2^46)] is
+    below [p * 2^46] but not below its floor. *)
+
+val u01_mask : int
+(** [0x3FFFFFFFFFFF]: the 46 bits of a hash {!to_u01} reads. *)
+
+val threshold : float -> int
+(** [threshold p] is [ceil (p * 2^46)] clamped to [[0, 2^46]] (0 for a
+    NaN), so that [h land u01_mask < threshold p] iff [to_u01 h < p],
+    for every [h]: a draw that fires with probability [p] is
+    [h land u01_mask < threshold p]. *)
+
+val thresholds : scale:float -> float array -> int array -> unit
+(** [thresholds ~scale ps ts] sets [ts.(k)] to
+    [threshold (scale *. ps.(k))] for every [k] of [ps]: one call, and
+    one float passed, for a whole row of gates. *)
 
 val to_bits : int -> width:int -> int
 (** [to_bits (hash ~seed coords) ~width = bits ~seed coords ~width]. *)

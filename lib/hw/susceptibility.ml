@@ -97,43 +97,104 @@ let landscape ~width ~offset =
     end
     else e
 
-(* RQ4: loads are easy, compares and branches follow, register-only ALU
-   work is nearly immune. *)
-let class_factor (i : Thumb.Instr.t) =
-  if Thumb.Instr.is_load i then 1.0
-  else if Thumb.Instr.is_store i then 0.6
-  else
-    match i with
-    | Imm (CMPi, _, _) | Alu (CMPr, _, _) | Hi_cmp _ | Alu (TST, _, _)
-    | Alu (CMN, _, _) -> 0.8
-    | B_cond _ | B _ | Bx _ | Bl_hi _ | Bl_lo _ -> 0.85
-    | Imm (MOVi, _, _) | Hi_mov _ | Load_addr _ -> 0.45
-    | Shift _ | Add_sub _ | Imm ((ADDi | SUBi), _, _) | Alu _ | Hi_add _
-    | Sp_adjust _ -> 0.15
-    | Swi _ | Bkpt _ | Undefined _ -> 0.3
-    | Ldr_pc _ | Mem_reg _ | Mem_sign _ | Mem_imm _ | Mem_half _ | Mem_sp _
-    | Push _ | Pop _ | Stmia _ | Ldmia _ -> 0.6
+(* Every constant a draw compares against becomes its integer threshold
+   once, here ({!Hashrand.threshold}); [draw_probabilities] lists them. *)
+let constants = ref []
 
-let biased_flip ~p_clear ~width ~offset ~cycle ~bits word =
-  let flipped = ref 0 in
-  for bit = 0 to bits - 1 do
-    let u = Hashrand.to_u01 (Hashrand.hash5 ~seed 997 bit width offset cycle) in
-    if word land (1 lsl bit) <> 0 then begin
-      if u < p_clear then flipped := !flipped lor (1 lsl bit)
-    end
-    else if u < p_bit_set then flipped := !flipped lor (1 lsl bit)
-  done;
-  word lxor !flipped
+let constant p =
+  constants := p :: !constants;
+  Hashrand.threshold p
 
-let corrupt_word ~width ~offset ~cycle word =
-  biased_flip ~p_clear:p_bit_clear ~width ~offset ~cycle ~bits:16 word
+(* The draw [to_u01 h < p], with [t = threshold p]. *)
+let[@inline] below h t = h land Hashrand.u01_mask < t
+
+let t_bit_clear = constant p_bit_clear
+let t_bit_set = constant p_bit_set
 
 (* Data latches hold their value more robustly than the instruction
    path: a register flip is rarer per bit than an encoding flip, which
    is why while(a) resists glitching better than the single-bit Hamming
    distance of its guard would suggest (paper Section V-A). *)
+let t_bit_clear_data = constant (p_bit_clear *. 0.4)
+
+(* The pipeline stage a glitched cycle disturbs: half the time the
+   executing instruction, else the one in decode or in fetch. *)
+let t_execute_stage = constant 0.5
+let t_decode_stage = constant 0.8
+
+(* A corruption planted in decode or fetch skips its victim, else
+   corrupts its encoding. *)
+let t_plant_skip = constant 0.4
+
+(* [roll]'s effect draws. *)
+let t_pc_corrupt = constant 0.28
+let t_sustained_load_skip = constant 0.2
+let t_load_skip = constant 0.25
+let t_load_value = constant 0.65
+let t_load_residue = constant 0.5
+let t_compare_skip = constant 0.4
+let t_compare_flip = constant 0.7
+let t_branch_skip = constant 0.55
+let t_other_skip = constant 0.5
+let draw_probabilities = List.rev !constants
+
+(* The gate's factor by gate class. Classes 0-6 are RQ4's: loads are
+   easy, compares and branches follow, register-only ALU work is nearly
+   immune. Hammering every cycle eventually aborts a bus read even at
+   parameter points too weak to disturb a single cycle, so a load under
+   a sustained glitch (class 7) fires more readily. Class 8 is the
+   decode and fetch latches: encoding corruption there applies to
+   whatever instruction occupies the stage, regardless of its class —
+   it is the latch being disturbed, not the ALU. *)
+let gate_factor_table = [| 1.0; 0.6; 0.8; 0.85; 0.45; 0.15; 0.3; 1.2; 0.55 |]
+let gate_factors = Array.to_list gate_factor_table
+let sustained_load_class = 7
+let back_stage_class = 8
+
+(* The class of an instruction that is not a load. *)
+let unloaded_class (i : Thumb.Instr.t) =
+  if Thumb.Instr.is_store i then 1
+  else
+    match i with
+    | Imm (CMPi, _, _) | Alu (CMPr, _, _) | Hi_cmp _ | Alu (TST, _, _)
+    | Alu (CMN, _, _) -> 2
+    | B_cond _ | B _ | Bx _ | Bl_hi _ | Bl_lo _ -> 3
+    | Imm (MOVi, _, _) | Hi_mov _ | Load_addr _ -> 4
+    | Shift _ | Add_sub _ | Imm ((ADDi | SUBi), _, _) | Alu _ | Hi_add _
+    | Sp_adjust _ -> 5
+    | Swi _ | Bkpt _ | Undefined _ -> 6
+    | Ldr_pc _ | Mem_reg _ | Mem_sign _ | Mem_imm _ | Mem_half _ | Mem_sp _
+    | Push _ | Pop _ | Stmia _ | Ldmia _ -> 1
+
+let gate_class i = if Thumb.Instr.is_load i then 0 else unloaded_class i
+let class_factor i = gate_factor_table.(gate_class i)
+
+(* A point's gates: [threshold (e *. factor)] per gate class, for the
+   landscape [e] of one (width, offset), so the per-cycle gate is one
+   integer compare. *)
+type gates = int array
+
+let make_gates () = Array.make (Array.length gate_factor_table) 0
+
+let fill_gates g ~width ~offset =
+  Hashrand.thresholds ~scale:(landscape ~width ~offset) gate_factor_table g
+
+let biased_flip ~t_clear ~width ~offset ~cycle ~bits word =
+  let flipped = ref 0 in
+  for bit = 0 to bits - 1 do
+    let u = Hashrand.hash5 ~seed 997 bit width offset cycle in
+    if word land (1 lsl bit) <> 0 then begin
+      if below u t_clear then flipped := !flipped lor (1 lsl bit)
+    end
+    else if below u t_bit_set then flipped := !flipped lor (1 lsl bit)
+  done;
+  word lxor !flipped
+
+let corrupt_word ~width ~offset ~cycle word =
+  biased_flip ~t_clear:t_bit_clear ~width ~offset ~cycle ~bits:16 word
+
 let corrupt_value32 ~width ~offset ~cycle v =
-  biased_flip ~p_clear:(p_bit_clear *. 0.4) ~width ~offset ~cycle ~bits:32 v
+  biased_flip ~t_clear:t_bit_clear_data ~width ~offset ~cycle ~bits:32 v
 
 (* Bus residue candidates for corrupted loads: stack pointer, the GPIO
    data-register address, and mixes thereof — the families of values the
@@ -151,23 +212,31 @@ let residue ~width ~offset ~cycle ~sp =
   | 6 -> sp lxor draw 333 5
   | _ -> draw 334 32
 
-let roll ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr ~sp =
+let stage ~width ~offset ~cycle =
+  let u = Hashrand.hash4 ~seed 4 width offset cycle land Hashrand.u01_mask in
+  if u < t_execute_stage then 0 else if u < t_decode_stage then 2 else 4
+
+let back_stage_fires ~gates ~width ~offset ~cycle ~nonce =
+  below
+    (Hashrand.hash5 ~seed 5 width offset cycle nonce)
+    gates.(back_stage_class)
+
+let plant_skips ~width ~offset ~cycle =
+  below (Hashrand.hash4 ~seed 6 width offset cycle) t_plant_skip
+
+let roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp =
   (* Attempt noise only gates whether the glitch fires; WHAT it does at
      a fixed (width, offset, cycle) point is deterministic, like the
      repeatable electrical disturbance on real silicon. This is what
      lets the paper's tuning search find 10-out-of-10 parameters. *)
+  let load = Thumb.Instr.is_load instr in
   let gate =
-    Hashrand.to_u01 (Hashrand.hash5 ~seed 1 width offset cycle nonce)
+    gates.(if not load then unloaded_class instr
+           else if sustained then sustained_load_class
+           else 0)
   in
-  (* Hammering every cycle eventually aborts a bus read even at
-     parameter points too weak to disturb a single cycle: sustained
-     windows see loads fail far more readily. *)
-  let factor =
-    if sustained && Thumb.Instr.is_load instr then
-      Float.min 1.2 (2.5 *. class_factor instr)
-    else class_factor instr
-  in
-  if gate >= e *. factor then No_fault
+  if not (below (Hashrand.hash5 ~seed 1 width offset cycle nonce) gate)
+  then No_fault
   else if
     (* A glitch sustained over many cycles destabilises the whole core:
        with every additional disturbed cycle the prefetch address latch
@@ -177,23 +246,27 @@ let roll ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr ~sp =
        defended firmware are detected or fatal far more often than they
        succeed (Table VI). *)
     sustained
-    && Hashrand.to_u01 (Hashrand.hash5 ~seed 7 cycle width offset cycle) < 0.28
+    && below (Hashrand.hash5 ~seed 7 cycle width offset cycle)
+         t_pc_corrupt
   then Pc_corrupt
   else begin
-    let pick = Hashrand.to_u01 (Hashrand.hash4 ~seed 2 width offset cycle) in
-    if Thumb.Instr.is_load instr then begin
+    let pick =
+      Hashrand.hash4 ~seed 2 width offset cycle land Hashrand.u01_mask
+    in
+    if load then begin
       (* A glitch sustained over many consecutive cycles starves the
          memory interface: the aborted read returns the idle bus value
          of zero (the paper's hypothesis for the 10x long-glitch
          success-rate jump on while(a), Section V-D). *)
-      if sustained then (if pick < 0.2 then Skip else Load_residue 0)
-      else if pick < 0.25 then Skip
-      else if pick < 0.65 then begin
-        let residue_pick =
-          Hashrand.to_u01 (Hashrand.hash4 ~seed 3 width offset cycle)
-        in
-        if residue_pick < 0.5 then
-          Load_residue (residue ~width ~offset ~cycle ~sp)
+      if sustained then
+        (if pick < t_sustained_load_skip then Skip else Load_residue 0)
+      else if pick < t_load_skip then Skip
+      else if pick < t_load_value then begin
+        if
+          below
+            (Hashrand.hash4 ~seed 3 width offset cycle)
+            t_load_residue
+        then Load_residue (residue ~width ~offset ~cycle ~sp)
         else Load_bitflip
       end
       else Corrupt_fetch
@@ -202,10 +275,11 @@ let roll ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr ~sp =
       match instr with
       | Thumb.Instr.Imm (CMPi, _, _) | Thumb.Instr.Alu (CMPr, _, _)
       | Thumb.Instr.Hi_cmp _ ->
-        if pick < 0.4 then Skip
-        else if pick < 0.7 then Flip_z
+        if pick < t_compare_skip then Skip
+        else if pick < t_compare_flip then Flip_z
         else Corrupt_fetch
-      | Thumb.Instr.B_cond _ -> if pick < 0.55 then Skip else Corrupt_fetch
+      | Thumb.Instr.B_cond _ ->
+        if pick < t_branch_skip then Skip else Corrupt_fetch
       | Thumb.Instr.Shift _ | Thumb.Instr.Add_sub _ | Thumb.Instr.Imm _
       | Thumb.Instr.Alu _ | Thumb.Instr.Hi_add _ | Thumb.Instr.Hi_mov _
       | Thumb.Instr.Bx _ | Thumb.Instr.Ldr_pc _ | Thumb.Instr.Mem_reg _
@@ -215,5 +289,10 @@ let roll ~sustained ~landscape:e ~width ~offset ~cycle ~nonce ~instr ~sp =
       | Thumb.Instr.Ldmia _ | Thumb.Instr.Swi _ | Thumb.Instr.B _
       | Thumb.Instr.Bl_hi _ | Thumb.Instr.Bl_lo _ | Thumb.Instr.Bkpt _
       | Thumb.Instr.Undefined _ ->
-        if pick < 0.5 then Skip else Corrupt_fetch
+        if pick < t_other_skip then Skip else Corrupt_fetch
   end
+
+let roll ~sustained ~landscape ~width ~offset ~cycle ~nonce ~instr ~sp =
+  let gates = make_gates () in
+  Hashrand.thresholds ~scale:landscape gate_factor_table gates;
+  roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp

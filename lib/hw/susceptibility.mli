@@ -58,6 +58,63 @@ val landscape_direct : width:int -> offset:int -> float
 val class_factor : Thumb.Instr.t -> float
 (** Relative susceptibility of the executing instruction (RQ4). *)
 
+(** {2 Integer gates}
+
+    Every draw compares integers ({!Hashrand.threshold}). The constant
+    probabilities become thresholds once, when the module loads; the
+    gate of a (width, offset) point, [e(p) * factor], becomes one row
+    of thresholds per point, which the glitcher fills once per
+    attempt. *)
+
+type gates
+(** One threshold per gate class: [threshold (e *. f)] for the
+    landscape [e] of a point and each factor [f] of {!gate_factors}. *)
+
+val gate_factors : float list
+(** The factors a gate multiplies the landscape by: each value
+    {!class_factor} returns, a load's factor under a sustained glitch
+    (1.2), and the decode/fetch latches' factor (0.55). *)
+
+val draw_probabilities : float list
+(** Every constant probability a draw compares against. *)
+
+val make_gates : unit -> gates
+
+val fill_gates : gates -> width:int -> offset:int -> unit
+(** Overwrite with the gates of ([width], [offset]), its landscape read
+    from the memo. *)
+
+val stage : width:int -> offset:int -> cycle:int -> int
+(** Which of the Cortex-M0's three pipeline stages a glitched cycle at
+    the point disturbs: [0] the executing instruction, [2] or [4] the
+    one decode or fetch holds, that many bytes on. *)
+
+val back_stage_fires :
+  gates:gates -> width:int -> offset:int -> cycle:int -> nonce:int -> bool
+(** Whether a glitch on the decode or fetch latch plants a corruption:
+    the gate [u < e(p) * 0.55], with attempt noise like {!roll}'s. *)
+
+val plant_skips : width:int -> offset:int -> cycle:int -> bool
+(** Whether a planted corruption turns its victim into a NOP rather than
+    corrupting its encoding ({!corrupt_word}); deterministic in the
+    point. *)
+
+val roll_gated :
+  sustained:bool ->
+  gates:gates ->
+  width:int ->
+  offset:int ->
+  cycle:int ->
+  nonce:int ->
+  instr:Thumb.Instr.t ->
+  sp:int ->
+  effect
+(** Decide the effect of one glitched cycle, with the point's gates
+    computed beforehand. [nonce] distinguishes attempts with identical
+    parameters; [sp] seeds realistic bus-residue values. [sustained]
+    marks glitches stretched over many consecutive cycles (long-glitch
+    attacks), whose aborted loads read back zero. *)
+
 val roll :
   sustained:bool ->
   landscape:float ->
@@ -68,12 +125,8 @@ val roll :
   instr:Thumb.Instr.t ->
   sp:int ->
   effect
-(** Decide the effect of one glitched cycle. [landscape] is
-    {!landscape} at ([width], [offset]), which the caller looks up once
-    per attempt rather than once per glitched cycle. [nonce] distinguishes
-    attempts with identical parameters; [sp] seeds realistic bus-residue
-    values. [sustained] marks glitches stretched over many consecutive
-    cycles (long-glitch attacks), whose aborted loads read back zero. *)
+(** {!roll_gated} with the gates of [landscape], {!landscape} at
+    ([width], [offset]). *)
 
 val corrupt_word : width:int -> offset:int -> cycle:int -> int -> int
 (** 1->0-biased bit corruption of a 16-bit instruction word, drawn at

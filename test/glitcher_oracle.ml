@@ -44,9 +44,7 @@ let concretise ~salt (instr : Thumb.Instr.t)
     if word' = word then (Board.Normal, false)
     else (Board.Fetch_word word', true)
   | Susceptibility.Load_residue v -> (Board.Load_value v, true)
-  | Susceptibility.Load_bitflip ->
-    let mangle v = Susceptibility.corrupt_value32 ~width ~offset ~cycle v in
-    (Board.Load_mangle mangle, true)
+  | Susceptibility.Load_bitflip -> (Board.Load_mangle { width; offset; cycle }, true)
   | Susceptibility.Flip_z -> (Board.Z_flip, true)
   | Susceptibility.Pc_corrupt ->
     let bogus =

@@ -46,6 +46,42 @@ let prop_fixed_arity_draws =
       && Hashrand.to_u01 h5 = Hashrand.u01 ~seed (list 5)
       && Hashrand.to_bits h4 ~width:7 = Hashrand.bits ~seed (list 4) ~width:7)
 
+(* Every draw compares integers, [h land u01_mask < threshold p], where
+   the reference compares floats, [to_u01 h < p]. The two must agree for
+   every probability the simulation draws against: each constant, and
+   each gate [e *. f] over the 99 x 99 grid and every gate factor. They
+   are checked at the edges of each threshold, [m = t - 1, t, t + 1]
+   under a random h's high bits, and at the random h itself. *)
+let draw_probabilities =
+  lazy
+    (let gated =
+       List.concat_map
+         (fun f ->
+           List.init (99 * 99) (fun k ->
+               Susceptibility.landscape ~width:((k / 99) - 49)
+                 ~offset:((k mod 99) - 49)
+               *. f))
+         Susceptibility.gate_factors
+     in
+     Array.of_list
+       (List.sort_uniq Float.compare (Susceptibility.draw_probabilities @ gated)))
+
+let prop_threshold_exact =
+  QCheck.Test.make ~name:"integer draw = float draw" ~count:200 QCheck.int
+    (fun h ->
+      let high = h land lnot Hashrand.u01_mask in
+      Array.iter
+        (fun p ->
+          let t = Hashrand.threshold p in
+          let agrees h =
+            h land Hashrand.u01_mask < t = (Hashrand.to_u01 h < p)
+          in
+          let edge m = m < 0 || m > Hashrand.u01_mask || agrees (high lor m) in
+          if not (agrees h && edge (t - 1) && edge t && edge (t + 1)) then
+            QCheck.Test.fail_reportf "p = %h: threshold %d disagrees" p t)
+        (Lazy.force draw_probabilities);
+      true)
+
 (* --- susceptibility -------------------------------------------------------- *)
 
 (* The per-domain memo returns the direct computation's float, bit for
@@ -637,6 +673,32 @@ let rewind_after_reset () =
     true
     (one_attempt > 0 && one_attempt < 1024)
 
+(* The board leg's allocation, a count that does not depend on the host:
+   one Table I cycle, 9,801 attempts on a rig, may allocate little more
+   than each attempt's schedule and observation. It measured 23 words
+   per attempt; the bound is that plus 25%. A warm-up sweep first fills
+   the landscape memo and the per-domain attempt state. *)
+let attempt_allocation () =
+  let rig =
+    Attack.rig_of_boot
+      (Attack.boot_once (Attack.single_loop_program While_not_a))
+  in
+  let sweep () =
+    for width = -49 to 49 do
+      for offset = -49 to 49 do
+        ignore
+          (Attack.attempt rig [ Glitcher.single ~width ~offset ~ext_offset:2 ])
+      done
+    done
+  in
+  sweep ();
+  let before = Gc.minor_words () in
+  sweep ();
+  let per_attempt = (Gc.minor_words () -. before) /. 9801. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per attempt <= 29" per_attempt)
+    true (per_attempt <= 29.)
+
 (* Board.delta against the journal scan it replaced. A sealed board
    runs a random list of byte stores into eight bytes of its stack fill
    (about half of them storing the sealed byte back) under random
@@ -990,7 +1052,8 @@ let tuner_finds_reliable_params () =
 let () =
   let props =
     List.map Qseed.to_alcotest
-      [ prop_u01_range; prop_bits_range; prop_fixed_arity_draws ]
+      [ prop_u01_range; prop_bits_range; prop_fixed_arity_draws;
+        prop_threshold_exact ]
   in
   Alcotest.run "hw"
     [ ("hashrand",
@@ -1031,6 +1094,7 @@ let () =
            rig_full_state_differential;
          Alcotest.test_case "cutoff write-back" `Quick writeback_cutoff_regression;
          Alcotest.test_case "rewind after reset" `Quick rewind_after_reset;
+         Alcotest.test_case "attempt allocation" `Quick attempt_allocation;
          Qseed.to_alcotest prop_delta_matches_journal_scan ]);
       ("paper-shapes",
        [ Alcotest.test_case "table 1" `Slow table1_shape;
