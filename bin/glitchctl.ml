@@ -702,7 +702,10 @@ let exhaust_cmd =
             "Continuation budget after the injected step, at least 0 \
              (default: auto-derived from the baseline). A budget below the trace \
              window is what lets the static pre-pruner cover \
-             non-terminating baselines.")
+             non-terminating baselines. A long budget costs only the \
+             continuations that are not periodic: one whose whole machine \
+             state recurs ends at the first recurrence, with the final \
+             state a full run would reach.")
   in
   let run file config mode max_trace cycles json static settle jobs
       cache_dir =

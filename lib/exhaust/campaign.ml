@@ -541,9 +541,15 @@ let run_cycle sh tally rig memo scratch k =
                   if config.prune then Bytes.sub_string (State.key_buffer rig) 0 len
                   else ""
                 in
+                (* the oracle ([prune = false]) runs every budget out;
+                   the cutoff ends it at a state recurrence, exactly *)
                 let s =
-                  Exec.run ?zero_is_invalid:sh.zero_rule
-                    ?max_steps:sh.settle_budget mem cpu
+                  if config.prune then
+                    State.run_cutoff ?zero_is_invalid:sh.zero_rule
+                      ~max_steps:sh.tr.settle rig
+                  else
+                    Exec.run ?zero_is_invalid:sh.zero_rule
+                      ?max_steps:sh.settle_budget mem cpu
                 in
                 let v = classify_end sh.tr sh.spec.detect_addr config.classify rig s in
                 if config.prune then Runtime.Keymap.add sh.keymap state_key v;

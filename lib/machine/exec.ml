@@ -469,20 +469,46 @@ let step ?(zero_is_invalid = false) mem cpu =
   | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
     Stopped (Bad_fetch a)
 
+type watch = { ck : Cpu.t; mutable left : int }
+
+(* Never written: [run] watches the address -1, which no pc equals. *)
+let unwatched = { ck = Cpu.create (); left = -1 }
+
+let rec same_regs (a : int array) (b : int array) i =
+  i = 16 || (a.(i) = b.(i) && same_regs a b (i + 1))
+
+let[@inline] landed (cpu : Cpu.t) (ck : Cpu.t) =
+  cpu.n = ck.n && cpu.z = ck.z && cpu.c = ck.c && cpu.v = ck.v
+  && same_regs cpu.regs ck.regs 0
+
 (* [step] unrolled into a top-level loop: one call per instruction, no
    closure, and a stop is returned unboxed, so a run allocates nothing
-   of its own. *)
-let rec run_from zero_is_invalid mem cpu remaining =
+   of its own. The watch is one compare per step: a step that lands on
+   [at] with the checkpoint's registers and flags ends the run with
+   [Step_limit] and the unspent budget in [watch.left]. *)
+let rec run_from zero_is_invalid mem cpu remaining at watch =
   if remaining = 0 then Step_limit
   else
     match Memory.fetch_u16_exn mem (pc cpu) with
     | w -> (
       match execute_exn mem cpu (decode ~zero_is_invalid w) with
-      | Running -> run_from zero_is_invalid mem cpu (remaining - 1)
+      | Running ->
+        if pc cpu = at && landed cpu watch.ck then begin
+          watch.left <- remaining - 1;
+          Step_limit
+        end
+        else run_from zero_is_invalid mem cpu (remaining - 1) at watch
       | Stopped s -> s)
     | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) -> Bad_fetch a
 
+let run_watch ~zero_is_invalid ~max_steps watch mem cpu =
+  let at = pc watch.ck in
+  watch.left <- -1;
+  match run_from zero_is_invalid mem cpu max_steps at watch with
+  | s -> s
+  | exception Stop_exn s -> s
+
 let run ?(zero_is_invalid = false) ?(max_steps = 10_000) mem cpu =
-  match run_from zero_is_invalid mem cpu max_steps with
+  match run_from zero_is_invalid mem cpu max_steps (-1) unwatched with
   | s -> s
   | exception Stop_exn s -> s

@@ -72,3 +72,18 @@ val run :
     10,000) instructions, else [Step_limit]. The loop allocates nothing,
     but without cross-module inlining (dune's dev profile) each
     [~label:v] boxes [Some v] per call: sweep kernels box them once. *)
+
+type watch = { ck : Cpu.t; mutable left : int }
+(** A checkpoint for {!run_watch} ([ck]: registers and flags) and where
+    it reports a landing on it. *)
+
+val run_watch :
+  zero_is_invalid:bool -> max_steps:int -> watch -> Memory.t -> Cpu.t -> stop
+(** {!run} on the same loop, watching for the checkpoint [watch.ck]: a
+    step that leaves the pc at [ck]'s pc (one compare per step) and the
+    other registers and the flags as in [ck] ends the run early with
+    [Step_limit] and sets [watch.left] to the steps still unspent,
+    [>= 0]. A run that ends any other way leaves [watch.left = -1]. The
+    first instruction is never a landing, so a run that starts at the
+    checkpoint executes at least one step. Memory is not compared: this
+    is the register half of {!State.run_cutoff}'s recurrence test. *)

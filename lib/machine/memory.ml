@@ -146,6 +146,9 @@ let[@inline] cached t addr n =
 
 let is_mapped t addr = find t addr <> None
 
+let has_device t =
+  List.exists (function Device _ -> true | Ram _ -> false) t.regions
+
 let clear t =
   List.iter
     (function
@@ -221,6 +224,19 @@ let append_changed t ~addrs ~pristine n buf pos =
     end
   done;
   !len
+
+(* Newest entry first: a store that changed its byte is most often a
+   recent one, so a run whose memory moves fails on the first entries. *)
+let rec unchanged_from t packed m i =
+  i < m
+  || (let p = packed.(i) in
+      read_u8_exn t (p lsr 8) = p land 0xFF && unchanged_from t packed m (i - 1))
+
+let journal_unchanged_since t j m =
+  if m < 0 || m > j.len then invalid_arg "Memory.journal_unchanged_since";
+  match t.journal with
+  | Some attached when attached == j -> unchanged_from t j.packed m (j.len - 1)
+  | Some _ | None -> false
 
 let write_u8_exn t addr v =
   if cached t addr 1 then begin

@@ -32,6 +32,10 @@ val add_device : t ->
 
 val is_mapped : t -> int -> bool
 
+val has_device : t -> bool
+(** Whether any device is mapped: its state lies outside RAM and its
+    stores outside any journal. *)
+
 val clear : t -> unit
 (** Zero every RAM region (devices are untouched). Used by glitch
     campaigns to reuse one address space across millions of runs. *)
@@ -123,6 +127,16 @@ val journal_length : journal -> int
 val journal_entry : journal -> int -> int * int
 (** [(address, pre-image byte)] of entry [i], oldest first.
     @raise Invalid_argument out of range. *)
+
+val journal_unchanged_since : t -> journal -> int -> bool
+(** [journal_unchanged_since t j m]: every store [j] recorded from mark
+    [m] on wrote back the byte it found, i.e. each entry's pre-image is
+    its address's current byte. Then RAM equals what it was at [m]
+    (a byte changed and then restored reads as a change, so [false]
+    does not prove RAM differs). [false] whenever [j] is not the
+    journal attached to [t]: stores it did not see may have changed
+    anything. Allocates nothing. @raise Invalid_argument if [m] is not
+    a valid mark. *)
 
 val undo_to : t -> journal -> int -> unit
 (** Rewind memory to its state at mark [m] (a previous

@@ -42,6 +42,7 @@ type t = {
   mutable nlive : int;  (* live-set size = stack depth *)
   mutable scanned : int;  (* journal entries already absorbed *)
   mutable buf : Bytes.t;  (* the last key built *)
+  watch : Exec.watch;  (* run_cutoff's checkpoint *)
 }
 
 let seal ~mem ~cpu =
@@ -50,7 +51,8 @@ let seal ~mem ~cpu =
   { mem; cpu; journal;
     addrs = Array.make 64 0; pristine = Array.make 64 0;
     first_idx = Array.make 64 0; first_addr = Array.make 64 0;
-    nlive = 0; scanned = 0; buf = Bytes.create 256 }
+    nlive = 0; scanned = 0; buf = Bytes.create 256;
+    watch = { Exec.ck = Cpu.create (); left = -1 } }
 
 let mem t = t.mem
 let cpu t = t.cpu
@@ -162,3 +164,70 @@ let written t =
   Array.init t.nlive (fun i ->
       let addr = t.addrs.(i) in
       (addr lsl 16) lor (t.pristine.(i) lsl 8) lor Memory.read_u8_exn t.mem addr)
+
+(* --- the recurrence cutoff -------------------------------------------- *)
+
+(* A step is a pure function of r0-r15, NZCV and memory (the fetch and
+   data caches and the journal's length are not state), so once a run's
+   state recurs after [period] steps without a stop, the rest of the
+   run is periodic: a budget of [r] more steps ends in the state that
+   [r mod period] steps reach, still running. Brent's cycle detection
+   finds a recurrence: checkpoint the state, run a window of steps
+   watching for the checkpoint's registers and flags (Exec.run_watch),
+   and at each such landing compare memory; a window that ends without
+   a match takes a new checkpoint with twice the window. Memory compares
+   through the journal: equal when every store since the checkpoint's
+   mark wrote back the byte it found (the guard loop's write-backs of
+   its stack slots pass). A device is state that no journal sees, so a
+   rig that maps one never takes the cutoff.
+
+   The first checkpoint comes after this many steps, so shorter runs pay
+   nothing: exhaust-defended's continuations (settle 64) never reach
+   it. Past it, on exhaust-guard (settle 2,048), 547 of the 1,550
+   continuations are cut and the continuations' steps fall from 1.55 M
+   to 0.48 M; a run that never recurs pays a register compare at each
+   return to the checkpoint's pc, about 4% of a 3,000-step-settle
+   campaign on the all-defenses build, whose delay loops return there
+   every few steps. *)
+let first_checkpoint = 64
+
+(* A checkpoint at pc -1, which no step lands on: an unwatched run. *)
+let plain t zero_is_invalid steps =
+  t.watch.ck.Cpu.regs.(15) <- -1;
+  Exec.run_watch ~zero_is_invalid ~max_steps:steps t.watch t.mem t.cpu
+
+(* [remaining] steps were left at the checkpoint (journal mark [m]);
+   [left] of the window's [budget] are unspent. *)
+let rec watched t zero_is_invalid remaining window m budget left =
+  match Exec.run_watch ~zero_is_invalid ~max_steps:left t.watch t.mem t.cpu with
+  | Exec.Step_limit when t.watch.Exec.left >= 0 ->
+    let left = t.watch.Exec.left in
+    if Memory.journal_unchanged_since t.mem t.journal m then begin
+      let period = budget - left in
+      plain t zero_is_invalid ((remaining - period) mod period)
+    end
+    else watched t zero_is_invalid remaining window m budget left
+  | Exec.Step_limit ->
+    if remaining = budget then Exec.Step_limit
+    else checkpoint t zero_is_invalid (remaining - budget) (2 * window)
+  | s -> s
+
+and checkpoint t zero_is_invalid remaining window =
+  let ck = t.watch.Exec.ck in
+  Array.blit t.cpu.Cpu.regs 0 ck.Cpu.regs 0 16;
+  ck.n <- t.cpu.n;
+  ck.z <- t.cpu.z;
+  ck.c <- t.cpu.c;
+  ck.v <- t.cpu.v;
+  let budget = min window remaining in
+  watched t zero_is_invalid remaining window (mark t) budget budget
+
+let run_cutoff ?(zero_is_invalid = false) ~max_steps t =
+  if max_steps <= first_checkpoint || Memory.has_device t.mem then
+    plain t zero_is_invalid max_steps
+  else
+    match plain t zero_is_invalid first_checkpoint with
+    | Exec.Step_limit ->
+      checkpoint t zero_is_invalid (max_steps - first_checkpoint)
+        first_checkpoint
+    | s -> s

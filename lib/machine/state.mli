@@ -70,3 +70,13 @@ val written : t -> int array
     history, ascending: [(addr lsl 16) lor (sealed lsl 8) lor current],
     where [sealed] is the byte at [seal] time — also when [current]
     has returned to it. *)
+
+val run_cutoff : ?zero_is_invalid:bool -> max_steps:int -> t -> Exec.stop
+(** {!Exec.run} on the rig's machine, with the same stop and a
+    bit-identical final state, except that a run whose whole state
+    (r0–r15, NZCV, memory) recurs without a stop ends at the first
+    recurrence found, after only [remaining mod period] further steps.
+    The first check comes after a fixed 64 steps, so a shorter budget
+    is a plain run. A rig whose memory maps a device always runs plain:
+    device stores are not journaled. Nor is a run ever cut once the
+    rig's journal has been detached. *)

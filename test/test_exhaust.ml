@@ -379,9 +379,14 @@ let test_enum_points_order () =
 (* On generated firmware, the campaign with state-hash pruning must
    produce the same per-function tables, totals, counters and per-point
    verdicts as the reference oracle that executes every continuation.
-   Weight-1 flips over a short window keep the oracle affordable. *)
-let prop_pruned_equals_oracle =
-  QCheck.Test.make ~name:"pruned campaign == unpruned oracle" ~count:8
+   Weight-1 flips over a short window keep the oracle affordable. The
+   pruned side also ends spinning continuations at their first state
+   recurrence (State.run_cutoff), while the oracle runs every budget
+   out: the auto settle budget (the 96-step window, or the baseline's
+   length + 64) and a 512-step one both reach the cutoff's first
+   checkpoint after 64 steps. *)
+let prop_pruned_equals_oracle ~name ?settle_steps () =
+  QCheck.Test.make ~name ~count:8
     Gen.Ast_gen.arb_any (fun case ->
       match
         Resistor.Driver.compile Resistor.Config.none
@@ -396,6 +401,7 @@ let prop_pruned_equals_oracle =
           { (Exhaust.Campaign.default_config ()) with
             Exhaust.Campaign.weights = [ 1 ];
             max_trace = 96;
+            settle_steps;
             keep_points = true }
         in
         let pruned = Exhaust.Campaign.run spec config in
@@ -409,6 +415,30 @@ let prop_pruned_equals_oracle =
         && pruned.totals = oracle.totals
         && pruned.rows = oracle.rows
         && pruned.verdicts = oracle.verdicts)
+
+(* The guard loop at a settle budget of 1,000,000: without the cutoff
+   each of its spinning continuations would run the whole budget (about
+   20 s in all); with it the run takes well under a second and must
+   give the tables a full run gives. *)
+let test_guard_loop_long_settle () =
+  let compiled =
+    Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
+  in
+  let spec =
+    Exhaust.Campaign.spec_of_image ~name:"guard_loop"
+      compiled.Resistor.Driver.image
+  in
+  let r =
+    Exhaust.Campaign.run spec
+      { (Exhaust.Campaign.default_config ()) with
+        Exhaust.Campaign.max_trace = 64;
+        settle_steps = Some 1_000_000 }
+  in
+  Alcotest.(check (array int)) "totals"
+    [| 12080; 0; 4968; 0; 0; 2939; 3020; 2069; 1036; 0; 0; 0; 0; 0; 0; 0 |]
+    r.Exhaust.Campaign.totals;
+  Alcotest.(check (list int)) "faulted, executed, states" [ 5763; 1550; 1550 ]
+    [ r.faulted; r.executed; r.states ]
 
 (* --- differential: exhaust reproduces the fig2 sweep tables --------------- *)
 
@@ -699,7 +729,15 @@ let () =
       ( "pruning",
         [ Alcotest.test_case "enum_points order = list-built reference" `Quick
             test_enum_points_order;
-          Qseed.to_alcotest prop_pruned_equals_oracle;
+          Qseed.to_alcotest
+            (prop_pruned_equals_oracle ~name:"pruned campaign == unpruned oracle"
+               ());
+          Qseed.to_alcotest
+            (prop_pruned_equals_oracle
+               ~name:"pruned campaign == unpruned oracle, settle 512"
+               ~settle_steps:512 ());
+          Alcotest.test_case "guard loop at settle 1,000,000" `Quick
+            test_guard_loop_long_settle;
           Alcotest.test_case "guard-loop prune floor + jobs-4 parity" `Quick
             test_guard_loop_prune_floor_and_parity ] );
       ( "agreement",

@@ -713,6 +713,134 @@ let exec_matches_oracle () =
   in
   List.iter check_state [ 1; 2; 3; 4 ]
 
+(* --- the recurrence cutoff ------------------------------------------------ *)
+
+(* [State.run_cutoff] against plain [Exec.run] on a copy of the same
+   machine: both rigs are sealed over the same image (so their keys are
+   comparable), [add_device] is applied to both, and each budget must
+   give the same stop, registers, flags and state key. Returns the
+   journal lengths ([State.mark]) of the last budget's cutoff and plain
+   runs: fewer entries on the cutoff side mean it cut the run short. *)
+let cutoff_agrees ?(add_device = fun _ -> ()) name src budgets =
+  List.fold_left
+    (fun _ budget ->
+      let rig () =
+        let t = Loader.load_asm src in
+        add_device t.Loader.mem;
+        State.seal ~mem:t.mem ~cpu:t.cpu
+      in
+      let cut = rig () and plain = rig () in
+      let s_cut = State.run_cutoff ~max_steps:budget cut in
+      let s_plain =
+        Exec.run ~max_steps:budget (State.mem plain) (State.cpu plain)
+      in
+      let label what = Printf.sprintf "%s, budget %d: %s" name budget what in
+      let a = State.cpu cut and b = State.cpu plain in
+      Alcotest.check stop_testable (label "stop") s_plain s_cut;
+      Alcotest.(check (array int)) (label "r0-r15") b.regs a.regs;
+      Alcotest.(check (list bool)) (label "NZCV") [ b.n; b.z; b.c; b.v ]
+        [ a.n; a.z; a.c; a.v ];
+      Alcotest.(check string) (label "state key") (State.key plain)
+        (State.key cut);
+      (State.mark cut, State.mark plain))
+    (0, 0) budgets
+
+(* The memory half of the recurrence test, directly: write-backs pass,
+   a change fails, and so does a change undone by a later store (the
+   test is sufficient for equal RAM, not necessary), and a journal that
+   is not attached never passes. *)
+let journal_write_backs () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~size:0x10;
+  Memory.write_u32_exn m 0x1000 0x11223344;
+  let j = Memory.journal_create () in
+  Memory.attach_journal m j;
+  Memory.write_u8_exn m 0x1004 9;
+  let mark = Memory.journal_length j in
+  let check what expect =
+    Alcotest.(check bool) what expect (Memory.journal_unchanged_since m j mark)
+  in
+  check "nothing stored" true;
+  Memory.write_u32_exn m 0x1000 0x11223344;
+  Memory.write_u8_exn m 0x1004 9;
+  check "write-backs" true;
+  Memory.write_u8_exn m 0x1001 0x34;
+  check "one changed byte" false;
+  Memory.write_u8_exn m 0x1001 0x33;
+  check "changed and restored" false;
+  Alcotest.(check bool) "from the latest mark" true
+    (Memory.journal_unchanged_since m j (Memory.journal_length j));
+  Memory.detach_journal m;
+  Alcotest.(check bool) "detached" false
+    (Memory.journal_unchanged_since m j (Memory.journal_length j))
+
+(* [b .] recurs after one step: even a budget of 2^40 ends at once. *)
+let cutoff_self_loop () =
+  let src = "loop:\nb loop" in
+  let plain = Loader.load_asm src in
+  let rig =
+    let t = Loader.load_asm src in
+    State.seal ~mem:t.mem ~cpu:t.cpu
+  in
+  Alcotest.check stop_testable "2^40 steps" Exec.Step_limit
+    (State.run_cutoff ~max_steps:(1 lsl 40) rig);
+  Alcotest.check stop_testable "plain" Exec.Step_limit
+    (Exec.run ~max_steps:1000 plain.mem plain.cpu);
+  Alcotest.(check (array int)) "r0-r15" plain.cpu.regs (State.cpu rig).regs;
+  ignore (cutoff_agrees "b ." src [ 65; 1000 ])
+
+(* A period of three steps whose registers and flags differ at each
+   phase: every budget from 100 to 131 must end in the plain run's
+   phase, so the cutoff has to run [remaining mod period] more steps. *)
+let cutoff_period_three () =
+  ignore
+    (cutoff_agrees "period 3" "loop:\nadds r0, #1\nsubs r0, #1\nb loop"
+       (List.init 32 (fun i -> 100 + i)))
+
+(* The registers and flags recur at [loop] every iteration, but the
+   counter at [sp] does not: memory is part of the state, so neither the
+   endless variant nor the one that exits at 200 may be cut. *)
+let cutoff_memory_counter () =
+  let body =
+    "loop:\nldr r2, [sp, #0]\nadds r2, #1\nstr r2, [sp, #0]\n"
+  in
+  ignore
+    (cutoff_agrees "endless counter" (body ^ "movs r2, #0\nb loop")
+       [ 200; 1000; 1001 ]);
+  ignore
+    (cutoff_agrees "counter exits at 200"
+       (body ^ "cmp r2, #200\nbeq done\nmovs r2, #0\nb loop\ndone:\nbkpt #1")
+       [ 1000; 5000 ])
+
+(* The guard loop's shape: stores that write back the byte they found
+   leave the state as it was, so the spin is cut (its journal stays
+   short), and its end state is still the plain run's. *)
+let cutoff_write_back () =
+  let src =
+    "movs r3, #0\nstr r3, [sp, #4]\nloop:\nldr r2, [sp, #4]\nstr r2, [sp, #4]\n\
+     str r2, [sp, #0]\ncmp r2, #0\nbeq loop\nbkpt #0"
+  in
+  let cut, plain = cutoff_agrees "write-back" src [ 1000; 4099; 4100 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "journal %d entries, plain %d" cut plain)
+    true (2 * cut < plain)
+
+(* A device holds state no journal sees: a loop whose only effect is a
+   device store recurs in registers and RAM, and must still run its
+   whole budget. *)
+let cutoff_skips_devices () =
+  let stores = ref 0 in
+  let add_device mem =
+    Memory.add_device mem ~addr:0x40000000 ~size:4
+      ~read:(fun _ -> 0)
+      ~write:(fun _ _ -> incr stores)
+  in
+  let src = "movs r4, #1\nlsls r4, r4, #30\nloop:\nstrb r0, [r4, #0]\nb loop" in
+  ignore (cutoff_agrees ~add_device "device" src [ 1000 ]);
+  (* the plain and the cutoff run each store once per two-step
+     iteration after the two set-up steps *)
+  Alcotest.(check int) "device stores" (2 * 499) !stores
+
 let () =
   let props =
     List.map Qseed.to_alcotest
@@ -761,6 +889,15 @@ let () =
          Alcotest.test_case "paper loop spins" `Quick paper_while_not_a_loops_forever;
          Alcotest.test_case "glitched beq exits" `Quick glitched_beq_exits_loop;
          Alcotest.test_case "zero rule" `Quick zero_rule ]);
+      ( "cutoff",
+        [ Alcotest.test_case "journal write-backs" `Quick journal_write_backs;
+          Alcotest.test_case "b . with a 2^40 budget" `Quick cutoff_self_loop;
+          Alcotest.test_case "period 3 at every phase" `Quick cutoff_period_three;
+          Alcotest.test_case "memory counter is not cut" `Quick
+            cutoff_memory_counter;
+          Alcotest.test_case "write-back loop is cut" `Quick cutoff_write_back;
+          Alcotest.test_case "device rig runs plain" `Quick cutoff_skips_devices ]
+      );
       ( "oracle",
         [ Alcotest.test_case "exec agrees with the oracle on every halfword"
             `Quick exec_matches_oracle ] );
