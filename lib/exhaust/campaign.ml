@@ -281,21 +281,58 @@ let classify_end tr detect_addr classify rig (s : Exec.stop) =
      window the continuation is a baseline replay that is still running
      at its budget, i.e. No_effect — but only for the built-in
      classifier (a custom one would need the state at k+1+settle) and
-     only when the baseline never fired a detection. *)
-let seed_baseline_states keymap tr detect_addr classify rig =
+     only when the baseline never fired a detection.
+   The seeded cycles form one span [lo, hi) of the trace; this returns
+   it with the seeds' verdict. *)
+let seed_span tr detect_addr classify rig =
   let n = Array.length tr.state_keys in
   match tr.baseline_stop with
   | Some s ->
-    let v = classify_end tr detect_addr classify rig s in
-    for k = 0 to n - 1 do
-      if tr.settle >= n - (k + 1) then Runtime.Keymap.add keymap tr.state_keys.(k) v
-    done
+    (max 0 (n - 1 - tr.settle), n, classify_end tr detect_addr classify rig s)
   | None ->
     if classify = None && tr.final_det = 0 then
-      for k = 0 to n - 1 do
-        if k + 1 + tr.settle <= n then
-          Runtime.Keymap.add keymap tr.state_keys.(k) (verdict_index No_effect)
-      done
+      (0, max 0 (n - tr.settle), verdict_index No_effect)
+    else (0, 0, 0)
+
+(* --- cycle sharing ------------------------------------------------------ *)
+
+(* A cycle's whole verdict row is a pure function of its pre-fault
+   state S_k: each point's post-fault state is a function of S_k and
+   the point, and its verdict a function of the post-fault state (the
+   keymap's contract). So a cycle whose S_k equals an earlier cycle's
+   is injected once, at its first occurrence, which counts for all of
+   them. The key of S_k (k >= 1) is the one the baseline recorded
+   after cycle k - 1; S_0 has none recorded and stays distinct. The
+   static prover is told the cycle (Absint.Prune.prove ~cycle), and
+   the unpruned oracle shares nothing by definition, so both inject
+   every cycle.
+
+   Returns, for each cycle k of the window [lo, hi) at index k - lo,
+   the first window cycle with its pre-fault state; the distinct
+   cycles, ascending; and for each of those the number of window cycles
+   it stands for. *)
+let share_cycles tr ~share lo hi =
+  let seen = Hashtbl.create 64 in
+  let first =
+    Array.init (hi - lo) (fun i ->
+        let k = lo + i in
+        if share && k >= 1 then begin
+          let key = tr.state_keys.(k - 1) in
+          match Hashtbl.find_opt seen key with
+          | Some j -> j
+          | None ->
+            Hashtbl.add seen key k;
+            k
+        end
+        else k)
+  in
+  let count = Array.make (hi - lo) 0 in
+  Array.iter (fun j -> count.(j - lo) <- count.(j - lo) + 1) first;
+  let distinct =
+    List.init (hi - lo) (( + ) lo) |> List.filter (fun k -> count.(k - lo) > 0)
+    |> Array.of_list
+  in
+  (first, distinct, Array.map (fun k -> count.(k - lo)) distinct)
 
 (* --- results ------------------------------------------------------------ *)
 
@@ -381,6 +418,8 @@ type shared = {
   sym_names : string array;
   cycle_lo : int;
   cycle_hi : int;
+  distinct : int array;  (** the cycles injected at, ascending *)
+  weights : int array;  (** window cycles each distinct cycle counts for *)
   verdicts : Bytes.t option;
   zero_rule : bool option;  (** Exec's options, boxed once *)
   settle_budget : int option;
@@ -452,9 +491,13 @@ let kind_fault = 0
 let kind_continuation = 1
 let kind_static = 2
 
-(* Process every injection point of one cycle. [rig] must hold the
-   baseline state S_k; it is returned in that same state. *)
-let run_cycle sh tally rig memo scratch k =
+(* Process every injection point of one cycle, booking each verdict for
+   the [m] window cycles that share its pre-fault state: a repeat's
+   point faults like the first occurrence's, and every continuation it
+   would start is in the keymap by then, so it books as pruned. [rig]
+   must hold the baseline state S_k; it is returned in that same
+   state. *)
+let run_cycle sh tally rig memo scratch k m =
   let config = sh.config in
   let zero_is_invalid = config.zero_is_invalid in
   let mem = State.mem rig and cpu = State.cpu rig in
@@ -486,9 +529,9 @@ let run_cycle sh tally rig memo scratch k =
       if slot >= 0 && memo.keys.(slot) = key then begin
         let packed = memo.vals.(slot) in
         let kind = packed land 3 in
-        if kind = kind_continuation then tally.pruned <- tally.pruned + 1
-        else if kind = kind_fault then tally.faulted <- tally.faulted + 1
-        else tally.static_pruned <- tally.static_pruned + 1;
+        if kind = kind_continuation then tally.pruned <- tally.pruned + m
+        else if kind = kind_fault then tally.faulted <- tally.faulted + m
+        else tally.static_pruned <- tally.static_pruned + m;
         packed
       end
       else begin
@@ -506,7 +549,7 @@ let run_cycle sh tally rig memo scratch k =
           match step with
           | Exec.Stopped s ->
             (* the injected step itself faulted; no continuation *)
-            tally.faulted <- tally.faulted + 1;
+            tally.faulted <- tally.faulted + m;
             (classify_end sh.tr sh.spec.detect_addr config.classify rig s lsl 2)
             lor kind_fault
           | Exec.Running -> (
@@ -522,7 +565,7 @@ let run_cycle sh tally rig memo scratch k =
             in
             match static_v with
             | Some v ->
-              tally.static_pruned <- tally.static_pruned + 1;
+              tally.static_pruned <- tally.static_pruned + m;
               (v lsl 2) lor kind_static
             | None ->
               let shared =
@@ -531,7 +574,7 @@ let run_cycle sh tally rig memo scratch k =
                 else -1
               in
               if shared >= 0 then begin
-                tally.pruned <- tally.pruned + 1;
+                tally.pruned <- tally.pruned + m;
                 (shared lsl 2) lor kind_continuation
               end
               else begin
@@ -554,6 +597,7 @@ let run_cycle sh tally rig memo scratch k =
                 let v = classify_end sh.tr sh.spec.detect_addr config.classify rig s in
                 if config.prune then Runtime.Keymap.add sh.keymap state_key v;
                 tally.executed <- tally.executed + 1;
+                tally.pruned <- tally.pruned + m - 1;
                 (v lsl 2) lor kind_continuation
               end)
         in
@@ -567,30 +611,54 @@ let run_cycle sh tally rig memo scratch k =
       end
     in
     let v = packed lsr 2 in
-    frow.(v) <- frow.(v) + 1;
-    tally.totals.(v) <- tally.totals.(v) + 1;
+    frow.(v) <- frow.(v) + m;
+    tally.totals.(v) <- tally.totals.(v) + m;
     match sh.verdicts with
     | Some b -> Bytes.set_uint8 b (base_index + p) v
     | None -> ()
   done
 
-(* Drain a contiguous cycle chunk with a private rig and word memo:
-   replay the pristine baseline to the chunk start, then alternate
-   inject-and-scan with one pristine step. *)
-let run_chunk sh tally lo hi =
+(* Drain the distinct cycles [sh.distinct.(a .. b-1)] with a private rig
+   and word memo: replay the pristine baseline to each one in turn and
+   inject there. *)
+let run_chunk sh tally a b =
   let rig = make_rig sh.spec in
   let mem = State.mem rig and cpu = State.cpu rig in
   let memo = make_word_memo (Array.length sh.point_masks) in
   let scratch = Array.make 16 0 in
-  for k = 0 to lo - 1 do
-    let _, w = sh.tr.steps.(k) in
-    ignore (Exec.execute mem cpu Thumb.Decode.table.(w))
-  done;
-  for k = lo to hi - 1 do
-    run_cycle sh tally rig memo scratch k;
-    let _, w = sh.tr.steps.(k) in
-    ignore (Exec.execute mem cpu Thumb.Decode.table.(w))
+  let at = ref 0 in
+  for i = a to b - 1 do
+    let k = sh.distinct.(i) in
+    for c = !at to k - 1 do
+      let _, w = sh.tr.steps.(c) in
+      ignore (Exec.execute mem cpu Thumb.Decode.table.(w))
+    done;
+    at := k;
+    run_cycle sh tally rig memo scratch k sh.weights.(i)
   done
+
+(* The static pre-pruner needs the built-in classifier (it reasons about
+   its verdicts) and transient injection (persistent corruption
+   invalidates the decoded baseline instructions). *)
+let static_active config =
+  config.static_prune && config.mode = Transient && config.classify = None
+
+(* The injection window [lo, hi) and its cycle sharing. *)
+let share_window config tr =
+  let nsteps = Array.length tr.steps in
+  let lo, hi =
+    match config.cycles with
+    | None -> (0, nsteps)
+    | Some (lo, hi) -> (max 0 lo, min nsteps hi)
+  in
+  let hi = max lo hi in
+  let share = config.prune && not (static_active config) in
+  (lo, hi, share_cycles tr ~share lo hi)
+
+let distinct_cycles spec config =
+  let _rig, tr = run_baseline spec config in
+  let _, _, (_, distinct, _) = share_window config tr in
+  Array.length distinct
 
 let run ?pool spec config =
   if config.max_trace < 1 then invalid_arg "Exhaust.Campaign.run: max_trace < 1";
@@ -598,12 +666,7 @@ let run ?pool spec config =
     invalid_arg "Exhaust.Campaign.run: settle_steps < 0";
   let rig, tr = run_baseline spec config in
   let nsteps = Array.length tr.steps in
-  let cycle_lo, cycle_hi =
-    match config.cycles with
-    | None -> (0, nsteps)
-    | Some (lo, hi) -> (max 0 lo, min nsteps hi)
-  in
-  let cycle_hi = max cycle_lo cycle_hi in
+  let cycle_lo, cycle_hi, (first, distinct, weights) = share_window config tr in
   let npoints = count_points config in
   let point_models = Array.make npoints Glitch_emu.Fault_model.And in
   let point_masks = Array.make npoints 0 in
@@ -612,15 +675,25 @@ let run ?pool spec config =
       point_models.(!i) <- model;
       point_masks.(!i) <- mask;
       incr i);
-  let keymap = Runtime.Keymap.create () in
-  if config.prune then
-    seed_baseline_states keymap tr spec.detect_addr config.classify rig;
-  (* The static pre-pruner needs the built-in classifier (it reasons
-     about its verdicts) and transient injection (persistent corruption
-     invalidates the decoded baseline instructions). *)
+  let seed_lo, seed_hi, seed_v =
+    if config.prune then seed_span tr spec.detect_addr config.classify rig
+    else (0, 0, 0)
+  in
+  (* at most half full if every seed and every injected point adds a
+     state; the default 65,536 slots at most *)
+  let keymap =
+    Runtime.Keymap.create
+      ~slots:
+        (max 1
+           (min 0x10000
+              (2 * (seed_hi - seed_lo + (Array.length distinct * npoints)))))
+      ()
+  in
+  for k = seed_lo to seed_hi - 1 do
+    Runtime.Keymap.add keymap tr.state_keys.(k) seed_v
+  done;
   let static_ctx =
-    if config.static_prune && config.mode = Transient && config.classify = None
-    then
+    if static_active config then
       Some
         (Absint.Prune.create ~steps:tr.steps
            ~terminating:(tr.baseline_stop <> None)
@@ -650,6 +723,8 @@ let run ?pool spec config =
       sym_names = Array.of_list (List.map fst symbols);
       cycle_lo;
       cycle_hi;
+      distinct;
+      weights;
       verdicts =
         (if config.keep_points then
            Some (Bytes.make ((cycle_hi - cycle_lo) * npoints) '\255')
@@ -657,13 +732,22 @@ let run ?pool spec config =
       zero_rule = Some config.zero_is_invalid;
       settle_budget = Some tr.settle }
   in
-  (* a lone worker drains the whole window as one chunk: one rig, one
-     pass over the baseline *)
+  (* a lone worker drains every distinct cycle as one chunk: one rig,
+     one pass over the baseline *)
   let tally = make_tally sh in
   List.iter (merge_tally tally)
-    (Runtime.Pool.drain ?pool ~lo:cycle_lo ~hi:cycle_hi
+    (Runtime.Pool.drain ?pool ~lo:0 ~hi:(Array.length distinct)
        ~init:(fun () -> make_tally sh)
        (run_chunk sh));
+  (* a repeated cycle's verdicts are its first occurrence's *)
+  Option.iter
+    (fun b ->
+      Array.iteri
+        (fun i j ->
+          if j <> cycle_lo + i then
+            Bytes.blit b ((j - cycle_lo) * npoints) b (i * npoints) npoints)
+        first)
+    sh.verdicts;
   let rows =
     List.filteri
       (fun i _ -> Array.exists (fun n -> n > 0) tally.by_func.(i))

@@ -15,7 +15,9 @@
     through a {!Runtime.Keymap} keyed on canonical {!Machine.State} keys —
     exact serializations, so sharing can never merge distinct states.
     Baseline states are pre-seeded when their verdict is provable
-    without running. All sharing flows through the one shared map, so
+    without running, and a cycle whose pre-fault state repeats an
+    earlier cycle's takes that cycle's verdicts without injecting
+    ({!distinct_cycles}). All sharing flows through the one shared map, so
     verdict tables are bit-identical at any [--jobs]. *)
 
 type verdict =
@@ -149,6 +151,13 @@ val run : ?pool:Runtime.Pool.t -> spec -> config -> result
     bit-identical at any job count; only the [pruned]/[executed] split
     is schedule-dependent (two workers racing a cold state both
     execute). *)
+
+val distinct_cycles : spec -> config -> int
+(** How many cycles of the window {!run} injects at. A cycle whose
+    pre-fault state equals an earlier window cycle's is not injected
+    again: it takes that cycle's verdicts, and every continuation it
+    would start is shared. The unpruned oracle ([prune = false]) and
+    active static pruning inject every cycle. Exposed for tests. *)
 
 (** {2 Persistence} *)
 

@@ -376,6 +376,25 @@ let test_enum_points_order () =
 
 (* --- property: pruned campaign == unpruned oracle ------------------------- *)
 
+let oracle_config ?settle_steps () =
+  { (Exhaust.Campaign.default_config ()) with
+    Exhaust.Campaign.weights = [ 1 ];
+    max_trace = 96;
+    settle_steps;
+    keep_points = true }
+
+let agrees_with_oracle spec config =
+  let pruned = Exhaust.Campaign.run spec config in
+  let oracle =
+    Exhaust.Campaign.run spec { config with Exhaust.Campaign.prune = false }
+  in
+  pruned.Exhaust.Campaign.points = oracle.Exhaust.Campaign.points
+  && pruned.faulted = oracle.faulted
+  && pruned.pruned + pruned.executed = oracle.pruned + oracle.executed
+  && pruned.totals = oracle.totals
+  && pruned.rows = oracle.rows
+  && pruned.verdicts = oracle.verdicts
+
 (* On generated firmware, the campaign with state-hash pruning must
    produce the same per-function tables, totals, counters and per-point
    verdicts as the reference oracle that executes every continuation.
@@ -394,40 +413,75 @@ let prop_pruned_equals_oracle ~name ?settle_steps () =
       with
       | exception _ -> QCheck.assume_fail ()
       | compiled ->
-        let spec =
-          Exhaust.Campaign.spec_of_image compiled.Resistor.Driver.image
-        in
-        let config =
-          { (Exhaust.Campaign.default_config ()) with
-            Exhaust.Campaign.weights = [ 1 ];
-            max_trace = 96;
-            settle_steps;
-            keep_points = true }
-        in
-        let pruned = Exhaust.Campaign.run spec config in
-        let oracle =
-          Exhaust.Campaign.run spec
-            { config with Exhaust.Campaign.prune = false }
-        in
-        pruned.Exhaust.Campaign.points = oracle.Exhaust.Campaign.points
-        && pruned.faulted = oracle.faulted
-        && pruned.pruned + pruned.executed = oracle.pruned + oracle.executed
-        && pruned.totals = oracle.totals
-        && pruned.rows = oracle.rows
-        && pruned.verdicts = oracle.verdicts)
+        agrees_with_oracle
+          (Exhaust.Campaign.spec_of_image compiled.Resistor.Driver.image)
+          (oracle_config ?settle_steps ()))
+
+let spec_of_source name source =
+  let compiled = Resistor.Driver.compile Resistor.Config.none source in
+  Exhaust.Campaign.spec_of_image ~name compiled.Resistor.Driver.image
+
+(* A loop whose pc recurs every iteration but whose state never does:
+   the counter differs each time round, so no cycle may take another's
+   verdicts. A fault that corrupts the counter or the bound ends the
+   run differently depending on the iteration it hits. *)
+let counting_loop =
+  {|
+volatile unsigned count = 0;
+
+int main(void) {
+  unsigned i = 0;
+  __trigger_high();
+  while (i != 4) { i = i + 1; }
+  count = i;
+  __halt();
+  return 0;
+}
+|}
+
+(* Cycle sharing on two fixed firmwares: the guard loop's spin revisits
+   a few pre-fault states, so most of its cycles take an earlier
+   cycle's verdicts; the counting loop revisits none, so every cycle is
+   injected. Both must match the oracle point for point. *)
+let test_cycle_sharing_matches_oracle () =
+  List.iter
+    (fun (name, source, shares) ->
+      let spec = spec_of_source name source in
+      (* long enough for the counting loop to halt *)
+      let config = { (oracle_config ()) with Exhaust.Campaign.max_trace = 160 } in
+      Alcotest.(check bool) (name ^ ": pruned campaign = oracle") true
+        (agrees_with_oracle spec config);
+      let window = Array.length (fst (Exhaust.Campaign.baseline spec config)) in
+      let distinct = Exhaust.Campaign.distinct_cycles spec config in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d of %d cycles injected" name distinct window)
+        shares (distinct < window);
+      Alcotest.(check int) (name ^ ": the oracle injects every cycle") window
+        (Exhaust.Campaign.distinct_cycles spec
+           { config with Exhaust.Campaign.prune = false }))
+    [ ("counting_loop", counting_loop, false);
+      ("guard_loop", Resistor.Firmware.guard_loop, true) ]
+
+(* The guard loop's whole 2,048-cycle trace at jobs 1: sharing cycles
+   by pre-fault state must leave every counter where injecting at each
+   cycle put it (a repeated cycle's continuations all book as
+   pruned). *)
+let test_guard_loop_full_trace_counters () =
+  let r =
+    Exhaust.Campaign.run
+      (spec_of_source "guard_loop" Resistor.Firmware.guard_loop)
+      (Exhaust.Campaign.default_config ())
+  in
+  Alcotest.(check (list int)) "points, faulted, pruned, executed, states"
+    [ 835_584; 190_702; 643_332; 1_550; 1_550 ]
+    [ r.Exhaust.Campaign.points; r.faulted; r.pruned; r.executed; r.states ]
 
 (* The guard loop at a settle budget of 1,000,000: without the cutoff
    each of its spinning continuations would run the whole budget (about
    20 s in all); with it the run takes well under a second and must
    give the tables a full run gives. *)
 let test_guard_loop_long_settle () =
-  let compiled =
-    Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
-  in
-  let spec =
-    Exhaust.Campaign.spec_of_image ~name:"guard_loop"
-      compiled.Resistor.Driver.image
-  in
+  let spec = spec_of_source "guard_loop" Resistor.Firmware.guard_loop in
   let r =
     Exhaust.Campaign.run spec
       { (Exhaust.Campaign.default_config ()) with
@@ -539,13 +593,7 @@ let test_fig2_differential_jobs4 () =
    and the per-function verdict tables at --jobs 4 must equal the
    sequential ones (only the pruned/executed split may move). *)
 let test_guard_loop_prune_floor_and_parity () =
-  let compiled =
-    Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
-  in
-  let spec =
-    Exhaust.Campaign.spec_of_image ~name:"guard_loop"
-      compiled.Resistor.Driver.image
-  in
+  let spec = spec_of_source "guard_loop" Resistor.Firmware.guard_loop in
   let config =
     { (Exhaust.Campaign.default_config ()) with
       Exhaust.Campaign.max_trace = 256 }
@@ -736,6 +784,10 @@ let () =
             (prop_pruned_equals_oracle
                ~name:"pruned campaign == unpruned oracle, settle 512"
                ~settle_steps:512 ());
+          Alcotest.test_case "cycle sharing matches the oracle" `Quick
+            test_cycle_sharing_matches_oracle;
+          Alcotest.test_case "guard loop full-trace counters" `Quick
+            test_guard_loop_full_trace_counters;
           Alcotest.test_case "guard loop at settle 1,000,000" `Quick
             test_guard_loop_long_settle;
           Alcotest.test_case "guard-loop prune floor + jobs-4 parity" `Quick
