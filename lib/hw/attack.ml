@@ -232,22 +232,29 @@ type sweep = {
   attempts : int;
   emulated_cycles : int;
   replayed_cycles : int;
+  tail_cycles : int;
   boots : int;
 }
 
 let sweep_zero =
-  { attempts = 0; emulated_cycles = 0; replayed_cycles = 0; boots = 0 }
+  { attempts = 0;
+    emulated_cycles = 0;
+    replayed_cycles = 0;
+    tail_cycles = 0;
+    boots = 0 }
 
 let sweep_add a b =
   { attempts = a.attempts + b.attempts;
     emulated_cycles = a.emulated_cycles + b.emulated_cycles;
     replayed_cycles = a.replayed_cycles + b.replayed_cycles;
+    tail_cycles = a.tail_cycles + b.tail_cycles;
     boots = a.boots + b.boots }
 
 let sweep_perf ~label ?pool s elapsed_s =
   Stats.Perf.make ~label ?pool ~items:s.attempts
     (Stats.Perf.split ~rate:"replay_rate" ("booted_cycles", s.emulated_cycles)
-       ("replayed_cycles", s.replayed_cycles))
+       ("replayed_cycles", s.replayed_cycles)
+    @ [ ("tail_cycles", Stats.Perf.Count s.tail_cycles) ])
     elapsed_s
 
 (* A worker's private board on a shared boot, plus what its attempts
@@ -262,6 +269,7 @@ type rig = {
   mutable attempts : int;
   mutable emulated : int;
   mutable replayed : int;
+  mutable tail : int;
 }
 
 (* The board only has to have the booted one's memory map, which
@@ -272,7 +280,7 @@ type rig = {
 let rig_of_boot boot =
   let board = Board.create boot.b_program in
   Board.seal board boot.b_snap;
-  { boot; board; attempts = 0; emulated = 0; replayed = 0 }
+  { boot; board; attempts = 0; emulated = 0; replayed = 0; tail = 0 }
 
 let rig_board rig = rig.board
 
@@ -280,19 +288,30 @@ let tally rig =
   { attempts = rig.attempts;
     emulated_cycles = rig.emulated;
     replayed_cycles = rig.replayed;
+    tail_cycles = rig.tail;
     boots = 0 }
+
+let count rig (obs : Glitcher.observation) =
+  let replayed = obs.replayed_cycles in
+  rig.attempts <- rig.attempts + 1;
+  rig.emulated <- rig.emulated + obs.cycles - replayed;
+  rig.replayed <- rig.replayed + replayed;
+  rig.tail <- rig.tail + obs.tail_cycles;
+  obs
 
 let attempt ?nonce rig schedule =
   let b = rig.boot in
-  let obs =
-    Glitcher.run ~max_cycles:b.b_max_cycles ?nonce ~from:b.b_snap
-      ~baseline:b.b_baseline rig.board schedule
-  in
-  let replayed = obs.Glitcher.replayed_cycles in
-  rig.attempts <- rig.attempts + 1;
-  rig.emulated <- rig.emulated + obs.Glitcher.cycles - replayed;
-  rig.replayed <- rig.replayed + replayed;
-  obs
+  count rig
+    (Glitcher.run ~max_cycles:b.b_max_cycles ?nonce ~from:b.b_snap
+       ~baseline:b.b_baseline rig.board schedule)
+
+(* [attempt rig] on [shape] at the point, through the sweep entry point:
+   no schedule built and no optional argument boxed per attempt. *)
+let attempt_point rig shape ~width ~offset =
+  let b = rig.boot in
+  count rig
+    (Glitcher.run_point ~max_cycles:b.b_max_cycles ~nonce:0 ~from:b.b_snap
+       ~baseline:b.b_baseline rig.board shape ~width ~offset)
 
 (* Every attempt rewinds to the same trigger snapshot, so an item's
    result depends only on (boot, item) — never on which
@@ -310,10 +329,11 @@ let map_items ?pool ~boot f items =
     { (List.fold_left (fun s rig -> sweep_add s (tally rig)) sweep_zero rigs) with
       boots = 1 } )
 
-let full_parameter_sweep rig ~make_schedule ~classify =
+let full_parameter_sweep rig shape ~classify =
+  let shape = Array.of_list shape in
   for width = -49 to 49 do
     for offset = -49 to 49 do
-      classify rig.board (attempt rig (make_schedule ~width ~offset))
+      classify rig.board (attempt_point rig shape ~width ~offset)
     done
   done
 
@@ -336,8 +356,7 @@ let run_table1 ?pool guard =
     let successes = ref 0 in
     let values : (int, int) Hashtbl.t = Hashtbl.create 16 in
     full_parameter_sweep rig
-      ~make_schedule:(fun ~width ~offset ->
-        [ Glitcher.single ~width ~offset ~ext_offset:cycle ])
+      [ Glitcher.single ~width:0 ~offset:0 ~ext_offset:cycle ]
       ~classify:(fun board obs ->
         if escaped board obs then begin
           incr successes;
@@ -370,11 +389,9 @@ type table2 = {
 let run_table2 ?pool guard =
   let run_cycle rig cycle =
     let partial = ref 0 and full = ref 0 in
+    let first = Glitcher.single ~width:0 ~offset:0 ~ext_offset:cycle in
     full_parameter_sweep rig
-      ~make_schedule:(fun ~width ~offset ->
-        [ Glitcher.single ~width ~offset ~ext_offset:cycle;
-          { (Glitcher.single ~width ~offset ~ext_offset:cycle) with
-            trigger_index = 1 } ])
+      [ first; { first with trigger_index = 1 } ]
       ~classify:(fun board obs ->
         if escaped board obs then incr full
         else if Board.reg board 4 = 1 then incr partial);
@@ -401,10 +418,9 @@ let run_table3 ?pool guard =
   let run_window rig last_cycle =
     let successes = ref 0 in
     full_parameter_sweep rig
-      ~make_schedule:(fun ~width ~offset ->
-        [ Glitcher.with_repeat
-            (Glitcher.single ~width ~offset ~ext_offset:0)
-            (last_cycle + 1) ])
+      [ Glitcher.with_repeat
+          (Glitcher.single ~width:0 ~offset:0 ~ext_offset:0)
+          (last_cycle + 1) ]
       ~classify:(fun board obs -> if escaped board obs then incr successes);
     (last_cycle, !successes)
   in

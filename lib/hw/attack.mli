@@ -81,17 +81,38 @@ val attempt : ?nonce:int -> rig -> Glitcher.params list -> Glitcher.observation
     undoing the previous attempt's journal), with its dead-schedule
     baseline armed, counted in the rig's {!tally}. *)
 
+val attempt_point :
+  rig -> Glitcher.params array -> width:int -> offset:int ->
+  Glitcher.observation
+(** [attempt_point rig shape ~width ~offset] is {!attempt} [rig] on
+    [shape] with every entry at ([width], [offset]), through
+    {!Glitcher.run_point}: the parameter sweeps' entry point, which
+    builds no schedule and boxes no optional argument per attempt. *)
+
 val rig_board : rig -> Board.t
 (** The rig's board, for post-mortem inspection after {!attempt}. *)
 
 (** What a sweep cost: attempts issued, cycles actually emulated,
     cycles served by rewinding (boot replay + dead-schedule cutoff)
     that the reset-per-attempt workflow would have emulated, and boots
-    performed. *)
+    performed.
+
+    The emulated and replayed columns are frozen by the benchmark: a
+    cycle counts as emulated exactly when it was stepped instruction by
+    instruction ({!Glitcher.observation}). Making a stepped cycle
+    cheaper changes neither column; a shortcut that skips stepping
+    (a recurrence cutoff or memo for the plain tails, or one prefix
+    shared by nested windows) books its cycles as replayed, so it waits
+    on a change that re-freezes the split. *)
 type sweep = {
   attempts : int;
   emulated_cycles : int;
   replayed_cycles : int;
+  tail_cycles : int;
+      (** of [emulated_cycles], those attempts ran in
+          {!Board.run_plain} after every window had closed (the plain
+          tails): a count of the attempts' own work, independent of the
+          host and of the job count *)
   boots : int;
 }
 
@@ -114,7 +135,7 @@ val sweep_perf :
   label:string -> ?pool:Runtime.Pool.t -> sweep -> float -> Stats.Perf.t
 (** The PERF record of a sweep that took [elapsed_s] on [pool]:
     [attempts] as items, then [booted_cycles] (emulated),
-    [replayed_cycles] and [replay_rate]. *)
+    [replayed_cycles], [replay_rate] and [tail_cycles]. *)
 
 (** One Table I cell: successes at a given cycle with the post-mortem
     comparator histogram. *)

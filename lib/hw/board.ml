@@ -199,12 +199,17 @@ let record_edge t =
   t.edges.(n) <- t.cycles;
   t.n_edges <- n + 1
 
-let finish_step t ~duration result =
-  t.cycles <- t.cycles + duration;
+(* A rising edge raised during a step is stamped with the cycle after
+   it: call this once the step's cycles are booked. *)
+let[@inline] stamp_edge t =
   if !(t.edge_pending) then begin
     record_edge t;
     t.edge_pending := false
-  end;
+  end
+
+let finish_step t ~duration result =
+  t.cycles <- t.cycles + duration;
+  stamp_edge t;
   result
 
 (* Execute and advance the cycle counter by what actually ran: a
@@ -272,17 +277,34 @@ let step ?(applied = Normal) t =
   | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
     Machine.Exec.Stopped (Machine.Exec.Bad_fetch a)
 
-(* [step] unrolled into a top-level loop: no closure per run. *)
-let rec run_plain_to t max_cycles =
+(* [step] with no fault, unrolled into a top-level loop under one
+   handler for the whole run (a fetch fault, or a data access's
+   [Stop_exn]) instead of one per instruction. The cycles are booked
+   before the instruction runs, from [instr_duration]: nothing an
+   instruction does reads the counter, and the duration is the one
+   [execute_counted] books, also for a step that stops (only a
+   conditional branch's cost depends on [taken], and a branch never
+   stops). *)
+let rec plain_loop t max_cycles =
   if t.cycles >= max_cycles then `Timeout
-  else
-    match fetch t with
-    | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
-      `Stopped (Machine.Exec.Bad_fetch a)
-    | instr -> (
-      match execute_counted t instr with
-      | Machine.Exec.Running -> run_plain_to t max_cycles
-      | Machine.Exec.Stopped s -> `Stopped s)
+  else begin
+    let instr = fetch t in
+    t.cycles <- t.cycles + instr_duration t instr;
+    let result = Machine.Exec.execute_exn t.mem t.cpu instr in
+    stamp_edge t;
+    match result with
+    | Machine.Exec.Running -> plain_loop t max_cycles
+    | Machine.Exec.Stopped s -> `Stopped s
+  end
+
+let run_plain_to t max_cycles =
+  match plain_loop t max_cycles with
+  | stop -> stop
+  | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
+    `Stopped (Machine.Exec.Bad_fetch a)
+  | exception Machine.Exec.Stop_exn s ->
+    stamp_edge t;
+    `Stopped s
 
 let run_plain ?(max_cycles = 1_000_000) t = run_plain_to t max_cycles
 

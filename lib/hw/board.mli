@@ -101,7 +101,14 @@ val step_fetched : t -> applied -> Thumb.Instr.t -> Machine.Exec.step_result
     Allocates nothing for a [Normal] step that does not stop. *)
 
 val run_plain : ?max_cycles:int -> t -> [ `Stopped of Machine.Exec.stop | `Timeout ]
-(** Glitch-free execution (baseline measurements, Table IV). *)
+(** Glitch-free execution (baseline measurements, Table IV): {!step}
+    until the program stops or the board reaches [max_cycles] cycles
+    (default 1,000,000), with the same stop, cycle count, trigger
+    edges and state. *)
+
+val run_plain_to : t -> int -> [ `Stopped of Machine.Exec.stop | `Timeout ]
+(** [run_plain_to t max_cycles] is [run_plain ~max_cycles t], without
+    boxing the optional argument. *)
 
 val run_until_trigger : ?max_cycles:int -> t -> bool
 (** Run glitch-free until the first trigger edge fires; true on

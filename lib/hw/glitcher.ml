@@ -17,6 +17,7 @@ type observation = {
   fired : int;
   glitched_cycles : int;
   replayed_cycles : int;
+  tail_cycles : int;
 }
 
 let imax (a : int) b = if a > b then a else b
@@ -54,7 +55,8 @@ type state = {
   (* true while no fault has been applied to any step: the execution so
      far is bit-identical to the unglitched run *)
   mutable pristine : bool;
-  mutable tail : int;  (* cycles the dead-schedule cutoff served *)
+  mutable cut : int;  (* cycles the dead-schedule cutoff served *)
+  mutable plain : int;  (* cycles the plain tail emulated *)
   (* Corruption planted in the decode/fetch stages materialises when the
      victim address is reached: [planted.(k)] waits for pc [victims.(k)],
      one per address, k < [n_planted]. A branch in between flushes the
@@ -81,7 +83,8 @@ let create_state () =
     fired = 0;
     glitched = 0;
     pristine = true;
-    tail = 0;
+    cut = 0;
+    plain = 0;
     n_planted = 0;
     victims = Array.make 4 0;
     planted = Array.make 4 Board.Normal }
@@ -94,19 +97,34 @@ let rec fill_entries st i = function
     st.entries.(i) <- p;
     fill_entries st (i + 1) rest
 
-(* Copy [schedule] into [st], growing its arrays when it is longer than
+(* Make room for [n] entries, growing the arrays when [n] is more than
    any schedule the state held before. *)
-let load_schedule st schedule =
-  let n = List.length schedule in
+let reserve st n =
   if n > Array.length st.entries then begin
     let cap = imax n (2 * Array.length st.entries) in
-    st.entries <- Array.make cap (List.hd schedule);
+    st.entries <- Array.make cap (single ~width:0 ~offset:0 ~ext_offset:0);
     st.gates <- Array.init cap (fun _ -> Susceptibility.make_gates ());
     st.w_lo <- Array.make cap 0;
     st.w_hi <- Array.make cap 0
   end;
-  st.n <- n;
-  fill_entries st 0 schedule
+  st.n <- n
+
+(* Copy [schedule] into [st], each entry's gates at its own point. *)
+let load_schedule st schedule =
+  reserve st (List.length schedule);
+  fill_entries st 0 schedule;
+  for i = 0 to st.n - 1 do
+    let p = st.entries.(i) in
+    Susceptibility.fill_gates st.gates.(i) ~width:p.width ~offset:p.offset
+  done
+
+(* Copy [shape] into [st], every entry's gates at ([width], [offset]). *)
+let load_shape st shape ~width ~offset =
+  reserve st (Array.length shape);
+  for i = 0 to st.n - 1 do
+    st.entries.(i) <- shape.(i);
+    Susceptibility.fill_gates st.gates.(i) ~width ~offset
+  done
 
 (* The window state for the first [n_edges] stamps of [st.edges]. *)
 let anchor st ~n_edges =
@@ -220,7 +238,7 @@ let concretise ~width ~offset ~cycle (instr : Thumb.Instr.t)
    written back to its snapshot value is absent from the diff, yet stale
    on a board cut off between the two stores. *)
 
-type baseline = {
+type recorded = {
   b_max_cycles : int;
   b_from_cycles : int;  (* cycle stamp of the snapshot the run starts from *)
   b_stop : [ `Stopped of Machine.Exec.stop | `Timeout ];
@@ -229,16 +247,21 @@ type baseline = {
   b_edges : int;  (* trigger edges ever raised by the unglitched run *)
 }
 
+(* Always [Some]: boxed once here, so an attempt hands it to the loop
+   without boxing an option of its own. *)
+type baseline = recorded option
+
 let baseline ?(max_cycles = 3_000) board ~from =
   Board.seal board from;
   let from_cycles = Board.cycles board in
-  let stop = Board.run_plain ~max_cycles board in
-  { b_max_cycles = max_cycles;
-    b_from_cycles = from_cycles;
-    b_stop = stop;
-    b_end = Board.delta board;
-    b_cycles = Board.cycles board;
-    b_edges = Board.edge_count board }
+  let stop = Board.run_plain_to board max_cycles in
+  Some
+    { b_max_cycles = max_cycles;
+      b_from_cycles = from_cycles;
+      b_stop = stop;
+      b_end = Board.delta board;
+      b_cycles = Board.cycles board;
+      b_edges = Board.edge_count board }
 
 (* The slot of [pc] among the planted victims, or [n_planted]. *)
 let rec planted_slot st pc k =
@@ -287,41 +310,40 @@ let glitch st board ~nonce instr ~pc ~start =
       | -1 -> Board.Normal
       | i -> (
         st.glitched <- st.glitched + 1;
-        let p = st.entries.(i) in
-        let width = p.width and offset = p.offset in
+        let p = st.entries.(i) and gates = st.gates.(i) in
         let cycle = relative_cycle st i ~start in
         let nonce = (nonce * 31) + p.trigger_index in
         (* Which of the Cortex-M0's three pipeline stages does the
            glitch disturb? Decode and fetch hold the next two
            instructions. *)
-        match Susceptibility.stage ~width ~offset ~cycle with
+        match Susceptibility.stage ~gates ~cycle with
         | 0 ->
           let effect =
-            Susceptibility.roll_gated ~sustained:(p.repeat > 4)
-              ~gates:st.gates.(i) ~width ~offset ~cycle ~nonce ~instr
-              ~sp:(Board.reg board 13)
+            Susceptibility.roll_gated ~sustained:(p.repeat > 4) ~gates ~cycle
+              ~nonce ~instr ~sp:(Board.reg board 13)
           in
-          let applied = concretise ~width ~offset ~cycle instr effect in
+          let applied =
+            concretise ~width:(Susceptibility.gates_width gates)
+              ~offset:(Susceptibility.gates_offset gates) ~cycle instr effect
+          in
           (match applied with
           | Board.Normal -> ()
           | _ -> st.fired <- st.fired + 1);
           applied
         | bytes ->
           let victim = pc + bytes in
-          (if
-             Susceptibility.back_stage_fires ~gates:st.gates.(i) ~width ~offset
-               ~cycle ~nonce
-           then
+          (if Susceptibility.back_stage_fires ~gates ~cycle ~nonce then
              match Board.word_at board victim with
              | None -> ()
              | Some victim_word ->
                st.fired <- st.fired + 1;
                plant st victim
-                 (if Susceptibility.plant_skips ~width ~offset ~cycle then
-                    Board.As_nop
+                 (if Susceptibility.plant_skips ~gates ~cycle then Board.As_nop
                   else
                     Board.Fetch_word
-                      (Susceptibility.corrupt_word ~width ~offset ~cycle
+                      (Susceptibility.corrupt_word
+                         ~width:(Susceptibility.gates_width gates)
+                         ~offset:(Susceptibility.gates_offset gates) ~cycle
                          victim_word)));
           Board.Normal)
 
@@ -337,13 +359,15 @@ let rec steps st board ~max_cycles ~nonce baseline =
     | Some b when st.n_planted = 0 && st.pristine && now >= st.dead_at ->
       (* dead schedule on a pristine board: the continuation is the
          recorded unglitched run — replay its end state *)
-      st.tail <- b.b_cycles - now;
+      st.cut <- b.b_cycles - now;
       Board.apply_delta board b.b_end;
       b.b_stop
     | Some _ | None when st.n_planted = 0 && now >= st.closed_at ->
       (* no window can open again and nothing is planted: no fault can
          apply, so the rest is a plain run, still emulated *)
-      Board.run_plain ~max_cycles board
+      let stop = Board.run_plain_to board max_cycles in
+      st.plain <- Board.cycles board - now;
+      stop
     | Some _ | None -> (
       match Board.fetch board with
       | exception Machine.Memory.Fault (Unmapped a | Unaligned a) ->
@@ -361,10 +385,9 @@ let rec steps st board ~max_cycles ~nonce baseline =
         | Machine.Exec.Stopped s -> `Stopped s))
   end
 
-let run ?(max_cycles = 3_000) ?(nonce = 0) ?from ?baseline board schedule =
-  (match from with
-  | Some snap -> Board.rewind board snap
-  | None -> Board.reset board);
+(* The attempt from a board already rewound or reset to its start, with
+   the schedule and its gates loaded into [st]. *)
+let attempt st board ~max_cycles ~nonce baseline =
   (* cycles already on the board at start were served by the rewind
      to the snapshot, not emulated by this attempt *)
   let replayed = Board.cycles board in
@@ -374,22 +397,33 @@ let run ?(max_cycles = 3_000) ?(nonce = 0) ?from ?baseline board schedule =
   | Some b when b.b_from_cycles <> replayed ->
     invalid_arg "Glitcher.run: baseline built from a different snapshot"
   | Some _ | None -> ());
-  let st = Domain.DLS.get state_key in
-  load_schedule st schedule;
-  for i = 0 to st.n - 1 do
-    let p = st.entries.(i) in
-    Susceptibility.fill_gates st.gates.(i) ~width:p.width ~offset:p.offset
-  done;
   st.seen_edges <- -1;
   st.baseline_edges <- (match baseline with Some b -> b.b_edges | None -> -1);
   st.fired <- 0;
   st.glitched <- 0;
   st.pristine <- true;
-  st.tail <- 0;
+  st.cut <- 0;
+  st.plain <- 0;
   st.n_planted <- 0;
   let stop = steps st board ~max_cycles ~nonce baseline in
   { stop;
     cycles = Board.cycles board;
     fired = st.fired;
     glitched_cycles = st.glitched;
-    replayed_cycles = replayed + st.tail }
+    replayed_cycles = replayed + st.cut;
+    tail_cycles = st.plain }
+
+let run ?(max_cycles = 3_000) ?(nonce = 0) ?from ?baseline board schedule =
+  (match from with
+  | Some snap -> Board.rewind board snap
+  | None -> Board.reset board);
+  let st = Domain.DLS.get state_key in
+  load_schedule st schedule;
+  attempt st board ~max_cycles ~nonce
+    (match baseline with Some b -> b | None -> None)
+
+let run_point ~max_cycles ~nonce ~from ~baseline board shape ~width ~offset =
+  Board.rewind board from;
+  let st = Domain.DLS.get state_key in
+  load_shape st shape ~width ~offset;
+  attempt st board ~max_cycles ~nonce baseline

@@ -30,6 +30,10 @@ type observation = {
           pre-trigger boot when running [~from], plus the dead-schedule
           tail when a [baseline] cut the attempt short) rather than
           emulated instruction by instruction *)
+  tail_cycles : int;
+      (** of the emulated cycles, how many ran in {!Board.run_plain}
+          after every window had closed with nothing planted (the
+          plain tail) *)
 }
 
 val active_window :
@@ -80,4 +84,30 @@ val run :
     that cutoff, once nothing is planted and every window is anchored to
     a trigger edge already seen and has closed, no fault can apply any
     more and the attempt finishes as {!Board.run_plain}; those cycles
-    count as emulated. *)
+    count as emulated, and as [tail_cycles].
+
+    The two columns are a contract: [replayed_cycles] are cycles
+    served without stepping (a rewind or a written delta), and every
+    other cycle was stepped one instruction at a time. A shortcut that
+    skips stepping part of an attempt therefore books those cycles as
+    replayed and moves cycles between the columns. The benchmark
+    freezes both columns, so such a shortcut waits on a benchmark
+    change that re-freezes them; making a stepped cycle cheaper does
+    not. *)
+
+val run_point :
+  max_cycles:int ->
+  nonce:int ->
+  from:Board.snapshot ->
+  baseline:baseline ->
+  Board.t ->
+  params array ->
+  width:int ->
+  offset:int ->
+  observation
+(** [run_point ~max_cycles ~nonce ~from ~baseline board shape ~width
+    ~offset] is {!run} with the same arguments on the schedule [shape]
+    with every entry's [width] and [offset] replaced by the given ones,
+    without building that schedule: a parameter sweep builds [shape]
+    once and reuses it for every point, and an attempt allocates
+    nothing of its own but the observation. *)

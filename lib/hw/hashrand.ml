@@ -25,6 +25,18 @@ let hash4 ~seed a b c d =
 let hash5 ~seed a b c d e =
   finish (fold (fold (fold (fold (fold (start seed) a) b) c) d) e)
 
+(* A prefix is the fold state after the seed and three coordinates, kept
+   as raw 64 bits in a [Bytes]: an OCaml [int] would drop bit 63, and a
+   boxed [Int64] would allocate. Reading it back inside the draw keeps
+   the state unboxed. *)
+let set_prefix b slot ~seed a c d =
+  Bytes.set_int64_ne b (8 * slot) (fold (fold (fold (start seed) a) c) d)
+
+let prefixed4 b slot d = finish (fold (Bytes.get_int64_ne b (8 * slot)) d)
+
+let prefixed5 b slot d e =
+  finish (fold (fold (Bytes.get_int64_ne b (8 * slot)) d) e)
+
 (* A uniform draw is the low 46 bits of the hash over 2^46. *)
 let u01_mask = 0x3FFFFFFFFFFF
 let one = u01_mask + 1

@@ -28,6 +28,20 @@ val hash2 : seed:int -> int -> int -> int
 val hash4 : seed:int -> int -> int -> int -> int -> int
 val hash5 : seed:int -> int -> int -> int -> int -> int -> int
 
+(** {2 Prefix draws}
+
+    Draws that share their seed and first three coordinates share the
+    fold over them. {!set_prefix} stores that fold state in 8-byte slot
+    [slot] of a [Bytes] (raw 64 bits, which an OCaml [int] could not
+    hold), and the draws fold only the rest: after
+    [set_prefix b slot ~seed a c d],
+    [prefixed4 b slot e = hash4 ~seed a c d e] and
+    [prefixed5 b slot e f = hash5 ~seed a c d e f]. *)
+
+val set_prefix : Bytes.t -> int -> seed:int -> int -> int -> int -> unit
+val prefixed4 : Bytes.t -> int -> int -> int
+val prefixed5 : Bytes.t -> int -> int -> int -> int
+
 val to_u01 : int -> float
 (** [to_u01 (hash ~seed coords) = u01 ~seed coords]: the low 46 bits of
     the hash, [m], over [2^46]. *)

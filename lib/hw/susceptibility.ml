@@ -169,15 +169,57 @@ let unloaded_class (i : Thumb.Instr.t) =
 let gate_class i = if Thumb.Instr.is_load i then 0 else unloaded_class i
 let class_factor i = gate_factor_table.(gate_class i)
 
-(* A point's gates: [threshold (e *. factor)] per gate class, for the
-   landscape [e] of one (width, offset), so the per-cycle gate is one
-   integer compare. *)
-type gates = int array
+(* A point's draw context: [threshold (e *. factor)] per gate class,
+   for the landscape [e] of one (width, offset), so the per-cycle gate
+   is one integer compare; and per salt, the hash state folded over
+   (seed, salt, width, offset), so a draw folds only its cycle (and
+   nonce). Salt [s]'s state is slot [s] of [prefixes], folded on the
+   salt's first draw after [fill_gates] (bit [s] of [filled]): most
+   attempts glitch a cycle or two and never draw some salts at all. *)
+type gates = {
+  thresholds : int array;
+  mutable width : int;
+  mutable offset : int;
+  mutable filled : int;
+  prefixes : Bytes.t;
+}
 
-let make_gates () = Array.make (Array.length gate_factor_table) 0
+(* The salts drawn through a prefix: 1 gate, 2 effect pick, 3 load
+   residue, 4 stage, 5 back-stage gate, 6 plant. *)
+let prefix_slots = 7
+
+let make_gates () =
+  { thresholds = Array.make (Array.length gate_factor_table) 0;
+    width = 0;
+    offset = 0;
+    filled = 0;
+    prefixes = Bytes.create (8 * prefix_slots) }
 
 let fill_gates g ~width ~offset =
-  Hashrand.thresholds ~scale:(landscape ~width ~offset) gate_factor_table g
+  Hashrand.thresholds ~scale:(landscape ~width ~offset) gate_factor_table
+    g.thresholds;
+  g.width <- width;
+  g.offset <- offset;
+  g.filled <- 0
+
+let gates_width g = g.width
+let gates_offset g = g.offset
+
+let[@inline] prefix g salt =
+  if g.filled land (1 lsl salt) = 0 then begin
+    Hashrand.set_prefix g.prefixes salt ~seed salt g.width g.offset;
+    g.filled <- g.filled lor (1 lsl salt)
+  end
+
+(* [hash4 ~seed salt width offset cycle] and
+   [hash5 ~seed salt width offset cycle nonce] at the point of [g]. *)
+let[@inline] draw4 g salt cycle =
+  prefix g salt;
+  Hashrand.prefixed4 g.prefixes salt cycle
+
+let[@inline] draw5 g salt cycle nonce =
+  prefix g salt;
+  Hashrand.prefixed5 g.prefixes salt cycle nonce
 
 let biased_flip ~t_clear ~width ~offset ~cycle ~bits word =
   let flipped = ref 0 in
@@ -212,31 +254,28 @@ let residue ~width ~offset ~cycle ~sp =
   | 6 -> sp lxor draw 333 5
   | _ -> draw 334 32
 
-let stage ~width ~offset ~cycle =
-  let u = Hashrand.hash4 ~seed 4 width offset cycle land Hashrand.u01_mask in
+let stage ~gates ~cycle =
+  let u = draw4 gates 4 cycle land Hashrand.u01_mask in
   if u < t_execute_stage then 0 else if u < t_decode_stage then 2 else 4
 
-let back_stage_fires ~gates ~width ~offset ~cycle ~nonce =
-  below
-    (Hashrand.hash5 ~seed 5 width offset cycle nonce)
-    gates.(back_stage_class)
+let back_stage_fires ~gates ~cycle ~nonce =
+  below (draw5 gates 5 cycle nonce) gates.thresholds.(back_stage_class)
 
-let plant_skips ~width ~offset ~cycle =
-  below (Hashrand.hash4 ~seed 6 width offset cycle) t_plant_skip
+let plant_skips ~gates ~cycle = below (draw4 gates 6 cycle) t_plant_skip
 
-let roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp =
+let roll_gated ~sustained ~gates ~cycle ~nonce ~instr ~sp =
+  let width = gates.width and offset = gates.offset in
   (* Attempt noise only gates whether the glitch fires; WHAT it does at
      a fixed (width, offset, cycle) point is deterministic, like the
      repeatable electrical disturbance on real silicon. This is what
      lets the paper's tuning search find 10-out-of-10 parameters. *)
   let load = Thumb.Instr.is_load instr in
   let gate =
-    gates.(if not load then unloaded_class instr
-           else if sustained then sustained_load_class
-           else 0)
+    gates.thresholds.(if not load then unloaded_class instr
+                      else if sustained then sustained_load_class
+                      else 0)
   in
-  if not (below (Hashrand.hash5 ~seed 1 width offset cycle nonce) gate)
-  then No_fault
+  if not (below (draw5 gates 1 cycle nonce) gate) then No_fault
   else if
     (* A glitch sustained over many cycles destabilises the whole core:
        with every additional disturbed cycle the prefetch address latch
@@ -250,9 +289,7 @@ let roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp =
          t_pc_corrupt
   then Pc_corrupt
   else begin
-    let pick =
-      Hashrand.hash4 ~seed 2 width offset cycle land Hashrand.u01_mask
-    in
+    let pick = draw4 gates 2 cycle land Hashrand.u01_mask in
     if load then begin
       (* A glitch sustained over many consecutive cycles starves the
          memory interface: the aborted read returns the idle bus value
@@ -262,11 +299,8 @@ let roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp =
         (if pick < t_sustained_load_skip then Skip else Load_residue 0)
       else if pick < t_load_skip then Skip
       else if pick < t_load_value then begin
-        if
-          below
-            (Hashrand.hash4 ~seed 3 width offset cycle)
-            t_load_residue
-        then Load_residue (residue ~width ~offset ~cycle ~sp)
+        if below (draw4 gates 3 cycle) t_load_residue then
+          Load_residue (residue ~width ~offset ~cycle ~sp)
         else Load_bitflip
       end
       else Corrupt_fetch
@@ -294,5 +328,7 @@ let roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp =
 
 let roll ~sustained ~landscape ~width ~offset ~cycle ~nonce ~instr ~sp =
   let gates = make_gates () in
-  Hashrand.thresholds ~scale:landscape gate_factor_table gates;
-  roll_gated ~sustained ~gates ~width ~offset ~cycle ~nonce ~instr ~sp
+  Hashrand.thresholds ~scale:landscape gate_factor_table gates.thresholds;
+  gates.width <- width;
+  gates.offset <- offset;
+  roll_gated ~sustained ~gates ~cycle ~nonce ~instr ~sp

@@ -58,17 +58,24 @@ val landscape_direct : width:int -> offset:int -> float
 val class_factor : Thumb.Instr.t -> float
 (** Relative susceptibility of the executing instruction (RQ4). *)
 
-(** {2 Integer gates}
+(** {2 Integer gates and the draw context}
 
     Every draw compares integers ({!Hashrand.threshold}). The constant
     probabilities become thresholds once, when the module loads; the
     gate of a (width, offset) point, [e(p) * factor], becomes one row
-    of thresholds per point, which the glitcher fills once per
-    attempt. *)
+    of thresholds per point, which the glitcher fills once per attempt
+    and schedule entry. The same record carries the entry's draw
+    context: the per-cycle draws hash (seed, salt, width, offset,
+    cycle[, nonce]), and a salt's fold over its first four coordinates
+    ({!Hashrand.set_prefix}) is kept from its first draw after
+    {!fill_gates} on, so each later draw folds only the cycle and the
+    nonce. Every draw equals its {!Hashrand.hash4}/{!Hashrand.hash5}
+    form bit for bit. *)
 
 type gates
-(** One threshold per gate class: [threshold (e *. f)] for the
-    landscape [e] of a point and each factor [f] of {!gate_factors}. *)
+(** One threshold per gate class, [threshold (e *. f)] for the
+    landscape [e] of a point and each factor [f] of {!gate_factors};
+    the point itself; and the point's folded draw prefixes. *)
 
 val gate_factors : float list
 (** The factors a gate multiplies the landscape by: each value
@@ -82,19 +89,22 @@ val make_gates : unit -> gates
 
 val fill_gates : gates -> width:int -> offset:int -> unit
 (** Overwrite with the gates of ([width], [offset]), its landscape read
-    from the memo. *)
+    from the memo, and forget every folded prefix. *)
 
-val stage : width:int -> offset:int -> cycle:int -> int
+val gates_width : gates -> int
+val gates_offset : gates -> int
+(** The point {!fill_gates} last set. *)
+
+val stage : gates:gates -> cycle:int -> int
 (** Which of the Cortex-M0's three pipeline stages a glitched cycle at
     the point disturbs: [0] the executing instruction, [2] or [4] the
     one decode or fetch holds, that many bytes on. *)
 
-val back_stage_fires :
-  gates:gates -> width:int -> offset:int -> cycle:int -> nonce:int -> bool
+val back_stage_fires : gates:gates -> cycle:int -> nonce:int -> bool
 (** Whether a glitch on the decode or fetch latch plants a corruption:
     the gate [u < e(p) * 0.55], with attempt noise like {!roll}'s. *)
 
-val plant_skips : width:int -> offset:int -> cycle:int -> bool
+val plant_skips : gates:gates -> cycle:int -> bool
 (** Whether a planted corruption turns its victim into a NOP rather than
     corrupting its encoding ({!corrupt_word}); deterministic in the
     point. *)
@@ -102,18 +112,16 @@ val plant_skips : width:int -> offset:int -> cycle:int -> bool
 val roll_gated :
   sustained:bool ->
   gates:gates ->
-  width:int ->
-  offset:int ->
   cycle:int ->
   nonce:int ->
   instr:Thumb.Instr.t ->
   sp:int ->
   effect
-(** Decide the effect of one glitched cycle, with the point's gates
-    computed beforehand. [nonce] distinguishes attempts with identical
-    parameters; [sp] seeds realistic bus-residue values. [sustained]
-    marks glitches stretched over many consecutive cycles (long-glitch
-    attacks), whose aborted loads read back zero. *)
+(** Decide the effect of one glitched cycle at the point of [gates].
+    [nonce] distinguishes attempts with identical parameters; [sp]
+    seeds realistic bus-residue values. [sustained] marks glitches
+    stretched over many consecutive cycles (long-glitch attacks), whose
+    aborted loads read back zero. *)
 
 val roll :
   sustained:bool ->
@@ -125,7 +133,7 @@ val roll :
   instr:Thumb.Instr.t ->
   sp:int ->
   effect
-(** {!roll_gated} with the gates of [landscape], {!landscape} at
+(** {!roll_gated} with fresh gates of [landscape], {!landscape} at
     ([width], [offset]). *)
 
 val corrupt_word : width:int -> offset:int -> cycle:int -> int -> int

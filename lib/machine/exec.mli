@@ -54,6 +54,15 @@ val execute : Memory.t -> Cpu.t -> Thumb.Instr.t -> step_result
     PC. Used directly by the pipeline simulator to run corrupted
     instructions without writing them back to flash. *)
 
+exception Stop_exn of stop
+
+val execute_exn : Memory.t -> Cpu.t -> Thumb.Instr.t -> step_result
+(** {!execute} without its handler: a faulting data access raises
+    [Stop_exn (Bad_read a)] or [Stop_exn (Bad_write a)] instead of
+    returning [Stopped], after any access of the same instruction that
+    preceded it took effect. For loops that run many instructions under
+    one handler. *)
+
 val decode : zero_is_invalid:bool -> int -> Thumb.Instr.t
 (** The instruction a fetched halfword executes as, from the shared
     pre-decoded [Thumb.Decode.table]. With [zero_is_invalid] (Figure

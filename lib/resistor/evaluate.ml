@@ -39,14 +39,16 @@ let windows = function
 let run_row ~sweep_step rig (ext_offset, repeat, width) =
   let board = Hw.Attack.rig_board rig in
   let successes = ref 0 and detections = ref 0 in
+  let shape =
+    [| Hw.Glitcher.with_repeat
+         (Hw.Glitcher.single ~width:0 ~offset:0 ~ext_offset)
+         repeat |]
+  in
   let offset = ref (-49) in
   while !offset <= 49 do
-    let schedule =
-      [ Hw.Glitcher.with_repeat
-          (Hw.Glitcher.single ~width ~offset:!offset ~ext_offset)
-          repeat ]
+    let (_ : Hw.Glitcher.observation) =
+      Hw.Attack.attempt_point rig shape ~width ~offset:!offset
     in
-    let (_ : Hw.Glitcher.observation) = Hw.Attack.attempt rig schedule in
     let marker = Hw.Board.read_global board Firmware.attack_marker_global in
     if marker = Some Firmware.attack_marker_value then incr successes
     else if Detect.detections (Hw.Board.read_global board) > 0 then

@@ -39,9 +39,20 @@ let same_observation (a : Glitcher.observation) (b : Glitcher.observation) =
   && a.glitched_cycles = b.glitched_cycles
 
 (* One attempt on [rig] and the same schedule on the oracle: [None] when
-   the observations and the whole post-mortem states agree. *)
+   the observations and the whole post-mortem states agree. A nonce-0
+   schedule whose entries share one point goes through the sweeps'
+   entry point, [Attack.attempt_point]. *)
 let check_attempt ?nonce o rig schedule =
-  let obs = Attack.attempt ?nonce rig schedule in
+  let obs =
+    match (nonce, schedule) with
+    | (None | Some 0), (p : Glitcher.params) :: _
+      when List.for_all
+             (fun (q : Glitcher.params) -> q.width = p.width && q.offset = p.offset)
+             schedule ->
+      Attack.attempt_point rig (Array.of_list schedule) ~width:p.width
+        ~offset:p.offset
+    | _ -> Attack.attempt ?nonce rig schedule
+  in
   let expected =
     Glitcher_oracle.run ~max_cycles:o.max_cycles ?nonce ~from:o.snap o.board
       schedule

@@ -72,7 +72,8 @@ let run ~max_cycles ?(nonce = 0) ~from board
       cycles = Board.cycles board;
       fired = !fired;
       glitched_cycles = !glitched;
-      replayed_cycles = replayed }
+      replayed_cycles = replayed;
+      tail_cycles = 0 }
   in
   let rec go () =
     if Board.cycles board >= max_cycles then finish `Timeout

@@ -20,18 +20,24 @@ let contains haystack needle =
 
 let perf_cycle_counters () =
   let sweep =
-    { Hw.Attack.attempts = 10; emulated_cycles = 25; replayed_cycles = 75; boots = 1 }
+    { Hw.Attack.attempts = 10;
+      emulated_cycles = 25;
+      replayed_cycles = 75;
+      tail_cycles = 12;
+      boots = 1 }
   in
   let p = Hw.Attack.sweep_perf ~label:"t" sweep 0.5 in
   Alcotest.(check int) "attempts are the items" 10 p.Stats.Perf.items;
   let line = Stats.Perf.machine_line p in
   Alcotest.(check string) "PERF line"
     "PERF experiment=t jobs=1 items=10 seconds=0.500 rate=20.0 \
-     booted_cycles=25 replayed_cycles=75 replay_rate=0.7500"
+     booted_cycles=25 replayed_cycles=75 replay_rate=0.7500 tail_cycles=12"
     line;
   let json = Stats.Perf.to_json p in
   Alcotest.(check (option int)) "booted in json" (Some 25)
     (Option.bind (Json.member "booted_cycles" json) Json.int_value);
+  Alcotest.(check (option int)) "tail in json" (Some 12)
+    (Option.bind (Json.member "tail_cycles" json) Json.int_value);
   Alcotest.(check bool) "replay rate in json" true
     (Json.member "replay_rate" json = Some (Json.Float 0.75));
   Json_check.roundtrip "perf record" json;
